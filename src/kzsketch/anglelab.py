@@ -13,9 +13,9 @@ import struct
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 
 from .errors import DimensionMismatch, InvalidInput
+from .geometry import _read_exact
 
 ORTHONORMALITY_TOL = 1e-10
 BASIS_MAGIC = b"KZOB"
@@ -139,9 +139,17 @@ def sample_haar_basis(d: int, n: int, seed: int) -> OrthonormalBasis:
     return OrthonormalBasis(q * signs)
 
 
+def null_space(a: np.ndarray) -> np.ndarray:
+    """Orthonormal basis (as columns) of the null space of ``a``: the right
+    singular vectors past the rank cut at eps * max(a.shape) * sigma_max."""
+    _, s, vh = np.linalg.svd(a, full_matrices=True)
+    rank = int((s > s.max(initial=0.0) * np.finfo(float).eps * max(a.shape)).sum())
+    return vh[rank:].T
+
+
 def orthogonal_complement_basis(p: OrthonormalBasis, n: int | None = None) -> OrthonormalBasis:
     """An orthonormal basis of (a subspace of) span(P)^perp, deterministic."""
-    comp = scipy.linalg.null_space(p.matrix.T)
+    comp = null_space(p.matrix.T)
     take = comp.shape[1] if n is None else n
     if take > comp.shape[1]:
         raise InvalidInput(
@@ -269,33 +277,6 @@ def angle_statistics(d: int, n: int, trials: int, seed: int,
     }
 
 
-def geodesic_interpolate(p: OrthonormalBasis, q: OrthonormalBasis,
-                         t: float) -> OrthonormalBasis:
-    """Point at parameter t on the Grassmann geodesic from span(P) to span(Q).
-
-    Angles between P and the result scale linearly in t, which is the
-    monotone-coupling sanity property used by the family search.
-    """
-    if not 0.0 <= t <= 1.0:
-        raise InvalidInput(f"t must lie in [0,1], got {t}")
-    u = p.matrix.T @ q.matrix
-    v, sig, wt = np.linalg.svd(u)
-    sig = np.clip(sig, 0.0, 1.0)
-    thetas = np.arccos(sig)
-    p_al = p.matrix @ v
-    q_al = q.matrix @ wt.T
-    sin_t = np.sin(thetas)
-    normal = np.zeros_like(p_al)
-    mask = sin_t > 1e-12
-    normal[:, mask] = (q_al[:, mask] - p_al[:, mask] * sig[mask]) / sin_t[mask]
-    g = p_al * np.cos(t * thetas) + normal * np.sin(t * thetas)
-    # re-orthonormalize to shed roundoff before the strict constructor
-    qq, rr = np.linalg.qr(g)
-    signs = np.sign(np.diag(rr))
-    signs[signs == 0] = 1.0
-    return OrthonormalBasis(qq * signs)
-
-
 def save_basis(basis: OrthonormalBasis, path) -> None:
     """Binary matrix dump: magic, version, d, n, row-major float64 entries."""
     with open(path, "wb") as fh:
@@ -309,10 +290,8 @@ def load_basis(path) -> OrthonormalBasis:
         magic = fh.read(4)
         if magic != BASIS_MAGIC:
             raise InvalidInput(f"bad basis magic {magic!r}")
-        version, d, n = struct.unpack("<HII", fh.read(10))
+        version, d, n = struct.unpack("<HII", _read_exact(fh, 10, "basis header"))
         if version != BASIS_VERSION:
             raise InvalidInput(f"unsupported basis version {version}")
-        raw = fh.read(8 * d * n)
-        if len(raw) != 8 * d * n:
-            raise InvalidInput("truncated basis payload")
+        raw = _read_exact(fh, 8 * d * n, "basis payload")
         return OrthonormalBasis(np.frombuffer(raw, dtype="<f8").reshape(d, n))

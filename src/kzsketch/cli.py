@@ -139,6 +139,8 @@ def cmd_size(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    if args.trials < 1:
+        raise KZSketchError(f"--trials must be >= 1, got {args.trials}")
     data, config, _, cs, sketch = _build_sketch(args)
     queries = geometry.random_center_sets(data, args.k, args.trials, args.seed + 1)
     worst = 0.0

@@ -505,19 +505,6 @@ def encode(coreset: WeightedCoreset, centers, config: ProblemConfig,
                   source_order=order if source_order else None)
 
 
-def decode(sketch: Sketch):
-    """(weights, points, centers) reconstructed exactly from the sketch."""
-    return sketch.decode()
-
-
-def estimate_cost(sketch: Sketch, centers) -> float:
-    return sketch.estimate_cost(centers)
-
-
-def bit_size(sketch: Sketch) -> BitLedger:
-    return sketch.ledger
-
-
 def theoretical_upper_bound(n: int, k: int, d: int, delta: int, eps: float,
                             z: float, coreset_size: int) -> float:
     """Sketch-size bound (in bits, unit constant) for reporting.

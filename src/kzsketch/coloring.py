@@ -17,10 +17,10 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from . import geometry
-from .anglelab import AngleThresholds, InnerProductMatrix, OrthonormalBasis
+from .anglelab import (AngleThresholds, InnerProductMatrix, OrthonormalBasis,
+                       null_space)
 from .errors import CapacityError, DimensionMismatch, InvalidInput
 from .geometry import CenterSet, GridDataset, RealDataset, ZLike, as_z
 
@@ -164,7 +164,7 @@ def _check_zeta(zeta, n: int) -> np.ndarray:
 def _null_direction(p: OrthonormalBasis, q: OrthonormalBasis) -> np.ndarray:
     """First column of an orthonormal basis of the null space of [P Q]^T."""
     stack = np.hstack([p.matrix, q.matrix])
-    ns = scipy.linalg.null_space(stack.T)
+    ns = null_space(stack.T)
     if ns.shape[1] == 0:
         raise InvalidInput("span(P) + span(Q) covers R^d; no orthogonal direction left")
     return ns[:, 0]
@@ -505,26 +505,3 @@ def loglog_witness_centers(grid_anchor_points, moved_anchor: int) -> CenterSet:
         rows.append(anchors[i])
         rows.append(anchors[i] + (2.0 * e1 if i == moved_anchor else e1))
     return CenterSet(np.stack(rows))
-
-
-def hamming_filter(vectors, min_distance: int) -> np.ndarray:
-    """Greedy subset of rows with pairwise Hamming distance >= min_distance."""
-    v = np.asarray(vectors)
-    if v.ndim != 2:
-        raise InvalidInput("vectors must form an (m, L) array")
-    kept: list[int] = []
-    for i in range(v.shape[0]):
-        ok = all(int((v[i] != v[j]).sum()) >= min_distance for j in kept)
-        if ok:
-            kept.append(i)
-    return np.asarray(kept, dtype=np.int64)
-
-
-def choice_family_bound(num_choices: int, k: int) -> float:
-    """Counting bound (reported, never asserted) on the size of a family of
-    copy-choice vectors that pairwise differ on at least k/4 copies."""
-    if num_choices < 1 or k < 2:
-        raise InvalidInput("need num_choices >= 1 and k >= 2")
-    log_size = (k / 4.0) * math.log(num_choices) - (k / 2.0) * math.log(2.0) \
-        - math.log(k * k / (8.0 * math.e))
-    return math.exp(log_size)

@@ -81,10 +81,9 @@ class WeightedCoreset:
         return geometry.weighted_cost(self.weights, self.points, centers, z)
 
 
-def _seed_dz(points: np.ndarray, k: int, z: ZLike, rng: np.random.Generator) -> np.ndarray:
+def _seed_dz(fpts: np.ndarray, k: int, z: ZLike, rng: np.random.Generator) -> np.ndarray:
     """Adaptive seeding: first point uniform, then proportional to dist^z."""
-    n = points.shape[0]
-    fpts = points.astype(np.float64)
+    n = fpts.shape[0]
     chosen = np.empty(k, dtype=np.int64)
     chosen[0] = _inverse_cdf_sample(rng, np.full(n, 1.0 / n), 1)[0]
     min_pow = geometry.min_powered_distances(fpts, fpts[chosen[:1]], z)
@@ -99,9 +98,11 @@ def _seed_dz(points: np.ndarray, k: int, z: ZLike, rng: np.random.Generator) -> 
     return chosen
 
 
-def _snap_to_dataset(points: np.ndarray, centers: np.ndarray) -> np.ndarray:
-    """Index of the nearest dataset point per center, lowest index on ties."""
-    return geometry.nearest_assignment(centers, points.astype(np.float64))
+def _snap_to_dataset(fpts: np.ndarray, centers: np.ndarray) -> np.ndarray:
+    """Index of the nearest dataset point per center, lowest index on ties;
+    the loop runs over the k centers, not the n points."""
+    return np.array([int(np.argmin(geometry.min_powered_distances(fpts, c[None, :], 2)))
+                     for c in centers], dtype=np.int64)
 
 
 def approx_centers(dataset: GridDataset, k: int, z: ZLike, seed: int) -> ApproxCenters:
@@ -119,7 +120,7 @@ def approx_centers(dataset: GridDataset, k: int, z: ZLike, seed: int) -> ApproxC
     pts = dataset.points
     fpts = pts.astype(np.float64)
 
-    idx = _seed_dz(pts, k, zf, rng)
+    idx = _seed_dz(fpts, k, zf, rng)
     centers = fpts[idx].copy()
 
     # one improvement sweep: move each center to its cluster mean
@@ -129,7 +130,7 @@ def approx_centers(dataset: GridDataset, k: int, z: ZLike, seed: int) -> ApproxC
         if mask.any():
             centers[j] = fpts[mask].mean(axis=0)
 
-    snapped = _snap_to_dataset(pts, centers)
+    snapped = _snap_to_dataset(fpts, centers)
     out = pts[snapped]
     has_repeats = k > dataset.n or len(np.unique(snapped)) < k
     return ApproxCenters(out, snapped, approx_factor=2.0, has_repeats=has_repeats)

@@ -156,39 +156,46 @@ class StreamState:
     blocks_flushed: int = 0
     reductions: int = 0
     max_resident_bits: int = 0
-    formula_bits_at_max: float = 0.0
+    # (points seen, buffered points, live coreset sizes) at the maximum
+    _at_max: tuple = field(default=(0, 0, ()), init=False, repr=False)
 
     def __post_init__(self):
         self.z = as_z(self.z)
         if self.block_size < self.k + 1:
             raise InvalidInput(
                 f"block_size must be >= k+1 = {self.k + 1}, got {self.block_size}")
+        if self.level0_cap < 2:
+            raise InvalidInput(f"level0_cap must be >= 2, got {self.level0_cap}")
 
     # -- accounting ---------------------------------------------------------
 
     def _live_sketches(self) -> list[Sketch]:
         return self.level_sketches[1] + self.level_sketches[0]
 
-    def _resident_bits(self) -> int:
-        buf = len(self.buffer) * self.d * max(1, (self.delta - 1).bit_length())
-        return buf + sum(s.ledger.total_bits for s in self._live_sketches())
+    def _buffer_bits(self, points: int) -> int:
+        return points * self.d * max(1, (self.delta - 1).bit_length())
 
-    def _formula_bits(self) -> float:
-        n = max(2, self.points_seen)
-        live = self._live_sketches()
-        buf = len(self.buffer) * self.d * max(1, (self.delta - 1).bit_length())
-        total = float(buf)
-        for s in live:
-            total += codec.theoretical_upper_bound(
-                n, self.k, self.d, self.delta, self.eps / 2.0, float(self.z),
-                s.coreset_size) + 256.0
-        return total
+    def _resident_bits(self) -> int:
+        return self._buffer_bits(len(self.buffer)) + sum(
+            s.ledger.total_bits for s in self._live_sketches())
 
     def _touch(self):
         res = self._resident_bits()
         if res > self.max_resident_bits:
             self.max_resident_bits = res
-            self.formula_bits_at_max = self._formula_bits()
+            self._at_max = (self.points_seen, len(self.buffer),
+                            tuple(s.coreset_size for s in self._live_sketches()))
+
+    @property
+    def formula_bits_at_max(self) -> float:
+        points_seen, buffered, sizes = self._at_max
+        n = max(2, points_seen)
+        total = float(self._buffer_bits(buffered))
+        for size in sizes:
+            total += codec.theoretical_upper_bound(
+                n, self.k, self.d, self.delta, self.eps / 2.0, float(self.z),
+                size) + 256.0
+        return total
 
     # -- stream operations ----------------------------------------------------
 

@@ -8,6 +8,8 @@ a fixed point order, so values are reproducible bit-for-bit across runs.
 from __future__ import annotations
 
 import csv
+import os
+import stat
 import struct
 from dataclasses import dataclass
 from fractions import Fraction
@@ -148,28 +150,29 @@ def _centers_of(obj) -> np.ndarray:
     return np.asarray(obj, dtype=np.float64)
 
 
-_CHUNK = 8192
+def _nearest(points, centers) -> tuple[np.ndarray, np.ndarray]:
+    """(squared distance to the nearest center, its index) for every point.
 
-
-def _check_shapes(pts: np.ndarray, cen: np.ndarray):
+    Direct subtraction one center at a time, with O(nd) temporaries; the
+    expanded |p|^2 + |c|^2 - 2<p,c> form would break exact ties. The strict
+    ``<`` update keeps ties on the lowest index."""
+    pts, cen = _points_of(points), _centers_of(centers)
     if pts.ndim != 2 or cen.ndim != 2 or pts.shape[1] != cen.shape[1]:
         raise DimensionMismatch(
             f"points have dimension {pts.shape[1:]} but centers {cen.shape[1:]}")
-
-
-def _min_sqdist(pts: np.ndarray, cen: np.ndarray) -> np.ndarray:
-    """Per-point squared distance to the nearest center, by direct subtraction.
-
-    The expanded |p|^2 + |c|^2 - 2<p,c> form is faster but breaks exact ties;
-    n is desk-scale, so the O(nkd) direct scan is fine.
-    """
-    out = np.empty(pts.shape[0])
+    if cen.shape[0] < 1:
+        raise InvalidInput("need at least one center")
+    if not np.isfinite(cen).all() or (pts.dtype.kind == "f" and not np.isfinite(pts).all()):
+        raise InvalidInput("distance evaluation requires finite coordinates")
     fpts = pts.astype(np.float64, copy=False)
-    for lo in range(0, pts.shape[0], _CHUNK):
-        block = fpts[lo:lo + _CHUNK]
-        d2 = ((block[:, None, :] - cen[None, :, :]) ** 2).sum(axis=2)
-        out[lo:lo + _CHUNK] = d2.min(axis=1)
-    return out
+    best = np.full(pts.shape[0], np.inf)
+    arg = np.zeros(pts.shape[0], dtype=np.int64)
+    for j, c in enumerate(cen):
+        d2 = ((fpts - c) ** 2).sum(axis=1)
+        closer = d2 < best
+        arg[closer] = j
+        np.minimum(best, d2, out=best)
+    return best, arg
 
 
 def powered_distances(sqdist: np.ndarray, z: ZLike) -> np.ndarray:
@@ -188,11 +191,7 @@ def powered_distances(sqdist: np.ndarray, z: ZLike) -> np.ndarray:
 
 def min_powered_distances(points, centers, z: ZLike) -> np.ndarray:
     """dist^z(p, C) for every point; the shared kernel of the cost functions."""
-    pts, cen = _points_of(points), _centers_of(centers)
-    _check_shapes(pts, cen)
-    if not np.isfinite(cen).all() or (pts.dtype.kind == "f" and not np.isfinite(pts).all()):
-        raise InvalidInput("cost evaluation requires finite coordinates")
-    return powered_distances(_min_sqdist(pts, cen), z)
+    return powered_distances(_nearest(points, centers)[0], z)
 
 
 def cost(points, centers, z: ZLike) -> float:
@@ -214,15 +213,7 @@ def weighted_cost(weights, points, centers, z: ZLike) -> float:
 
 def nearest_assignment(points, centers) -> np.ndarray:
     """Index of the closest center per point; ties break to the lowest index."""
-    pts, cen = _points_of(points), _centers_of(centers)
-    _check_shapes(pts, cen)
-    out = np.empty(pts.shape[0], dtype=np.int64)
-    fpts = pts.astype(np.float64, copy=False)
-    for lo in range(0, pts.shape[0], _CHUNK):
-        block = fpts[lo:lo + _CHUNK]
-        d2 = ((block[:, None, :] - cen[None, :, :]) ** 2).sum(axis=2)
-        out[lo:lo + _CHUNK] = d2.argmin(axis=1)
-    return out
+    return _nearest(points, centers)[1]
 
 
 def relaxed_triangle_margins(p1, p2, p3, z: ZLike, eps: float):
@@ -292,18 +283,30 @@ def save_dataset(dataset: GridDataset, path) -> None:
         fh.write(dataset.points.astype("<u8").tobytes(order="C"))
 
 
+def _read_exact(fh, size: int, what: str) -> bytes:
+    """Read ``size`` bytes. For a regular file, a size beyond what the file
+    holds is rejected before anything is allocated, so a header cannot make
+    the reader allocate more than the input's size."""
+    st = os.fstat(fh.fileno())
+    held = st.st_size - fh.tell()
+    if stat.S_ISREG(st.st_mode) and size > held:
+        raise InvalidInput(f"truncated {what}: needs {size} bytes, file holds {held}")
+    raw = fh.read(size)
+    if len(raw) != size:
+        raise InvalidInput(f"truncated {what}")
+    return raw
+
+
 def load_dataset(path, config: ProblemConfig | None = None) -> GridDataset:
     """Read a KZDS container written by :func:`save_dataset`."""
     with open(path, "rb") as fh:
         magic = fh.read(4)
         if magic != DATASET_MAGIC:
             raise InvalidInput(f"bad dataset magic {magic!r}, expected {DATASET_MAGIC!r}")
-        version, n, d, delta = struct.unpack("<HQIQ", fh.read(22))
+        version, n, d, delta = struct.unpack("<HQIQ", _read_exact(fh, 22, "dataset header"))
         if version != DATASET_VERSION:
             raise InvalidInput(f"unsupported dataset version {version}")
-        raw = fh.read(8 * n * d)
-        if len(raw) != 8 * n * d:
-            raise InvalidInput("truncated dataset payload")
+        raw = _read_exact(fh, 8 * n * d, "dataset payload")
         pts = np.frombuffer(raw, dtype="<u8").reshape(n, d).astype(np.int64)
     return GridDataset(pts, int(delta), config)
 

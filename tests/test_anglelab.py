@@ -1,12 +1,12 @@
 import math
+import struct
 
 import numpy as np
 import pytest
 
 from kzsketch import anglelab
 from kzsketch.anglelab import (AngleThresholds, InnerProductMatrix,
-                               OrthonormalBasis, angle_statistics,
-                               geodesic_interpolate,
+                               OrthonormalBasis, angle_statistics, null_space,
                                orthogonal_complement_basis,
                                perturbed_orthogonal_basis, principal_angles,
                                row_norm_profile, sample_haar_basis,
@@ -166,21 +166,25 @@ class TestAngleStatistics:
         assert stats["theta_min"]["quantiles"]["0.01"] >= THETA1_FIRST_PCT_FLOOR
 
 
-class TestGeodesic:
-    def test_monotone_coupling(self):
-        p = sample_haar_basis(36, 6, seed=19)
-        q = sample_haar_basis(36, 6, seed=20)
-        full = principal_angles(p, q).thetas
-        for t in (0.25, 0.5, 0.75):
-            part = principal_angles(p, geodesic_interpolate(p, q, t)).thetas
-            assert (part <= full + 1e-8).all()
+class TestNullSpace:
+    # the (n, d) shapes the benchmark's lowerbound commands run
+    SHAPES = ((8, 32), (100, 256), (4, 16))
 
-    def test_endpoints(self):
-        p = sample_haar_basis(20, 4, seed=21)
-        q = sample_haar_basis(20, 4, seed=22)
-        assert principal_angles(p, geodesic_interpolate(p, q, 0.0)).thetas.max() <= 1e-7
-        end = geodesic_interpolate(p, q, 1.0)
-        assert np.abs(principal_angles(q, end).thetas).max() <= 1e-7
+    @pytest.mark.parametrize("n,d", SHAPES)
+    def test_matches_scipy_bit_for_bit(self, n, d):
+        scipy_linalg = pytest.importorskip("scipy.linalg")
+        p = sample_haar_basis(d, n, seed=0)
+        for q in (orthogonal_complement_basis(p, n), sample_haar_basis(d, n, seed=1)):
+            for a in (p.matrix.T, np.hstack([p.matrix, q.matrix]).T):
+                assert np.array_equal(null_space(a), scipy_linalg.null_space(a))
+
+    def test_rank_deficient_and_full_rank(self):
+        a = np.array([[1.0, 1.0, 0.0], [2.0, 2.0, 0.0]])
+        ns = null_space(a)
+        assert ns.shape == (3, 2)
+        assert np.abs(a @ ns).max() <= 1e-12
+        assert np.abs(ns.T @ ns - np.eye(2)).max() <= 1e-12
+        assert null_space(np.eye(3)).shape == (3, 0)
 
 
 class TestContainersAndIO:
@@ -202,3 +206,9 @@ class TestContainersAndIO:
         anglelab.save_basis(b, path)
         back = anglelab.load_basis(path)
         assert np.array_equal(back.matrix, b.matrix)
+
+    def test_oversized_header_rejected_before_reading(self, tmp_path):
+        path = tmp_path / "huge.kzob"
+        path.write_bytes(anglelab.BASIS_MAGIC + struct.pack("<HII", 1, 2 ** 20, 2 ** 20))
+        with pytest.raises(InvalidInput, match="truncated basis payload"):
+            anglelab.load_basis(path)

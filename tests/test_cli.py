@@ -1,9 +1,15 @@
 import json
 import math
+import os
+import struct
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import kzsketch
 from kzsketch import anglelab, geometry
 from kzsketch.cli import main, run_lowerbound_pipeline
 
@@ -90,6 +96,37 @@ class TestSketchCommands:
         with pytest.raises(SystemExit) as err:
             main(["encode", "--data", dataset_file[0]])
         assert err.value.code == 2
+
+    @pytest.mark.parametrize("argv", [
+        ["verify", "--k", "2", "--eps", "0.2", "--trials", "0"],
+        ["stream", "--block", "50", "--k", "2", "--eps", "0.2", "--cap", "1"],
+    ])
+    def test_vacuous_or_degenerate_counts_are_usage_errors(self, capsys,
+                                                           dataset_file, argv):
+        code, out = run_cli(capsys, [argv[0], "--data", dataset_file[0], *argv[1:]])
+        assert code == 2
+        assert out == ""
+
+    def test_oversized_dataset_header_is_usage_error(self, capsys, tmp_path):
+        path = tmp_path / "huge.kzds"
+        path.write_bytes(geometry.DATASET_MAGIC
+                         + struct.pack("<HQIQ", 1, 2 ** 40, 1, 1024))
+        code, _ = run_cli(capsys, ["encode", "--data", str(path), "--k", "2",
+                                   "--eps", "0.2", "--out", str(tmp_path / "o.kzsk")])
+        assert code == 2
+
+
+def test_cli_and_lowerbound_run_without_scipy():
+    src = str(Path(kzsketch.__file__).resolve().parents[1])
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    script = ("import sys, kzsketch.cli\n"
+              "kzsketch.cli.run_lowerbound_pipeline(8, 32, 2, 0.05, 'orthogonal', 0)\n"
+              "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n")
+    proc = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 class TestAngles:

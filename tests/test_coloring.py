@@ -7,9 +7,8 @@ from kzsketch import geometry
 from kzsketch.anglelab import (AngleThresholds, InnerProductMatrix,
                                orthogonal_complement_basis,
                                perturbed_orthogonal_basis, sample_haar_basis)
-from kzsketch.coloring import (adversarial_center,
-                               center_for_power, choice_family_bound,
-                               cost_gap, find_partial_coloring, hamming_filter,
+from kzsketch.coloring import (adversarial_center, center_for_power,
+                               cost_gap, find_partial_coloring,
                                loglog_family_instance, loglog_witness_centers,
                                odd_grid_side, paired_witness_centers,
                                power_gap_bound, round_and_scale, scale_center,
@@ -396,16 +395,3 @@ class TestLogLogFamily:
         b = loglog_family_instance(4, 64, self.anchors, None, seed=9, delta=64)
         assert np.array_equal(a.points, b.points)
         assert a.n == 64
-
-
-class TestFamilyUtilities:
-    def test_hamming_filter_respects_distance(self):
-        rng = np.random.default_rng(30)
-        vectors = rng.integers(0, 4, size=(60, 8))
-        kept = hamming_filter(vectors, 4)
-        for a in range(len(kept)):
-            for b in range(a + 1, len(kept)):
-                assert (vectors[kept[a]] != vectors[kept[b]]).sum() >= 4
-
-    def test_choice_family_bound_grows_with_choices(self):
-        assert choice_family_bound(64, 8) > choice_family_bound(4, 8)

@@ -147,6 +147,11 @@ class TestStream:
             StreamState(delta=8, d=2, k=4, z=Fraction(2), eps=0.2,
                         block_size=4, seed=0)
 
+    def test_level0_cap_must_be_at_least_two(self):
+        with pytest.raises(InvalidInput):
+            StreamState(delta=8, d=2, k=1, z=Fraction(2), eps=0.2,
+                        block_size=4, seed=0, level0_cap=1)
+
     def test_deterministic(self):
         data = geometry.random_grid_dataset(500, 3, 64, seed=30)
         a = run_stream(data, 2, 2, 0.2, block_size=100, seed=31, level0_cap=3)

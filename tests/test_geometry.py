@@ -1,4 +1,5 @@
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -202,6 +203,20 @@ class TestContainers:
         back = geometry.load_dataset(path)
         assert back.delta == 300
         assert np.array_equal(back.points, data.points)
+
+    def test_oversized_header_rejected_before_reading(self, tmp_path):
+        path = tmp_path / "huge.kzds"
+        path.write_bytes(geometry.DATASET_MAGIC
+                         + struct.pack("<HQIQ", 1, 2 ** 40, 1, 1024))
+        assert path.stat().st_size == 26
+        with pytest.raises(InvalidInput, match="truncated dataset payload"):
+            geometry.load_dataset(path)
+
+    def test_short_header_rejected(self, tmp_path):
+        path = tmp_path / "short.kzds"
+        path.write_bytes(geometry.DATASET_MAGIC + b"\x01\x00")
+        with pytest.raises(InvalidInput, match="truncated dataset header"):
+            geometry.load_dataset(path)
 
     def test_csv_import(self, tmp_path):
         path = tmp_path / "points.csv"
