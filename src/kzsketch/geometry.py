@@ -288,9 +288,10 @@ def _read_exact(fh, size: int, what: str) -> bytes:
     holds is rejected before anything is allocated, so a header cannot make
     the reader allocate more than the input's size."""
     st = os.fstat(fh.fileno())
-    held = st.st_size - fh.tell()
-    if stat.S_ISREG(st.st_mode) and size > held:
-        raise InvalidInput(f"truncated {what}: needs {size} bytes, file holds {held}")
+    if stat.S_ISREG(st.st_mode):
+        held = st.st_size - fh.tell()
+        if size > held:
+            raise InvalidInput(f"truncated {what}: needs {size} bytes, file holds {held}")
     raw = fh.read(size)
     if len(raw) != size:
         raise InvalidInput(f"truncated {what}")
