@@ -15,6 +15,7 @@ zeros to a byte boundary.
 
 from __future__ import annotations
 
+import itertools
 import math
 import struct
 from dataclasses import dataclass
@@ -35,64 +36,28 @@ HEADER_FIXED_BITS = 8 * _HEADER_BYTES
 _EPS_FRAC_BITS = 24
 
 
-class BitWriter:
-    """Append integer fields MSB-first; final byte zero-padded."""
-
-    def __init__(self):
-        self._bytes = bytearray()
-        self._acc = 0
-        self._nbits = 0
-        self.bits_written = 0
-
-    def write(self, value: int, nbits: int):
-        if nbits == 0:
-            if value != 0:
-                raise InvalidInput("cannot store a nonzero value in 0 bits")
-            return
-        if value < 0 or value >> nbits:
-            raise InvalidInput(f"value {value} does not fit in {nbits} bits")
-        self._acc = (self._acc << nbits) | value
-        self._nbits += nbits
-        self.bits_written += nbits
-        while self._nbits >= 8:
-            self._nbits -= 8
-            self._bytes.append((self._acc >> self._nbits) & 0xFF)
-            self._acc &= (1 << self._nbits) - 1
-
-    def getvalue(self) -> bytes:
-        out = bytearray(self._bytes)
-        if self._nbits:
-            out.append((self._acc << (8 - self._nbits)) & 0xFF)
-        return bytes(out)
+def _put_bits(bits: np.ndarray, offsets: np.ndarray, values, width: int):
+    """Write each value MSB-first into the ``width`` bits at its offset of the
+    0/1 array ``bits``. Both bit helpers go one bit column at a time (bit j
+    of each field is ``bits[j:][offsets]``): O(len(offsets)) temporaries."""
+    values = np.asarray(values, dtype=np.int64)
+    bit = np.empty_like(values)
+    for j in range(width):
+        np.right_shift(values, width - 1 - j, out=bit)
+        bits[j:][offsets] = np.bitwise_and(bit, 1, out=bit)
 
 
-class BitReader:
-    """Consume integer fields MSB-first from a byte string."""
-
-    def __init__(self, data: bytes):
-        self._data = data
-        self._pos = 0
-        self._acc = 0
-        self._nav = 0
-
-    @property
-    def bits_consumed(self) -> int:
-        return 8 * self._pos - self._nav
-
-    def read(self, nbits: int) -> int:
-        if nbits == 0:
-            return 0
-        while self._nav < nbits:
-            if self._pos >= len(self._data):
-                raise SketchFormatError("payload ends early",
-                                        bit_offset=self.bits_consumed)
-            self._acc = (self._acc << 8) | self._data[self._pos]
-            self._pos += 1
-            self._nav += 8
-        self._nav -= nbits
-        value = self._acc >> self._nav
-        self._acc &= (1 << self._nav) - 1
-        return value
+def _take_bits(bits: np.ndarray, offsets: np.ndarray, width: int) -> np.ndarray:
+    """Read the ``width``-bit MSB-first field at each offset."""
+    out = np.zeros(offsets.shape, dtype=np.int64)
+    if offsets.size and width:
+        last = offsets.max()
+        if last + width > bits.size:
+            raise SketchFormatError("payload ends early", bit_offset=int(last))
+        for j in range(width):
+            out <<= 1
+            out |= bits[j:][offsets]
+    return out
 
 
 @dataclass(frozen=True)
@@ -153,9 +118,13 @@ def _encode_array(values: np.ndarray, f: int, zero_threshold: float):
 
 
 def _decode_array(is_zero, sign, expo, fraction, f: int) -> np.ndarray:
-    mag = np.ldexp((1 << f) + fraction.astype(np.float64), (expo - f).astype(np.int64))
-    out = np.where(sign == 1, -mag, mag)
-    return np.where(is_zero, 0.0, out)
+    """Exact values of codes in the layout of :func:`_encode_array`."""
+    out = fraction.astype(np.float64)
+    out += 1 << f
+    np.ldexp(out, expo - f, out=out)
+    np.negative(out, out=out, where=sign == 1)
+    out[is_zero] = 0.0
+    return out
 
 
 def _floor_log2(x: float) -> int:
@@ -197,6 +166,28 @@ class SketchParams:
     x_expo_max: int
     x_expo_width: int
     weight_zero_threshold: float
+
+    @property
+    def code_widths(self) -> tuple[int, int]:
+        """Bits of one nonzero weight code and of one nonzero coordinate code."""
+        return 2 + self.w_expo_width + self.f_w, 2 + self.x_expo_width + self.f_x
+
+    def oversized(self) -> str | None:
+        """Why a field is too wide for the codec's int64 fields, or None:
+        fractions take at most 63 bits, centers (stored as center - 1) 62."""
+        if max(self.f_w, self.f_x) > 63 or self.center_width > 62:
+            return (f"fraction widths ({self.f_w}, {self.f_x}) and center width "
+                    f"{self.center_width} exceed the limits of 63 and 62 bits")
+        return None
+
+
+def _field_layout(p: SketchParams):
+    """(category, bit offset within the code, width) of each field that a
+    nonzero code stores after its zero flag, category 0 for weight codes and
+    1 for coordinate codes: weight expo and fraction (a weight's sign bit is
+    always 0), then coordinate sign, expo and fraction."""
+    return [(0, 2, p.w_expo_width), (0, 2 + p.w_expo_width, p.f_w),
+            (1, 1, 1), (1, 2, p.x_expo_width), (1, 2 + p.x_expo_width, p.f_x)]
 
 
 def derive_params(eps_q: float, z: Fraction, n: int, s: int, delta: int) -> SketchParams:
@@ -243,15 +234,17 @@ class Sketch:
     """Immutable encoded form of a weighted coreset.
 
     Construct with :func:`encode` or :meth:`Sketch.from_bytes`. The raw wire
-    bytes are the source of truth; decoded arrays are parsed once and
-    cached (the cache fill is idempotent, so concurrent queries from many
-    threads are safe).
+    bytes are the source of truth: ``encode`` keeps the fields it packed and
+    ``from_bytes`` parses the same fields back. Decoded arrays are computed
+    once and cached (the cache fill is idempotent, so concurrent queries from
+    many threads are safe).
     """
 
-    def __init__(self, data: bytes, source_order: np.ndarray | None = None):
+    _source_order = None
+    _decoded = None
+
+    def __init__(self, data: bytes):
         self._data = bytes(data)
-        self._source_order = source_order
-        self._decoded = None
         self._parse_header()
         self._parse_payload()
 
@@ -266,110 +259,126 @@ class Sketch:
             raise SketchFormatError(f"bad magic {magic!r}", bit_offset=0)
         if version != SKETCH_VERSION:
             raise SketchFormatError(f"unsupported version {version}")
-        if min(k, d, z_num, z_den) < 1 or n < 1 or delta < 2 or s > n:
+        if min(k, d, z_den) < 1 or z_num < z_den or n < 1 or delta < 2 or s > n:
             raise SketchFormatError(
                 f"implausible header (k={k}, d={d}, z={z_num}/{z_den}, "
                 f"delta={delta}, n={n}, |S|={s})")
-        self.k = k
-        self.d = d
-        self.z = Fraction(z_num, z_den)
-        self.delta = int(delta)
         eps_frac = int.from_bytes(eps_frac_raw, "little")
-        self.epsilon = decode_scalar(ScalarCode(False, 0, eps_expo, eps_frac),
-                                     _EPS_FRAC_BITS)
-        if not 0.0 < self.epsilon < 1.0:
-            raise SketchFormatError(f"header epsilon {self.epsilon} out of (0,1)")
-        self.n = int(n)
-        self.coreset_size = int(s)
-        self.params = derive_params(self.epsilon, self.z, self.n,
-                                    self.coreset_size, self.delta)
-        if (w_expo_width, x_expo_width) != (self.params.w_expo_width,
-                                            self.params.x_expo_width):
+        epsilon = decode_scalar(ScalarCode(False, 0, eps_expo, eps_frac),
+                                _EPS_FRAC_BITS)
+        if not 0.0 < epsilon < 1.0:
+            raise SketchFormatError(f"header epsilon {epsilon} out of (0,1)")
+        z = Fraction(z_num, z_den)
+        params = derive_params(epsilon, z, n, s, delta)
+        if (reason := params.oversized()) is not None:
+            raise SketchFormatError(f"header field widths: {reason}")
+        if (w_expo_width, x_expo_width) != (params.w_expo_width, params.x_expo_width):
             raise SketchFormatError(
                 f"header widths ({w_expo_width}, {x_expo_width}) disagree with "
-                f"derived ({self.params.w_expo_width}, {self.params.x_expo_width})")
+                f"derived ({params.w_expo_width}, {params.x_expo_width})")
+        self._set_header(k, d, z, int(delta), epsilon, int(n), int(s), params)
+
+    def _set_header(self, k, d, z, delta, epsilon, n, s, params):
+        self.k, self.d, self.z, self.delta = k, d, z, delta
+        self.epsilon, self.n, self.coreset_size = epsilon, n, s
+        self.params = params
 
     # -- payload -----------------------------------------------------------
 
-    def _read_code(self, reader: BitReader, expo_width: int, f: int):
-        if reader.read(1):
-            return True, 0, 0, 0, 1
-        sign = reader.read(1)
-        expo = reader.read(expo_width)
-        frac = reader.read(f)
-        return False, sign, expo, frac, 2 + expo_width + f
-
     def _parse_payload(self):
-        p = self.params
-        reader = BitReader(self._data[_HEADER_BYTES:])
-        centers = np.empty((self.k, self.d), dtype=np.int64)
-        for l in range(self.k):
-            for i in range(self.d):
-                centers[l, i] = reader.read(p.center_width) + 1
-        group_sizes = [reader.read(p.group_width) for _ in range(self.k)]
-        if sum(group_sizes) != self.coreset_size:
+        """Read the payload: one pass over the zero flags, the only
+        sequential dependency of the layout, then every field at once."""
+        p, k, d, s = self.params, self.k, self.d, self.coreset_size
+        payload = np.frombuffer(self._data, dtype=np.uint8, offset=_HEADER_BYTES)
+        nbits = 8 * payload.size
+        code_start = k * d * p.center_width + k * p.group_width
+        if nbits < code_start + s * (d + 1):
             raise SketchFormatError(
-                f"group sizes sum to {sum(group_sizes)}, header says {self.coreset_size}",
-                bit_offset=reader.bits_consumed)
+                f"payload of {nbits} bits cannot hold the {k}x{d} centers, "
+                f"group sizes and {s * (d + 1)} codes of the header",
+                bit_offset=nbits)
+        # what the sketch keeps is allocated before the scratch bit array, so
+        # that freeing the scratch leaves no hole under live memory
+        flags = bytearray(s * (d + 1))
+        fields = [np.zeros(shape, dtype=np.int64) for shape in (s, s, (s, d), (s, d), (s, d))]
+        bits = np.unpackbits(payload)
+        centers = _take_bits(bits, np.arange(k * d) * p.center_width,
+                             p.center_width).reshape(k, d) + 1
+        group_sizes = _take_bits(bits, code_start - k * p.group_width
+                                 + np.arange(k) * p.group_width, p.group_width).tolist()
+        if sum(group_sizes) != s:
+            raise SketchFormatError(
+                f"group sizes sum to {sum(group_sizes)}, header says {s}",
+                bit_offset=code_start)
 
-        s = self.coreset_size
-        w_zero = np.empty(s, dtype=bool)
-        w_expo = np.empty(s, dtype=np.int64)
-        w_frac = np.empty(s, dtype=np.int64)
-        x_zero = np.empty((s, self.d), dtype=bool)
-        x_sign = np.empty((s, self.d), dtype=np.int64)
-        x_expo = np.empty((s, self.d), dtype=np.int64)
-        x_frac = np.empty((s, self.d), dtype=np.int64)
-        group_of = np.empty(s, dtype=np.int64)
+        # row-major codes: per point one weight code, then d coordinate codes
+        row_widths = itertools.cycle([p.code_widths[0]] + [p.code_widths[1]] * d)
+        flat = memoryview(bits)
+        pos = code_start
+        try:
+            for i, w in zip(range(len(flags)), row_widths):
+                if flat[pos]:
+                    flags[i] = 1
+                    pos += 1
+                else:
+                    pos += w
+        except IndexError:
+            raise SketchFormatError("payload ends early", bit_offset=pos) from None
+        zero = np.frombuffer(flags, dtype=bool).reshape(s, d + 1)
+        live, offsets, _, _ = _live_offsets(zero, p, code_start)
+        if _take_bits(bits[1:], offsets[0], 1).any():
+            raise SketchFormatError("negative weight code")
+        for field, (cat, shift, width) in zip(fields, _field_layout(p)):
+            field[live[cat]] = _take_bits(bits[shift:], offsets[cat], width)
 
-        weight_bits = 0
-        coordinate_bits = 0
-        row = 0
-        for l, size in enumerate(group_sizes):
-            for _ in range(size):
-                zero, sign, expo, frac, used = self._read_code(reader, p.w_expo_width, p.f_w)
-                if not zero and sign:
-                    raise SketchFormatError("negative weight code",
-                                            bit_offset=reader.bits_consumed)
-                w_zero[row], w_expo[row], w_frac[row] = zero, expo, frac
-                weight_bits += used
-                for i in range(self.d):
-                    zero, sign, expo, frac, used = self._read_code(
-                        reader, p.x_expo_width, p.f_x)
-                    x_zero[row, i], x_sign[row, i] = zero, sign
-                    x_expo[row, i], x_frac[row, i] = expo, frac
-                    coordinate_bits += used
-                group_of[row] = l
-                row += 1
+        w_field, w_frac, x_sign, x_expo, x_frac = fields
+        if w_field.max(initial=0) > p.w_expo_max - p.w_expo_min:
+            raise SketchFormatError("weight exponent field exceeds the declared range")
+        if x_expo.max(initial=0) > p.x_expo_max:
+            raise SketchFormatError("coordinate exponent field exceeds the declared range")
 
-        if s:
-            live_w = ~w_zero
-            if live_w.any() and w_expo[live_w].max() \
-                    > p.w_expo_max - p.w_expo_min:
-                raise SketchFormatError("weight exponent field exceeds the "
-                                        "declared range")
-            live_x = ~x_zero
-            if live_x.any() and x_expo[live_x].max() > p.x_expo_max:
-                raise SketchFormatError("coordinate exponent field exceeds "
-                                        "the declared range")
-
-        payload_bits = reader.bits_consumed
+        self._set_payload(centers, group_sizes, (zero[:, 0], w_field, w_frac),
+                          (zero[:, 1:], x_sign, x_expo, x_frac))
+        payload_bits = self.ledger.total_bits - HEADER_FIXED_BITS
         expected_len = _HEADER_BYTES + (payload_bits + 7) // 8
         if len(self._data) != expected_len:
             raise SketchFormatError(
                 f"trailing bytes: file has {len(self._data)}, format needs {expected_len}",
                 bit_offset=payload_bits)
 
+    def _pack_payload(self) -> np.ndarray:
+        """Pack the payload fields MSB first; the inverse of _parse_payload.
+
+        Layout: centers, group sizes, then per point one weight code and d
+        coordinate codes. A code is [1] if zero, else [0][sign][expo][fraction].
+        """
+        p, k, d = self.params, self.k, self.d
+        cw, gw = p.center_width, p.group_width
+        zero = np.concatenate([self._w_codes[0][:, None], self._x_codes[0]], axis=1)
+        live, offsets, zero_offsets, end = _live_offsets(zero, p, k * d * cw + k * gw)
+        bits = np.zeros(end, dtype=np.uint8)
+        _put_bits(bits, np.arange(k * d) * cw, self.centers.ravel() - 1, cw)
+        _put_bits(bits, k * d * cw + np.arange(k) * gw, self.group_sizes, gw)
+        bits[zero_offsets] = 1
+        fields = self._w_codes[1:] + self._x_codes[1:]
+        for field, (cat, shift, width) in zip(fields, _field_layout(p)):
+            _put_bits(bits[shift:], offsets[cat], field[live[cat]], width)
+        return np.packbits(bits)
+
+    def _set_payload(self, centers, group_sizes, w_codes, x_codes):
+        p = self.params
         self.centers = centers
         self.group_sizes = group_sizes
-        self.group_of = group_of
-        self._w_codes = (w_zero, w_expo, w_frac)
-        self._x_codes = (x_zero, x_sign, x_expo, x_frac)
+        self.group_of = np.repeat(np.arange(self.k), group_sizes)
+        self._w_codes = w_codes
+        self._x_codes = x_codes
+        s, d = self.coreset_size, self.d
+        w_width, x_width = p.code_widths
         self.ledger = BitLedger(
             header_bits=HEADER_FIXED_BITS + self.k * p.group_width,
-            center_bits=self.k * self.d * p.center_width,
-            weight_bits=weight_bits,
-            coordinate_bits=coordinate_bits,
+            center_bits=self.k * d * p.center_width,
+            weight_bits=s + (s - int(w_codes[0].sum())) * (w_width - 1),
+            coordinate_bits=s * d + (s * d - int(x_codes[0].sum())) * (x_width - 1),
         )
 
     # -- public surface ------------------------------------------------------
@@ -390,12 +399,11 @@ class Sketch:
         """Reconstruct (weights, points, centers); exact and cached."""
         if self._decoded is None:
             p = self.params
-            w_zero, w_expo, w_frac = self._w_codes
-            weights = _decode_array(w_zero, np.zeros_like(w_expo),
-                                    w_expo + p.w_expo_min, w_frac, p.f_w)
+            w_zero, w_field, w_frac = self._w_codes
+            weights = _decode_array(w_zero, 0, w_field + p.w_expo_min, w_frac, p.f_w)
             x_zero, x_sign, x_expo, x_frac = self._x_codes
-            deltas = _decode_array(x_zero, x_sign, x_expo, x_frac, p.f_x)
-            points = self.centers[self.group_of].astype(np.float64) + deltas
+            points = _decode_array(x_zero, x_sign, x_expo, x_frac, p.f_x)
+            points += self.centers[self.group_of]
             self._decoded = (weights, points, self.centers)
         return self._decoded
 
@@ -412,9 +420,19 @@ class Sketch:
         return geometry.weighted_cost(weights, points, cen, self.z)
 
 
-def _center_array(centers) -> np.ndarray:
-    arr = getattr(centers, "centers", centers)
-    return np.asarray(arr)
+def _live_offsets(zero: np.ndarray, p: SketchParams, start: int):
+    """Locate the codes of the (|S|, d+1) zero-flag layout: a zero code
+    takes one bit, a nonzero one its category's full width. Returns the
+    nonzero masks and bit offsets of the weight and of the coordinate codes,
+    the offsets of the zero codes, and the end of the last code."""
+    widths = np.where(zero, np.uint8(1), np.array(
+        [p.code_widths[0]] + [p.code_widths[1]] * (zero.shape[1] - 1), dtype=np.uint8))
+    offsets = np.cumsum(widths, dtype=np.int64).reshape(zero.shape)
+    end = start + int(offsets[-1, -1]) if offsets.size else start
+    offsets += start
+    offsets -= widths
+    live = (~zero[:, 0], ~zero[:, 1:])
+    return live, (offsets[:, 0][live[0]], offsets[:, 1:][live[1]]), offsets[zero], end
 
 
 def encode(coreset: WeightedCoreset, centers, config: ProblemConfig,
@@ -422,7 +440,10 @@ def encode(coreset: WeightedCoreset, centers, config: ProblemConfig,
     """Run the compression scheme: partition the coreset by nearest
     approximate center, quantize weights and coordinate deltas, pack bits.
     """
-    cen = _center_array(centers)
+    if max(config.z.numerator, config.z.denominator) >= 1 << 32:
+        raise InvalidInput(f"z = {config.z}: numerator and denominator must "
+                           "fit the header's 32-bit fields")
+    cen = np.asarray(getattr(centers, "centers", centers))
     if cen.ndim != 2 or cen.shape != (config.k, config.d):
         raise DimensionMismatch(
             f"centers shape {cen.shape} != (k={config.k}, d={config.d})")
@@ -441,58 +462,28 @@ def encode(coreset: WeightedCoreset, centers, config: ProblemConfig,
     eps_expo, eps_frac, eps_q = quantize_epsilon(config.epsilon)
     s = coreset.size
     params = derive_params(eps_q, config.z, config.n, s, config.delta)
+    if (reason := params.oversized()) is not None:
+        raise InvalidInput(f"epsilon {config.epsilon} with z = {config.z} and "
+                           f"delta = {config.delta}: {reason}")
 
-    writer = BitWriter()
-    for l in range(config.k):
-        for i in range(config.d):
-            writer.write(int(cen[l, i]) - 1, params.center_width)
-
-    if s:
-        assign = geometry.nearest_assignment(pts, cen.astype(np.float64))
-        order = np.argsort(assign, kind="stable")
-        group_sizes = np.bincount(assign, minlength=config.k)
-    else:
-        assign = np.zeros(0, dtype=np.int64)
-        order = np.zeros(0, dtype=np.int64)
-        group_sizes = np.zeros(config.k, dtype=np.int64)
-    for l in range(config.k):
-        writer.write(int(group_sizes[l]), params.group_width)
+    assign = geometry.nearest_assignment(pts, cen.astype(np.float64))
+    order = np.argsort(assign, kind="stable")
+    group_sizes = np.bincount(assign, minlength=config.k)
 
     w_zero, _, w_expo, w_frac = _encode_array(
         coreset.weights[order], params.f_w, params.weight_zero_threshold)
-    deltas = pts[order] - cen[assign[order]]
     x_zero, x_sign, x_expo, x_frac = _encode_array(
-        deltas.astype(np.float64), params.f_x, 0.0)
+        (pts[order] - cen[assign[order]]).astype(np.float64), params.f_x, 0.0)
 
-    w_field = w_expo - params.w_expo_min
-    if s and not w_zero.all():
-        live = ~w_zero
-        if w_expo[live].min() < params.w_expo_min \
-                or w_expo[live].max() > params.w_expo_max:
-            raise InvalidInput(
-                "weight exponent out of representable range; the coreset "
-                "violates the (1 +- 4 eps) n total-weight bound")
-    if s and not x_zero.all():
-        live = ~x_zero
-        if x_expo[live].min() < 0 or x_expo[live].max() > params.x_expo_max:
-            raise InvalidInput("coordinate delta exponent out of range")
-
-    # nonzero codes carry their leading zero flag and sign implicitly in the
-    # field width: [is_zero=0][sign][expo][fraction], MSB first
-    fw, fx = params.f_w, params.f_x
-    for row in range(s):
-        if w_zero[row]:
-            writer.write(1, 1)
-        else:
-            writer.write(int(w_field[row]) << fw | int(w_frac[row]),
-                         2 + params.w_expo_width + fw)
-        for i in range(pts.shape[1]):
-            if x_zero[row, i]:
-                writer.write(1, 1)
-            else:
-                packed = ((int(x_sign[row, i]) << params.x_expo_width
-                           | int(x_expo[row, i])) << fx) | int(x_frac[row, i])
-                writer.write(packed, 2 + params.x_expo_width + fx)
+    # zero codes carry field 0, inside both ranges
+    w_field = np.where(w_zero, 0, w_expo - params.w_expo_min)
+    if w_field.min(initial=0) < 0 \
+            or w_field.max(initial=0) > params.w_expo_max - params.w_expo_min:
+        raise InvalidInput(
+            "weight exponent out of representable range; the coreset "
+            "violates the (1 +- 4 eps) n total-weight bound")
+    if x_expo.min(initial=0) < 0 or x_expo.max(initial=0) > params.x_expo_max:
+        raise InvalidInput("coordinate delta exponent out of range")
 
     header = struct.pack(_HEADER_FMT, SKETCH_MAGIC, SKETCH_VERSION,
                          config.k, config.d,
@@ -501,8 +492,15 @@ def encode(coreset: WeightedCoreset, centers, config: ProblemConfig,
                          eps_frac.to_bytes(3, "little"),
                          config.n, s,
                          params.w_expo_width, params.x_expo_width)
-    return Sketch(header + writer.getvalue(),
-                  source_order=order if source_order else None)
+    sketch = Sketch.__new__(Sketch)
+    sketch._set_header(config.k, config.d, config.z, config.delta, eps_q,
+                       config.n, s, params)
+    sketch._set_payload(cen, group_sizes.tolist(), (w_zero, w_field, w_frac),
+                        (x_zero, x_sign, x_expo, x_frac))
+    sketch._data = header + sketch._pack_payload().tobytes()
+    if source_order:
+        sketch._source_order = order
+    return sketch
 
 
 def theoretical_upper_bound(n: int, k: int, d: int, delta: int, eps: float,

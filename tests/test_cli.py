@@ -115,6 +115,61 @@ class TestSketchCommands:
                                    "--eps", "0.2", "--out", str(tmp_path / "o.kzsk")])
         assert code == 2
 
+    # z = 33333333333 overflows the distance powers of approx_centers
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_z_beyond_header_range_is_usage_error(self, capsys, tmp_path,
+                                                  dataset_file):
+        code = main([
+            "encode", "--data", dataset_file[0], "--k", "2", "--eps", "0.2",
+            "--method", "identity", "--z", "99999999999/3",
+            "--out", str(tmp_path / "o.kzsk")])
+        out, err = capsys.readouterr()
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: z = 33333333333: numerator and denominator")
+
+
+def test_oversized_sketch_header_rejected_in_bounded_memory(tmp_path):
+    # a 52-byte KZSK file declaring k = d = 2^16 centers: 32 GiB of int64 if
+    # the parser allocated before checking the payload length. The child runs
+    # under a 1 GiB address-space cap, so a regression fails, not swaps.
+    resource = pytest.importorskip("resource")
+    src = str(Path(kzsketch.__file__).resolve().parents[1])
+    path = tmp_path / "huge.kzsk"
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1",
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    script = (
+        "import struct, sys\n"
+        "from fractions import Fraction\n"
+        "from kzsketch import codec\n"
+        "from kzsketch.errors import SketchFormatError\n"
+        "k = d = 2 ** 16\n"
+        "expo, frac, eps = codec.quantize_epsilon(0.25)\n"
+        "p = codec.derive_params(eps, Fraction(2), 1, 0, 1024)\n"
+        "raw = struct.pack(codec._HEADER_FMT, b'KZSK', 1, k, d, 2, 1, 1024, expo,\n"
+        "                  frac.to_bytes(3, 'little'), 1, 0, p.w_expo_width,\n"
+        "                  p.x_expo_width)\n"
+        "open(sys.argv[1], 'wb').write(raw)\n"
+        "try:\n"
+        "    codec.Sketch.from_bytes(raw)\n"
+        "except SketchFormatError as exc:\n"
+        "    print(len(raw), exc)\n")
+
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+    proc = subprocess.run([sys.executable, "-c", script, str(path)], env=env,
+                          preexec_fn=cap, capture_output=True, text=True,
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("52 payload of 0 bits cannot hold")
+    proc = subprocess.run([sys.executable, "-m", "kzsketch.cli", "size",
+                           "--sketch", str(path)], env=env, preexec_fn=cap,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("error: payload of 0 bits")
+
 
 def test_cli_and_lowerbound_run_without_scipy():
     src = str(Path(kzsketch.__file__).resolve().parents[1])

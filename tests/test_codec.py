@@ -7,8 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kzsketch import codec, geometry
-from kzsketch.codec import (BitReader, BitWriter, Sketch, decode_scalar,
-                            encode, encode_scalar, theoretical_upper_bound)
+from kzsketch.codec import (Sketch, decode_scalar, encode, encode_scalar,
+                            theoretical_upper_bound)
 from kzsketch.coreset import WeightedCoreset, approx_centers, build_coreset
 from kzsketch.errors import InvalidInput, SketchFormatError
 from kzsketch.geometry import CenterSet, ProblemConfig
@@ -26,25 +26,38 @@ def make_instance(n=120, d=6, k=3, z=2, delta=1024, eps=0.2, seed=0,
 
 class TestBitIO:
     def test_round_trip_fields(self):
-        w = BitWriter()
-        fields = [(5, 3), (0, 1), (1023, 10), (1, 1), (0, 7), (77, 13)]
+        fields = [(5, 3), (0, 1), (1023, 10), (1, 1), (0, 7), (77, 13),
+                  (2 ** 63 - 1, 63), (0, 0)]
+        offsets = np.cumsum([0] + [nb for _, nb in fields])
+        bits = np.zeros(offsets[-1], dtype=np.uint8)
+        for (v, nb), off in zip(fields, offsets):
+            codec._put_bits(bits, np.array([off]), [v], nb)
+        raw = np.packbits(bits).tobytes()
+        # the same bytes as packing the concatenated fields MSB first
+        acc = 0
         for v, nb in fields:
-            w.write(v, nb)
-        r = BitReader(w.getvalue())
-        assert [r.read(nb) for _, nb in fields] == [v for v, _ in fields]
+            acc = acc << nb | v
+        pad = -len(bits) % 8
+        assert raw == (acc << pad).to_bytes(len(raw), "big")
+        back = np.unpackbits(np.frombuffer(raw, dtype=np.uint8))
+        assert [int(codec._take_bits(back, np.array([off]), nb)[0])
+                for (_, nb), off in zip(fields, offsets)] == [v for v, _ in fields]
+
+    def test_many_offsets_in_one_call(self):
+        values = np.array([0, 1, 6, 7, 3])
+        offsets = np.array([0, 3, 6, 9, 12])
+        bits = np.zeros(15, dtype=np.uint8)
+        codec._put_bits(bits, offsets, values, 3)
+        assert bits.tolist() == [0, 0, 0, 0, 0, 1, 1, 1, 0, 1, 1, 1, 0, 1, 1]
+        assert codec._take_bits(bits, offsets, 3).tolist() == values.tolist()
 
     def test_truncation_reports_offset(self):
-        w = BitWriter()
-        w.write(0b101, 3)
-        r = BitReader(w.getvalue())
-        r.read(3)
+        bits = np.zeros(8, dtype=np.uint8)
+        codec._put_bits(bits, np.array([0]), [0b101], 3)
+        assert codec._take_bits(bits, np.array([0]), 3).tolist() == [0b101]
         with pytest.raises(SketchFormatError) as err:
-            r.read(8)
-        assert err.value.bit_offset is not None
-
-    def test_overflowing_value_rejected(self):
-        with pytest.raises(InvalidInput):
-            BitWriter().write(4, 2)
+            codec._take_bits(bits, np.array([0, 3]), 8)
+        assert err.value.bit_offset == 3
 
 
 class TestScalarCodec:
@@ -105,11 +118,15 @@ class TestScalarCodec:
         rng = np.random.default_rng(3)
         vals = np.concatenate([rng.normal(scale=10.0 ** rng.integers(-6, 6), size=20)
                                for _ in range(20)])
+        vals[::37] = 1e-9       # below the threshold: zero codes
         iz, sg, ex, fr = codec._encode_array(vals, 7, 1e-8)
         for i, v in enumerate(vals):
             ref = encode_scalar(float(v), 7, 1e-8)
             assert (bool(iz[i]), sg[i], ex[i], fr[i]) == \
                 (ref.is_zero, ref.sign, ref.expo, ref.fraction), f"value {v}"
+        back = codec._decode_array(iz, sg, ex, fr, 7)
+        assert back.tolist() == [decode_scalar(encode_scalar(float(v), 7, 1e-8), 7)
+                                 for v in vals]
 
 
 class TestEncodeDecode:
