@@ -33,10 +33,12 @@ class OrthonormalBasis:
         if m.ndim != 2:
             raise InvalidInput("basis must be a d x n matrix")
         d, n = m.shape
-        if n > d:
-            raise InvalidInput(f"subspace dimension n={n} exceeds ambient d={d}")
-        resid = np.abs(m.T @ m - np.eye(n)).max()
-        if resid > ORTHONORMALITY_TOL:
+        if not 1 <= n <= d:
+            raise InvalidInput(f"subspace dimension n={n} must lie in [1, d={d}]")
+        # huge or non-finite entries give an inf or NaN residual, rejected below
+        with np.errstate(over="ignore", invalid="ignore"):
+            resid = np.abs(m.T @ m - np.eye(n)).max()
+        if not resid <= ORTHONORMALITY_TOL:
             raise InvalidInput(f"columns are not orthonormal (residual {resid:.3e})")
         m.setflags(write=False)
         object.__setattr__(self, "matrix", m)
@@ -294,4 +296,6 @@ def load_basis(path) -> OrthonormalBasis:
         if version != BASIS_VERSION:
             raise InvalidInput(f"unsupported basis version {version}")
         raw = _read_exact(fh, 8 * d * n, "basis payload")
+        if fh.read(1):
+            raise InvalidInput("trailing bytes after the basis payload")
         return OrthonormalBasis(np.frombuffer(raw, dtype="<f8").reshape(d, n))

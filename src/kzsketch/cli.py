@@ -14,6 +14,7 @@ import json
 import math
 import os
 import sys
+import traceback
 from fractions import Fraction
 from pathlib import Path
 
@@ -81,6 +82,7 @@ def _build_sketch(args):
     z = _parse_z(args.z)
     config = ProblemConfig(n=data.n, d=data.d, k=args.k, z=z,
                            delta=data.delta, epsilon=args.eps)
+    codec.check_header_z(config.z)  # before the coreset, which may overflow first
     centers = coreset_mod.approx_centers(data, args.k, z, args.seed)
     cs = coreset_mod.build_coreset(data, args.k, z, args.eps,
                                    method=args.method, seed=args.seed,
@@ -443,6 +445,10 @@ def main(argv=None) -> int:
     except (KZSketchError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except Exception:
+        # a fault of kzsketch itself: not a usage error and not a failed check
+        traceback.print_exc()
+        return 3
 
 
 if __name__ == "__main__":

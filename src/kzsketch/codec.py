@@ -435,14 +435,19 @@ def _live_offsets(zero: np.ndarray, p: SketchParams, start: int):
     return live, (offsets[:, 0][live[0]], offsets[:, 1:][live[1]]), offsets[zero], end
 
 
+def check_header_z(z: Fraction) -> None:
+    """Reject a z whose numerator or denominator does not fit the u32 header."""
+    if max(z.numerator, z.denominator) >= 1 << 32:
+        raise InvalidInput(f"z = {z}: numerator and denominator must "
+                           "fit the header's 32-bit fields")
+
+
 def encode(coreset: WeightedCoreset, centers, config: ProblemConfig,
            source_order: bool = True) -> Sketch:
     """Run the compression scheme: partition the coreset by nearest
     approximate center, quantize weights and coordinate deltas, pack bits.
     """
-    if max(config.z.numerator, config.z.denominator) >= 1 << 32:
-        raise InvalidInput(f"z = {config.z}: numerator and denominator must "
-                           "fit the header's 32-bit fields")
+    check_header_z(config.z)
     cen = np.asarray(getattr(centers, "centers", centers))
     if cen.ndim != 2 or cen.shape != (config.k, config.d):
         raise DimensionMismatch(

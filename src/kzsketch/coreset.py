@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
@@ -81,20 +82,31 @@ class WeightedCoreset:
         return geometry.weighted_cost(self.weights, self.points, centers, z)
 
 
+def dz_total(mass: np.ndarray, z: ZLike) -> float:
+    """Sum of dist^z masses, computed under ``np.errstate(over="ignore")`` by
+    the caller; an overflow raises an error naming z instead of turning
+    into NaN sampling probabilities."""
+    total = mass.sum()
+    if not np.isfinite(total):
+        raise InvalidInput(f"z = {Fraction(z)}: the sum of dist^z overflows float64")
+    return total
+
+
 def _seed_dz(fpts: np.ndarray, k: int, z: ZLike, rng: np.random.Generator) -> np.ndarray:
     """Adaptive seeding: first point uniform, then proportional to dist^z."""
     n = fpts.shape[0]
     chosen = np.empty(k, dtype=np.int64)
     chosen[0] = _inverse_cdf_sample(rng, np.full(n, 1.0 / n), 1)[0]
-    min_pow = geometry.min_powered_distances(fpts, fpts[chosen[:1]], z)
-    for j in range(1, k):
-        total = min_pow.sum()
-        if total <= 0:
-            chosen[j] = _inverse_cdf_sample(rng, np.full(n, 1.0 / n), 1)[0]
-        else:
-            chosen[j] = _inverse_cdf_sample(rng, min_pow / total, 1)[0]
-        new_pow = geometry.min_powered_distances(fpts, fpts[chosen[j]][None, :], z)
-        np.minimum(min_pow, new_pow, out=min_pow)
+    with np.errstate(over="ignore"):
+        min_pow = geometry.min_powered_distances(fpts, fpts[chosen[:1]], z)
+        for j in range(1, k):
+            total = dz_total(min_pow, z)
+            if total <= 0:
+                chosen[j] = _inverse_cdf_sample(rng, np.full(n, 1.0 / n), 1)[0]
+            else:
+                chosen[j] = _inverse_cdf_sample(rng, min_pow / total, 1)[0]
+            new_pow = geometry.min_powered_distances(fpts, fpts[chosen[j]][None, :], z)
+            np.minimum(min_pow, new_pow, out=min_pow)
     return chosen
 
 
@@ -153,9 +165,10 @@ def sensitivity_coreset(dataset: GridDataset, k: int, z: ZLike, eps: float, seed
     rng = _rng(seed)
     if centers is None:
         centers = approx_centers(dataset, k, z, seed)
-    per_point = geometry.min_powered_distances(
-        dataset.points.astype(np.float64), centers.centers.astype(np.float64), z)
-    total = per_point.sum()
+    with np.errstate(over="ignore"):
+        per_point = geometry.min_powered_distances(
+            dataset.points.astype(np.float64), centers.centers.astype(np.float64), z)
+        total = dz_total(per_point, z)
     if total > 0:
         sens = per_point / total + 1.0 / n
     else:

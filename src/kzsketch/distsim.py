@@ -260,10 +260,11 @@ class StreamState:
     def _subsample(self, w, pts, centers, seed):
         """Importance-resample a weighted set; unbiased for every center set."""
         rng = np.random.Generator(np.random.PCG64(seed))
-        per_point = geometry.min_powered_distances(
-            pts.astype(np.float64), centers.centers.astype(np.float64), self.z)
-        mass = w * per_point
-        total = mass.sum()
+        with np.errstate(over="ignore"):
+            per_point = geometry.min_powered_distances(
+                pts.astype(np.float64), centers.centers.astype(np.float64), self.z)
+            mass = w * per_point
+            total = coreset_mod.dz_total(mass, self.z)
         sens = (mass / total if total > 0 else np.zeros_like(w)) + w / w.sum()
         prob = sens / sens.sum()
         eps_half = self.eps / 2.0

@@ -150,12 +150,53 @@ def _centers_of(obj) -> np.ndarray:
     return np.asarray(obj, dtype=np.float64)
 
 
+# rows per block of the distance kernel: its temporaries are O(_BLOCK * (k + d))
+_BLOCK = 1024
+
+
+def _scan(fpts: np.ndarray, cen: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The exact resolver: direct subtraction one center at a time, with a
+    strict ``<`` update so ties stay on the lowest index."""
+    best = np.full(fpts.shape[0], np.inf)
+    arg = np.zeros(fpts.shape[0], dtype=np.int64)
+    for j, c in enumerate(cen):
+        d2 = ((fpts - c) ** 2).sum(axis=1)
+        closer = d2 < best
+        arg[closer] = j
+        np.minimum(best, d2, out=best)
+    return best, arg
+
+
 def _nearest(points, centers) -> tuple[np.ndarray, np.ndarray]:
     """(squared distance to the nearest center, its index) for every point.
 
-    Direct subtraction one center at a time, with O(nd) temporaries; the
-    expanded |p|^2 + |c|^2 - 2<p,c> form would break exact ties. The strict
-    ``<`` update keeps ties on the lowest index."""
+    The result is bit for bit that of :func:`_scan` on all rows: the direct
+    ``((p - c) ** 2).sum()`` value, ties to the lowest index. Rows go in
+    blocks of ``_BLOCK``; with one center there is nothing to filter.
+
+    Filter: one GEMM gives the expanded form ``e_j = |p|^2 + |c_j|^2 -
+    2 p.c_j`` of every row. Center j is a candidate when ``e_j <= min(e) +
+    T``, with ``T = 8 g (|p| + max|c|)^2 + 128 (d + 4) eta``, ``g =
+    gamma_{d+4} = (d+4) u / (1 - (d+4) u)``, ``u = 2^-53`` and ``eta =
+    2^-1075``.
+
+    Refine: a row with exactly one candidate takes it, and its value is
+    recomputed in the direct form. Rows with none (a NaN in e) or several
+    (exact ties, duplicate centers, overflow) go through ``_scan``.
+
+    Why a lone candidate is the direct form's strict minimum: let t_j be
+    the exact squared distance and X = (|p| + |c_j|)^2 >= t_j. |p|^2,
+    |c_j|^2 and p.c_j are d-term dot products, each within gamma_d times
+    |p|^2, |c_j|^2 and |p||c_j| of its value in any summation order, and
+    two additions follow; the direct form sums d nonnegative terms, each
+    with relative error gamma_3. So e_j is within gamma_{d+2} X + 3 d eta
+    of t_j and the direct value r_j within gamma_{d+2} X + d eta, where
+    eta bounds the absolute error of a product that underflows (additions
+    add none). For the row's argmin i of e and any j with e_j > e_i + T,
+    r_j > r_i whenever T >= 4 gamma_{d+2} X + 8 d eta; the T above is at
+    least twice that, which covers the rounding of the norms and of T.
+    If (|p| + max|c|)^2 overflows, T is inf and every center is a
+    candidate; otherwise no intermediate of e overflows."""
     pts, cen = _points_of(points), _centers_of(centers)
     if pts.ndim != 2 or cen.ndim != 2 or pts.shape[1] != cen.shape[1]:
         raise DimensionMismatch(
@@ -164,14 +205,42 @@ def _nearest(points, centers) -> tuple[np.ndarray, np.ndarray]:
         raise InvalidInput("need at least one center")
     if not np.isfinite(cen).all() or (pts.dtype.kind == "f" and not np.isfinite(pts).all()):
         raise InvalidInput("distance evaluation requires finite coordinates")
-    fpts = pts.astype(np.float64, copy=False)
-    best = np.full(pts.shape[0], np.inf)
-    arg = np.zeros(pts.shape[0], dtype=np.int64)
-    for j, c in enumerate(cen):
-        d2 = ((fpts - c) ** 2).sum(axis=1)
-        closer = d2 < best
-        arg[closer] = j
-        np.minimum(best, d2, out=best)
+    n, d = pts.shape
+    k = cen.shape[0]
+    best = np.empty(n)
+    arg = np.empty(n, dtype=np.int64)
+    u = 2.0 ** -53
+    g = (d + 4) * u / (1 - (d + 4) * u)
+    floor = 64.0 * (d + 4) * 2.0 ** -1074  # 128 (d + 4) eta
+    with np.errstate(over="ignore"):
+        c_sq = np.einsum("ij,ij->i", cen, cen)
+    c_norm = np.sqrt(c_sq.max())
+    for lo in range(0, n, _BLOCK):
+        p = pts[lo:lo + _BLOCK].astype(np.float64, copy=False)
+        b, a = best[lo:lo + _BLOCK], arg[lo:lo + _BLOCK]
+        if k == 1:
+            q = p - cen[0]
+            a[:] = 0
+        else:
+            # the filter may overflow; such rows fall to _scan by the rule above
+            with np.errstate(over="ignore", invalid="ignore"):
+                p_sq = np.einsum("ij,ij->i", p, p)
+                e = p @ cen.T
+                e *= -2.0
+                e += c_sq
+                e += p_sq[:, None]
+                j = e.argmin(axis=1)
+                e_min = np.take_along_axis(e, j[:, None], axis=1)
+                e_min += (8.0 * g * (np.sqrt(p_sq) + c_norm) ** 2 + floor)[:, None]
+                one = np.count_nonzero(e <= e_min, axis=1) == 1
+            q = cen.take(j, axis=0)
+            np.subtract(p, q, out=q)
+            a[:] = j
+        np.square(q, out=q)
+        q.sum(axis=1, out=b)
+        if k > 1 and not one.all():
+            rest = ~one
+            b[rest], a[rest] = _scan(p[rest], cen)
     return best, arg
 
 
@@ -307,7 +376,11 @@ def load_dataset(path, config: ProblemConfig | None = None) -> GridDataset:
         version, n, d, delta = struct.unpack("<HQIQ", _read_exact(fh, 22, "dataset header"))
         if version != DATASET_VERSION:
             raise InvalidInput(f"unsupported dataset version {version}")
+        if d < 1:
+            raise InvalidInput("dataset dimension d must be >= 1")
         raw = _read_exact(fh, 8 * n * d, "dataset payload")
+        if fh.read(1):
+            raise InvalidInput("trailing bytes after the dataset payload")
         pts = np.frombuffer(raw, dtype="<u8").reshape(n, d).astype(np.int64)
     return GridDataset(pts, int(delta), config)
 

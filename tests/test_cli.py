@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import kzsketch
-from kzsketch import anglelab, geometry
+from kzsketch import anglelab, cli, geometry
 from kzsketch.cli import main, run_lowerbound_pipeline
 
 
@@ -115,8 +115,6 @@ class TestSketchCommands:
                                    "--eps", "0.2", "--out", str(tmp_path / "o.kzsk")])
         assert code == 2
 
-    # z = 33333333333 overflows the distance powers of approx_centers
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_z_beyond_header_range_is_usage_error(self, capsys, tmp_path,
                                                   dataset_file):
         code = main([
@@ -127,6 +125,34 @@ class TestSketchCommands:
         assert code == 2
         assert out == ""
         assert err.startswith("error: z = 33333333333: numerator and denominator")
+
+    # dist^z overflows float64 on this grid for both; the larger z is caught
+    # by the header range before any distance is computed
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("z, message", [
+        ("33333333333", "error: z = 33333333333: numerator and denominator"),
+        ("3000", "error: z = 3000: the sum of dist^z overflows float64"),
+    ])
+    def test_overflowing_z_is_usage_error_without_warnings(
+            self, capsys, tmp_path, dataset_file, z, message):
+        code = main(["encode", "--data", dataset_file[0], "--k", "2",
+                     "--eps", "0.2", "--z", z, "--out", str(tmp_path / "o.kzsk")])
+        out, err = capsys.readouterr()
+        assert code == 2
+        assert out == ""
+        assert err.startswith(message)
+
+    def test_unexpected_exception_exits_3_with_traceback(self, capsys,
+                                                         monkeypatch, tmp_path):
+        def boom(args):
+            raise RuntimeError("boom")
+        monkeypatch.setattr(cli, "cmd_size", boom)
+        code = main(["size", "--sketch", str(tmp_path / "s.kzsk")])
+        out, err = capsys.readouterr()
+        assert code == 3
+        assert out == ""
+        assert "Traceback (most recent call last)" in err
+        assert err.rstrip().endswith("RuntimeError: boom")
 
 
 def test_oversized_sketch_header_rejected_in_bounded_memory(tmp_path):

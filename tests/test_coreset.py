@@ -118,3 +118,19 @@ class TestWeightSumCheck:
     def test_negative_weight_rejected(self):
         with pytest.raises(InvalidInput):
             WeightedCoreset(np.array([[1, 1]]), np.array([-0.5]), 1, 0.1)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+class TestOverflowingPower:
+    # grid points at least 1 apart: dist^3000 overflows float64
+    data = geometry.random_grid_dataset(50, 3, 64, seed=1)
+
+    def test_seeding_names_z(self):
+        with pytest.raises(InvalidInput, match="z = 3000: the sum of dist"):
+            approx_centers(self.data, 3, 3000, seed=0)
+
+    def test_sensitivity_names_z(self):
+        # one center: the seeding draws no dist^z-weighted sample
+        centers = approx_centers(self.data, 1, 3000, seed=0)
+        with pytest.raises(InvalidInput, match="z = 3000: the sum of dist"):
+            build_coreset(self.data, 1, 3000, 0.2, centers=centers)

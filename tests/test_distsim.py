@@ -175,3 +175,13 @@ class TestStream:
                            method="sensitivity", level0_cap=4)
         assert [s.to_bytes() for s in again.sketches] \
             == [s.to_bytes() for s in result.sketches]
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_stream_subsample_names_overflowing_z():
+    data = geometry.random_grid_dataset(30, 3, 64, seed=2)
+    state = StreamState(delta=64, d=3, k=1, z=3000, eps=0.2, block_size=10,
+                        seed=0, method="sensitivity")
+    centers = coreset.approx_centers(data, 1, 3000, seed=0)
+    with pytest.raises(InvalidInput, match="z = 3000: the sum of dist"):
+        state._subsample(np.ones(30), data.points, centers, seed=0)
