@@ -1,6 +1,8 @@
 """Golden sketch corpus: fixed inputs whose wire bytes, ledger and decoded
 arrays are pinned, so a refactor of the kernel, snapping or codec path that
-changes any output bit fails here.
+changes any output bit fails here. A second corpus pins the wire bytes of
+the coordinator's sites and of the stream's live sketches, including the
+stream's level-0 reductions.
 
 z = 3/2 is left out on purpose: its distances go through exp/log, whose
 SIMD paths may differ by an ulp across CPUs. Grid squares and sqrt are
@@ -19,10 +21,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from kzsketch import codec, coreset, geometry
-from kzsketch.geometry import ProblemConfig
+from kzsketch import codec, coreset, distsim, geometry
+from kzsketch.geometry import GridDataset, ProblemConfig
 
 GOLDEN = Path(__file__).with_name("golden_sketches.json")
+GOLDEN_DISTSIM = Path(__file__).with_name("golden_distsim.json")
 DELTA = 1024
 EPS = 0.1
 # (n, d, k); the last has k > n, so approx_centers repeats centers
@@ -57,9 +60,70 @@ def fingerprint(case) -> dict:
     }
 
 
+def _two_point_dataset() -> GridDataset:
+    """60 copies of two grid points: with k = 2 every distance to the
+    approximate centers is 0, so the sampler takes its zero-total branch."""
+    rows = np.array([[3, 7, 1], [40, 2, 9]], dtype=np.int64)
+    return GridDataset(rows[np.arange(60) % 2], 64)
+
+
+# (name, dataset, k, z, eps, seed, method, sites)
+COORDINATOR_CASES = [
+    ("coord-n900-z2-identity", lambda: geometry.random_grid_dataset(900, 6, 256, seed=41),
+     3, 2, 0.15, 7, "identity", 4),
+    ("coord-n900-z2-sensitivity", lambda: geometry.random_grid_dataset(900, 6, 256, seed=41),
+     3, 2, 0.15, 7, "sensitivity", 4),
+    ("coord-n1200-z1-sensitivity", lambda: geometry.random_grid_dataset(1200, 4, 1024, seed=42),
+     4, 1, 0.1, 3, "sensitivity", 3),
+    ("coord-twopoint-z2-sensitivity", _two_point_dataset, 2, 2, 0.2, 5, "sensitivity", 2),
+]
+# (name, dataset, k, z, eps, seed, method, block, cap)
+STREAM_CASES = [
+    ("stream-n1500-z2-sensitivity", lambda: geometry.random_grid_dataset(1500, 5, 128, seed=43),
+     3, 2, 0.2, 11, "sensitivity", 100, 3),
+    ("stream-n2000-z1-sensitivity", lambda: geometry.random_grid_dataset(2000, 4, 512, seed=44),
+     2, 1, 0.3, 12, "sensitivity", 90, 4),
+    ("stream-n1500-z2-identity", lambda: geometry.random_grid_dataset(1500, 5, 128, seed=43),
+     3, 2, 0.2, 11, "identity", 100, 3),
+    ("stream-twopoint-z2-sensitivity", _two_point_dataset, 2, 2, 0.2, 13, "sensitivity", 6, 2),
+]
+
+
+def _sha256(wires) -> list:
+    return [hashlib.sha256(w).hexdigest() for w in wires]
+
+
+def coordinator_fingerprint(case) -> dict:
+    _, make, k, z, eps, seed, method, sites = case
+    partition = distsim.split_round_robin(make(), sites)
+    merged, ledger = distsim.run_coordinator(partition, k, z, eps, seed, method=method)
+    return {"wires_sha256": _sha256(s.to_bytes() for s in merged.sketches),
+            "per_site_bits": ledger.per_site_bits}
+
+
+def stream_fingerprint(case) -> dict:
+    _, make, k, z, eps, seed, method, block, cap = case
+    result = distsim.run_stream(make(), k, z, eps, block, seed, method=method,
+                                level0_cap=cap)
+    return {"sketches_sha256": _sha256(s.to_bytes() for s in result.sketches),
+            "blocks": result.blocks, "reductions": result.reductions,
+            "max_resident_bits": result.max_resident_bits}
+
+
+def distsim_corpus() -> dict:
+    out = {c[0]: coordinator_fingerprint(c) for c in COORDINATOR_CASES}
+    out.update({c[0]: stream_fingerprint(c) for c in STREAM_CASES})
+    return out
+
+
 @pytest.fixture(scope="module")
 def golden():
     return json.loads(GOLDEN.read_text())
+
+
+@pytest.fixture(scope="module")
+def golden_distsim():
+    return json.loads(GOLDEN_DISTSIM.read_text())
 
 
 @pytest.mark.parametrize("case", CASES, ids=case_id)
@@ -71,6 +135,24 @@ def test_corpus_covers_repeated_centers(golden):
     assert any(golden[case_id(c)]["has_repeats"] for c in CASES)
 
 
+@pytest.mark.parametrize("case", COORDINATOR_CASES, ids=lambda c: c[0])
+def test_coordinator_matches_golden(golden_distsim, case):
+    assert coordinator_fingerprint(case) == golden_distsim[case[0]]
+
+
+@pytest.mark.parametrize("case", STREAM_CASES, ids=lambda c: c[0])
+def test_stream_matches_golden(golden_distsim, case):
+    assert stream_fingerprint(case) == golden_distsim[case[0]]
+
+
+def test_stream_corpus_covers_repeated_reductions(golden_distsim):
+    for name, *_, method, _block, _cap in STREAM_CASES:
+        if method == "sensitivity":
+            assert golden_distsim[name]["reductions"] >= 2, name
+
+
 if __name__ == "__main__":
     GOLDEN.write_text(json.dumps({case_id(c): fingerprint(c) for c in CASES},
                                  indent=1, sort_keys=True) + "\n")
+    GOLDEN_DISTSIM.write_text(json.dumps(distsim_corpus(), indent=1,
+                                         sort_keys=True) + "\n")
