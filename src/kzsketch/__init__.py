@@ -10,8 +10,8 @@ grid-rounded instances that no smaller sketch could distinguish.
 from .anglelab import (AngleThresholds, InnerProductMatrix, OrthonormalBasis,
                        PrincipalAngles, angle_statistics, principal_angles,
                        row_norm_profile, sample_haar_basis, verify_family)
-from .codec import (BitLedger, ScalarCode, Sketch, decode_scalar, encode,
-                    encode_scalar, theoretical_upper_bound)
+from .codec import (BitLedger, ScalarCode, Sketch, compress, decode_scalar,
+                    encode, encode_scalar, theoretical_upper_bound)
 from .coloring import (PartialColoring, SeparationWitness, TiledInstance,
                        adversarial_center, center_for_power, cost_gap,
                        find_partial_coloring, loglog_family_instance,

@@ -4,7 +4,8 @@ lower-bound pipeline and the distributed/streaming harnesses.
 Every run is fully determined by its flags and seed; reports are JSON by
 default (``--report table`` renders the same data as aligned text) and
 contain no timestamps, so identical invocations produce identical bytes.
-Exit codes: 0 pass, 1 assertion fail, 2 usage error.
+Exit codes: 0 pass, 1 assertion fail, 2 usage error or invalid input, 3 an
+unexpected error inside kzsketch (its traceback goes to stderr).
 """
 
 from __future__ import annotations
@@ -20,9 +21,9 @@ from pathlib import Path
 
 import numpy as np
 
-from . import anglelab, codec, coloring, coreset as coreset_mod, distsim, geometry
+from . import anglelab, codec, coloring, distsim, geometry
 from .errors import KZSketchError
-from .geometry import CenterSet, GridDataset, ProblemConfig
+from .geometry import CenterSet, GridDataset
 
 REPORT_DIR_ENV = "KZSKETCH_REPORT_DIR"
 
@@ -79,31 +80,25 @@ def _check(name: str, lhs: float, rhs: float, relation: str = "<=") -> dict:
 
 def _build_sketch(args):
     data = _load_dataset(args.data)
-    z = _parse_z(args.z)
-    config = ProblemConfig(n=data.n, d=data.d, k=args.k, z=z,
-                           delta=data.delta, epsilon=args.eps)
-    codec.check_header_z(config.z)  # before the coreset, which may overflow first
-    centers = coreset_mod.approx_centers(data, args.k, z, args.seed)
-    cs = coreset_mod.build_coreset(data, args.k, z, args.eps,
-                                   method=args.method, seed=args.seed,
-                                   centers=centers)
-    return data, config, centers, cs, codec.encode(cs, centers, config)
+    return data, codec.compress(data, args.k, _parse_z(args.z), args.eps,
+                                args.method, args.seed)
 
 
 def cmd_encode(args) -> int:
-    data, config, _, cs, sketch = _build_sketch(args)
+    data, sketch = _build_sketch(args)
     Path(args.out).write_bytes(sketch.to_bytes())
     ledger = sketch.ledger
     report = {
         "command": "encode",
         "data": args.data, "out": args.out,
-        "n": data.n, "d": data.d, "k": args.k, "z": str(config.z),
+        "n": data.n, "d": data.d, "k": args.k, "z": str(sketch.z),
         "delta": data.delta, "eps": args.eps, "method": args.method,
-        "seed": args.seed, "coreset_size": cs.size,
+        "seed": args.seed, "coreset_size": sketch.coreset_size,
         "ledger": ledger.as_dict(),
         "serialized_bytes": len(sketch.to_bytes()),
         "theoretical_upper_bound_bits": codec.theoretical_upper_bound(
-            data.n, args.k, data.d, data.delta, args.eps, float(config.z), cs.size),
+            data.n, args.k, data.d, data.delta, args.eps, float(sketch.z),
+            sketch.coreset_size),
     }
     _emit(report, args)
     return 0
@@ -143,19 +138,19 @@ def cmd_size(args) -> int:
 def cmd_verify(args) -> int:
     if args.trials < 1:
         raise KZSketchError(f"--trials must be >= 1, got {args.trials}")
-    data, config, _, cs, sketch = _build_sketch(args)
+    data, sketch = _build_sketch(args)
     queries = geometry.random_center_sets(data, args.k, args.trials, args.seed + 1)
     worst = 0.0
     for q in queries:
-        exact = geometry.cost(data, q, config.z)
+        exact = geometry.cost(data, q, sketch.z)
         est = sketch.estimate_cost(q)
         rel = abs(est - exact) / exact if exact > 0 else abs(est)
         worst = max(worst, rel)
     report = {
         "command": "verify", "data": args.data, "n": data.n, "d": data.d,
-        "k": args.k, "z": str(config.z), "eps": args.eps,
+        "k": args.k, "z": str(sketch.z), "eps": args.eps,
         "method": args.method, "seed": args.seed, "trials": args.trials,
-        "coreset_size": cs.size,
+        "coreset_size": sketch.coreset_size,
         "worst_relative_error": worst,
         "checks": [_check("worst_relative_error <= eps", worst, args.eps)],
     }
@@ -187,6 +182,8 @@ def run_lowerbound_pipeline(n: int, d: int, z, eps: float, mode: str, seed: int,
                             max_restarts: int = 10_000) -> dict:
     """sample -> angles -> coloring -> centers -> round/scale -> witness,
     with every inequality reported as an LHS/RHS certificate line."""
+    if not 0.0 < eps < 1.0:
+        raise KZSketchError(f"eps must lie in (0,1), got {eps}")
     thresholds = thresholds or anglelab.AngleThresholds()
     z = Fraction(z)
     p, q = _pipeline_bases(mode, n, d, seed, thresholds)
@@ -349,21 +346,34 @@ def cmd_stream(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+def _seed(text: str) -> int:
+    try:
+        seed = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if seed < 0:
+        raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {seed}")
+    return seed
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="kzsketch")
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p):
-        p.add_argument("--seed", type=int, default=0)
+        p.add_argument("--seed", type=_seed, default=0)
         p.add_argument("--report", choices=("json", "table"), default="json")
 
+    def sketch_args(p, method: str):
+        """The instance and scheme of the commands that sketch a dataset."""
+        p.add_argument("--data", required=True)
+        p.add_argument("--k", type=int, required=True)
+        p.add_argument("--z", default="2")
+        p.add_argument("--eps", type=float, required=True)
+        p.add_argument("--method", choices=("identity", "sensitivity"), default=method)
+
     p = sub.add_parser("encode", help="compress a dataset into a sketch file")
-    p.add_argument("--data", required=True)
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--z", default="2")
-    p.add_argument("--eps", type=float, required=True)
-    p.add_argument("--method", choices=("identity", "sensitivity"),
-                   default="sensitivity")
+    sketch_args(p, "sensitivity")
     p.add_argument("--out", required=True)
     common(p)
     p.set_defaults(func=cmd_encode)
@@ -380,12 +390,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_size)
 
     p = sub.add_parser("verify", help="worst relative error over random queries")
-    p.add_argument("--data", required=True)
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--z", default="2")
-    p.add_argument("--eps", type=float, required=True)
-    p.add_argument("--method", choices=("identity", "sensitivity"),
-                   default="identity")
+    sketch_args(p, "identity")
     p.add_argument("--trials", type=int, default=200)
     common(p)
     p.set_defaults(func=cmd_verify)
@@ -412,24 +417,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_angles)
 
     p = sub.add_parser("distributed", help="one-round coordinator protocol")
-    p.add_argument("--data", required=True)
+    sketch_args(p, "sensitivity")
     p.add_argument("--sites", type=int, required=True)
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--z", default="2")
-    p.add_argument("--eps", type=float, required=True)
-    p.add_argument("--method", choices=("identity", "sensitivity"),
-                   default="sensitivity")
     common(p)
     p.set_defaults(func=cmd_distributed)
 
     p = sub.add_parser("stream", help="insertion-only streaming harness")
-    p.add_argument("--data", required=True)
+    sketch_args(p, "identity")
     p.add_argument("--block", type=int, required=True)
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--z", default="2")
-    p.add_argument("--eps", type=float, required=True)
-    p.add_argument("--method", choices=("identity", "sensitivity"),
-                   default="identity")
     p.add_argument("--cap", type=int, default=16)
     common(p)
     p.set_defaults(func=cmd_stream)

@@ -1,5 +1,6 @@
 """Quantize a weighted coreset, relative to approximate centers, into a
 bit-exact sketch; decode; estimate clustering cost; account every bit.
+:func:`compress` is the whole scheme, from a dataset to its sketch.
 
 Scalars use a sign-magnitude base-2 floating format: an explicit zero bit,
 a sign bit, a fixed-width exponent field and an f-bit fraction with the
@@ -23,10 +24,10 @@ from fractions import Fraction
 
 import numpy as np
 
-from . import geometry
+from . import coreset as coreset_mod, geometry
 from .coreset import WeightedCoreset
 from .errors import DimensionMismatch, InvalidInput, SketchFormatError
-from .geometry import ProblemConfig
+from .geometry import GridDataset, ProblemConfig, ZLike
 
 SKETCH_MAGIC = b"KZSK"
 SKETCH_VERSION = 1
@@ -442,10 +443,9 @@ def check_header_z(z: Fraction) -> None:
                            "fit the header's 32-bit fields")
 
 
-def encode(coreset: WeightedCoreset, centers, config: ProblemConfig,
-           source_order: bool = True) -> Sketch:
-    """Run the compression scheme: partition the coreset by nearest
-    approximate center, quantize weights and coordinate deltas, pack bits.
+def encode(coreset: WeightedCoreset, centers, config: ProblemConfig) -> Sketch:
+    """Quantize a coreset against its approximate centers: partition it by
+    nearest center, quantize weights and coordinate deltas, pack bits.
     """
     check_header_z(config.z)
     cen = np.asarray(getattr(centers, "centers", centers))
@@ -503,9 +503,25 @@ def encode(coreset: WeightedCoreset, centers, config: ProblemConfig,
     sketch._set_payload(cen, group_sizes.tolist(), (w_zero, w_field, w_frac),
                         (x_zero, x_sign, x_expo, x_frac))
     sketch._data = header + sketch._pack_payload().tobytes()
-    if source_order:
-        sketch._source_order = order
+    sketch._source_order = order
     return sketch
+
+
+def compress(dataset: GridDataset, k: int, z: ZLike, eps: float, method: str,
+             seed: int, weights=None, n: int | None = None) -> Sketch:
+    """The sketching scheme: approximate centers, a coreset against them
+    and its quantized encoding, all from one seed.
+
+    ``weights`` and ``n`` describe a weighted set that stands for n points;
+    by default every point has weight 1 and n is the dataset's size.
+    """
+    config = ProblemConfig(n=dataset.n if n is None else n, d=dataset.d, k=k, z=z,
+                           delta=dataset.delta, epsilon=eps)
+    check_header_z(config.z)  # before the coreset, whose dist^z sum may overflow first
+    centers = coreset_mod.approx_centers(dataset, k, z, seed)
+    cs = coreset_mod.build_coreset(dataset, k, z, eps, method=method, seed=seed,
+                                   centers=centers, weights=weights, source_n=config.n)
+    return encode(cs, centers, config)
 
 
 def theoretical_upper_bound(n: int, k: int, d: int, delta: int, eps: float,

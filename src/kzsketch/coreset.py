@@ -40,7 +40,6 @@ class ApproxCenters:
 
     centers: np.ndarray
     indices: np.ndarray
-    approx_factor: float = 2.0
     has_repeats: bool = False
 
     @property
@@ -145,54 +144,63 @@ def approx_centers(dataset: GridDataset, k: int, z: ZLike, seed: int) -> ApproxC
     snapped = _snap_to_dataset(fpts, centers)
     out = pts[snapped]
     has_repeats = k > dataset.n or len(np.unique(snapped)) < k
-    return ApproxCenters(out, snapped, approx_factor=2.0, has_repeats=has_repeats)
+    return ApproxCenters(out, snapped, has_repeats=has_repeats)
 
 
-def identity_coreset(dataset: GridDataset, eps: float) -> WeightedCoreset:
-    """S = P with all weights exactly 1 (a 0-error coreset)."""
-    return WeightedCoreset(dataset.points, np.ones(dataset.n), dataset.n, eps)
+def identity_coreset(dataset: GridDataset, eps: float, weights=None,
+                     source_n: int | None = None) -> WeightedCoreset:
+    """S = P with its weights (all exactly 1 by default): a 0-error coreset."""
+    w = np.ones(dataset.n) if weights is None else weights
+    return WeightedCoreset(dataset.points, w, source_n or dataset.n, eps)
 
 
 def sensitivity_coreset(dataset: GridDataset, k: int, z: ZLike, eps: float, seed: int,
-                        centers: ApproxCenters | None = None,
-                        c0: float = 4.0, fail_prob: float = 0.01) -> WeightedCoreset:
-    """Importance sampling proportional to cost against approximate centers
-    plus a uniform term; duplicate draws aggregate their weights.
+                        centers: ApproxCenters | None = None, weights=None,
+                        source_n: int | None = None) -> WeightedCoreset:
+    """Importance sampling of a weighted set (weights default to 1): each
+    point is drawn with probability proportional to its share of the
+    weighted cost against approximate centers plus its share of the weight,
+    ``w dist^z / total + w / sum(w)``. Duplicate draws aggregate, and a kept
+    point's new weight ``w counts / (m prob)`` is unbiased for every center
+    set.
 
-    The sample count is min(n, c0 * k * eps^-2 * (d + log2(1/fail_prob))).
+    The sample count is m = min(n, 4 k eps^-2 (d + log2 100)).
     """
     n, d = dataset.n, dataset.d
+    w = np.ones(n) if weights is None else weights
     rng = _rng(seed)
     if centers is None:
         centers = approx_centers(dataset, k, z, seed)
     with np.errstate(over="ignore"):
-        per_point = geometry.min_powered_distances(
+        mass = w * geometry.min_powered_distances(
             dataset.points.astype(np.float64), centers.centers.astype(np.float64), z)
-        total = dz_total(per_point, z)
-    if total > 0:
-        sens = per_point / total + 1.0 / n
-    else:
-        sens = np.full(n, 2.0 / n)
+        total = dz_total(mass, z)
+    sens = (mass / total if total > 0 else 0.0) + w / w.sum()
     prob = sens / sens.sum()
 
-    m = min(n, int(math.ceil(c0 * k * eps ** -2 * (d + math.log2(1.0 / fail_prob)))))
+    m = min(n, int(math.ceil(4.0 * k * eps ** -2 * (d + math.log2(100.0)))))
     draws = _inverse_cdf_sample(rng, prob, m)
     uniq, counts = np.unique(draws, return_counts=True)
-    weights = counts / (m * prob[uniq])
-    return WeightedCoreset(dataset.points[uniq], weights, n, eps)
+    new_w = w[uniq] * counts / (m * prob[uniq])
+    return WeightedCoreset(dataset.points[uniq], new_w, source_n or dataset.n, eps)
 
 
 def build_coreset(dataset: GridDataset, k: int, z: ZLike, eps: float,
                   method: str = "sensitivity", seed: int = 0,
-                  centers: ApproxCenters | None = None,
-                  c0: float = 4.0, fail_prob: float = 0.01) -> WeightedCoreset:
-    """Build a weighted coreset; ``method`` is ``identity`` or ``sensitivity``."""
+                  centers: ApproxCenters | None = None, weights=None,
+                  source_n: int | None = None) -> WeightedCoreset:
+    """Build a weighted coreset; ``method`` is ``identity`` or ``sensitivity``.
+
+    ``weights`` and ``source_n`` describe a weighted set that stands for
+    ``source_n`` points; by default every point has weight 1 and stands
+    for itself.
+    """
     if not (0.0 < eps < 1.0):
         raise InvalidInput(f"eps must lie in (0,1), got {eps}")
     if method == "identity":
-        return identity_coreset(dataset, eps)
+        return identity_coreset(dataset, eps, weights, source_n)
     if method == "sensitivity":
-        return sensitivity_coreset(dataset, k, z, eps, seed, centers, c0, fail_prob)
+        return sensitivity_coreset(dataset, k, z, eps, seed, centers, weights, source_n)
     raise InvalidInput(f"unknown coreset method {method!r}")
 
 

@@ -9,16 +9,14 @@ codec's wire format, so the bit counts are the real serialized sizes. Site
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import codec, coreset as coreset_mod, geometry
+from . import codec
 from .codec import Sketch
-from .coreset import WeightedCoreset
 from .errors import DimensionMismatch, InvalidInput
-from .geometry import GridDataset, ProblemConfig, ZLike, as_z
+from .geometry import GridDataset, ZLike, as_z
 
 
 @dataclass(frozen=True)
@@ -37,14 +35,6 @@ class SitePartition:
                     f"site {i} has (d={s.d}, delta={s.delta}), expected ({d}, {delta})")
             if s.n < 1:
                 raise InvalidInput(f"site {i} holds no points")
-
-    @property
-    def l(self) -> int:
-        return len(self.shards)
-
-    @property
-    def total_n(self) -> int:
-        return sum(s.n for s in self.shards)
 
 
 @dataclass(frozen=True)
@@ -100,22 +90,12 @@ def merge_sketches(sketches: list[Sketch]) -> MergedSketch:
     return MergedSketch(sketches)
 
 
-def _sketch_site(shard: GridDataset, k: int, z, eps: float, seed: int,
-                 method: str) -> bytes:
-    centers = coreset_mod.approx_centers(shard, k, z, seed)
-    cs = coreset_mod.build_coreset(shard, k, z, eps, method=method, seed=seed,
-                                   centers=centers)
-    config = ProblemConfig(n=shard.n, d=shard.d, k=k, z=as_z(z),
-                           delta=shard.delta, epsilon=eps)
-    return codec.encode(cs, centers, config).to_bytes()
-
-
 def run_coordinator(partition: SitePartition, k: int, z: ZLike, eps: float,
                     seed: int, method: str = "sensitivity"):
     """One-round star protocol: every site encodes its shard and ships the
     sketch; the coordinator parses and merges. Returns the merged query
     object and the exact communication ledger."""
-    wires = [_sketch_site(shard, k, z, eps, seed + i, method)
+    wires = [codec.compress(shard, k, z, eps, method, seed + i).to_bytes()
              for i, shard in enumerate(partition.shards)]
     received = [Sketch.from_bytes(w) for w in wires]
     ledger = CommLedger([s.ledger.total_bits for s in received])
@@ -214,22 +194,18 @@ class StreamState:
             return
         block = GridDataset(np.stack(self.buffer), self.delta)
         self.buffer = []
-        block_seed = self.seed + self.blocks_flushed
-        centers = coreset_mod.approx_centers(block, self.k, self.z, block_seed)
-        cs = coreset_mod.build_coreset(block, self.k, self.z, self.eps / 2.0,
-                                       method=self.method, seed=block_seed,
-                                       centers=centers)
-        config = ProblemConfig(n=block.n, d=self.d, k=self.k, z=self.z,
-                               delta=self.delta, epsilon=self.eps / 2.0)
-        self.level_sketches[0].append(codec.encode(cs, centers, config))
+        self.level_sketches[0].append(codec.compress(
+            block, self.k, self.z, self.eps / 2.0, self.method,
+            self.seed + self.blocks_flushed))
         self.blocks_flushed += 1
         self._touch()
         if len(self.level_sketches[0]) >= self.level0_cap:
             self._reduce_level0()
 
     def _reduce_level0(self):
-        """Decode every level-0 sketch, re-coreset the union at eps/2 and
-        re-encode one level-1 sketch.
+        """Decode every level-0 sketch, re-coreset the weighted union at
+        eps/2 (the identity method keeps it whole) and re-encode one level-1
+        sketch that stands for every point seen.
 
         Decoded points are real vectors; they are rounded back to the grid
         before re-encoding (the codec stores integer deltas). The extra
@@ -247,33 +223,11 @@ class StreamState:
 
         reduce_seed = self.seed + 1_000_003 * (self.reductions + 1)
         union = GridDataset(pts, self.delta)
-        centers = coreset_mod.approx_centers(union, self.k, self.z, reduce_seed)
-        if self.method == "sensitivity":
-            w, pts = self._subsample(w, pts, centers, reduce_seed)
-        cs = WeightedCoreset(pts, w, source_n=self.points_seen, epsilon=self.eps / 2.0)
-        config = ProblemConfig(n=self.points_seen, d=self.d, k=self.k, z=self.z,
-                               delta=self.delta, epsilon=self.eps / 2.0)
-        self.level_sketches = {0: [], 1: [codec.encode(cs, centers, config)]}
+        self.level_sketches = {0: [], 1: [codec.compress(
+            union, self.k, self.z, self.eps / 2.0, self.method, reduce_seed,
+            weights=w, n=self.points_seen)]}
         self.reductions += 1
         self._touch()
-
-    def _subsample(self, w, pts, centers, seed):
-        """Importance-resample a weighted set; unbiased for every center set."""
-        rng = np.random.Generator(np.random.PCG64(seed))
-        with np.errstate(over="ignore"):
-            per_point = geometry.min_powered_distances(
-                pts.astype(np.float64), centers.centers.astype(np.float64), self.z)
-            mass = w * per_point
-            total = coreset_mod.dz_total(mass, self.z)
-        sens = (mass / total if total > 0 else np.zeros_like(w)) + w / w.sum()
-        prob = sens / sens.sum()
-        eps_half = self.eps / 2.0
-        m = min(len(w), int(math.ceil(
-            4.0 * self.k * eps_half ** -2 * (self.d + math.log2(100.0)))))
-        draws = coreset_mod._inverse_cdf_sample(rng, prob, m)
-        uniq, counts = np.unique(draws, return_counts=True)
-        new_w = w[uniq] * counts / (m * prob[uniq])
-        return new_w, pts[uniq]
 
     def finish(self) -> list[Sketch]:
         """Flush a trailing partial block; returns the live sketch set."""

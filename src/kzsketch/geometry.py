@@ -60,15 +60,10 @@ def _freeze(a: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class GridDataset:
-    """n integer points in [1, delta]^d.
-
-    ``config`` is optional context (k, z, epsilon) carried along for
-    operations that need the full problem instance.
-    """
+    """n integer points in [1, delta]^d."""
 
     points: np.ndarray
     delta: int
-    config: ProblemConfig | None = None
 
     def __post_init__(self):
         pts = np.ascontiguousarray(np.asarray(self.points, dtype=np.int64))
@@ -78,9 +73,6 @@ class GridDataset:
             raise InvalidInput(
                 f"grid coordinates must lie in [1, {self.delta}]; "
                 f"found range [{pts.min()}, {pts.max()}]")
-        if self.config is not None and self.config.n != pts.shape[0]:
-            raise InvalidInput(
-                f"config.n={self.config.n} but dataset holds {pts.shape[0]} points")
         object.__setattr__(self, "points", _freeze(pts))
 
     @property
@@ -317,12 +309,11 @@ def check_relaxed_triangle(p1, p2, p3, z: ZLike, eps: float) -> bool:
     return bool((m1 >= -tol).all() and (m2 >= -tol).all())
 
 
-def random_grid_dataset(n: int, d: int, delta: int, seed: int,
-                        config: ProblemConfig | None = None) -> GridDataset:
+def random_grid_dataset(n: int, d: int, delta: int, seed: int) -> GridDataset:
     """Uniform random grid points, deterministic per seed."""
     rng = np.random.default_rng(seed)
     pts = rng.integers(1, delta + 1, size=(n, d), dtype=np.int64)
-    return GridDataset(pts, delta, config)
+    return GridDataset(pts, delta)
 
 
 def random_center_sets(dataset: GridDataset, k: int, count: int, seed: int) -> list[CenterSet]:
@@ -367,7 +358,7 @@ def _read_exact(fh, size: int, what: str) -> bytes:
     return raw
 
 
-def load_dataset(path, config: ProblemConfig | None = None) -> GridDataset:
+def load_dataset(path) -> GridDataset:
     """Read a KZDS container written by :func:`save_dataset`."""
     with open(path, "rb") as fh:
         magic = fh.read(4)
@@ -382,32 +373,40 @@ def load_dataset(path, config: ProblemConfig | None = None) -> GridDataset:
         if fh.read(1):
             raise InvalidInput("trailing bytes after the dataset payload")
         pts = np.frombuffer(raw, dtype="<u8").reshape(n, d).astype(np.int64)
-    return GridDataset(pts, int(delta), config)
+    return GridDataset(pts, int(delta))
 
 
-def load_dataset_csv(path, delta: int | None = None,
-                     config: ProblemConfig | None = None) -> GridDataset:
-    """Import one integer point per CSV line; delta defaults to the max coordinate."""
+def _read_csv(path, parse, dtype, what: str) -> np.ndarray:
+    """One row per non-empty CSV line, each field read with ``parse``. The
+    file is untrusted: an unreadable field, a row whose length differs from
+    the first and a value that does not fit ``dtype`` are ``InvalidInput``."""
     rows = []
     with open(path, newline="") as fh:
-        for row in csv.reader(fh):
-            if row:
-                rows.append([int(x) for x in row])
+        reader = csv.reader(fh)
+        try:
+            for row in reader:
+                if not row:
+                    continue
+                if rows and len(row) != len(rows[0]):
+                    raise ValueError(f"{len(row)} fields, the first row has {len(rows[0])}")
+                rows.append([parse(x) for x in row])
+        except (ValueError, csv.Error) as exc:
+            raise InvalidInput(f"{path}, line {reader.line_num}: {exc}") from exc
     if not rows:
-        raise InvalidInput(f"no points found in {path}")
-    pts = np.asarray(rows, dtype=np.int64)
-    if delta is None:
-        delta = max(2, int(pts.max()))
-    return GridDataset(pts, delta, config)
+        raise InvalidInput(f"no {what} found in {path}")
+    try:
+        return np.asarray(rows, dtype=dtype)
+    except OverflowError as exc:
+        raise InvalidInput(f"{path}: a value does not fit {np.dtype(dtype)}") from exc
+
+
+def load_dataset_csv(path) -> GridDataset:
+    """Import one integer point per CSV line; delta is the max coordinate
+    (at least 2)."""
+    pts = _read_csv(path, int, np.int64, "points")
+    return GridDataset(pts, max(2, int(pts.max())))
 
 
 def load_centers_csv(path) -> CenterSet:
     """Read one real center per CSV line."""
-    rows = []
-    with open(path, newline="") as fh:
-        for row in csv.reader(fh):
-            if row:
-                rows.append([float(x) for x in row])
-    if not rows:
-        raise InvalidInput(f"no centers found in {path}")
-    return CenterSet(np.asarray(rows, dtype=np.float64))
+    return CenterSet(_read_csv(path, float, np.float64, "centers"))

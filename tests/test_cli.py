@@ -155,6 +155,81 @@ class TestSketchCommands:
         assert err.rstrip().endswith("RuntimeError: boom")
 
 
+def usage_error(capsys, argv) -> str:
+    """Run argv, expect exit 2 with nothing on stdout and an ``error:`` line
+    but no traceback on stderr; return stderr. Errors that argparse reports
+    itself arrive as ``SystemExit(2)``."""
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    out, err = capsys.readouterr()
+    assert code == 2
+    assert out == ""
+    assert "error: " in err and "Traceback" not in err
+    return err
+
+
+class TestUntrustedCsv:
+    @pytest.mark.parametrize("raw, message", [
+        (b"1,2\n3,x\n", "line 2: invalid literal for int()"),
+        (b"1,2\n3,4,5\n", "line 2: 3 fields, the first row has 2"),
+        (b"1,2\n3,9223372036854775808\n", "a value does not fit int64"),
+        (b"1,2\n\xff,3\n", "codec can't decode byte 0xff"),
+    ], ids=["non-integer", "ragged", "beyond-int64", "not-utf8"])
+    def test_malformed_dataset_is_usage_error(self, capsys, tmp_path, raw, message):
+        path = tmp_path / "points.csv"
+        path.write_bytes(raw)
+        err = usage_error(capsys, ["encode", "--data", str(path), "--k", "1",
+                                   "--eps", "0.2", "--out", str(tmp_path / "o.kzsk")])
+        assert err.startswith(f"error: {path}") and message in err
+
+    def test_non_numeric_center_is_usage_error(self, capsys, tmp_path, dataset_file):
+        sketch_path = str(tmp_path / "s.kzsk")
+        assert main(["encode", "--data", dataset_file[0], "--k", "2", "--eps", "0.2",
+                     "--method", "identity", "--out", sketch_path]) == 0
+        capsys.readouterr()
+        centers = tmp_path / "centers.csv"
+        centers.write_text("1,2,3,4,5\n1,2,abc,4,5\n")
+        err = usage_error(capsys, ["eval", "--sketch", sketch_path,
+                                   "--centers", str(centers)])
+        assert err.startswith(f"error: {centers}, line 2: could not convert")
+
+
+class TestParameterValidation:
+    @pytest.mark.parametrize("argv", [
+        ["encode", "--k", "2", "--eps", "0.2", "--out", "unused.kzsk"],
+        ["verify", "--k", "2", "--eps", "0.2", "--trials", "2"],
+        ["distributed", "--sites", "2", "--k", "2", "--eps", "0.2"],
+        ["stream", "--block", "50", "--k", "2", "--eps", "0.2"],
+        ["lowerbound", "--n", "4", "--d", "16"],
+        ["angles", "--d", "8", "--n", "2", "--trials", "2"],
+    ], ids=lambda argv: argv[0])
+    def test_negative_seed_is_usage_error(self, capsys, dataset_file, argv):
+        if argv[0] not in ("lowerbound", "angles"):
+            argv = [argv[0], "--data", dataset_file[0], *argv[1:]]
+        err = usage_error(capsys, [*argv, "--seed", "-1"])
+        assert "argument --seed: must be a non-negative integer, got -1" in err
+
+    # every sketching command validates its instance before any coreset work
+    @pytest.mark.parametrize("argv", [
+        ["encode", "--eps", "0.2", "--out", "unused.kzsk"],
+        ["verify", "--eps", "0.2", "--trials", "2"],
+        ["distributed", "--sites", "2", "--eps", "0.2"],
+        ["stream", "--block", "50", "--eps", "0.2"],
+    ], ids=lambda argv: argv[0])
+    def test_zero_k_is_usage_error(self, capsys, dataset_file, argv):
+        err = usage_error(capsys, [argv[0], "--data", dataset_file[0], "--k", "0",
+                                   *argv[1:]])
+        assert err.startswith("error: n, d and k must all be >= 1")
+
+    @pytest.mark.parametrize("eps", ["0", "nan", "2", "1", "-0.5"])
+    def test_lowerbound_eps_outside_unit_interval_is_usage_error(self, capsys, eps):
+        err = usage_error(capsys, ["lowerbound", "--n", "4", "--d", "16",
+                                   "--eps", eps])
+        assert err.startswith("error: eps must lie in (0,1)")
+
+
 def test_oversized_sketch_header_rejected_in_bounded_memory(tmp_path):
     # a 52-byte KZSK file declaring k = d = 2^16 centers: 32 GiB of int64 if
     # the parser allocated before checking the payload length. The child runs

@@ -290,6 +290,25 @@ class TestEncodeDecode:
             encode(cs, np.array([[1]]), config)
 
 
+class TestCompress:
+    @pytest.mark.parametrize("method", ["identity", "sensitivity"])
+    def test_runs_the_layers_with_one_seed(self, method):
+        data = geometry.random_grid_dataset(300, 4, 128, seed=40)
+        centers = approx_centers(data, 3, 2, seed=9)
+        cs = build_coreset(data, 3, 2, 0.2, method=method, seed=9, centers=centers)
+        config = ProblemConfig(n=300, d=4, k=3, z=Fraction(2), delta=128, epsilon=0.2)
+        assert codec.compress(data, 3, 2, 0.2, method, 9).to_bytes() \
+            == encode(cs, centers, config).to_bytes()
+
+    def test_weighted_set_stands_for_n_points(self):
+        data = geometry.random_grid_dataset(100, 3, 64, seed=41)
+        sketch = codec.compress(data, 2, 2, 0.2, "identity", 0,
+                                weights=np.full(100, 3.0), n=300)
+        weights, _, _ = sketch.decode()
+        assert sketch.n == 300
+        assert np.array_equal(weights, np.full(100, 3.0))
+
+
 class TestEstimateCost:
     def test_identity_sketch_within_eps(self):
         data, config, centers, cs = make_instance(n=300, seed=10)

@@ -179,9 +179,10 @@ class TestStream:
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_stream_subsample_names_overflowing_z():
+    # a level-0 reduction resamples a weighted union standing for more points
     data = geometry.random_grid_dataset(30, 3, 64, seed=2)
-    state = StreamState(delta=64, d=3, k=1, z=3000, eps=0.2, block_size=10,
-                        seed=0, method="sensitivity")
     centers = coreset.approx_centers(data, 1, 3000, seed=0)
     with pytest.raises(InvalidInput, match="z = 3000: the sum of dist"):
-        state._subsample(np.ones(30), data.points, centers, seed=0)
+        coreset.build_coreset(data, 1, 3000, 0.1, method="sensitivity", seed=0,
+                              centers=centers, weights=np.full(30, 2.5),
+                              source_n=75)
