@@ -110,10 +110,19 @@ def _seed_dz(fpts: np.ndarray, k: int, z: ZLike, rng: np.random.Generator) -> np
 
 
 def _snap_to_dataset(fpts: np.ndarray, centers: np.ndarray) -> np.ndarray:
-    """Index of the nearest dataset point per center, lowest index on ties;
-    the loop runs over the k centers, not the n points."""
-    return np.array([int(np.argmin(geometry.min_powered_distances(fpts, c[None, :], 2)))
-                     for c in centers], dtype=np.int64)
+    """Index of the nearest dataset point per center, lowest index on ties.
+    The dataset rows are the kernel's centers, in chunks of n d / k rows, so
+    no (k, chunk) temporary outgrows ``fpts``."""
+    n, d = fpts.shape
+    step = max(1, n * d // len(centers))
+    best = np.full(len(centers), np.inf)
+    arg = np.zeros(len(centers), dtype=np.int64)
+    for lo in range(0, n, step):
+        b, a = geometry._nearest(centers, fpts[lo:lo + step])
+        closer = b < best       # ties stay on the earlier chunk's lower index
+        best[closer] = b[closer]
+        arg[closer] = a[closer] + lo
+    return arg
 
 
 def approx_centers(dataset: GridDataset, k: int, z: ZLike, seed: int) -> ApproxCenters:

@@ -141,6 +141,8 @@ class StreamState:
 
     def __post_init__(self):
         self.z = as_z(self.z)
+        if not 0.0 < self.eps < 1.0:    # before the per-block halving
+            raise InvalidInput(f"epsilon must lie in (0,1), got {self.eps}")
         if self.block_size < self.k + 1:
             raise InvalidInput(
                 f"block_size must be >= k+1 = {self.k + 1}, got {self.block_size}")

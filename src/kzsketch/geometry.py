@@ -146,23 +146,33 @@ def _centers_of(obj) -> np.ndarray:
 _BLOCK = 1024
 
 
-def _scan(fpts: np.ndarray, cen: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The exact resolver: direct subtraction one center at a time, with a
-    strict ``<`` update so ties stay on the lowest index."""
+def _scan(fpts: np.ndarray, cen: np.ndarray,
+          near: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The exact resolver over the (row, center) pairs marked in ``near``:
+    the direct ``((p - c) ** 2).sum()`` value, ties to the lowest index.
+    Pairs go in row-major chunks of ``_BLOCK``, so temporaries stay
+    O(``_BLOCK`` * d); a row with no marked center gets index 0 and inf."""
+    rows, cols = np.nonzero(near)
     best = np.full(fpts.shape[0], np.inf)
     arg = np.zeros(fpts.shape[0], dtype=np.int64)
-    for j, c in enumerate(cen):
-        d2 = ((fpts - c) ** 2).sum(axis=1)
-        closer = d2 < best
-        arg[closer] = j
-        np.minimum(best, d2, out=best)
+    for lo in range(0, rows.size, _BLOCK):
+        r, c = rows[lo:lo + _BLOCK], cols[lo:lo + _BLOCK]
+        d2 = ((fpts[r] - cen[c]) ** 2).sum(axis=1)
+        # by row, then value, then center: each row's first pair is its minimum
+        order = np.lexsort((c, d2, r))
+        head = order[np.flatnonzero(np.r_[True, r[1:] != r[:-1]])]
+        # a row carried over from the previous chunk continues with higher
+        # centers, so only a strictly smaller value takes over
+        head = head[d2[head] < best[r[head]]]
+        best[r[head]] = d2[head]
+        arg[r[head]] = c[head]
     return best, arg
 
 
 def _nearest(points, centers) -> tuple[np.ndarray, np.ndarray]:
     """(squared distance to the nearest center, its index) for every point.
 
-    The result is bit for bit that of :func:`_scan` on all rows: the direct
+    The result is bit for bit that of :func:`_scan` over all pairs: the direct
     ``((p - c) ** 2).sum()`` value, ties to the lowest index. Rows go in
     blocks of ``_BLOCK``; with one center there is nothing to filter.
 
@@ -173,8 +183,9 @@ def _nearest(points, centers) -> tuple[np.ndarray, np.ndarray]:
     2^-1075``.
 
     Refine: a row with exactly one candidate takes it, and its value is
-    recomputed in the direct form. Rows with none (a NaN in e) or several
-    (exact ties, duplicate centers, overflow) go through ``_scan``.
+    recomputed in the direct form. Rows with several (exact ties, duplicate
+    centers, overflow) go through ``_scan`` over their candidates only;
+    rows with none (a NaN in e) over every center.
 
     Why a lone candidate is the direct form's strict minimum: let t_j be
     the exact squared distance and X = (|p| + |c_j|)^2 >= t_j. |p|^2,
@@ -224,7 +235,8 @@ def _nearest(points, centers) -> tuple[np.ndarray, np.ndarray]:
                 j = e.argmin(axis=1)
                 e_min = np.take_along_axis(e, j[:, None], axis=1)
                 e_min += (8.0 * g * (np.sqrt(p_sq) + c_norm) ** 2 + floor)[:, None]
-                one = np.count_nonzero(e <= e_min, axis=1) == 1
+                near = e <= e_min
+                one = np.count_nonzero(near, axis=1) == 1
             q = cen.take(j, axis=0)
             np.subtract(p, q, out=q)
             a[:] = j
@@ -232,7 +244,9 @@ def _nearest(points, centers) -> tuple[np.ndarray, np.ndarray]:
         q.sum(axis=1, out=b)
         if k > 1 and not one.all():
             rest = ~one
-            b[rest], a[rest] = _scan(p[rest], cen)
+            near = near[rest]
+            near[~near.any(axis=1)] = True
+            b[rest], a[rest] = _scan(p[rest], cen, near)
     return best, arg
 
 

@@ -223,6 +223,14 @@ class TestParameterValidation:
                                    *argv[1:]])
         assert err.startswith("error: n, d and k must all be >= 1")
 
+    @pytest.mark.parametrize("eps", ["1.5", "1", "0", "nan"])
+    def test_stream_eps_outside_unit_interval_is_usage_error(self, capsys,
+                                                             dataset_file, eps):
+        # rejected before the stream halves it for its blocks
+        err = usage_error(capsys, ["stream", "--data", dataset_file[0], "--block",
+                                   "50", "--k", "2", "--eps", eps])
+        assert err.startswith(f"error: epsilon must lie in (0,1), got {float(eps)}")
+
     @pytest.mark.parametrize("eps", ["0", "nan", "2", "1", "-0.5"])
     def test_lowerbound_eps_outside_unit_interval_is_usage_error(self, capsys, eps):
         err = usage_error(capsys, ["lowerbound", "--n", "4", "--d", "16",

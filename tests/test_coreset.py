@@ -3,9 +3,10 @@ import itertools
 import numpy as np
 import pytest
 
+import nearest_reference
 from kzsketch import geometry
-from kzsketch.coreset import (WeightedCoreset, approx_centers, build_coreset,
-                              weight_sum_check)
+from kzsketch.coreset import (WeightedCoreset, _snap_to_dataset, approx_centers,
+                              build_coreset, weight_sum_check)
 from kzsketch.errors import InvalidInput
 from kzsketch.geometry import CenterSet, GridDataset, cost
 
@@ -59,6 +60,20 @@ class TestApproxCenters:
         assert np.array_equal(a.centers, b.centers)
         c = approx_centers(data, 4, 2, seed=9)
         assert not np.array_equal(a.indices, c.indices)
+
+    @pytest.mark.parametrize("n, d, k, half", [
+        (3000, 2, 8, True),     # 4 chunks of 750 dataset rows, many ties
+        (3000, 4, 8, True),
+        (500, 16, 3, False),    # one chunk
+        (7, 1, 20, False),      # k > n d: one dataset row per chunk
+    ])
+    def test_snap_matches_reference(self, n, d, k, half):
+        # the nearest dataset row per center, ties to the lowest index
+        rng = np.random.default_rng(n + d + k)
+        fpts = rng.integers(1, 5, size=(n, d)).astype(np.float64)
+        centers = rng.integers(1, 5, size=(k, d)) + (0.5 if half else rng.random((k, d)))
+        want = nearest_reference.nearest(centers, fpts)[1]
+        assert np.array_equal(_snap_to_dataset(fpts, centers), want)
 
 
 class TestBuildCoreset:

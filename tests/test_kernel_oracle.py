@@ -88,3 +88,20 @@ def test_ties_among_subnormal_distances(scale):
     cen = rng.integers(-20, 21, size=(8, 2)) * scale
     assert_same_as_reference(pts, cen)
 
+
+
+def test_tie_heavy_grid():
+    # a fifth of the rows tie and resolve over their candidate pairs only
+    rng = np.random.default_rng(7)
+    pts = rng.integers(1, 5, size=(20_000, 4))
+    cen = rng.integers(1, 5, size=(8, 4)).astype(np.float64)
+    assert_same_as_reference(pts, cen)
+
+
+def test_tie_rows_across_pair_chunks():
+    # 3000 centers in five duplicated groups: every row has at least 600
+    # candidates, so a row's pairs straddle the chunks of _BLOCK pairs
+    rng = np.random.default_rng(8)
+    cen = np.repeat(rng.integers(0, 3, size=(5, 2)), 600, axis=0).astype(np.float64)
+    pts = rng.integers(0, 3, size=(6, 2))
+    assert_same_as_reference(pts, cen)
