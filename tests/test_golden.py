@@ -8,6 +8,10 @@ z = 3/2 is left out on purpose: its distances go through exp/log, whose
 SIMD paths may differ by an ulp across CPUs. Grid squares and sqrt are
 exact, so z in {1, 2} pins the same bytes on every IEEE-754 machine.
 
+``golden_v1/`` holds the wire bytes of the v1 corpus with their pinned
+fingerprints. They are parse-only fixtures: today's reader must still decode
+them to the same ledgers and arrays. Nothing here rewrites them.
+
 Regenerate (only when a format change is intended) with
 ``PYTHONPATH=src python tests/test_golden.py``.
 """
@@ -26,6 +30,8 @@ from kzsketch.geometry import GridDataset, ProblemConfig
 
 GOLDEN = Path(__file__).with_name("golden_sketches.json")
 GOLDEN_DISTSIM = Path(__file__).with_name("golden_distsim.json")
+GOLDEN_V1 = Path(__file__).with_name("golden_v1")
+V1_FINGERPRINTS = json.loads((GOLDEN_V1 / "fingerprints.json").read_text())
 DELTA = 1024
 EPS = 0.1
 # (n, d, k); the last has k > n, so approx_centers repeats centers
@@ -47,13 +53,16 @@ def fingerprint(case) -> dict:
     centers = coreset.approx_centers(data, k, z, seed=z)
     cs = coreset.build_coreset(data, k, z, EPS, method=method, seed=z + 1,
                                centers=centers)
-    sketch = codec.encode(cs, centers, config)
+    return {"has_repeats": centers.has_repeats,
+            **wire_fingerprint(codec.encode(cs, centers, config))}
+
+
+def wire_fingerprint(sketch) -> dict:
     weights, points, _ = sketch.decode()
     decoded = hashlib.sha256()
     for arr in (weights, points):
         decoded.update(np.ascontiguousarray(arr, dtype="<f8").tobytes())
     return {
-        "has_repeats": centers.has_repeats,
         "bytes_sha256": hashlib.sha256(sketch.to_bytes()).hexdigest(),
         "ledger": sketch.ledger.as_dict(),
         "decoded_sha256": decoded.hexdigest(),
@@ -129,6 +138,16 @@ def golden_distsim():
 @pytest.mark.parametrize("case", CASES, ids=case_id)
 def test_sketch_matches_golden(golden, case):
     assert fingerprint(case) == golden[case_id(case)]
+
+
+@pytest.mark.parametrize("name", sorted(V1_FINGERPRINTS))
+def test_v1_fixture_parses_to_pinned_fingerprint(name):
+    raw = (GOLDEN_V1 / f"{name}.kzsk").read_bytes()
+    sketch = codec.Sketch.from_bytes(raw)
+    pinned = dict(V1_FINGERPRINTS[name])
+    del pinned["has_repeats"]
+    assert wire_fingerprint(sketch) == pinned
+    assert 0 <= 8 * len(raw) - sketch.ledger.total_bits <= 7
 
 
 def test_corpus_covers_repeated_centers(golden):
