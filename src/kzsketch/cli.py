@@ -98,7 +98,7 @@ def cmd_encode(args) -> int:
         "serialized_bytes": len(sketch.to_bytes()),
         "theoretical_upper_bound_bits": codec.theoretical_upper_bound(
             data.n, args.k, data.d, data.delta, args.eps, float(sketch.z),
-            sketch.coreset_size),
+            sketch.coreset_size, sketch.unit_weights),
     }
     _emit(report, args)
     return 0
@@ -129,7 +129,7 @@ def cmd_size(args) -> int:
         "pad_bits": 8 * len(raw) - ledger.total_bits,
         "theoretical_upper_bound_bits": codec.theoretical_upper_bound(
             sketch.n, sketch.k, sketch.d, sketch.delta, sketch.epsilon,
-            float(sketch.z), sketch.coreset_size),
+            float(sketch.z), sketch.coreset_size, sketch.unit_weights),
     }
     _emit(report, args)
     return 0 if 0 <= report["pad_bits"] <= 7 else 1
@@ -309,7 +309,7 @@ def cmd_distributed(args) -> int:
                                              args.seed, method=args.method)
     formula = sum(
         codec.theoretical_upper_bound(s.n, args.k, s.d, s.delta, args.eps,
-                                      float(z), sk.coreset_size) + 256.0
+                                      float(z), sk.coreset_size, sk.unit_weights)
         for s, sk in zip(partition.shards, merged.sketches))
     report = {
         "command": "distributed", "data": args.data, "sites": args.sites,

@@ -10,8 +10,13 @@ error budget: ceil(log2(4/eps)) bits per weight and ceil(log2(4z/eps)) bits
 per coordinate delta; weights at or below eps/(4|S|) are stored as zero.
 
 Wire format: magic ``KZSK``, little-endian header, then an MSB-first
-bit-packed payload (centers, group sizes, per-point codes) padded with
-zeros to a byte boundary.
+bit-packed payload (centers, group sizes, one row of fields per coreset
+point) padded with zeros to a byte boundary. Version 2 appends a flags
+byte to the version 1 header: ``EXACT_COORDINATES`` stores each point's
+coordinates as fixed-width grid values instead of quantized deltas from its
+center, and ``UNIT_WEIGHTS`` drops the weight codes when every weight is
+exactly 1. ``encode`` sets each flag when it saves bits; version 1 bytes,
+which have neither, still parse.
 """
 
 from __future__ import annotations
@@ -30,10 +35,14 @@ from .errors import DimensionMismatch, InvalidInput, SketchFormatError
 from .geometry import GridDataset, ProblemConfig, ZLike
 
 SKETCH_MAGIC = b"KZSK"
-SKETCH_VERSION = 1
+SKETCH_VERSION = 2
+# the header of both versions; version 2 appends one flags byte
 _HEADER_FMT = "<4sHIIIIQb3sQQBB"
-_HEADER_BYTES = struct.calcsize(_HEADER_FMT)
+_V1_HEADER_BYTES = struct.calcsize(_HEADER_FMT)
+_HEADER_BYTES = _V1_HEADER_BYTES + 1
 HEADER_FIXED_BITS = 8 * _HEADER_BYTES
+EXACT_COORDINATES = 1
+UNIT_WEIGHTS = 2
 _EPS_FRAC_BITS = 24
 
 
@@ -182,13 +191,30 @@ class SketchParams:
         return None
 
 
-def _field_layout(p: SketchParams):
-    """(category, bit offset within the code, width) of each field that a
-    nonzero code stores after its zero flag, category 0 for weight codes and
-    1 for coordinate codes: weight expo and fraction (a weight's sign bit is
-    always 0), then coordinate sign, expo and fraction."""
-    return [(0, 2, p.w_expo_width), (0, 2 + p.w_expo_width, p.f_w),
-            (1, 1, 1), (1, 2, p.x_expo_width), (1, 2 + p.x_expo_width, p.f_x)]
+def _row_layout(p: SketchParams, d: int, exact: bool, unit: bool):
+    """The fields of one point's row, in wire order: its weight code (none
+    under unit weights), then d coordinates, either fixed-width grid values
+    or variable-width codes. Returns the full width of each column and
+    whether it is a variable-width code, whose zero flag may cut it to one
+    bit."""
+    widths = [] if unit else [p.code_widths[0]]
+    widths += [p.center_width if exact else p.code_widths[1]] * d
+    variable = ([] if unit else [True]) + [not exact] * d
+    return np.array(widths, dtype=np.uint8), np.array(variable, dtype=bool)
+
+
+def _field_layout(p: SketchParams, exact: bool, unit: bool):
+    """(columns, bit offset within the column, width) of each field the
+    payload stores besides the zero flags, in the order of a sketch's field
+    arrays: a weight code's exponent and fraction (its sign bit is always
+    0), then either each coordinate's grid value minus 1, or a coordinate
+    code's sign, exponent and fraction."""
+    w = slice(0, 1)
+    x = slice(0 if unit else 1, None)
+    fields = [] if unit else [(w, 2, p.w_expo_width), (w, 2 + p.w_expo_width, p.f_w)]
+    if exact:
+        return fields + [(x, 0, p.center_width)]
+    return fields + [(x, 1, 1), (x, 2, p.x_expo_width), (x, 2 + p.x_expo_width, p.f_x)]
 
 
 def derive_params(eps_q: float, z: Fraction, n: int, s: int, delta: int) -> SketchParams:
@@ -252,14 +278,22 @@ class Sketch:
     # -- header ------------------------------------------------------------
 
     def _parse_header(self):
-        if len(self._data) < _HEADER_BYTES:
+        if len(self._data) < _V1_HEADER_BYTES:
             raise SketchFormatError("missing header", bit_offset=8 * len(self._data))
         (magic, version, k, d, z_num, z_den, delta, eps_expo, eps_frac_raw,
          n, s, w_expo_width, x_expo_width) = struct.unpack_from(_HEADER_FMT, self._data)
         if magic != SKETCH_MAGIC:
             raise SketchFormatError(f"bad magic {magic!r}", bit_offset=0)
-        if version != SKETCH_VERSION:
+        if version not in (1, 2):
             raise SketchFormatError(f"unsupported version {version}")
+        flags = 0
+        if version == 2:
+            if len(self._data) < _HEADER_BYTES:
+                raise SketchFormatError("missing header", bit_offset=8 * len(self._data))
+            flags = self._data[_V1_HEADER_BYTES]
+            if flags & ~(EXACT_COORDINATES | UNIT_WEIGHTS):
+                raise SketchFormatError(f"unknown header flags {flags:#04x}",
+                                        bit_offset=8 * _V1_HEADER_BYTES)
         if min(k, d, z_den) < 1 or z_num < z_den or n < 1 or delta < 2 or s > n:
             raise SketchFormatError(
                 f"implausible header (k={k}, d={d}, z={z_num}/{z_den}, "
@@ -277,31 +311,46 @@ class Sketch:
             raise SketchFormatError(
                 f"header widths ({w_expo_width}, {x_expo_width}) disagree with "
                 f"derived ({params.w_expo_width}, {params.x_expo_width})")
-        self._set_header(k, d, z, int(delta), epsilon, int(n), int(s), params)
+        self._set_header(k, d, z, int(delta), epsilon, int(n), int(s), params,
+                         version, flags)
 
-    def _set_header(self, k, d, z, delta, epsilon, n, s, params):
+    def _set_header(self, k, d, z, delta, epsilon, n, s, params, version, flags):
         self.k, self.d, self.z, self.delta = k, d, z, delta
         self.epsilon, self.n, self.coreset_size = epsilon, n, s
         self.params = params
+        self.version = version
+        self.exact_coordinates = bool(flags & EXACT_COORDINATES)
+        self.unit_weights = bool(flags & UNIT_WEIGHTS)
+        self._header_bytes = _V1_HEADER_BYTES if version == 1 else _HEADER_BYTES
+
+    def _layouts(self):
+        p, mode = self.params, (self.exact_coordinates, self.unit_weights)
+        return _row_layout(p, self.d, *mode), _field_layout(p, *mode)
 
     # -- payload -----------------------------------------------------------
 
     def _parse_payload(self):
-        """Read the payload: one pass over the zero flags, the only
-        sequential dependency of the layout, then every field at once."""
+        """Read the payload: one pass over the zero flags of the variable-
+        width codes, the only sequential dependency of the layout, then
+        every field at once."""
         p, k, d, s = self.params, self.k, self.d, self.coreset_size
-        payload = np.frombuffer(self._data, dtype=np.uint8, offset=_HEADER_BYTES)
+        payload = np.frombuffer(self._data, dtype=np.uint8, offset=self._header_bytes)
         nbits = 8 * payload.size
         code_start = k * d * p.center_width + k * p.group_width
-        if nbits < code_start + s * (d + 1):
+        # a row takes at least one bit per code and its grid values in full
+        coordinate_min = p.center_width if self.exact_coordinates else 1
+        if nbits < code_start + s * ((not self.unit_weights) + d * coordinate_min):
             raise SketchFormatError(
                 f"payload of {nbits} bits cannot hold the {k}x{d} centers, "
-                f"group sizes and {s * (d + 1)} codes of the header",
+                f"group sizes and {s} coded points of the header",
                 bit_offset=nbits)
+        (widths, variable), layout = self._layouts()
         # what the sketch keeps is allocated before the scratch bit array, so
         # that freeing the scratch leaves no hole under live memory
-        flags = bytearray(s * (d + 1))
-        fields = [np.zeros(shape, dtype=np.int64) for shape in (s, s, (s, d), (s, d), (s, d))]
+        n_var = int(variable.sum())
+        flags = bytearray(s * n_var)
+        zero = np.zeros((s, widths.size), dtype=bool)
+        fields = [np.zeros_like(zero[:, cols], dtype=np.int64) for cols, _, _ in layout]
         bits = np.unpackbits(payload)
         centers = _take_bits(bits, np.arange(k * d) * p.center_width,
                              p.center_width).reshape(k, d) + 1
@@ -312,36 +361,41 @@ class Sketch:
                 f"group sizes sum to {sum(group_sizes)}, header says {s}",
                 bit_offset=code_start)
 
-        # row-major codes: per point one weight code, then d coordinate codes
-        row_widths = itertools.cycle([p.code_widths[0]] + [p.code_widths[1]] * d)
+        # per variable-width code: the bits it and the fixed-width fields
+        # after it take, if it is nonzero and if it is zero
+        var = np.flatnonzero(variable)
+        steps = [(int(widths[j:e].sum()), 1 + int(widths[j + 1:e].sum()))
+                 for j, e in zip(var, [*var[1:], widths.size])]
         flat = memoryview(bits)
         pos = code_start
         try:
-            for i, w in zip(range(len(flags)), row_widths):
+            for i, (full, one) in zip(range(len(flags)), itertools.cycle(steps)):
                 if flat[pos]:
                     flags[i] = 1
-                    pos += 1
+                    pos += one
                 else:
-                    pos += w
+                    pos += full
         except IndexError:
             raise SketchFormatError("payload ends early", bit_offset=pos) from None
-        zero = np.frombuffer(flags, dtype=bool).reshape(s, d + 1)
-        live, offsets, _, _ = _live_offsets(zero, p, code_start)
-        if _take_bits(bits[1:], offsets[0], 1).any():
+        zero[:, variable] = np.frombuffer(flags, dtype=bool).reshape(s, n_var)
+        offsets, _ = _code_offsets(zero, widths, code_start)
+        if not self.unit_weights and _take_bits(bits[1:], offsets[:, 0][~zero[:, 0]], 1).any():
             raise SketchFormatError("negative weight code")
-        for field, (cat, shift, width) in zip(fields, _field_layout(p)):
-            field[live[cat]] = _take_bits(bits[shift:], offsets[cat], width)
+        for field, (cols, shift, width) in zip(fields, layout):
+            live = ~zero[:, cols]
+            field[live] = _take_bits(bits[shift:], offsets[:, cols][live], width)
 
-        w_field, w_frac, x_sign, x_expo, x_frac = fields
-        if w_field.max(initial=0) > p.w_expo_max - p.w_expo_min:
+        if centers.max() > self.delta or (
+                self.exact_coordinates and fields[-1].max(initial=0) >= self.delta):
+            raise SketchFormatError(f"a grid coordinate exceeds delta = {self.delta}")
+        if not self.unit_weights and fields[0].max(initial=0) > p.w_expo_max - p.w_expo_min:
             raise SketchFormatError("weight exponent field exceeds the declared range")
-        if x_expo.max(initial=0) > p.x_expo_max:
+        if not self.exact_coordinates and fields[-2].max(initial=0) > p.x_expo_max:
             raise SketchFormatError("coordinate exponent field exceeds the declared range")
 
-        self._set_payload(centers, group_sizes, (zero[:, 0], w_field, w_frac),
-                          (zero[:, 1:], x_sign, x_expo, x_frac))
-        payload_bits = self.ledger.total_bits - HEADER_FIXED_BITS
-        expected_len = _HEADER_BYTES + (payload_bits + 7) // 8
+        self._set_payload(centers, group_sizes, zero, fields)
+        payload_bits = self.ledger.total_bits - 8 * self._header_bytes
+        expected_len = self._header_bytes + (payload_bits + 7) // 8
         if len(self._data) != expected_len:
             raise SketchFormatError(
                 f"trailing bytes: file has {len(self._data)}, format needs {expected_len}",
@@ -350,36 +404,40 @@ class Sketch:
     def _pack_payload(self) -> np.ndarray:
         """Pack the payload fields MSB first; the inverse of _parse_payload.
 
-        Layout: centers, group sizes, then per point one weight code and d
-        coordinate codes. A code is [1] if zero, else [0][sign][expo][fraction].
+        Layout: centers, group sizes, then per point one row of fields (see
+        :func:`_row_layout`). A variable-width code is [1] if zero, else
+        [0][sign][expo][fraction]; a grid value is its coordinate minus 1.
         """
         p, k, d = self.params, self.k, self.d
         cw, gw = p.center_width, p.group_width
-        zero = np.concatenate([self._w_codes[0][:, None], self._x_codes[0]], axis=1)
-        live, offsets, zero_offsets, end = _live_offsets(zero, p, k * d * cw + k * gw)
+        (widths, _), layout = self._layouts()
+        offsets, end = _code_offsets(self._zero, widths, k * d * cw + k * gw)
         bits = np.zeros(end, dtype=np.uint8)
         _put_bits(bits, np.arange(k * d) * cw, self.centers.ravel() - 1, cw)
         _put_bits(bits, k * d * cw + np.arange(k) * gw, self.group_sizes, gw)
-        bits[zero_offsets] = 1
-        fields = self._w_codes[1:] + self._x_codes[1:]
-        for field, (cat, shift, width) in zip(fields, _field_layout(p)):
-            _put_bits(bits[shift:], offsets[cat], field[live[cat]], width)
+        bits[offsets[self._zero]] = 1
+        for field, (cols, shift, width) in zip(self._fields, layout):
+            live = ~self._zero[:, cols]
+            _put_bits(bits[shift:], offsets[:, cols][live], field[live], width)
         return np.packbits(bits)
 
-    def _set_payload(self, centers, group_sizes, w_codes, x_codes):
-        p = self.params
+    def _set_payload(self, centers, group_sizes, zero, fields):
+        """Keep the parsed or encoded payload: the (|S|, m) zero flags of the
+        row layout and one field array per entry of the field layout."""
+        p, s, d = self.params, self.coreset_size, self.d
         self.centers = centers
         self.group_sizes = group_sizes
         self.group_of = np.repeat(np.arange(self.k), group_sizes)
-        self._w_codes = w_codes
-        self._x_codes = x_codes
-        s, d = self.coreset_size, self.d
-        w_width, x_width = p.code_widths
+        self._zero, self._fields = zero, fields
+        (widths, _), _ = self._layouts()
+        widths = widths.astype(np.int64)
+        column_bits = s * widths - (widths - 1) * zero.sum(axis=0)
+        w = 0 if self.unit_weights else 1
         self.ledger = BitLedger(
-            header_bits=HEADER_FIXED_BITS + self.k * p.group_width,
+            header_bits=8 * self._header_bytes + self.k * p.group_width,
             center_bits=self.k * d * p.center_width,
-            weight_bits=s + (s - int(w_codes[0].sum())) * (w_width - 1),
-            coordinate_bits=s * d + (s * d - int(x_codes[0].sum())) * (x_width - 1),
+            weight_bits=int(column_bits[:w].sum()),
+            coordinate_bits=int(column_bits[w:].sum()),
         )
 
     # -- public surface ------------------------------------------------------
@@ -399,12 +457,17 @@ class Sketch:
     def decode(self):
         """Reconstruct (weights, points, centers); exact and cached."""
         if self._decoded is None:
-            p = self.params
-            w_zero, w_field, w_frac = self._w_codes
-            weights = _decode_array(w_zero, 0, w_field + p.w_expo_min, w_frac, p.f_w)
-            x_zero, x_sign, x_expo, x_frac = self._x_codes
-            points = _decode_array(x_zero, x_sign, x_expo, x_frac, p.f_x)
-            points += self.centers[self.group_of]
+            p, zero, fields = self.params, self._zero, self._fields
+            if self.unit_weights:
+                weights = np.ones(self.coreset_size)
+            else:
+                weights = _decode_array(zero[:, 0], 0, fields[0][:, 0] + p.w_expo_min,
+                                        fields[1][:, 0], p.f_w)
+            if self.exact_coordinates:
+                points = fields[-1] + 1.0
+            else:
+                points = _decode_array(zero[:, -self.d:], *fields[-3:], p.f_x)
+                points += self.centers[self.group_of]
             self._decoded = (weights, points, self.centers)
         return self._decoded
 
@@ -421,19 +484,16 @@ class Sketch:
         return geometry.weighted_cost(weights, points, cen, self.z)
 
 
-def _live_offsets(zero: np.ndarray, p: SketchParams, start: int):
-    """Locate the codes of the (|S|, d+1) zero-flag layout: a zero code
-    takes one bit, a nonzero one its category's full width. Returns the
-    nonzero masks and bit offsets of the weight and of the coordinate codes,
-    the offsets of the zero codes, and the end of the last code."""
-    widths = np.where(zero, np.uint8(1), np.array(
-        [p.code_widths[0]] + [p.code_widths[1]] * (zero.shape[1] - 1), dtype=np.uint8))
-    offsets = np.cumsum(widths, dtype=np.int64).reshape(zero.shape)
+def _code_offsets(zero: np.ndarray, widths: np.ndarray, start: int):
+    """Bit offset of every field of the (|S|, m) row-major grid that starts
+    at ``start``: column j takes ``widths[j]`` bits, or one where its zero
+    flag is set. Returns the offsets and the end of the last field."""
+    cells = np.where(zero, np.uint8(1), widths)
+    offsets = np.cumsum(cells, dtype=np.int64).reshape(zero.shape)
     end = start + int(offsets[-1, -1]) if offsets.size else start
     offsets += start
-    offsets -= widths
-    live = (~zero[:, 0], ~zero[:, 1:])
-    return live, (offsets[:, 0][live[0]], offsets[:, 1:][live[1]]), offsets[zero], end
+    offsets -= cells
+    return offsets, end
 
 
 def check_header_z(z: Fraction) -> None:
@@ -446,6 +506,10 @@ def check_header_z(z: Fraction) -> None:
 def encode(coreset: WeightedCoreset, centers, config: ProblemConfig) -> Sketch:
     """Quantize a coreset against its approximate centers: partition it by
     nearest center, quantize weights and coordinate deltas, pack bits.
+
+    Coordinates are stored as exact grid values instead when those take
+    fewer bits than the quantized deltas, and weight codes are left out
+    when every weight is exactly 1.
     """
     check_header_z(config.z)
     cen = np.asarray(getattr(centers, "centers", centers))
@@ -474,21 +538,38 @@ def encode(coreset: WeightedCoreset, centers, config: ProblemConfig) -> Sketch:
     assign = geometry.nearest_assignment(pts, cen.astype(np.float64))
     order = np.argsort(assign, kind="stable")
     group_sizes = np.bincount(assign, minlength=config.k)
+    weights = coreset.weights[order]
 
-    w_zero, _, w_expo, w_frac = _encode_array(
-        coreset.weights[order], params.f_w, params.weight_zero_threshold)
-    x_zero, x_sign, x_expo, x_frac = _encode_array(
-        (pts[order] - cen[assign[order]]).astype(np.float64), params.f_x, 0.0)
-
-    # zero codes carry field 0, inside both ranges
-    w_field = np.where(w_zero, 0, w_expo - params.w_expo_min)
-    if w_field.min(initial=0) < 0 \
-            or w_field.max(initial=0) > params.w_expo_max - params.w_expo_min:
-        raise InvalidInput(
-            "weight exponent out of representable range; the coreset "
-            "violates the (1 +- 4 eps) n total-weight bound")
-    if x_expo.min(initial=0) < 0 or x_expo.max(initial=0) > params.x_expo_max:
-        raise InvalidInput("coordinate delta exponent out of range")
+    unit = bool((weights == 1.0).all())
+    # grid values against quantized deltas: one bit if zero, else a full code
+    exact = pts.size * params.center_width \
+        < pts.size + np.count_nonzero(pts != cen[assign]) * (params.code_widths[1] - 1)
+    zero_columns, fields = [], []
+    if not unit:
+        w_zero, _, w_expo, w_frac = _encode_array(
+            weights, params.f_w, params.weight_zero_threshold)
+        # zero codes carry field 0, inside the range
+        w_field = np.where(w_zero, 0, w_expo - params.w_expo_min)
+        if w_field.min(initial=0) < 0 \
+                or w_field.max(initial=0) > params.w_expo_max - params.w_expo_min:
+            raise InvalidInput(
+                "weight exponent out of representable range; the coreset "
+                "violates the (1 +- 4 eps) n total-weight bound")
+        zero_columns.append(w_zero[:, None])
+        fields += [w_field[:, None], w_frac[:, None]]
+    if exact:
+        zero_columns.append(np.zeros(pts.shape, dtype=bool))
+        grid = pts[order]
+        grid -= 1
+        fields.append(grid)
+    else:
+        x_zero, x_sign, x_expo, x_frac = _encode_array(
+            (pts[order] - cen[assign[order]]).astype(np.float64), params.f_x, 0.0)
+        if x_expo.min(initial=0) < 0 or x_expo.max(initial=0) > params.x_expo_max:
+            raise InvalidInput("coordinate delta exponent out of range")
+        zero_columns.append(x_zero)
+        fields += [x_sign, x_expo, x_frac]
+    flags = EXACT_COORDINATES * exact | UNIT_WEIGHTS * unit
 
     header = struct.pack(_HEADER_FMT, SKETCH_MAGIC, SKETCH_VERSION,
                          config.k, config.d,
@@ -496,12 +577,12 @@ def encode(coreset: WeightedCoreset, centers, config: ProblemConfig) -> Sketch:
                          config.delta, eps_expo,
                          eps_frac.to_bytes(3, "little"),
                          config.n, s,
-                         params.w_expo_width, params.x_expo_width)
+                         params.w_expo_width, params.x_expo_width) + bytes([flags])
     sketch = Sketch.__new__(Sketch)
     sketch._set_header(config.k, config.d, config.z, config.delta, eps_q,
-                       config.n, s, params)
-    sketch._set_payload(cen, group_sizes.tolist(), (w_zero, w_field, w_frac),
-                        (x_zero, x_sign, x_expo, x_frac))
+                       config.n, s, params, SKETCH_VERSION, flags)
+    sketch._set_payload(cen, group_sizes.tolist(),
+                        np.concatenate(zero_columns, axis=1), fields)
     sketch._data = header + sketch._pack_payload().tobytes()
     sketch._source_order = order
     return sketch
@@ -525,17 +606,17 @@ def compress(dataset: GridDataset, k: int, z: ZLike, eps: float, method: str,
 
 
 def theoretical_upper_bound(n: int, k: int, d: int, delta: int, eps: float,
-                            z: float, coreset_size: int) -> float:
-    """Sketch-size bound (in bits, unit constant) for reporting.
-
-    n <= k falls back to storing every point; otherwise it is the
-    center + per-point budget matching the measured categories.
+                            z: float, coreset_size: int,
+                            unit_weights: bool = False) -> int:
+    """The most bits :func:`encode` can spend on a coreset of ``coreset_size``
+    points: the header, the centers and group sizes, a full weight code per
+    point (none under unit weights), and per point the cheaper of d grid
+    values of ceil(log2 delta) bits and d full coordinate codes, as the
+    encoder chooses. Every sketch's ledger is at or below it.
     """
-    if n <= k:
-        return n * d * math.log2(delta)
-    s = max(1, coreset_size)
-    log_delta = math.log2(delta)
-    per_weight = math.log2(4.0 / eps) + math.log2(
-        max(math.log2(4.0 * s / eps), math.log2(n)))
-    per_point = d * math.log2(4.0 * float(z) / eps) + d * math.log2(max(1.0, log_delta))
-    return k * d * log_delta + s * (per_weight + per_point)
+    _, _, eps_q = quantize_epsilon(eps)
+    p = derive_params(eps_q, z, n, coreset_size, delta)
+    w_width, x_width = p.code_widths
+    per_point = (0 if unit_weights else w_width) + d * min(p.center_width, x_width)
+    return (HEADER_FIXED_BITS + k * p.group_width + k * d * p.center_width
+            + coreset_size * per_point)

@@ -136,7 +136,7 @@ class StreamState:
     blocks_flushed: int = 0
     reductions: int = 0
     max_resident_bits: int = 0
-    # (points seen, buffered points, live coreset sizes) at the maximum
+    # (points seen, buffered points, live (coreset size, unit weights)) at the maximum
     _at_max: tuple = field(default=(0, 0, ()), init=False, repr=False)
 
     def __post_init__(self):
@@ -166,17 +166,18 @@ class StreamState:
         if res > self.max_resident_bits:
             self.max_resident_bits = res
             self._at_max = (self.points_seen, len(self.buffer),
-                            tuple(s.coreset_size for s in self._live_sketches()))
+                            tuple((s.coreset_size, s.unit_weights)
+                                  for s in self._live_sketches()))
 
     @property
     def formula_bits_at_max(self) -> float:
         points_seen, buffered, sizes = self._at_max
         n = max(2, points_seen)
         total = float(self._buffer_bits(buffered))
-        for size in sizes:
+        for size, unit in sizes:
             total += codec.theoretical_upper_bound(
                 n, self.k, self.d, self.delta, self.eps / 2.0, float(self.z),
-                size) + 256.0
+                size, unit)
         return total
 
     # -- stream operations ----------------------------------------------------

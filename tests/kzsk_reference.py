@@ -1,4 +1,5 @@
-"""Reference KZSK v1 codec: a per-field bit writer and reader.
+"""Reference KZSK codec: a per-field bit writer (version 2) and reader
+(versions 1 and 2).
 
 It is slow and simple on purpose: every scalar is quantized and decoded on
 its own, and every field is written and read one at a time, MSB first, in
@@ -77,7 +78,7 @@ class BitReader:
 
 
 def encode_bytes(coreset, centers, config) -> bytes:
-    """The v1 wire bytes of ``codec.encode(coreset, centers, config)``,
+    """The v2 wire bytes of ``codec.encode(coreset, centers, config)``,
     written field by field. Inputs must be valid; only the packing differs
     from the library."""
     cen = np.asarray(getattr(centers, "centers", centers)).astype(np.int64)
@@ -100,28 +101,37 @@ def encode_bytes(coreset, centers, config) -> bytes:
     for l in range(config.k):
         writer.write(int(group_sizes[l]), p.group_width)
 
+    x_codes = {(row, i): codec.encode_scalar(float(pts[row, i] - cen[assign[row], i]), p.f_x)
+               for row in order for i in range(config.d)}
+    quantized_bits = sum(1 if x.is_zero else p.code_widths[1] for x in x_codes.values())
+    exact = s * config.d * p.center_width < quantized_bits
+    unit = all(coreset.weights[row] == 1.0 for row in order)
     for row in order:
-        w = codec.encode_scalar(float(coreset.weights[row]), p.f_w,
-                                p.weight_zero_threshold)
-        if w.is_zero:
-            writer.write(1, 1)
-        else:
-            writer.write((w.expo - p.w_expo_min) << p.f_w | w.fraction,
-                         2 + p.w_expo_width + p.f_w)
+        if not unit:
+            w = codec.encode_scalar(float(coreset.weights[row]), p.f_w,
+                                    p.weight_zero_threshold)
+            if w.is_zero:
+                writer.write(1, 1)
+            else:
+                writer.write((w.expo - p.w_expo_min) << p.f_w | w.fraction,
+                             2 + p.w_expo_width + p.f_w)
         for i in range(config.d):
-            x = codec.encode_scalar(float(pts[row, i] - cen[assign[row], i]), p.f_x)
-            if x.is_zero:
+            x = x_codes[row, i]
+            if exact:
+                writer.write(int(pts[row, i]) - 1, p.center_width)
+            elif x.is_zero:
                 writer.write(1, 1)
             else:
                 writer.write((x.sign << p.x_expo_width | x.expo) << p.f_x
                              | x.fraction, 2 + p.x_expo_width + p.f_x)
 
-    header = struct.pack(codec._HEADER_FMT, codec.SKETCH_MAGIC,
-                         codec.SKETCH_VERSION, config.k, config.d,
+    header = struct.pack(codec._HEADER_FMT, codec.SKETCH_MAGIC, 2,
+                         config.k, config.d,
                          config.z.numerator, config.z.denominator,
                          config.delta, eps_expo, eps_frac.to_bytes(3, "little"),
                          config.n, s, p.w_expo_width, p.x_expo_width)
-    return header + writer.getvalue()
+    flags = codec.EXACT_COORDINATES * exact | codec.UNIT_WEIGHTS * unit
+    return header + bytes([flags]) + writer.getvalue()
 
 
 def _read_code(reader: BitReader, expo_width: int, f: int):
@@ -134,13 +144,15 @@ def _read_code(reader: BitReader, expo_width: int, f: int):
 
 
 def parse(data: bytes) -> dict:
-    """Parse v1 bytes field by field. The header goes through the library's
-    header parser; the payload is read here. Returns the parsed fields."""
+    """Parse v1 or v2 bytes field by field. The header goes through the
+    library's header parser; the payload is read here. Returns the parsed
+    fields."""
     sk = codec.Sketch.__new__(codec.Sketch)
     sk._data = bytes(data)
     sk._parse_header()
     p, k, d, s = sk.params, sk.k, sk.d, sk.coreset_size
-    reader = BitReader(sk._data[codec._HEADER_BYTES:])
+    header_bytes = struct.calcsize(codec._HEADER_FMT) + (sk.version == 2)
+    reader = BitReader(sk._data[header_bytes:])
     centers = np.array([[reader.read(p.center_width) + 1 for _ in range(d)]
                         for _ in range(k)], dtype=np.int64).reshape(k, d)
     group_sizes = [reader.read(p.group_width) for _ in range(k)]
@@ -149,29 +161,40 @@ def parse(data: bytes) -> dict:
             f"group sizes sum to {sum(group_sizes)}, header says {s}",
             bit_offset=reader.bits_consumed)
 
+    # rows of (zero, sign, expo, fraction); a unit weight is the code of 1.0
     w_codes = np.zeros((4, s), dtype=np.int64)
+    w_codes[2] = -p.w_expo_min
     x_codes = np.zeros((4, s, d), dtype=np.int64)
+    grid = np.zeros((s, d), dtype=np.int64)
     weight_bits = coordinate_bits = 0
     for row in range(s):
-        zero, sign, expo, frac, used = _read_code(reader, p.w_expo_width, p.f_w)
-        if not zero and sign:
-            raise SketchFormatError("negative weight code",
-                                    bit_offset=reader.bits_consumed)
-        w_codes[:, row] = zero, sign, expo, frac
-        weight_bits += used
+        if not sk.unit_weights:
+            zero, sign, expo, frac, used = _read_code(reader, p.w_expo_width, p.f_w)
+            if not zero and sign:
+                raise SketchFormatError("negative weight code",
+                                        bit_offset=reader.bits_consumed)
+            w_codes[:, row] = zero, sign, expo, frac
+            weight_bits += used
         for i in range(d):
-            zero, sign, expo, frac, used = _read_code(reader, p.x_expo_width, p.f_x)
-            x_codes[:, row, i] = zero, sign, expo, frac
-            coordinate_bits += used
+            if sk.exact_coordinates:
+                grid[row, i] = reader.read(p.center_width) + 1
+                coordinate_bits += p.center_width
+            else:
+                zero, sign, expo, frac, used = _read_code(reader, p.x_expo_width, p.f_x)
+                x_codes[:, row, i] = zero, sign, expo, frac
+                coordinate_bits += used
 
+    if centers.max() > sk.delta or grid.max(initial=0) > sk.delta:
+        raise SketchFormatError(f"a grid coordinate exceeds delta = {sk.delta}")
     w_live = w_codes[0] == 0
     if w_live.any() and w_codes[2][w_live].max() > p.w_expo_max - p.w_expo_min:
         raise SketchFormatError("weight exponent field exceeds the declared range")
     x_live = x_codes[0] == 0
-    if x_live.any() and x_codes[2][x_live].max() > p.x_expo_max:
+    if not sk.exact_coordinates and x_live.any() \
+            and x_codes[2][x_live].max() > p.x_expo_max:
         raise SketchFormatError("coordinate exponent field exceeds the declared range")
     payload_bits = reader.bits_consumed
-    expected_len = codec._HEADER_BYTES + (payload_bits + 7) // 8
+    expected_len = header_bytes + (payload_bits + 7) // 8
     if len(sk._data) != expected_len:
         raise SketchFormatError(
             f"trailing bytes: file has {len(sk._data)}, format needs {expected_len}",
@@ -184,14 +207,18 @@ def parse(data: bytes) -> dict:
         bool(zero), int(sign), int(expo), int(frac)), p.f_x)
         for zero, sign, expo, frac in row] for row in x_codes.transpose(1, 2, 0)])
     group_of = np.repeat(np.arange(k), group_sizes)
+    if sk.exact_coordinates:
+        points = grid.astype(np.float64)
+    else:
+        points = centers[group_of] + deltas.reshape(s, d)
     return {
         "centers": centers,
         "group_sizes": group_sizes,
         "group_of": group_of,
         "weights": weights,
-        "points": centers[group_of] + deltas.reshape(s, d),
+        "points": points,
         "ledger": codec.BitLedger(
-            header_bits=codec.HEADER_FIXED_BITS + k * p.group_width,
+            header_bits=8 * header_bytes + k * p.group_width,
             center_bits=k * d * p.center_width,
             weight_bits=weight_bits, coordinate_bits=coordinate_bits),
     }

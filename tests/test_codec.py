@@ -253,14 +253,32 @@ class TestEncodeDecode:
         config = ProblemConfig(n=4, d=2, k=2, z=Fraction(2), delta=8,
                                epsilon=0.25)
         sk = encode(cs, np.array([[1, 7], [5, 1]]), config)
+        # v2 with exact coordinates: 3-bit grid values beat 9-bit codes
         golden = bytes.fromhex(
+            "4b5a534b0200020000000200000002000000010000000800000000000000"
+            "fe000000040000000000000004000000000000000502"
+            "01" "1a048300c1d3f0808e00")
+        # the same coreset in v1, with quantized deltas; parse only
+        golden_v1 = bytes.fromhex(
             "4b5a534b0100020000000200000002000000010000000800000000000000"
             "fe000000040000000000000004000000000000000502"
             "1a0483061d0b000080a00070")
         assert sk.to_bytes() == golden
-        w, p, _ = sk.decode()
-        assert w.tolist() == [1.0, 2.5, 0.25, 0.0]
-        assert p.tolist() == [[1.0, 7.0], [8.0, 8.0], [3.0, 2.0], [5.0, 1.0]]
+        for raw in (golden, golden_v1):
+            w, p, _ = Sketch.from_bytes(raw).decode()
+            assert w.tolist() == [1.0, 2.5, 0.25, 0.0]
+            assert p.tolist() == [[1.0, 7.0], [8.0, 8.0], [3.0, 2.0], [5.0, 1.0]]
+
+    def test_identity_sketch_costs_at_most_the_raw_grid(self):
+        # 10-bit grid values and no weight codes: n d 10 bits, plus the
+        # header with its group sizes and the centers
+        n, d = 20_000, 16
+        data = geometry.random_grid_dataset(n, d, 1024, seed=3)
+        sk = codec.compress(data, 8, 2, 0.1, "identity", seed=4)
+        assert sk.exact_coordinates and sk.unit_weights
+        assert sk.ledger.total_bits == sk.ledger.header_bits + sk.ledger.center_bits \
+            + n * d * 10
+        assert np.array_equal(sk.decode()[1], data.points[sk.source_order])
 
     def test_full_weight_exponent_range(self):
         # weights spanning threshold .. (1+4 eps) n exercise both exponent
@@ -339,16 +357,22 @@ class TestEstimateCost:
 
 
 class TestTheoreticalBound:
-    def test_store_everything_branch(self):
-        assert theoretical_upper_bound(3, 8, 4, 16, 0.1, 2, 3) \
-            == pytest.approx(3 * 4 * 4)
-
     def test_hand_golden_value(self):
-        # k d log2(delta) = 4; |S| ( log2(4/eps)=3 +
-        #   log2 max(log2(4 |S| / eps)=3, log2 n=2) + d log2(4 z/eps)=6 + 0 )
-        got = theoretical_upper_bound(4, 2, 2, 2, 0.5, 1, 1)
-        want = 4 + (3 + math.log2(3) + 6 + 0)
-        assert got == pytest.approx(want)
+        # eps = 1/2, z = 1, delta = 2, n = 4, |S| = 1: f_w = f_x = 3, center
+        # and group widths 1, weight exponents in [-5, 4] (5 bits) and
+        # coordinate exponents in [0, 1] (1 bit), so 10-bit weight and 6-bit
+        # coordinate codes. Header 424 + 2 group + 4 center bits, then per
+        # point a weight code and d = 2 one-bit grid values.
+        assert theoretical_upper_bound(4, 2, 2, 2, 0.5, 1, 1) == 424 + 2 + 4 + 10 + 2
+        assert theoretical_upper_bound(4, 2, 2, 2, 0.5, 1, 1, True) == 424 + 2 + 4 + 2
+
+    def test_takes_the_cheaper_coordinate_form(self):
+        # eps = 0.1, z = 2: f_x = 7, so 13-bit coordinate codes at delta =
+        # 2^10, where 10-bit grid values are cheaper, and 14-bit codes at 2^24
+        for delta, per_coordinate in [(2 ** 10, 10), (2 ** 24, 14)]:
+            grown = theoretical_upper_bound(100, 4, 9, delta, 0.1, 2, 30)
+            assert grown - theoretical_upper_bound(100, 4, 8, delta, 0.1, 2, 30) \
+                == 4 * math.ceil(math.log2(delta)) + 30 * per_coordinate
 
     def test_monotone_in_size_arguments(self):
         base = dict(n=100, k=4, d=8, delta=64, eps=0.2, z=2, coreset_size=30)

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 import kzsk_reference as ref
 from kzsketch import codec
+from kzsketch.cli import main
 from kzsketch.coreset import WeightedCoreset, approx_centers
 from kzsketch.errors import InvalidInput, KZSketchError, SketchFormatError
 from kzsketch.geometry import GridDataset, ProblemConfig
@@ -22,8 +23,9 @@ EPSILONS = [0.3, 0.1, 1e-6, 1e-18]
 @st.composite
 def instances(draw):
     """A small coreset with centers. Covers k > n, |S| = 0, zero-weight
-    codes (weights at or below eps / (4 |S|)) and zero-delta codes (coreset
-    points equal to their centers)."""
+    codes (weights at or below eps / (4 |S|)), zero-delta codes (coreset
+    points equal to their centers), unit weights, and both coordinate
+    forms: grid values win on small grids, quantized codes at 2^20."""
     n = draw(st.integers(1, 12))
     d = draw(st.integers(1, 4))
     k = draw(st.integers(1, 6))
@@ -43,6 +45,8 @@ def instances(draw):
     thr = eps / (4 * s) if s else 0.0
     weights = rng.uniform(2 * thr, n, size=s)
     weights[rng.random(s) < 0.3] = draw(st.sampled_from([0.0, thr / 2, thr]))
+    if draw(st.booleans()):
+        weights[:] = 1.0
     config = ProblemConfig(n=n, d=d, k=k, z=z, delta=delta, epsilon=eps)
     return WeightedCoreset(pts, weights, n, eps), centers, config
 
@@ -102,23 +106,35 @@ class TestAgainstReference:
             codec.encode(cs, np.array([[1, 7]]), config)
 
 
-def _valid_sketch() -> bytes:
+def _valid_sketch(delta: int = 16, unit: bool = False) -> bytes:
     rng = np.random.default_rng(5)
-    data = rng.integers(1, 17, size=(6, 2))
+    data = rng.integers(1, delta + 1, size=(6, 2))
     weights = rng.uniform(0.5, 2.0, size=6)
     weights[1] = 0.0
+    if unit:
+        weights[:] = 1.0
     centers = data[[0, 3]]
-    config = ProblemConfig(n=6, d=2, k=2, z=Fraction(3, 2), delta=16,
+    config = ProblemConfig(n=6, d=2, k=2, z=Fraction(3, 2), delta=delta,
                            epsilon=0.3)
     return ref.encode_bytes(WeightedCoreset(data, weights, 6, 0.3), centers,
                             config)
 
 
+# exact coordinates (4-bit grid values beat 10-bit codes) with weight codes
 VALID = _valid_sketch()
+# v1: the coreset of test_codec's golden bytes, with quantized deltas
+VALID_V1 = bytes.fromhex(
+    "4b5a534b0100020000000200000002000000010000000800000000000000"
+    "fe000000040000000000000004000000000000000502"
+    "1a0483061d0b000080a00070")
+# one sketch per v2 mode, and v1
+VALID_ALL = [VALID, _valid_sketch(unit=True), _valid_sketch(delta=2 ** 24),
+             _valid_sketch(delta=2 ** 24, unit=True), VALID_V1]
+FLAGS_BYTE = struct.calcsize(codec._HEADER_FMT)
 # (offset, struct code) of every header field after the magic
 HEADER_FIELDS = [(4, "<H"), (6, "<I"), (10, "<I"), (14, "<I"), (18, "<I"),
                  (22, "<Q"), (30, "<b"), (31, "<3s"), (34, "<Q"), (42, "<Q"),
-                 (50, "<B"), (51, "<B")]
+                 (50, "<B"), (51, "<B"), (FLAGS_BYTE, "<B")]
 
 
 def _parse_or_reject(raw: bytes):
@@ -135,26 +151,37 @@ def _parse_or_reject(raw: bytes):
 class TestCorruptBytes:
     def test_header_field_offsets(self):
         layout = "<4s" + "".join(fmt[1:] for _, fmt in HEADER_FIELDS)
-        assert layout == codec._HEADER_FMT
+        assert layout == codec._HEADER_FMT + "B"     # v2 appends the flags
+        assert [(codec.Sketch.from_bytes(raw).exact_coordinates,
+                 codec.Sketch.from_bytes(raw).unit_weights) for raw in VALID_ALL[:4]] \
+            == [(True, False), (True, True), (False, False), (False, True)]
         assert [off for off, _ in HEADER_FIELDS] == [
             struct.calcsize("<4s" + "".join(fmt[1:] for _, fmt in HEADER_FIELDS[:i]))
             for i in range(len(HEADER_FIELDS))]
 
     def test_every_truncation(self):
-        for length in range(len(VALID)):
-            with pytest.raises(SketchFormatError):
-                codec.Sketch.from_bytes(VALID[:length])
+        for valid in VALID_ALL:
+            for length in range(len(valid)):
+                with pytest.raises(SketchFormatError):
+                    codec.Sketch.from_bytes(valid[:length])
 
     def test_every_single_bit_flip(self):
-        for bit in range(8 * len(VALID)):
-            raw = bytearray(VALID)
-            raw[bit // 8] ^= 0x80 >> (bit % 8)
-            _parse_or_reject(bytes(raw))
+        for valid in VALID_ALL:
+            for bit in range(8 * len(valid)):
+                raw = bytearray(valid)
+                raw[bit // 8] ^= 0x80 >> (bit % 8)
+                _parse_or_reject(bytes(raw))
+
+    def test_v1_parses_like_the_reference(self):
+        sketch = codec.Sketch.from_bytes(VALID_V1)
+        assert (sketch.version, sketch.exact_coordinates, sketch.unit_weights) \
+            == (1, False, False)
+        assert_same_fields(sketch, ref.parse(VALID_V1))
 
     def test_negative_weight_code_rejected(self):
         sketch = codec.Sketch.from_bytes(VALID)
         p = sketch.params
-        assert not sketch._w_codes[0][0]    # the first code: a nonzero weight
+        assert not sketch._zero[0, 0]       # the first code: a nonzero weight
         sign_bit = (8 * codec._HEADER_BYTES + 1 + sketch.k * sketch.d * p.center_width
                     + sketch.k * p.group_width)
         raw = bytearray(VALID)
@@ -182,3 +209,45 @@ class TestCorruptBytes:
             + VALID[offset + struct.calcsize(fmt):]
         with pytest.raises(SketchFormatError, match="header field widths"):
             codec.Sketch.from_bytes(raw)
+
+
+class TestV2Flags:
+    """Header flags that disagree with the payload: each must be a
+    ``SketchFormatError``, exit code 2 from the CLI."""
+
+    @staticmethod
+    def _reject(raw: bytes, match: str, tmp_path, capsys):
+        with pytest.raises(SketchFormatError, match=match):
+            codec.Sketch.from_bytes(raw)
+        path = tmp_path / "bad.kzsk"
+        path.write_bytes(raw)
+        assert main(["size", "--sketch", str(path)]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
+    @pytest.mark.parametrize("bit", [4, 0x80])
+    def test_unknown_flag_bit(self, bit, tmp_path, capsys):
+        raw = bytearray(VALID)
+        raw[FLAGS_BYTE] |= bit
+        self._reject(bytes(raw), "unknown header flags", tmp_path, capsys)
+
+    def test_exact_coordinate_above_delta(self, tmp_path, capsys):
+        # delta = 12 keeps 4-bit grid values; the all-ones value 16 is off the grid
+        rng = np.random.default_rng(6)
+        data = rng.integers(1, 13, size=(6, 2))
+        config = ProblemConfig(n=6, d=2, k=2, z=Fraction(2), delta=12, epsilon=0.3)
+        raw = bytearray(ref.encode_bytes(WeightedCoreset(data, np.ones(6), 6, 0.3),
+                                         data[[0, 3]], config))
+        sketch = codec.Sketch.from_bytes(bytes(raw))
+        assert sketch.exact_coordinates and sketch.unit_weights
+        first = 8 * codec._HEADER_BYTES + sketch.ledger.center_bits + 2 * sketch.params.group_width
+        for bit in range(first, first + 4):
+            raw[bit // 8] |= 0x80 >> (bit % 8)
+        self._reject(bytes(raw), "exceeds delta = 12", tmp_path, capsys)
+
+    def test_unit_weight_flag_on_weight_codes(self, tmp_path, capsys):
+        for valid in (VALID, VALID_ALL[2]):
+            raw = bytearray(valid)
+            assert not codec.Sketch.from_bytes(valid).unit_weights
+            raw[FLAGS_BYTE] |= codec.UNIT_WEIGHTS
+            # the payload is read without its weight codes: bytes are left over
+            self._reject(bytes(raw), "trailing bytes", tmp_path, capsys)

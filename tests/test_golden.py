@@ -1,6 +1,7 @@
 """Golden sketch corpus: fixed inputs whose wire bytes, ledger and decoded
 arrays are pinned, so a refactor of the kernel, snapping or codec path that
-changes any output bit fails here. A second corpus pins the wire bytes of
+changes any output bit fails here. At delta = 1024 exact grid coordinates
+are the cheaper form; the delta = 2^24 cases pin the quantized one. A second corpus pins the wire bytes of
 the coordinator's sites and of the stream's live sketches, including the
 stream's level-0 reductions.
 
@@ -34,27 +35,36 @@ GOLDEN_V1 = Path(__file__).with_name("golden_v1")
 V1_FINGERPRINTS = json.loads((GOLDEN_V1 / "fingerprints.json").read_text())
 DELTA = 1024
 EPS = 0.1
-# (n, d, k); the last has k > n, so approx_centers repeats centers
-SHAPES = ((2000, 16, 8), (300, 5, 3), (40, 3, 64))
-CASES = [(n, d, k, z, method)
-         for (n, d, k), z, method in itertools.product(
+# (n, d, k, delta); (40, 3, 64) has k > n, so approx_centers repeats centers
+SHAPES = ((2000, 16, 8, DELTA), (300, 5, 3, DELTA), (40, 3, 64, DELTA),
+          (300, 5, 3, 2 ** 24))
+CASES = [(n, d, k, z, method, delta)
+         for (n, d, k, delta), z, method in itertools.product(
              SHAPES, (1, 2), ("identity", "sensitivity"))]
 
 
 def case_id(case) -> str:
-    n, d, k, z, method = case
-    return f"n{n}-d{d}-k{k}-z{z}-{method}"
+    n, d, k, z, method, delta = case
+    return f"n{n}-d{d}-k{k}-z{z}-{method}" + ("" if delta == DELTA else f"-delta{delta}")
 
 
-def fingerprint(case) -> dict:
-    n, d, k, z, method = case
-    data = geometry.random_grid_dataset(n, d, DELTA, seed=n + d + k)
-    config = ProblemConfig(n=n, d=d, k=k, z=Fraction(z), delta=DELTA, epsilon=EPS)
+def encoded(case):
+    """(approximate centers, coreset, sketch) of one case."""
+    n, d, k, z, method, delta = case
+    data = geometry.random_grid_dataset(n, d, delta, seed=n + d + k)
+    config = ProblemConfig(n=n, d=d, k=k, z=Fraction(z), delta=delta, epsilon=EPS)
     centers = coreset.approx_centers(data, k, z, seed=z)
     cs = coreset.build_coreset(data, k, z, EPS, method=method, seed=z + 1,
                                centers=centers)
+    return centers, cs, codec.encode(cs, centers, config)
+
+
+def fingerprint(case) -> dict:
+    centers, _, sketch = encoded(case)
     return {"has_repeats": centers.has_repeats,
-            **wire_fingerprint(codec.encode(cs, centers, config))}
+            "exact_coordinates": sketch.exact_coordinates,
+            "unit_weights": sketch.unit_weights,
+            **wire_fingerprint(sketch)}
 
 
 def wire_fingerprint(sketch) -> dict:
@@ -150,8 +160,28 @@ def test_v1_fixture_parses_to_pinned_fingerprint(name):
     assert 0 <= 8 * len(raw) - sketch.ledger.total_bits <= 7
 
 
+@pytest.mark.parametrize("case", CASES, ids=case_id)
+def test_sketch_meets_the_wire_contract(case):
+    n, d, k, z, _, delta = case
+    _, cs, sketch = encoded(case)
+    raw = sketch.to_bytes()
+    reopened = codec.Sketch.from_bytes(raw)
+    assert reopened.ledger == sketch.ledger
+    assert 0 <= 8 * len(raw) - sketch.ledger.total_bits <= 7
+    assert sketch.ledger.total_bits <= codec.theoretical_upper_bound(
+        n, k, d, delta, EPS, z, cs.size, sketch.unit_weights)
+    if sketch.exact_coordinates:
+        assert np.array_equal(reopened.decode()[1], cs.points[sketch.source_order])
+
+
 def test_corpus_covers_repeated_centers(golden):
     assert any(golden[case_id(c)]["has_repeats"] for c in CASES)
+
+
+def test_corpus_covers_every_v2_mode(golden):
+    modes = {(golden[case_id(c)]["exact_coordinates"], golden[case_id(c)]["unit_weights"])
+             for c in CASES}
+    assert modes == {(True, True), (True, False), (False, True), (False, False)}
 
 
 @pytest.mark.parametrize("case", COORDINATOR_CASES, ids=lambda c: c[0])
@@ -171,6 +201,7 @@ def test_stream_corpus_covers_repeated_reductions(golden_distsim):
 
 
 if __name__ == "__main__":
+    # golden_v1/ is frozen: this writes the current version's corpora only
     GOLDEN.write_text(json.dumps({case_id(c): fingerprint(c) for c in CASES},
                                  indent=1, sort_keys=True) + "\n")
     GOLDEN_DISTSIM.write_text(json.dumps(distsim_corpus(), indent=1,
