@@ -152,9 +152,6 @@ class TestCorruptBytes:
     def test_header_field_offsets(self):
         layout = "<4s" + "".join(fmt[1:] for _, fmt in HEADER_FIELDS)
         assert layout == codec._HEADER_FMT + "B"     # v2 appends the flags
-        assert [(codec.Sketch.from_bytes(raw).exact_coordinates,
-                 codec.Sketch.from_bytes(raw).unit_weights) for raw in VALID_ALL[:4]] \
-            == [(True, False), (True, True), (False, False), (False, True)]
         assert [off for off, _ in HEADER_FIELDS] == [
             struct.calcsize("<4s" + "".join(fmt[1:] for _, fmt in HEADER_FIELDS[:i]))
             for i in range(len(HEADER_FIELDS))]
@@ -224,6 +221,11 @@ class TestV2Flags:
         assert main(["size", "--sketch", str(path)]) == 2
         assert capsys.readouterr().err.startswith("error: ")
 
+    def test_samples_cover_every_mode(self):
+        modes = [(sketch.exact_coordinates, sketch.unit_weights) for sketch
+                 in map(codec.Sketch.from_bytes, VALID_ALL[:4])]
+        assert modes == [(True, False), (True, True), (False, False), (False, True)]
+
     @pytest.mark.parametrize("bit", [4, 0x80])
     def test_unknown_flag_bit(self, bit, tmp_path, capsys):
         raw = bytearray(VALID)
@@ -231,7 +233,7 @@ class TestV2Flags:
         self._reject(bytes(raw), "unknown header flags", tmp_path, capsys)
 
     def test_exact_coordinate_above_delta(self, tmp_path, capsys):
-        # delta = 12 keeps 4-bit grid values; the all-ones value 16 is off the grid
+        # delta = 12 keeps 4-bit grid values; 12 stands for 13, off the grid
         rng = np.random.default_rng(6)
         data = rng.integers(1, 13, size=(6, 2))
         config = ProblemConfig(n=6, d=2, k=2, z=Fraction(2), delta=12, epsilon=0.3)
@@ -240,8 +242,10 @@ class TestV2Flags:
         sketch = codec.Sketch.from_bytes(bytes(raw))
         assert sketch.exact_coordinates and sketch.unit_weights
         first = 8 * codec._HEADER_BYTES + sketch.ledger.center_bits + 2 * sketch.params.group_width
-        for bit in range(first, first + 4):
-            raw[bit // 8] |= 0x80 >> (bit % 8)
+        for i, bit in enumerate(format(12, "04b")):     # the first grid value
+            mask = 0x80 >> ((first + i) % 8)
+            raw[(first + i) // 8] &= ~mask
+            raw[(first + i) // 8] |= mask * int(bit)
         self._reject(bytes(raw), "exceeds delta = 12", tmp_path, capsys)
 
     def test_unit_weight_flag_on_weight_codes(self, tmp_path, capsys):
