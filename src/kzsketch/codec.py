@@ -539,11 +539,12 @@ def encode(coreset: WeightedCoreset, centers, config: ProblemConfig) -> Sketch:
     order = np.argsort(assign, kind="stable")
     group_sizes = np.bincount(assign, minlength=config.k)
     weights = coreset.weights[order]
+    deltas = pts - cen[assign]
 
     unit = bool((weights == 1.0).all())
     # grid values against quantized deltas: one bit if zero, else a full code
-    exact = pts.size * params.center_width \
-        < pts.size + np.count_nonzero(pts != cen[assign]) * (params.code_widths[1] - 1)
+    exact = deltas.size * params.center_width \
+        < deltas.size + np.count_nonzero(deltas) * (params.code_widths[1] - 1)
     zero_columns, fields = [], []
     if not unit:
         w_zero, _, w_expo, w_frac = _encode_array(
@@ -559,12 +560,10 @@ def encode(coreset: WeightedCoreset, centers, config: ProblemConfig) -> Sketch:
         fields += [w_field[:, None], w_frac[:, None]]
     if exact:
         zero_columns.append(np.zeros(pts.shape, dtype=bool))
-        grid = pts[order]
-        grid -= 1
-        fields.append(grid)
+        fields.append(pts[order] - 1)
     else:
         x_zero, x_sign, x_expo, x_frac = _encode_array(
-            (pts[order] - cen[assign[order]]).astype(np.float64), params.f_x, 0.0)
+            deltas[order].astype(np.float64), params.f_x, 0.0)
         if x_expo.min(initial=0) < 0 or x_expo.max(initial=0) > params.x_expo_max:
             raise InvalidInput("coordinate delta exponent out of range")
         zero_columns.append(x_zero)

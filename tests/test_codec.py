@@ -253,7 +253,8 @@ class TestEncodeDecode:
         config = ProblemConfig(n=4, d=2, k=2, z=Fraction(2), delta=8,
                                epsilon=0.25)
         sk = encode(cs, np.array([[1, 7], [5, 1]]), config)
-        # v2 with exact coordinates: 3-bit grid values beat 9-bit codes
+        # v2, flags byte 01 (exact coordinates): 3-bit grid values beat
+        # 9-bit codes
         golden = bytes.fromhex(
             "4b5a534b0200020000000200000002000000010000000800000000000000"
             "fe000000040000000000000004000000000000000502"

@@ -1,9 +1,9 @@
 """Golden sketch corpus: fixed inputs whose wire bytes, ledger and decoded
 arrays are pinned, so a refactor of the kernel, snapping or codec path that
 changes any output bit fails here. At delta = 1024 exact grid coordinates
-are the cheaper form; the delta = 2^24 cases pin the quantized one. A second corpus pins the wire bytes of
-the coordinator's sites and of the stream's live sketches, including the
-stream's level-0 reductions.
+are the cheaper form; the delta = 2^24 cases pin the quantized one. A
+second corpus pins the wire bytes of the coordinator's sites and of the
+stream's live sketches, including the stream's level-0 reductions.
 
 z = 3/2 is left out on purpose: its distances go through exp/log, whose
 SIMD paths may differ by an ulp across CPUs. Grid squares and sqrt are
