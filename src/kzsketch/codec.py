@@ -46,28 +46,34 @@ UNIT_WEIGHTS = 2
 _EPS_FRAC_BITS = 24
 
 
-def _put_bits(bits: np.ndarray, offsets: np.ndarray, values, width: int):
-    """Write each value MSB-first into the ``width`` bits at its offset of the
-    0/1 array ``bits``. Both bit helpers go one bit column at a time (bit j
-    of each field is ``bits[j:][offsets]``): O(len(offsets)) temporaries."""
-    values = np.asarray(values, dtype=np.int64)
-    bit = np.empty_like(values)
-    for j in range(width):
-        np.right_shift(values, width - 1 - j, out=bit)
-        bits[j:][offsets] = np.bitwise_and(bit, 1, out=bit)
+# bits per block of payload rows (at least one row): the packer's and the
+# parser's (rows, R) bit matrix and mask stay near 4 MiB each, unless a
+# single row is wider
+_BLOCK_BITS = 1 << 22
 
 
-def _take_bits(bits: np.ndarray, offsets: np.ndarray, width: int) -> np.ndarray:
-    """Read the ``width``-bit MSB-first field at each offset."""
-    out = np.zeros(offsets.shape, dtype=np.int64)
-    if offsets.size and width:
-        last = offsets.max()
-        if last + width > bits.size:
-            raise SketchFormatError("payload ends early", bit_offset=int(last))
-        for j in range(width):
-            out <<= 1
-            out |= bits[j:][offsets]
-    return out
+def _byte_width(width: int) -> int:
+    """Bytes of the smallest unsigned integer type that holds ``width`` bits."""
+    return next(b for b in (1, 2, 4, 8) if 8 * b >= width)
+
+
+def _bits_of(values, width: int) -> np.ndarray:
+    """The low ``width`` bits of each value, MSB first, along a new last
+    axis: one big-endian unpackbits."""
+    nb = _byte_width(width)
+    be = np.asarray(values, dtype=np.int64).astype(f">u{nb}")
+    bits = np.unpackbits(be.view(np.uint8)).reshape(be.shape + (8 * nb,))
+    return bits[..., 8 * nb - width:]
+
+
+def _values_of(bits: np.ndarray, width: int) -> np.ndarray:
+    """The inverse of :func:`_bits_of`: the value of each run of ``width``
+    bits along the last axis, through one flat packbits, as big-endian
+    unsigned integers (the caller's assignment or astype converts them)."""
+    nb = _byte_width(width)
+    padded = np.zeros(bits.shape[:-1] + (8 * nb,), dtype=np.uint8)
+    padded[..., 8 * nb - width:] = bits
+    return np.packbits(padded).view(f">u{nb}").reshape(bits.shape[:-1])
 
 
 @dataclass(frozen=True)
@@ -192,29 +198,50 @@ class SketchParams:
 
 
 def _row_layout(p: SketchParams, d: int, exact: bool, unit: bool):
-    """The fields of one point's row, in wire order: its weight code (none
-    under unit weights), then d coordinates, either fixed-width grid values
-    or variable-width codes. Returns the full width of each column and
-    whether it is a variable-width code, whose zero flag may cut it to one
-    bit."""
-    widths = [] if unit else [p.code_widths[0]]
-    widths += [p.center_width if exact else p.code_widths[1]] * d
-    variable = ([] if unit else [True]) + [not exact] * d
-    return np.array(widths, dtype=np.uint8), np.array(variable, dtype=bool)
+    """The columns of one point's row, in wire order, as runs of equal
+    columns: its weight code (none under unit weights), then d coordinates,
+    either fixed-width grid values or variable-width codes. Returns
+    (columns, full width of a column, whether it is a variable-width code,
+    whose zero flag may cut it to one bit) per run."""
+    runs = [] if unit else [(slice(0, 1), p.code_widths[0], True)]
+    x = slice(len(runs), len(runs) + d)
+    return runs + [(x, p.center_width if exact else p.code_widths[1], not exact)]
 
 
 def _field_layout(p: SketchParams, exact: bool, unit: bool):
-    """(columns, bit offset within the column, width) of each field the
-    payload stores besides the zero flags, in the order of a sketch's field
-    arrays: a weight code's exponent and fraction (its sign bit is always
-    0), then either each coordinate's grid value minus 1, or a coordinate
-    code's sign, exponent and fraction."""
-    w = slice(0, 1)
-    x = slice(0 if unit else 1, None)
+    """(run of the row layout, bit offset within a column, width) of each
+    field the payload stores besides the zero flags, in the order of a
+    sketch's field arrays: a weight code's exponent and fraction (its sign
+    bit is always 0), then either each coordinate's grid value minus 1, or a
+    coordinate code's sign, exponent and fraction."""
+    w, x = 0, 0 if unit else 1
     fields = [] if unit else [(w, 2, p.w_expo_width), (w, 2 + p.w_expo_width, p.f_w)]
     if exact:
         return fields + [(x, 0, p.center_width)]
     return fields + [(x, 1, 1), (x, 2, p.x_expo_width), (x, 2 + p.x_expo_width, p.f_x)]
+
+
+def _row_blocks(zero: np.ndarray, runs):
+    """The payload rows in blocks of about _BLOCK_BITS bits (at least one
+    row), given their (|S|, m) zero flags and their row layout. Per block,
+    yields the slice of its rows, a zeroed (rows, R) bit matrix for the rows
+    at full width, the mask of the matrix bits the payload stores (all but
+    those after a zero flag), and per run of the row layout its (rows,
+    columns, width) view of the matrix."""
+    row_bits = sum((cols.stop - cols.start) * width for cols, width, _ in runs)
+    step = max(1, _BLOCK_BITS // row_bits)
+    for lo in range(0, len(zero), step):
+        z = zero[lo:lo + step]
+        matrix = np.zeros((len(z), row_bits), dtype=np.uint8)
+        keep = np.ones(matrix.shape, dtype=bool)
+        views, start = [], 0
+        for cols, width, variable in runs:
+            end = start + (cols.stop - cols.start) * width
+            views.append(matrix[:, start:end].reshape(len(z), -1, width))
+            if variable:
+                keep[:, start:end].reshape(len(z), -1, width)[:, :, 1:] = ~z[:, cols, None]
+            start = end
+        yield slice(lo, lo + len(z)), matrix, keep, views
 
 
 def derive_params(eps_q: float, z: Fraction, n: int, s: int, delta: int) -> SketchParams:
@@ -331,8 +358,10 @@ class Sketch:
 
     def _parse_payload(self):
         """Read the payload: one pass over the zero flags of the variable-
-        width codes, the only sequential dependency of the layout, then
-        every field at once."""
+        width codes, the only sequential dependency of the layout, then per
+        block of rows (see :func:`_row_blocks`) one masked fill of its bit
+        matrix with the payload bits that follow, and every field of the
+        block read from its view of the matrix."""
         p, k, d, s = self.params, self.k, self.d, self.coreset_size
         payload = np.frombuffer(self._data, dtype=np.uint8, offset=self._header_bytes)
         nbits = 8 * payload.size
@@ -344,28 +373,31 @@ class Sketch:
                 f"payload of {nbits} bits cannot hold the {k}x{d} centers, "
                 f"group sizes and {s} coded points of the header",
                 bit_offset=nbits)
-        (widths, variable), layout = self._layouts()
+        runs, layout = self._layouts()
+        # per variable-width code: the bits it and the fixed-width columns
+        # after it take, if it is nonzero and if it is zero
+        steps, variable = [], np.zeros(runs[-1][0].stop, dtype=bool)
+        for cols, width, var in runs:
+            n = cols.stop - cols.start
+            if var:
+                steps += [(width, 1)] * n
+                variable[cols] = True
+            elif steps:
+                steps[-1] = (steps[-1][0] + n * width, steps[-1][1] + n * width)
         # what the sketch keeps is allocated before the scratch bit array, so
         # that freeing the scratch leaves no hole under live memory
-        n_var = int(variable.sum())
-        flags = bytearray(s * n_var)
-        zero = np.zeros((s, widths.size), dtype=bool)
-        fields = [np.zeros_like(zero[:, cols], dtype=np.int64) for cols, _, _ in layout]
+        flags = bytearray(s * len(steps))
+        zero = np.zeros((s, variable.size), dtype=bool)
+        fields = [np.zeros_like(zero[:, runs[g][0]], dtype=np.int64) for g, _, _ in layout]
         bits = np.unpackbits(payload)
-        centers = _take_bits(bits, np.arange(k * d) * p.center_width,
-                             p.center_width).reshape(k, d) + 1
-        group_sizes = _take_bits(bits, code_start - k * p.group_width
-                                 + np.arange(k) * p.group_width, p.group_width).tolist()
+        cw, gw = p.center_width, p.group_width
+        centers = _values_of(bits[:k * d * cw].reshape(k, d, cw), cw).astype(np.int64) + 1
+        group_sizes = _values_of(bits[k * d * cw:code_start].reshape(k, gw), gw).tolist()
         if sum(group_sizes) != s:
             raise SketchFormatError(
                 f"group sizes sum to {sum(group_sizes)}, header says {s}",
                 bit_offset=code_start)
 
-        # per variable-width code: the bits it and the fixed-width fields
-        # after it take, if it is nonzero and if it is zero
-        var = np.flatnonzero(variable)
-        steps = [(int(widths[j:e].sum()), 1 + int(widths[j + 1:e].sum()))
-                 for j, e in zip(var, [*var[1:], widths.size])]
         flat = memoryview(bits)
         pos = code_start
         try:
@@ -377,13 +409,18 @@ class Sketch:
                     pos += full
         except IndexError:
             raise SketchFormatError("payload ends early", bit_offset=pos) from None
-        zero[:, variable] = np.frombuffer(flags, dtype=bool).reshape(s, n_var)
-        offsets, _ = _code_offsets(zero, widths, code_start)
-        if not self.unit_weights and _take_bits(bits[1:], offsets[:, 0][~zero[:, 0]], 1).any():
-            raise SketchFormatError("negative weight code")
-        for field, (cols, shift, width) in zip(fields, layout):
-            live = ~zero[:, cols]
-            field[live] = _take_bits(bits[shift:], offsets[:, cols][live], width)
+        zero[:, variable] = np.frombuffer(flags, dtype=bool).reshape(s, len(steps))
+        pos = code_start
+        for rows, matrix, keep, views in _row_blocks(zero, runs):
+            count = int(np.count_nonzero(keep))
+            if pos + count > nbits:
+                raise SketchFormatError("payload ends early", bit_offset=nbits)
+            matrix[keep] = bits[pos:pos + count]
+            pos += count
+            if not self.unit_weights and views[0][:, 0, 1].any():
+                raise SketchFormatError("negative weight code")
+            for field, (g, shift, width) in zip(fields, layout):
+                field[rows] = _values_of(views[g][:, :, shift:shift + width], width)
 
         if centers.max() > self.delta or (
                 self.exact_coordinates and fields[-1].max(initial=0) >= self.delta):
@@ -407,18 +444,26 @@ class Sketch:
         Layout: centers, group sizes, then per point one row of fields (see
         :func:`_row_layout`). A variable-width code is [1] if zero, else
         [0][sign][expo][fraction]; a grid value is its coordinate minus 1.
+        Each block of rows is written into its bit matrix at full width,
+        and the payload takes the bits its mask keeps.
         """
         p, k, d = self.params, self.k, self.d
         cw, gw = p.center_width, p.group_width
-        (widths, _), layout = self._layouts()
-        offsets, end = _code_offsets(self._zero, widths, k * d * cw + k * gw)
-        bits = np.zeros(end, dtype=np.uint8)
-        _put_bits(bits, np.arange(k * d) * cw, self.centers.ravel() - 1, cw)
-        _put_bits(bits, k * d * cw + np.arange(k) * gw, self.group_sizes, gw)
-        bits[offsets[self._zero]] = 1
-        for field, (cols, shift, width) in zip(self._fields, layout):
-            live = ~self._zero[:, cols]
-            _put_bits(bits[shift:], offsets[:, cols][live], field[live], width)
+        runs, layout = self._layouts()
+        bits = np.empty(self.ledger.total_bits - 8 * self._header_bytes, dtype=np.uint8)
+        pos = k * d * cw
+        bits[:pos] = _bits_of(self.centers.ravel() - 1, cw).ravel()
+        bits[pos:pos + k * gw] = _bits_of(self.group_sizes, gw).ravel()
+        pos += k * gw
+        for rows, matrix, keep, views in _row_blocks(self._zero, runs):
+            for (cols, _, variable), view in zip(runs, views):
+                if variable:
+                    view[:, :, 0] = self._zero[rows, cols]
+            for field, (g, shift, width) in zip(self._fields, layout):
+                views[g][:, :, shift:shift + width] = _bits_of(field[rows], width)
+            stored = matrix[keep]
+            bits[pos:pos + stored.size] = stored
+            pos += stored.size
         return np.packbits(bits)
 
     def _set_payload(self, centers, group_sizes, zero, fields):
@@ -429,15 +474,15 @@ class Sketch:
         self.group_sizes = group_sizes
         self.group_of = np.repeat(np.arange(self.k), group_sizes)
         self._zero, self._fields = zero, fields
-        (widths, _), _ = self._layouts()
-        widths = widths.astype(np.int64)
-        column_bits = s * widths - (widths - 1) * zero.sum(axis=0)
-        w = 0 if self.unit_weights else 1
+        runs, _ = self._layouts()
+        run_bits = [s * (cols.stop - cols.start) * width
+                    - (width - 1) * int(np.count_nonzero(zero[:, cols]))
+                    for cols, width, _ in runs]
         self.ledger = BitLedger(
             header_bits=8 * self._header_bytes + self.k * p.group_width,
             center_bits=self.k * d * p.center_width,
-            weight_bits=int(column_bits[:w].sum()),
-            coordinate_bits=int(column_bits[w:].sum()),
+            weight_bits=0 if self.unit_weights else run_bits[0],
+            coordinate_bits=run_bits[-1],
         )
 
     # -- public surface ------------------------------------------------------
@@ -482,18 +527,6 @@ class Sketch:
             raise DimensionMismatch(
                 f"sketch dimension {self.d} != query dimension {cen.shape[1]}")
         return geometry.weighted_cost(weights, points, cen, self.z)
-
-
-def _code_offsets(zero: np.ndarray, widths: np.ndarray, start: int):
-    """Bit offset of every field of the (|S|, m) row-major grid that starts
-    at ``start``: column j takes ``widths[j]`` bits, or one where its zero
-    flag is set. Returns the offsets and the end of the last field."""
-    cells = np.where(zero, np.uint8(1), widths)
-    offsets = np.cumsum(cells, dtype=np.int64).reshape(zero.shape)
-    end = start + int(offsets[-1, -1]) if offsets.size else start
-    offsets += start
-    offsets -= cells
-    return offsets, end
 
 
 def check_header_z(z: Fraction) -> None:

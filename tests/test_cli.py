@@ -280,6 +280,57 @@ def test_oversized_sketch_header_rejected_in_bounded_memory(tmp_path):
     assert proc.stderr.startswith("error: payload of 0 bits")
 
 
+def test_wide_row_sketch_parses_in_bounded_memory(tmp_path):
+    # a valid 0.9 MB sketch of 1024 rows of 4096 mostly zero 70-bit
+    # coordinate codes (eps = 1e-18). At full width its rows take 600 MB of
+    # bit matrix and as much mask; parsed in blocks of rows it fits easily
+    # under the child's 1 GiB address-space cap.
+    resource = pytest.importorskip("resource")
+    src = str(Path(kzsketch.__file__).resolve().parents[1])
+    path = tmp_path / "wide.kzsk"
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1",
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    build = (
+        "import sys\n"
+        "from fractions import Fraction\n"
+        "import numpy as np\n"
+        "from kzsketch import codec\n"
+        "from kzsketch.coreset import WeightedCoreset\n"
+        "from kzsketch.geometry import ProblemConfig\n"
+        "s, d, delta = 1024, 4096, 2 ** 20\n"
+        "rng = np.random.default_rng(0)\n"
+        "center = rng.integers(1, delta + 1, size=(1, d))\n"
+        "pts = np.repeat(center, s, axis=0)\n"
+        "off = rng.random(pts.shape) < 0.01\n"
+        "pts[off] = rng.integers(1, delta + 1, size=int(off.sum()))\n"
+        "config = ProblemConfig(n=s, d=d, k=1, z=Fraction(2), delta=delta, epsilon=1e-18)\n"
+        "cs = WeightedCoreset(pts, rng.uniform(0.5, 2, size=s), s, 1e-18)\n"
+        "sketch = codec.encode(cs, center, config)\n"
+        "assert not sketch.exact_coordinates and sketch.params.code_widths[1] == 70\n"
+        "open(sys.argv[1], 'wb').write(sketch.to_bytes())\n")
+    proc = subprocess.run([sys.executable, "-c", build, str(path)], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    parse = (
+        "import sys\n"
+        "from kzsketch import codec\n"
+        "from kzsketch.errors import SketchFormatError\n"
+        "try:\n"
+        "    sketch = codec.Sketch.from_bytes(open(sys.argv[1], 'rb').read())\n"
+        "    print(sketch.coreset_size, sketch.d)\n"
+        "except SketchFormatError as exc:\n"
+        "    print(exc)\n")
+
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+    proc = subprocess.run([sys.executable, "-c", parse, str(path)], env=env,
+                          preexec_fn=cap, capture_output=True, text=True,
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "1024 4096\n"
+
+
 def test_cli_and_lowerbound_run_without_scipy():
     src = str(Path(kzsketch.__file__).resolve().parents[1])
     env = {**os.environ,

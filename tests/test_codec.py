@@ -26,12 +26,10 @@ def make_instance(n=120, d=6, k=3, z=2, delta=1024, eps=0.2, seed=0,
 
 class TestBitIO:
     def test_round_trip_fields(self):
-        fields = [(5, 3), (0, 1), (1023, 10), (1, 1), (0, 7), (77, 13),
-                  (2 ** 63 - 1, 63), (0, 0)]
-        offsets = np.cumsum([0] + [nb for _, nb in fields])
-        bits = np.zeros(offsets[-1], dtype=np.uint8)
-        for (v, nb), off in zip(fields, offsets):
-            codec._put_bits(bits, np.array([off]), [v], nb)
+        rng = np.random.default_rng(0)
+        fields = [(int(rng.integers(0, 2 ** nb)), nb) for nb in range(64)]
+        fields += [(5, 3), (1023, 10), (2 ** 63 - 1, 63), (0, 0), (1, 1)]
+        bits = np.concatenate([codec._bits_of([v], nb)[0] for v, nb in fields])
         raw = np.packbits(bits).tobytes()
         # the same bytes as packing the concatenated fields MSB first
         acc = 0
@@ -40,24 +38,39 @@ class TestBitIO:
         pad = -len(bits) % 8
         assert raw == (acc << pad).to_bytes(len(raw), "big")
         back = np.unpackbits(np.frombuffer(raw, dtype=np.uint8))
-        assert [int(codec._take_bits(back, np.array([off]), nb)[0])
-                for (_, nb), off in zip(fields, offsets)] == [v for v, _ in fields]
+        ends = np.cumsum([nb for _, nb in fields])
+        assert [int(codec._values_of(back[end - nb:end][None], nb)[0])
+                for (_, nb), end in zip(fields, ends)] == [v for v, _ in fields]
 
-    def test_many_offsets_in_one_call(self):
-        values = np.array([0, 1, 6, 7, 3])
-        offsets = np.array([0, 3, 6, 9, 12])
-        bits = np.zeros(15, dtype=np.uint8)
-        codec._put_bits(bits, offsets, values, 3)
-        assert bits.tolist() == [0, 0, 0, 0, 0, 1, 1, 1, 0, 1, 1, 1, 0, 1, 1]
-        assert codec._take_bits(bits, offsets, 3).tolist() == values.tolist()
+    def test_many_values_in_one_call(self):
+        values = np.array([[0, 1, 6], [7, 3, 2]])
+        bits = codec._bits_of(values, 3)
+        assert bits.shape == (2, 3, 3)
+        assert bits.ravel().tolist() == [0, 0, 0, 0, 0, 1, 1, 1, 0,
+                                         1, 1, 1, 0, 1, 1, 0, 1, 0]
+        assert codec._values_of(bits, 3).tolist() == values.tolist()
+        # a strided view of a wider matrix reads the same
+        matrix = np.zeros((2, 11), dtype=np.uint8)
+        matrix[:, 1:10].reshape(2, 3, 3)[...] = bits
+        assert codec._values_of(matrix[:, 1:10].reshape(2, 3, 3), 3).tolist() \
+            == values.tolist()
 
     def test_truncation_reports_offset(self):
-        bits = np.zeros(8, dtype=np.uint8)
-        codec._put_bits(bits, np.array([0]), [0b101], 3)
-        assert codec._take_bits(bits, np.array([0]), 3).tolist() == [0b101]
-        with pytest.raises(SketchFormatError) as err:
-            codec._take_bits(bits, np.array([0, 3]), 8)
-        assert err.value.bit_offset == 3
+        # exact coordinates after nonzero weight codes: the flag pass reads
+        # every weight flag, and the cut falls in the last row's grid values
+        rng = np.random.default_rng(4)
+        pts = rng.integers(1, 17, size=(6, 3))
+        config = ProblemConfig(n=6, d=3, k=2, z=Fraction(2), delta=16, epsilon=0.3)
+        sketch = encode(WeightedCoreset(pts, rng.uniform(0.5, 2, size=6), 6, 0.3),
+                        pts[[0, 3]], config)
+        assert sketch.exact_coordinates and not sketch._zero.any()
+        header = codec._HEADER_BYTES
+        end = sketch.ledger.total_bits - 8 * header
+        cut = (end - 1) // 8
+        assert end - 3 * sketch.params.center_width < 8 * cut < end
+        with pytest.raises(SketchFormatError, match="payload ends early") as err:
+            Sketch.from_bytes(sketch.to_bytes()[:header + cut])
+        assert err.value.bit_offset == 8 * cut
 
 
 class TestScalarCodec:

@@ -106,6 +106,47 @@ class TestAgainstReference:
             codec.encode(cs, np.array([[1, 7]]), config)
 
 
+class TestRowBlocks:
+    """Payload rows go through bit matrices of at most ``_BLOCK_BITS`` bits;
+    here a block holds 4 rows, so 14 rows make blocks of 4, 4, 4 and 2.
+    Zero-weight and zero-delta codes sit on the rows at block edges."""
+
+    @pytest.mark.parametrize("delta, exact", [(16, True), (2 ** 20, False)])
+    def test_bytes_and_fields_match_across_blocks(self, delta, exact, monkeypatch):
+        # rows 0-8 in the low half-cube with center 1, rows 9-13 in the high
+        # one with center delta: rows stay in coreset order
+        rng = np.random.default_rng(9)
+        half = delta // 2
+        pts = rng.integers(1, half + 1, size=(14, 3))
+        pts[9:] += half
+        centers = np.array([[1] * 3, [delta] * 3])
+        weights = rng.uniform(0.5, 3.0, size=14)
+        weights[[3, 8, 12]] = 0.0                   # zero weight codes
+        pts[[4, 7]] = centers[0]                    # zero delta codes
+        pts[[11, 13]] = centers[1]
+        pts[9, 1] = delta                           # and one coordinate
+        config = ProblemConfig(n=14, d=3, k=2, z=Fraction(2), delta=delta, epsilon=0.3)
+        cs = WeightedCoreset(pts, weights, 14, 0.3)
+        sketch = codec.encode(cs, centers, config)
+        runs, _ = sketch._layouts()
+        row_bits = sum((cols.stop - cols.start) * width for cols, width, _ in runs)
+        monkeypatch.setattr(codec, "_BLOCK_BITS", 4 * row_bits + 3)
+        assert [rows.stop - rows.start for rows, *_ in
+                codec._row_blocks(sketch._zero, runs)] == [4, 4, 4, 2]
+
+        sketch = codec.encode(cs, centers, config)
+        assert sketch.exact_coordinates == exact
+        assert not sketch.unit_weights and sketch._zero[[3, 8, 12], 0].all()
+        if not exact:
+            assert sketch._zero[[4, 7, 11, 13], 1:].all() and sketch._zero[9, 2]
+            assert sketch._zero[:, 1:].sum() == 13
+        raw = ref.encode_bytes(cs, centers, config)
+        assert sketch.to_bytes() == raw
+        expected = ref.parse(raw)
+        assert_same_fields(sketch, expected)
+        assert_same_fields(codec.Sketch.from_bytes(raw), expected)
+
+
 def _valid_sketch(delta: int = 16, unit: bool = False) -> bytes:
     rng = np.random.default_rng(5)
     data = rng.integers(1, delta + 1, size=(6, 2))
