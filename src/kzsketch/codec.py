@@ -374,20 +374,19 @@ class Sketch:
                 f"group sizes and {s} coded points of the header",
                 bit_offset=nbits)
         runs, layout = self._layouts()
-        # per variable-width code: the bits it and the fixed-width columns
-        # after it take, if it is nonzero and if it is zero
-        steps, variable = [], np.zeros(runs[-1][0].stop, dtype=bool)
-        for cols, width, var in runs:
+        # per variable-width code (they lead the row): the bits it and the
+        # fixed-width columns after it take, if it is nonzero and if it is zero
+        steps = []
+        for cols, width, variable in runs:
             n = cols.stop - cols.start
-            if var:
+            if variable:
                 steps += [(width, 1)] * n
-                variable[cols] = True
             elif steps:
                 steps[-1] = (steps[-1][0] + n * width, steps[-1][1] + n * width)
         # what the sketch keeps is allocated before the scratch bit array, so
         # that freeing the scratch leaves no hole under live memory
         flags = bytearray(s * len(steps))
-        zero = np.zeros((s, variable.size), dtype=bool)
+        zero = np.zeros((s, runs[-1][0].stop), dtype=bool)
         fields = [np.zeros_like(zero[:, runs[g][0]], dtype=np.int64) for g, _, _ in layout]
         bits = np.unpackbits(payload)
         cw, gw = p.center_width, p.group_width
@@ -409,7 +408,7 @@ class Sketch:
                     pos += full
         except IndexError:
             raise SketchFormatError("payload ends early", bit_offset=pos) from None
-        zero[:, variable] = np.frombuffer(flags, dtype=bool).reshape(s, len(steps))
+        zero[:, :len(steps)] = np.frombuffer(flags, dtype=bool).reshape(s, len(steps))
         pos = code_start
         for rows, matrix, keep, views in _row_blocks(zero, runs):
             count = int(np.count_nonzero(keep))
