@@ -3,7 +3,8 @@ arrays are pinned, so a refactor of the kernel, snapping or codec path that
 changes any output bit fails here. At delta = 1024 exact grid coordinates
 are the cheaper form; the delta = 2^24 cases pin the quantized one. A
 second corpus pins the wire bytes of the coordinator's sites and of the
-stream's live sketches, including the stream's level-0 reductions.
+stream's live sketches, including the stream's level-0 reductions, with
+the stream's resident-bits maximum and the formula value at that moment.
 
 z = 3/2 is left out on purpose: its distances go through exp/log, whose
 SIMD paths may differ by an ulp across CPUs. Grid squares and sqrt are
@@ -86,6 +87,14 @@ def _two_point_dataset() -> GridDataset:
     return GridDataset(rows[np.arange(60) % 2], 64)
 
 
+def _one_point_per_block_dataset() -> GridDataset:
+    """Three far-apart grid points, each repeated for one 200-point block:
+    every block sketch is tiny, but their union under k = 1 is not, so the
+    stream's resident maximum falls right after its one reduction."""
+    rows = np.array([[3, 900], [512, 17], [1000, 640]], dtype=np.int64)
+    return GridDataset(np.repeat(rows, 200, axis=0), 1024)
+
+
 # (name, dataset, k, z, eps, seed, method, sites)
 COORDINATOR_CASES = [
     ("coord-n900-z2-identity", lambda: geometry.random_grid_dataset(900, 6, 256, seed=41),
@@ -105,6 +114,13 @@ STREAM_CASES = [
     ("stream-n1500-z2-identity", lambda: geometry.random_grid_dataset(1500, 5, 128, seed=43),
      3, 2, 0.2, 11, "identity", 100, 3),
     ("stream-twopoint-z2-sensitivity", _two_point_dataset, 2, 2, 0.2, 13, "sensitivity", 6, 2),
+    # the only case whose resident maximum falls at a full buffer, just
+    # before a flush; every other case peaks right after a flush
+    ("stream-n5000-z2-fullbuffer", lambda: geometry.random_grid_dataset(5000, 2, 256, seed=45),
+     1, 2, 0.9, 14, "sensitivity", 1000, 2),
+    # the only case whose resident maximum falls right after a reduction
+    ("stream-blockpoints-z2-identity", _one_point_per_block_dataset,
+     1, 2, 0.1, 15, "identity", 200, 3),
 ]
 
 
@@ -126,7 +142,8 @@ def stream_fingerprint(case) -> dict:
                                 level0_cap=cap)
     return {"sketches_sha256": _sha256(s.to_bytes() for s in result.sketches),
             "blocks": result.blocks, "reductions": result.reductions,
-            "max_resident_bits": result.max_resident_bits}
+            "max_resident_bits": result.max_resident_bits,
+            "formula_bits_at_max": result.formula_bits_at_max}
 
 
 def distsim_corpus() -> dict:
