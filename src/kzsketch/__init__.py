@@ -20,7 +20,7 @@ from .coloring import (PartialColoring, SeparationWitness, TiledInstance,
 from .coreset import (ApproxCenters, WeightedCoreset, approx_centers,
                       build_coreset, weight_sum_check)
 from .distsim import (CommLedger, MergedSketch, SitePartition, StreamState,
-                      merge_sketches, run_coordinator, run_stream)
+                      run_coordinator, run_stream)
 from .errors import (CapacityError, DimensionMismatch, InvalidInput,
                      KZSketchError, SketchFormatError)
 from .geometry import (CenterSet, GridDataset, ProblemConfig, RealDataset,

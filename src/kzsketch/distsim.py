@@ -86,10 +86,6 @@ class MergedSketch:
         return sum(s.ledger.total_bits for s in self.sketches)
 
 
-def merge_sketches(sketches: list[Sketch]) -> MergedSketch:
-    return MergedSketch(sketches)
-
-
 def run_coordinator(partition: SitePartition, k: int, z: ZLike, eps: float,
                     seed: int, method: str = "sensitivity"):
     """One-round star protocol: every site encodes its shard and ships the
@@ -99,7 +95,7 @@ def run_coordinator(partition: SitePartition, k: int, z: ZLike, eps: float,
              for i, shard in enumerate(partition.shards)]
     received = [Sketch.from_bytes(w) for w in wires]
     ledger = CommLedger([s.ledger.total_bits for s in received])
-    return merge_sketches(received), ledger
+    return MergedSketch(received), ledger
 
 
 def split_round_robin(dataset: GridDataset, l: int) -> SitePartition:
@@ -115,9 +111,12 @@ class StreamState:
     """Insertion-only stream: buffer raw points, sketch full blocks at
     eps/2, and fold level-0 sketches into a level-1 sketch at a cap.
 
-    ``max_resident_bits`` is the running maximum of buffer bits plus live
-    sketch bits; ``formula_bits_at_max`` is the reporting-formula value at
-    the same moment.
+    ``max_resident_bits`` is the maximum of buffer bits plus live sketch
+    bits, and ``formula_bits_at_max`` the reporting-formula value at the
+    earliest moment that reaches it. Between flushes the resident bits grow
+    with every pushed point, so the maximum is taken only where it can
+    change: just before a flush (the buffer at its fullest, including the
+    trailing partial block), after a flush and after a reduction.
     """
 
     delta: int
@@ -131,13 +130,13 @@ class StreamState:
     level0_cap: int = 16
 
     buffer: list = field(default_factory=list)
-    level_sketches: dict = field(default_factory=lambda: {0: [], 1: []})
+    level0: list = field(default_factory=list)
+    level1: list = field(default_factory=list)
     points_seen: int = 0
     blocks_flushed: int = 0
     reductions: int = 0
     max_resident_bits: int = 0
-    # (points seen, buffered points, live (coreset size, unit weights)) at the maximum
-    _at_max: tuple = field(default=(0, 0, ()), init=False, repr=False)
+    formula_bits_at_max: float = 0.0
 
     def __post_init__(self):
         self.z = as_z(self.z)
@@ -151,34 +150,19 @@ class StreamState:
 
     # -- accounting ---------------------------------------------------------
 
-    def _live_sketches(self) -> list[Sketch]:
-        return self.level_sketches[1] + self.level_sketches[0]
-
-    def _buffer_bits(self, points: int) -> int:
-        return points * self.d * max(1, (self.delta - 1).bit_length())
-
-    def _resident_bits(self) -> int:
-        return self._buffer_bits(len(self.buffer)) + sum(
-            s.ledger.total_bits for s in self._live_sketches())
-
     def _touch(self):
-        res = self._resident_bits()
+        live = self.level1 + self.level0
+        buffer_bits = len(self.buffer) * self.d * max(1, (self.delta - 1).bit_length())
+        res = buffer_bits + sum(s.ledger.total_bits for s in live)
         if res > self.max_resident_bits:
             self.max_resident_bits = res
-            self._at_max = (self.points_seen, len(self.buffer),
-                            tuple((s.coreset_size, s.unit_weights)
-                                  for s in self._live_sketches()))
-
-    @property
-    def formula_bits_at_max(self) -> float:
-        points_seen, buffered, sizes = self._at_max
-        n = max(2, points_seen)
-        total = float(self._buffer_bits(buffered))
-        for size, unit in sizes:
-            total += codec.theoretical_upper_bound(
-                n, self.k, self.d, self.delta, self.eps / 2.0, float(self.z),
-                size, unit)
-        return total
+            n = max(2, self.points_seen)
+            total = float(buffer_bits)
+            for s in live:
+                total += codec.theoretical_upper_bound(
+                    n, self.k, self.d, self.delta, self.eps / 2.0, float(self.z),
+                    s.coreset_size, s.unit_weights)
+            self.formula_bits_at_max = total
 
     # -- stream operations ----------------------------------------------------
 
@@ -188,21 +172,21 @@ class StreamState:
             raise DimensionMismatch(f"point shape {p.shape}, expected ({self.d},)")
         self.buffer.append(p)
         self.points_seen += 1
-        self._touch()
         if len(self.buffer) >= self.block_size:
             self._flush_block()
 
     def _flush_block(self):
         if not self.buffer:
             return
+        self._touch()
         block = GridDataset(np.stack(self.buffer), self.delta)
         self.buffer = []
-        self.level_sketches[0].append(codec.compress(
+        self.level0.append(codec.compress(
             block, self.k, self.z, self.eps / 2.0, self.method,
             self.seed + self.blocks_flushed))
         self.blocks_flushed += 1
         self._touch()
-        if len(self.level_sketches[0]) >= self.level0_cap:
+        if len(self.level0) >= self.level0_cap:
             self._reduce_level0()
 
     def _reduce_level0(self):
@@ -215,7 +199,7 @@ class StreamState:
         displacement is covered by the conservative end-to-end 3 eps budget.
         """
         weights, points = [], []
-        for s in self.level_sketches[0] + self.level_sketches[1]:
+        for s in self.level0 + self.level1:
             w, p, _ = s.decode()
             weights.append(w)
             points.append(p)
@@ -226,9 +210,10 @@ class StreamState:
 
         reduce_seed = self.seed + 1_000_003 * (self.reductions + 1)
         union = GridDataset(pts, self.delta)
-        self.level_sketches = {0: [], 1: [codec.compress(
+        self.level0 = []
+        self.level1 = [codec.compress(
             union, self.k, self.z, self.eps / 2.0, self.method, reduce_seed,
-            weights=w, n=self.points_seen)]}
+            weights=w, n=self.points_seen)]
         self.reductions += 1
         self._touch()
 
@@ -236,7 +221,7 @@ class StreamState:
         """Flush a trailing partial block; returns the live sketch set."""
         if self.buffer:
             self._flush_block()
-        return self._live_sketches()
+        return self.level1 + self.level0
 
 
 @dataclass(frozen=True)
@@ -259,6 +244,6 @@ def run_stream(points: GridDataset, k: int, z: ZLike, eps: float,
     for row in points.points:
         state.push(row)
     live = state.finish()
-    return StreamResult(merge_sketches(live), live, state.max_resident_bits,
+    return StreamResult(MergedSketch(live), live, state.max_resident_bits,
                         state.formula_bits_at_max, state.blocks_flushed,
                         state.reductions)

@@ -3,7 +3,7 @@ import pytest
 from fractions import Fraction
 
 from kzsketch import codec, coreset, geometry
-from kzsketch.distsim import (SitePartition, StreamState, merge_sketches,
+from kzsketch.distsim import (MergedSketch, SitePartition, StreamState,
                               run_coordinator, run_stream, split_round_robin)
 from kzsketch.errors import DimensionMismatch, InvalidInput
 from kzsketch.geometry import CenterSet, ProblemConfig
@@ -72,20 +72,20 @@ class TestMerge:
 
     def test_merge_of_one_is_identical(self):
         _, sketches = self.make_sketches()
-        merged = merge_sketches(sketches[:1])
+        merged = MergedSketch(sketches[:1])
         q = CenterSet(np.full((2, 4), 10.0))
         assert merged.estimate_cost(q) == sketches[0].estimate_cost(q)
 
     def test_additivity_is_exact(self):
         _, sketches = self.make_sketches()
         q = CenterSet(np.full((2, 4), 99.0))
-        merged = merge_sketches(sketches[:2])
+        merged = MergedSketch(sketches[:2])
         assert merged.estimate_cost(q) \
             == sketches[0].estimate_cost(q) + sketches[1].estimate_cost(q)
 
     def test_partition_merge_matches_union_within_eps(self):
         data, sketches = self.make_sketches()
-        merged = merge_sketches(sketches)
+        merged = MergedSketch(sketches)
         for q in geometry.random_center_sets(data, 2, 40, seed=13):
             exact = geometry.cost(data, q, 2)
             assert abs(merged.estimate_cost(q) - exact) <= 0.2 * exact
@@ -94,16 +94,16 @@ class TestMerge:
         data = geometry.random_grid_dataset(60, 3, 32, seed=14)
         a = encode_offline(data, 2, 2, 0.1, seed=15)
         b = encode_offline(data, 2, 2, 0.3, seed=16)
-        assert merge_sketches([a, b]).epsilon == pytest.approx(0.3, rel=1e-6)
+        assert MergedSketch([a, b]).epsilon == pytest.approx(0.3, rel=1e-6)
 
     def test_header_mismatch_rejected(self):
         data = geometry.random_grid_dataset(60, 3, 32, seed=17)
         other = geometry.random_grid_dataset(60, 3, 64, seed=18)
         with pytest.raises(DimensionMismatch):
-            merge_sketches([encode_offline(data, 2, 2, 0.2, seed=19),
+            MergedSketch([encode_offline(data, 2, 2, 0.2, seed=19),
                             encode_offline(other, 2, 2, 0.2, seed=20)])
         with pytest.raises(DimensionMismatch):
-            merge_sketches([encode_offline(data, 2, 2, 0.2, seed=19),
+            MergedSketch([encode_offline(data, 2, 2, 0.2, seed=19),
                             encode_offline(data, 2, 1, 0.2, seed=19)])
 
 
