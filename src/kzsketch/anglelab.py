@@ -131,8 +131,8 @@ def sample_haar_basis(d: int, n: int, seed: int) -> OrthonormalBasis:
     makes the column span uniform on the Grassmannian and the output
     deterministic per seed.
     """
-    if n > d:
-        raise InvalidInput(f"need n <= d, got n={n}, d={d}")
+    if not 1 <= n <= d:
+        raise InvalidInput(f"need 1 <= n <= d, got n={n}, d={d}")
     rng = np.random.Generator(np.random.PCG64(seed))
     g = rng.standard_normal((d, n))
     q, r = np.linalg.qr(g)

@@ -200,7 +200,7 @@ def run_lowerbound_pipeline(n: int, d: int, z, eps: float, mode: str, seed: int,
                          float(len(k_set)),
                          (1.0 - thresholds.outlier_fraction) * n, ">="))
 
-    col = coloring.find_partial_coloring(u, thresholds, max_restarts, seed + 2)
+    col = coloring.find_partial_coloring(u, max_restarts, seed + 2)
     checks.append(_check("coloring discrepancy <= 1/2", col.discrepancy, 0.5))
     checks.append(_check("coloring zero_count <= n/4", float(col.zero_count), n / 4))
 

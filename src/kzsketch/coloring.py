@@ -19,8 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import geometry
-from .anglelab import (AngleThresholds, InnerProductMatrix, OrthonormalBasis,
-                       null_space)
+from .anglelab import InnerProductMatrix, OrthonormalBasis, null_space
 from .errors import CapacityError, DimensionMismatch, InvalidInput
 from .geometry import CenterSet, GridDataset, RealDataset, ZLike, as_z
 
@@ -98,8 +97,7 @@ def _pairing_candidates(u: np.ndarray, samples: np.ndarray):
     return out
 
 
-def find_partial_coloring(u, thresholds: AngleThresholds = AngleThresholds(),
-                          max_restarts: int = 10_000, seed: int = 0) -> PartialColoring:
+def find_partial_coloring(u, max_restarts: int = 10_000, seed: int = 0) -> PartialColoring:
     """Search for a low-discrepancy partial coloring of U.
 
     Seeded random full colorings, then greedy single-flip descent on the
@@ -112,6 +110,8 @@ def find_partial_coloring(u, thresholds: AngleThresholds = AngleThresholds(),
     n = mat.shape[0]
     if n < 1:
         raise InvalidInput("U must be at least 1 x 1")
+    if max_restarts < 1:
+        raise InvalidInput(f"max_restarts must be >= 1, got {max_restarts}")
     rng = np.random.Generator(np.random.PCG64(seed))
 
     best_zeta = np.ones(n, dtype=np.int8)

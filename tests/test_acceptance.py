@@ -191,13 +191,12 @@ def test_criterion_5_coloring_and_gap():
         u = InnerProductMatrix.from_bases(p, q)
         assert np.linalg.svd(u.u, compute_uv=False)[0] <= thr.cos_star
         _, profile_ok = anglelab.row_norm_profile(u, thr)
-        col = find_partial_coloring(u, thr, max_restarts=10_000,
-                                    seed=502 + trial)
+        col = find_partial_coloring(u, max_restarts=10_000, seed=502 + trial)
         gap = cost_gap(p, q, adversarial_center(q, p, col.zeta), 2)
         worst_gap = min(worst_gap, gap)
         all_ok &= profile_ok and col.guarantee_met \
             and gap >= 0.5 * math.sqrt(n) - 1e-6
-    ident = find_partial_coloring(np.eye(n), thr, max_restarts=10_000, seed=5)
+    ident = find_partial_coloring(np.eye(n), max_restarts=10_000, seed=5)
     identity_ok = not ident.guarantee_met
     elapsed = time.time() - t0
     ok = all_ok and identity_ok and elapsed <= 120

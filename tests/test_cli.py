@@ -237,6 +237,20 @@ class TestParameterValidation:
                                    "--eps", eps])
         assert err.startswith("error: eps must lie in (0,1)")
 
+    @pytest.mark.parametrize("argv", [
+        ["angles", "--d", "4", "--n", "-1"],
+        ["lowerbound", "--n", "-3", "--d", "16"],
+    ], ids=lambda argv: argv[0])
+    def test_negative_n_is_usage_error(self, capsys, argv):
+        err = usage_error(capsys, argv)
+        assert err.startswith("error: need 1 <= n <= d")
+
+    @pytest.mark.parametrize("restarts", ["0", "-5"])
+    def test_max_restarts_below_one_is_usage_error(self, capsys, restarts):
+        err = usage_error(capsys, ["lowerbound", "--n", "4", "--d", "16",
+                                   "--max-restarts", restarts])
+        assert err.startswith(f"error: max_restarts must be >= 1, got {restarts}")
+
 
 def test_oversized_sketch_header_rejected_in_bounded_memory(tmp_path):
     # a 52-byte KZSK file declaring k = d = 2^16 centers: 32 GiB of int64 if

@@ -43,7 +43,7 @@ class TestFindPartialColoring:
         p = sample_haar_basis(400, 100, seed=2)
         q = perturbed_orthogonal_basis(p, thr.cos_star / 2, seed=3)
         u = InnerProductMatrix.from_bases(p, q)
-        col = find_partial_coloring(u, thr, max_restarts=10_000, seed=4)
+        col = find_partial_coloring(u, max_restarts=10_000, seed=4)
         assert col.guarantee_met
         assert col.restarts_used <= 10_000
         # verified by direct multiplication
@@ -100,7 +100,7 @@ class TestAdversarialCenter:
         thr = AngleThresholds()
         p = sample_haar_basis(300, 100, seed=10)
         q = perturbed_orthogonal_basis(p, thr.cos_star / 2, seed=11)
-        col = find_partial_coloring(InnerProductMatrix.from_bases(p, q), thr,
+        col = find_partial_coloring(InnerProductMatrix.from_bases(p, q),
                                     max_restarts=10_000, seed=12)
         assert col.guarantee_met
         c = adversarial_center(q, p, col.zeta)
