@@ -116,7 +116,8 @@ class StreamState:
     earliest moment that reaches it. Between flushes the resident bits grow
     with every pushed point, so the maximum is taken only where it can
     change: just before a flush (the buffer at its fullest, including the
-    trailing partial block), after a flush and after a reduction.
+    trailing partial block), after a flush and after a reduction. Read in
+    the middle of a block, both reflect the last flush.
     """
 
     delta: int
