@@ -3,28 +3,26 @@
 Compression side: quantize a weighted coreset relative to approximate
 centers into a sketch whose cost answers stay within (1 +- eps) of the
 exact clustering cost, with exact bit accounting. Hard-instance side:
-principal-angle families, partial colorings, adversarial centers and
+principal angles, partial colorings, adversarial centers and
 grid-rounded instances that no smaller sketch could distinguish.
 """
 
-from .anglelab import (AngleThresholds, InnerProductMatrix, OrthonormalBasis,
-                       PrincipalAngles, angle_statistics, principal_angles,
-                       row_norm_profile, sample_haar_basis, verify_family)
+from .anglelab import (InnerProductMatrix, OrthonormalBasis, PrincipalAngles,
+                       angle_statistics, principal_angles, row_norm_profile,
+                       sample_haar_basis)
 from .codec import (BitLedger, ScalarCode, Sketch, compress, decode_scalar,
                     encode, encode_scalar, theoretical_upper_bound)
 from .coloring import (PartialColoring, SeparationWitness, TiledInstance,
                        adversarial_center, center_for_power, cost_gap,
                        find_partial_coloring, loglog_family_instance,
-                       round_and_scale, separation_witness,
-                       taylor_bounds_check, tile_instances)
+                       round_and_scale, separation_witness, tile_instances)
 from .coreset import (ApproxCenters, WeightedCoreset, approx_centers,
                       build_coreset, weight_sum_check)
 from .distsim import (CommLedger, MergedSketch, SitePartition, StreamState,
                       run_coordinator, run_stream)
 from .errors import (CapacityError, DimensionMismatch, InvalidInput,
                      KZSketchError, SketchFormatError)
-from .geometry import (CenterSet, GridDataset, ProblemConfig, RealDataset,
-                       check_relaxed_triangle, cost, nearest_assignment,
-                       weighted_cost)
+from .geometry import (CenterSet, GridDataset, ProblemConfig, RealDataset, cost,
+                       nearest_assignment, weighted_cost)
 
 __version__ = "0.1.0"

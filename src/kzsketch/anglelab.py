@@ -101,27 +101,16 @@ class PrincipalAngles:
 # small, the cosine cutoff for the rest, and the row-norm profile of U
 # implied by that cutoff. At desk scale ceil(a*n) is 1, so checks against
 # these literal values examine the single smallest angle.
-@dataclass(frozen=True)
-class AngleThresholds:
-    a: float = 1e-6 / 32
-    cos_star: float = 1e-3 / (4 * math.sqrt(2))
-    theta_star: float = field(default=float("nan"))
-    row_norm_bound: float = 1e-2
-    outlier_fraction: float = 1e-4 / 16
+SMALL_ANGLE_FRACTION = 1e-6 / 32
+COS_STAR = 1e-3 / (4 * math.sqrt(2))
+THETA_STAR = math.acos(COS_STAR)
+ROW_NORM_BOUND = 1e-2
+OUTLIER_FRACTION = 1e-4 / 16
 
-    def __post_init__(self):
-        if math.isnan(self.theta_star):
-            object.__setattr__(self, "theta_star", math.acos(self.cos_star))
-        for name in ("a", "cos_star", "row_norm_bound", "outlier_fraction"):
-            v = getattr(self, name)
-            if not 0 < v < 1:
-                raise InvalidInput(f"{name} must lie in (0,1), got {v}")
-        if not 0 < self.theta_star < math.pi / 2 + 1e-12:
-            raise InvalidInput("theta_star must lie in (0, pi/2]")
 
-    def angle_index(self, n: int) -> int:
-        """1-based index of theta_{ceil(a*n)}."""
-        return max(1, math.ceil(self.a * n))
+def small_angle_index(n: int) -> int:
+    """1-based index of theta_{ceil(a*n)}, a = SMALL_ANGLE_FRACTION."""
+    return max(1, math.ceil(SMALL_ANGLE_FRACTION * n))
 
 
 def sample_haar_basis(d: int, n: int, seed: int) -> OrthonormalBasis:
@@ -183,78 +172,22 @@ def principal_angles(p: OrthonormalBasis, q: OrthonormalBasis) -> PrincipalAngle
     return PrincipalAngles(sigmas=sigmas, thetas=np.arccos(sigmas))
 
 
-def row_norm_profile(u: InnerProductMatrix | np.ndarray,
-                     thresholds: AngleThresholds = AngleThresholds()):
+def row_norm_profile(u: InnerProductMatrix | np.ndarray):
     """Indices whose U-row has squared norm within bound, and whether the
     small-row set is large enough: |K| >= (1 - outlier_fraction) * n."""
     mat = u if isinstance(u, InnerProductMatrix) else InnerProductMatrix(np.asarray(u))
     sq = mat.row_norms ** 2
-    k_set = np.flatnonzero(sq <= thresholds.row_norm_bound)
-    ok = len(k_set) >= (1.0 - thresholds.outlier_fraction) * mat.n
+    k_set = np.flatnonzero(sq <= ROW_NORM_BOUND)
+    ok = len(k_set) >= (1.0 - OUTLIER_FRACTION) * mat.n
     return k_set, bool(ok)
 
 
-@dataclass(frozen=True)
-class PairReport:
-    i: int
-    j: int
-    angle: float
-    passed: bool
-
-
-@dataclass(frozen=True)
-class FamilyReport:
-    pairs: list[PairReport]
-    angle_index: int
-    theta_star: float
-
-    @property
-    def num_pass(self) -> int:
-        return sum(p.passed for p in self.pairs)
-
-    @property
-    def num_fail(self) -> int:
-        return len(self.pairs) - self.num_pass
-
-    @property
-    def all_pass(self) -> bool:
-        return self.num_fail == 0
-
-    @property
-    def pass_fraction(self) -> float:
-        return self.num_pass / len(self.pairs) if self.pairs else 1.0
-
-
-def verify_family(bases: list[OrthonormalBasis],
-                  thresholds: AngleThresholds = AngleThresholds(),
-                  angle_index: int | None = None,
-                  theta_star: float | None = None) -> FamilyReport:
-    """Check every unordered pair: is the angle_index-th smallest principal
-    angle at least theta_star? Defaults come from the thresholds object."""
-    if len(bases) < 2:
-        raise InvalidInput("a family needs at least two bases")
-    shape = bases[0].matrix.shape
-    for b in bases[1:]:
-        if b.matrix.shape != shape:
-            raise DimensionMismatch("family members must share (d, n)")
-    n = shape[1]
-    idx = thresholds.angle_index(n) if angle_index is None else angle_index
-    cut = thresholds.theta_star if theta_star is None else theta_star
-    pairs = []
-    for i in range(len(bases)):
-        for j in range(i + 1, len(bases)):
-            ang = principal_angles(bases[i], bases[j]).kth_smallest(idx)
-            pairs.append(PairReport(i, j, ang, ang >= cut))
-    return FamilyReport(pairs, idx, cut)
-
-
 def angle_statistics(d: int, n: int, trials: int, seed: int,
-                     thresholds: AngleThresholds = AngleThresholds(),
                      angle_index: int | None = None) -> dict:
     """Empirical distribution of theta_1 and theta_{ceil(a n)} over Haar pairs."""
     if trials < 1:
         raise InvalidInput("trials must be >= 1")
-    idx = thresholds.angle_index(n) if angle_index is None else angle_index
+    idx = small_angle_index(n) if angle_index is None else angle_index
     theta_min = np.empty(trials)
     theta_idx = np.empty(trials)
     for t in range(trials):

@@ -163,42 +163,40 @@ def cmd_verify(args) -> int:
 # lower-bound pipeline
 
 
-def _pipeline_bases(mode: str, n: int, d: int, seed: int,
-                    thresholds: anglelab.AngleThresholds):
+def _pipeline_bases(mode: str, n: int, d: int, seed: int):
     p = anglelab.sample_haar_basis(d, n, seed)
     if mode == "orthogonal":
         q = anglelab.orthogonal_complement_basis(p, n)
     elif mode == "haar":
         q = anglelab.sample_haar_basis(d, n, seed + 1)
     elif mode == "perturbed":
-        q = anglelab.perturbed_orthogonal_basis(p, thresholds.cos_star / 2.0, seed + 1)
+        q = anglelab.perturbed_orthogonal_basis(p, anglelab.COS_STAR / 2.0, seed + 1)
     else:
         raise KZSketchError(f"unknown mode {mode!r}")
     return p, q
 
 
 def run_lowerbound_pipeline(n: int, d: int, z, eps: float, mode: str, seed: int,
-                            thresholds: anglelab.AngleThresholds | None = None,
                             max_restarts: int = 10_000) -> dict:
     """sample -> angles -> coloring -> centers -> round/scale -> witness,
     with every inequality reported as an LHS/RHS certificate line."""
     if not 0.0 < eps < 1.0:
         raise KZSketchError(f"eps must lie in (0,1), got {eps}")
-    thresholds = thresholds or anglelab.AngleThresholds()
     z = Fraction(z)
-    p, q = _pipeline_bases(mode, n, d, seed, thresholds)
+    p, q = _pipeline_bases(mode, n, d, seed)
+    delta = coloring.odd_grid_side(d, eps, z)
     checks = []
 
     angles = anglelab.principal_angles(p, q)
-    idx = thresholds.angle_index(n)
+    idx = anglelab.small_angle_index(n)
     checks.append(_check(f"theta_[{idx}] >= theta_star",
-                         angles.kth_smallest(idx), thresholds.theta_star, ">="))
+                         angles.kth_smallest(idx), anglelab.THETA_STAR, ">="))
 
     u = anglelab.InnerProductMatrix.from_bases(p, q)
-    k_set, profile_ok = anglelab.row_norm_profile(u, thresholds)
+    k_set, profile_ok = anglelab.row_norm_profile(u)
     checks.append(_check("small-row count >= (1 - outlier_fraction) n",
                          float(len(k_set)),
-                         (1.0 - thresholds.outlier_fraction) * n, ">="))
+                         (1.0 - anglelab.OUTLIER_FRACTION) * n, ">="))
 
     col = coloring.find_partial_coloring(u, max_restarts, seed + 2)
     checks.append(_check("coloring discrepancy <= 1/2", col.discrepancy, 0.5))
@@ -218,7 +216,6 @@ def run_lowerbound_pipeline(n: int, d: int, z, eps: float, mode: str, seed: int,
         checks.append(_check(f"z={z} gap >= leading - additive",
                              gap_z, lead - add, ">="))
 
-    delta = coloring.odd_grid_side(d, eps, z)
     rp = coloring.round_and_scale(geometry.RealDataset(p.matrix.T), delta)
     rq = coloring.round_and_scale(geometry.RealDataset(q.matrix.T), delta)
     witness_centers = coloring.paired_witness_centers(q, col.zeta)

@@ -629,7 +629,9 @@ def compress(dataset: GridDataset, k: int, z: ZLike, eps: float, method: str,
     """
     config = ProblemConfig(n=dataset.n if n is None else n, d=dataset.d, k=k, z=z,
                            delta=dataset.delta, epsilon=eps)
-    check_header_z(config.z)  # before the coreset, whose dist^z sum may overflow first
+    # before the coreset, whose dist^z sum and eps^-2 sample count may overflow first
+    check_header_z(config.z)
+    quantize_epsilon(eps)
     centers = coreset_mod.approx_centers(dataset, k, z, seed)
     cs = coreset_mod.build_coreset(dataset, k, z, eps, method=method, seed=seed,
                                    centers=centers, weights=weights, source_n=config.n)

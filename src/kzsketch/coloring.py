@@ -293,21 +293,26 @@ def taylor_bounds_margins(x, z):
     return lower, upper
 
 
-def taylor_bounds_check(x: float, z: float) -> bool:
-    """Both sides of the Taylor sandwich for one (x, z); z = 2 is the
-    equality edge of either branch."""
-    lower, upper = taylor_bounds_margins(x, z)
-    return bool((lower >= -1e-12).all() and (upper >= -1e-12).all())
-
-
 def odd_grid_side(d: int, eps: float, z: ZLike = 2) -> int:
     """Grid side for the rounded hard instance: ceil(10 sqrt(d)/eps) at
-    z = 2, ceil(3072 * 2^(z/2) sqrt(d) / (z^2 eps)) otherwise; forced odd."""
+    z = 2, ceil(3072 * 2^(z/2) sqrt(d) / (z^2 eps)) otherwise; forced odd.
+
+    The codec stores a coordinate minus one in at most 62 bits, so the side
+    may not exceed 2^62. A float below 2^62 is at most 2^62 - 512, so its
+    odd ceiling fits; 2^62 itself would become 2^62 + 1.
+    """
     zf = float(as_z(z))
-    if zf == 2.0:
-        delta = math.ceil(10.0 * math.sqrt(d) / eps)
-    else:
-        delta = math.ceil(3072.0 * 2.0 ** (zf / 2.0) * math.sqrt(d) / (zf * zf * eps))
+    try:
+        if zf == 2.0:
+            side = 10.0 * math.sqrt(d) / eps
+        else:
+            side = 3072.0 * 2.0 ** (zf / 2.0) * math.sqrt(d) / (zf * zf * eps)
+    except OverflowError:       # 2^(z/2) beyond float64
+        side = math.inf
+    if not side < 2.0 ** 62:
+        raise InvalidInput(f"grid side {side:.4g} for d={d}, eps={eps}, z={as_z(z)} "
+                           f"is not below 2^62, the codec's grid limit")
+    delta = math.ceil(side)
     return delta if delta % 2 == 1 else delta + 1
 
 

@@ -15,7 +15,7 @@ import numpy as np
 
 from . import geometry
 from .errors import InvalidInput
-from .geometry import CenterSet, GridDataset, ZLike, as_z
+from .geometry import GridDataset, ZLike, as_z
 
 
 def _rng(seed: int) -> np.random.Generator:
@@ -45,9 +45,6 @@ class ApproxCenters:
     @property
     def k(self) -> int:
         return self.centers.shape[0]
-
-    def as_center_set(self) -> CenterSet:
-        return CenterSet(self.centers.astype(np.float64))
 
 
 @dataclass(frozen=True)

@@ -16,7 +16,7 @@ import numpy as np
 from . import codec
 from .codec import Sketch
 from .errors import DimensionMismatch, InvalidInput
-from .geometry import GridDataset, ZLike, as_z
+from .geometry import GridDataset, ZLike, as_z, grid_coordinates
 
 
 @dataclass(frozen=True)
@@ -168,7 +168,7 @@ class StreamState:
     # -- stream operations ----------------------------------------------------
 
     def push(self, point):
-        p = np.asarray(point, dtype=np.int64)
+        p = grid_coordinates(point)
         if p.shape != (self.d,):
             raise DimensionMismatch(f"point shape {p.shape}, expected ({self.d},)")
         self.buffer.append(p)

@@ -58,6 +58,18 @@ def _freeze(a: np.ndarray) -> np.ndarray:
     return a
 
 
+def grid_coordinates(values) -> np.ndarray:
+    """``values`` as int64. Integer input converts as numpy casts it; any
+    other input must hold integers that fit int64 (so no NaN or inf), not
+    values to be truncated."""
+    a = np.asarray(values)
+    if a.dtype.kind not in "iu":
+        a = a.astype(np.float64)
+        if not ((a == np.floor(a)) & (np.abs(a) < 2.0 ** 63)).all():
+            raise InvalidInput("grid coordinates must be integers that fit int64")
+    return a.astype(np.int64, copy=False)
+
+
 @dataclass(frozen=True)
 class GridDataset:
     """n integer points in [1, delta]^d."""
@@ -66,7 +78,7 @@ class GridDataset:
     delta: int
 
     def __post_init__(self):
-        pts = np.ascontiguousarray(np.asarray(self.points, dtype=np.int64))
+        pts = np.ascontiguousarray(grid_coordinates(self.points))
         if pts.ndim != 2:
             raise InvalidInput("grid points must form an (n, d) array")
         if pts.size and (pts.min() < 1 or pts.max() > self.delta):
@@ -289,38 +301,6 @@ def weighted_cost(weights, points, centers, z: ZLike) -> float:
 def nearest_assignment(points, centers) -> np.ndarray:
     """Index of the closest center per point; ties break to the lowest index."""
     return _nearest(points, centers)[1]
-
-
-def relaxed_triangle_margins(p1, p2, p3, z: ZLike, eps: float):
-    """Slack of the two relaxed triangle inequalities, batched.
-
-    Each input is a vector or an (m, d) batch. Returns ``(m1, m2)`` where
-    positive entries mean the corresponding inequality holds:
-
-        m1 = (1+eps)^(z-1) D13 + ((1+eps)/eps)^(z-1) D23 - D12
-        m2 = eps * D13 + ((z+eps)/eps)^(z-1) D23 - |D12 - D13|
-
-    with Dij the z-th power distance between pi and pj.
-    """
-    if eps <= 0:
-        raise InvalidInput("eps must be positive")
-    zf = float(as_z(z))
-    a = np.atleast_2d(np.asarray(p1, dtype=np.float64))
-    b = np.atleast_2d(np.asarray(p2, dtype=np.float64))
-    c = np.atleast_2d(np.asarray(p3, dtype=np.float64))
-    d12 = powered_distances(((a - b) ** 2).sum(axis=1), z)
-    d13 = powered_distances(((a - c) ** 2).sum(axis=1), z)
-    d23 = powered_distances(((b - c) ** 2).sum(axis=1), z)
-    m1 = (1 + eps) ** (zf - 1) * d13 + ((1 + eps) / eps) ** (zf - 1) * d23 - d12
-    m2 = eps * d13 + ((zf + eps) / eps) ** (zf - 1) * d23 - np.abs(d12 - d13)
-    return m1, m2
-
-
-def check_relaxed_triangle(p1, p2, p3, z: ZLike, eps: float) -> bool:
-    """Whether both relaxed triangle inequalities hold for one triple."""
-    m1, m2 = relaxed_triangle_margins(p1, p2, p3, z, eps)
-    tol = 1e-9 * max(1.0, float(np.abs(m1).max()), float(np.abs(m2).max()))
-    return bool((m1 >= -tol).all() and (m2 >= -tol).all())
 
 
 def random_grid_dataset(n: int, d: int, delta: int, seed: int) -> GridDataset:

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from kzsketch import anglelab, codec, coreset, distsim, geometry
-from kzsketch.anglelab import (AngleThresholds, InnerProductMatrix,
+from kzsketch.anglelab import (COS_STAR, InnerProductMatrix,
                                OrthonormalBasis, orthogonal_complement_basis,
                                perturbed_orthogonal_basis, principal_angles,
                                sample_haar_basis)
@@ -182,15 +182,14 @@ def test_criterion_4_principal_angles():
 def test_criterion_5_coloring_and_gap():
     t0 = time.time()
     n, d = 100, 400
-    thr = AngleThresholds()
     all_ok = True
     worst_gap = np.inf
     for trial in range(20):
         p = sample_haar_basis(d, n, seed=500 + 2 * trial)
-        q = perturbed_orthogonal_basis(p, thr.cos_star / 2, seed=501 + 2 * trial)
+        q = perturbed_orthogonal_basis(p, COS_STAR / 2, seed=501 + 2 * trial)
         u = InnerProductMatrix.from_bases(p, q)
-        assert np.linalg.svd(u.u, compute_uv=False)[0] <= thr.cos_star
-        _, profile_ok = anglelab.row_norm_profile(u, thr)
+        assert np.linalg.svd(u.u, compute_uv=False)[0] <= COS_STAR
+        _, profile_ok = anglelab.row_norm_profile(u)
         col = find_partial_coloring(u, max_restarts=10_000, seed=502 + trial)
         gap = cost_gap(p, q, adversarial_center(q, p, col.zeta), 2)
         worst_gap = min(worst_gap, gap)

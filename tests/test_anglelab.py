@@ -1,3 +1,4 @@
+import itertools
 import math
 import struct
 
@@ -5,12 +6,12 @@ import numpy as np
 import pytest
 
 from kzsketch import anglelab
-from kzsketch.anglelab import (AngleThresholds, InnerProductMatrix,
+from kzsketch.anglelab import (COS_STAR, THETA_STAR, InnerProductMatrix,
                                OrthonormalBasis, angle_statistics, null_space,
                                orthogonal_complement_basis,
                                perturbed_orthogonal_basis, principal_angles,
                                row_norm_profile, sample_haar_basis,
-                               verify_family)
+                               small_angle_index)
 from kzsketch.errors import DimensionMismatch, InvalidInput
 
 # Monte-Carlo oracle values, frozen from a standalone SVD run made before
@@ -119,14 +120,20 @@ class TestRowNormProfile:
         assert not ok and len(k) == 0
 
     def test_sigma_bounded_pair_passes(self):
-        thr = AngleThresholds()
         p = sample_haar_basis(120, 40, seed=12)
-        q = perturbed_orthogonal_basis(p, thr.cos_star / 2, seed=13)
+        q = perturbed_orthogonal_basis(p, COS_STAR / 2, seed=13)
         u = InnerProductMatrix.from_bases(p, q)
         # all sigma <= cos_star, so the Frobenius mass keeps every row small
-        assert np.linalg.svd(u.u, compute_uv=False)[0] <= thr.cos_star
-        k, ok = row_norm_profile(u, thr)
+        assert np.linalg.svd(u.u, compute_uv=False)[0] <= COS_STAR
+        k, ok = row_norm_profile(u)
         assert ok and len(k) == 40
+
+
+def family_angles(members):
+    """theta_{ceil(a n)} of every unordered pair of family members."""
+    idx = small_angle_index(members[0].n)
+    return [principal_angles(p, q).kth_smallest(idx)
+            for p, q in itertools.combinations(members, 2)]
 
 
 class TestVerifyFamily:
@@ -135,19 +142,17 @@ class TestVerifyFamily:
         comp = orthogonal_complement_basis(base)
         members = [base] + [
             OrthonormalBasis(comp.matrix[:, 4 * i:4 * (i + 1)]) for i in range(3)]
-        rep = verify_family(members, theta_star=math.pi / 2 - 1e-6)
-        assert rep.all_pass and len(rep.pairs) == 6
+        angles = family_angles(members)
+        assert min(angles) >= math.pi / 2 - 1e-6 and len(angles) == 6
 
     def test_duplicate_member_fails(self):
         p = sample_haar_basis(20, 3, seed=15)
-        rep = verify_family([p, p])
-        assert rep.num_fail == 1
+        assert sum(a < THETA_STAR for a in family_angles([p, p])) == 1
 
     def test_haar_family_matches_frozen_oracle(self):
         # oracle: P(theta_1 >= pi/6) at d=1024, n=4 is 1.0 (500-pair MC run)
         members = [sample_haar_basis(1024, 4, seed=100 + i) for i in range(50)]
-        rep = verify_family(members, theta_star=math.pi / 6)
-        assert rep.pass_fraction == 1.0
+        assert min(family_angles(members)) >= math.pi / 6
 
 
 class TestAngleStatistics:
@@ -195,10 +200,9 @@ class TestContainersAndIO:
             OrthonormalBasis(np.ones((2, 3)))
 
     def test_thresholds_defaults(self):
-        thr = AngleThresholds()
-        assert thr.theta_star == pytest.approx(math.acos(1e-3 / (4 * math.sqrt(2))))
-        assert thr.angle_index(100) == 1
-        assert thr.angle_index(10 ** 9) == math.ceil(1e-6 / 32 * 10 ** 9)
+        assert THETA_STAR == pytest.approx(math.acos(1e-3 / (4 * math.sqrt(2))))
+        assert small_angle_index(100) == 1
+        assert small_angle_index(10 ** 9) == math.ceil(1e-6 / 32 * 10 ** 9)
 
     def test_basis_file_round_trip(self, tmp_path):
         b = sample_haar_basis(12, 5, seed=23)

@@ -245,6 +245,28 @@ class TestParameterValidation:
         err = usage_error(capsys, argv)
         assert err.startswith("error: need 1 <= n <= d")
 
+    # the header check on eps comes before the sensitivity sample count,
+    # whose eps^-2 overflows float64 at 1e-300
+    @pytest.mark.parametrize("argv", [
+        ["encode", "--out", "unused.kzsk"],
+        ["distributed", "--sites", "2"],
+        ["verify", "--method", "sensitivity", "--trials", "2"],
+        ["stream", "--method", "sensitivity", "--block", "50"],
+    ], ids=lambda argv: argv[0])
+    def test_eps_below_header_range_is_usage_error(self, capsys, dataset_file, argv):
+        err = usage_error(capsys, [argv[0], "--data", dataset_file[0], "--k", "2",
+                                   "--eps", "1e-300", *argv[1:]])
+        assert "does not survive header quantization" in err
+
+    @pytest.mark.parametrize("extra", [["--z", "1000"], ["--eps", "1e-20"],
+                                       ["--z", "5000"]], ids=lambda e: "".join(e))
+    def test_lowerbound_grid_side_beyond_codec_is_usage_error(self, capsys, extra):
+        # the side passes int64 at z = 1000 and eps = 1e-20, and 2^(z/2)
+        # passes float64 at z = 5000
+        err = usage_error(capsys, ["lowerbound", "--n", "8", "--d", "32", *extra])
+        assert err.startswith("error: grid side ")
+        assert "is not below 2^62" in err
+
     @pytest.mark.parametrize("restarts", ["0", "-5"])
     def test_max_restarts_below_one_is_usage_error(self, capsys, restarts):
         err = usage_error(capsys, ["lowerbound", "--n", "4", "--d", "16",

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from kzsketch import geometry
-from kzsketch.anglelab import (AngleThresholds, InnerProductMatrix,
+from kzsketch.anglelab import (COS_STAR, InnerProductMatrix,
                                orthogonal_complement_basis,
                                perturbed_orthogonal_basis, sample_haar_basis)
 from kzsketch.coloring import (adversarial_center, center_for_power,
@@ -12,10 +12,17 @@ from kzsketch.coloring import (adversarial_center, center_for_power,
                                loglog_family_instance, loglog_witness_centers,
                                odd_grid_side, paired_witness_centers,
                                power_gap_bound, round_and_scale, scale_center,
-                               separation_witness, taylor_bounds_check,
-                               taylor_bounds_margins, tile_instances)
+                               separation_witness, taylor_bounds_margins,
+                               tile_instances)
 from kzsketch.errors import CapacityError, InvalidInput
 from kzsketch.geometry import CenterSet, GridDataset, RealDataset
+
+
+def taylor_bounds_check(x: float, z: float) -> bool:
+    """Both sides of the Taylor sandwich for one (x, z); z = 2 is the
+    equality edge of either branch."""
+    lower, upper = taylor_bounds_margins(x, z)
+    return bool((lower >= -1e-12).all() and (upper >= -1e-12).all())
 
 
 def orthogonal_pair(d, n, seed):
@@ -39,9 +46,8 @@ class TestFindPartialColoring:
             assert col.discrepancy >= 1.0 - 1e-12
 
     def test_near_orthogonal_pair_guaranteed(self):
-        thr = AngleThresholds()
         p = sample_haar_basis(400, 100, seed=2)
-        q = perturbed_orthogonal_basis(p, thr.cos_star / 2, seed=3)
+        q = perturbed_orthogonal_basis(p, COS_STAR / 2, seed=3)
         u = InnerProductMatrix.from_bases(p, q)
         col = find_partial_coloring(u, max_restarts=10_000, seed=4)
         assert col.guarantee_met
@@ -97,9 +103,8 @@ class TestAdversarialCenter:
         assert gap == pytest.approx(2 * math.sqrt(n), abs=1e-6)
 
     def test_guaranteed_coloring_gives_half_sqrt_n(self):
-        thr = AngleThresholds()
         p = sample_haar_basis(300, 100, seed=10)
-        q = perturbed_orthogonal_basis(p, thr.cos_star / 2, seed=11)
+        q = perturbed_orthogonal_basis(p, COS_STAR / 2, seed=11)
         col = find_partial_coloring(InnerProductMatrix.from_bases(p, q),
                                     max_restarts=10_000, seed=12)
         assert col.guarantee_met

@@ -28,7 +28,7 @@ class TestApproxCenters:
         data = GridDataset(pts, 100)
         ac = approx_centers(data, 3, 2, seed=0)
         assert sorted(map(tuple, ac.centers)) == sorted(map(tuple, pts))
-        assert cost(data, ac.as_center_set(), 2) == 0.0
+        assert cost(data, CenterSet(ac.centers), 2) == 0.0
         assert not ac.has_repeats
 
     def test_single_point_repeats(self):
@@ -37,7 +37,7 @@ class TestApproxCenters:
         assert ac.centers.shape == (3, 2)
         assert (ac.centers == 7).all()
         assert ac.has_repeats
-        assert cost(data, ac.as_center_set(), 2) == 0.0
+        assert cost(data, CenterSet(ac.centers), 2) == 0.0
 
     def test_centers_are_dataset_members(self):
         data = geometry.random_grid_dataset(200, 4, 64, seed=3)
@@ -51,7 +51,7 @@ class TestApproxCenters:
         sub = GridDataset(data.points[:12], 64)
         opt = exhaustive_opt(sub.points, 3, 2)
         ac = approx_centers(sub, 3, 2, seed=6)
-        assert cost(sub, ac.as_center_set(), 2) <= 25 * opt
+        assert cost(sub, CenterSet(ac.centers), 2) <= 25 * opt
 
     def test_deterministic_per_seed(self):
         data = geometry.random_grid_dataset(100, 3, 32, seed=7)

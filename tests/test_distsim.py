@@ -142,6 +142,21 @@ class TestStream:
         assert result.max_resident_bits > 0
         assert result.max_resident_bits <= 16 * result.formula_bits_at_max
 
+    @pytest.mark.parametrize("point", [[1.9, 3.2], [np.nan, 3.0], [np.inf, 3.0]])
+    def test_push_rejects_non_integral_points(self, point):
+        state = StreamState(delta=8, d=2, k=1, z=Fraction(2), eps=0.2,
+                            block_size=4, seed=0)
+        with pytest.raises(InvalidInput, match="grid coordinates must be integers"):
+            state.push(point)
+        assert state.buffer == [] and state.points_seen == 0
+
+    def test_push_accepts_integral_floats(self):
+        state = StreamState(delta=8, d=2, k=1, z=Fraction(2), eps=0.2,
+                            block_size=4, seed=0)
+        state.push([2.0, 3.0])
+        assert state.buffer[0].dtype == np.int64
+        assert state.buffer[0].tolist() == [2, 3]
+
     def test_block_size_must_exceed_k(self):
         with pytest.raises(InvalidInput):
             StreamState(delta=8, d=2, k=4, z=Fraction(2), eps=0.2,

@@ -9,8 +9,8 @@ from hypothesis import strategies as st
 from kzsketch import geometry
 from kzsketch.errors import DimensionMismatch, InvalidInput
 from kzsketch.geometry import (CenterSet, GridDataset, ProblemConfig,
-                               RealDataset, check_relaxed_triangle, cost,
-                               nearest_assignment, relaxed_triangle_margins,
+                               RealDataset, ZLike, as_z, cost,
+                               nearest_assignment, powered_distances,
                                weighted_cost)
 
 
@@ -155,6 +155,38 @@ class TestNearestAssignment:
             assert got[i] == want
 
 
+def relaxed_triangle_margins(p1, p2, p3, z: ZLike, eps: float):
+    """Slack of the two relaxed triangle inequalities, batched.
+
+    Each input is a vector or an (m, d) batch. Returns ``(m1, m2)`` where
+    positive entries mean the corresponding inequality holds:
+
+        m1 = (1+eps)^(z-1) D13 + ((1+eps)/eps)^(z-1) D23 - D12
+        m2 = eps * D13 + ((z+eps)/eps)^(z-1) D23 - |D12 - D13|
+
+    with Dij the z-th power distance between pi and pj.
+    """
+    if eps <= 0:
+        raise InvalidInput("eps must be positive")
+    zf = float(as_z(z))
+    a = np.atleast_2d(np.asarray(p1, dtype=np.float64))
+    b = np.atleast_2d(np.asarray(p2, dtype=np.float64))
+    c = np.atleast_2d(np.asarray(p3, dtype=np.float64))
+    d12 = powered_distances(((a - b) ** 2).sum(axis=1), z)
+    d13 = powered_distances(((a - c) ** 2).sum(axis=1), z)
+    d23 = powered_distances(((b - c) ** 2).sum(axis=1), z)
+    m1 = (1 + eps) ** (zf - 1) * d13 + ((1 + eps) / eps) ** (zf - 1) * d23 - d12
+    m2 = eps * d13 + ((zf + eps) / eps) ** (zf - 1) * d23 - np.abs(d12 - d13)
+    return m1, m2
+
+
+def check_relaxed_triangle(p1, p2, p3, z: ZLike, eps: float) -> bool:
+    """Whether both relaxed triangle inequalities hold for one triple."""
+    m1, m2 = relaxed_triangle_margins(p1, p2, p3, z, eps)
+    tol = 1e-9 * max(1.0, float(np.abs(m1).max()), float(np.abs(m2).max()))
+    return bool((m1 >= -tol).all() and (m2 >= -tol).all())
+
+
 class TestRelaxedTriangle:
     def test_collinear_equal_endpoints(self):
         p = np.array([0.0, 0.0])
@@ -195,6 +227,21 @@ class TestContainers:
             GridDataset(np.array([[0, 1]]), 4)
         with pytest.raises(InvalidInput):
             GridDataset(np.array([[1, 5]]), 4)
+
+    @pytest.mark.parametrize("coords", [[[1.5, 2.7]], [[np.nan, 2.0]],
+                                        [[np.inf, 2.0]], [[1e30, 2.0]]],
+                             ids=["fraction", "nan", "inf", "beyond-int64"])
+    def test_grid_rejects_non_integral_coordinates(self, coords):
+        # neither truncated nor cast to -2^63 for the range check
+        with pytest.raises(InvalidInput, match="grid coordinates must be integers"):
+            GridDataset(np.array(coords), 10)
+
+    def test_grid_keeps_integral_floats_and_integer_input(self):
+        assert GridDataset(np.array([[1.0, 10.0]]), 10).points.tolist() == [[1, 10]]
+        pts = np.array([[3, 4]], dtype=np.int64)
+        assert GridDataset(pts, 10).points.dtype == np.int64
+        assert GridDataset(np.array([[3, 4]], dtype=np.uint8), 10).points.tolist() \
+            == [[3, 4]]
 
     def test_dataset_file_round_trip(self, tmp_path):
         data = geometry.random_grid_dataset(37, 5, 300, seed=5)
