@@ -226,19 +226,20 @@ def _row_blocks(zero: np.ndarray, runs):
     row), given their (|S|, m) zero flags and their row layout. Per block,
     yields the slice of its rows, a zeroed (rows, R) bit matrix for the rows
     at full width, the mask of the matrix bits the payload stores (all but
-    those after a zero flag), and per run of the row layout its (rows,
-    columns, width) view of the matrix."""
+    those after a zero flag; None if the block has no zero flag, so the
+    payload stores the whole matrix), and per run of the row layout its
+    (rows, columns, width) view of the matrix."""
     row_bits = sum((cols.stop - cols.start) * width for cols, width, _ in runs)
     step = max(1, _BLOCK_BITS // row_bits)
     for lo in range(0, len(zero), step):
         z = zero[lo:lo + step]
         matrix = np.zeros((len(z), row_bits), dtype=np.uint8)
-        keep = np.ones(matrix.shape, dtype=bool)
+        keep = np.ones(matrix.shape, dtype=bool) if z.any() else None
         views, start = [], 0
         for cols, width, variable in runs:
             end = start + (cols.stop - cols.start) * width
             views.append(matrix[:, start:end].reshape(len(z), -1, width))
-            if variable:
+            if variable and keep is not None:
                 keep[:, start:end].reshape(len(z), -1, width)[:, :, 1:] = ~z[:, cols, None]
             start = end
         yield slice(lo, lo + len(z)), matrix, keep, views
@@ -359,9 +360,10 @@ class Sketch:
     def _parse_payload(self):
         """Read the payload: one pass over the zero flags of the variable-
         width codes, the only sequential dependency of the layout, then per
-        block of rows (see :func:`_row_blocks`) one masked fill of its bit
-        matrix with the payload bits that follow, and every field of the
-        block read from its view of the matrix."""
+        block of rows (see :func:`_row_blocks`) one fill of its bit matrix
+        with the payload bits that follow (masked if the block has a zero
+        flag), and every field of the block read from its view of the
+        matrix."""
         p, k, d, s = self.params, self.k, self.d, self.coreset_size
         payload = np.frombuffer(self._data, dtype=np.uint8, offset=self._header_bytes)
         nbits = 8 * payload.size
@@ -411,10 +413,13 @@ class Sketch:
         zero[:, :len(steps)] = np.frombuffer(flags, dtype=bool).reshape(s, len(steps))
         pos = code_start
         for rows, matrix, keep, views in _row_blocks(zero, runs):
-            count = int(np.count_nonzero(keep))
+            count = matrix.size if keep is None else int(np.count_nonzero(keep))
             if pos + count > nbits:
                 raise SketchFormatError("payload ends early", bit_offset=nbits)
-            matrix[keep] = bits[pos:pos + count]
+            if keep is None:
+                matrix.ravel()[:] = bits[pos:pos + count]
+            else:
+                matrix[keep] = bits[pos:pos + count]
             pos += count
             if not self.unit_weights and views[0][:, 0, 1].any():
                 raise SketchFormatError("negative weight code")
@@ -444,7 +449,8 @@ class Sketch:
         :func:`_row_layout`). A variable-width code is [1] if zero, else
         [0][sign][expo][fraction]; a grid value is its coordinate minus 1.
         Each block of rows is written into its bit matrix at full width,
-        and the payload takes the bits its mask keeps.
+        and the payload takes the bits its mask keeps, or the whole matrix
+        if the block has no zero flag.
         """
         p, k, d = self.params, self.k, self.d
         cw, gw = p.center_width, p.group_width
@@ -460,7 +466,7 @@ class Sketch:
                     view[:, :, 0] = self._zero[rows, cols]
             for field, (g, shift, width) in zip(self._fields, layout):
                 views[g][:, :, shift:shift + width] = _bits_of(field[rows], width)
-            stored = matrix[keep]
+            stored = matrix.ravel() if keep is None else matrix[keep]
             bits[pos:pos + stored.size] = stored
             pos += stored.size
         return np.packbits(bits)

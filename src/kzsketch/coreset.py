@@ -23,10 +23,12 @@ def _rng(seed: int) -> np.random.Generator:
 
 
 def _inverse_cdf_sample(rng: np.random.Generator, prob: np.ndarray, size: int) -> np.ndarray:
-    """Draw ``size`` indices with the given probabilities via inverse CDF."""
+    """Draw ``size`` indices with the given probabilities via inverse CDF,
+    in ascending order: the uniforms are sorted before the search."""
     cdf = np.cumsum(prob)
     cdf[-1] = 1.0
     u = rng.random(size)
+    u.sort()
     return np.searchsorted(cdf, u, side="right")
 
 
@@ -88,22 +90,31 @@ def dz_total(mass: np.ndarray, z: ZLike) -> float:
     return total
 
 
-def _seed_dz(fpts: np.ndarray, k: int, z: ZLike, rng: np.random.Generator) -> np.ndarray:
-    """Adaptive seeding: first point uniform, then proportional to dist^z."""
+def _seed_dz(fpts: np.ndarray, k: int, z: ZLike,
+             rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+    """Adaptive seeding: first point uniform, then proportional to dist^z.
+    Returns the seeds' indices and each point's nearest seed, lowest index
+    on ties: a kernel call per seed gives each point's squared distance to
+    it, and only a strictly smaller one moves the point."""
     n = fpts.shape[0]
     chosen = np.empty(k, dtype=np.int64)
     chosen[0] = _inverse_cdf_sample(rng, np.full(n, 1.0 / n), 1)[0]
+    assign = np.zeros(n, dtype=np.int64)
     with np.errstate(over="ignore"):
-        min_pow = geometry.min_powered_distances(fpts, fpts[chosen[:1]], z)
+        best = geometry._nearest(fpts, fpts[chosen[:1]])[0]
+        min_pow = geometry.powered_distances(best, z)
         for j in range(1, k):
             total = dz_total(min_pow, z)
             if total <= 0:
                 chosen[j] = _inverse_cdf_sample(rng, np.full(n, 1.0 / n), 1)[0]
             else:
                 chosen[j] = _inverse_cdf_sample(rng, min_pow / total, 1)[0]
-            new_pow = geometry.min_powered_distances(fpts, fpts[chosen[j]][None, :], z)
-            np.minimum(min_pow, new_pow, out=min_pow)
-    return chosen
+            sq = geometry._nearest(fpts, fpts[chosen[j]][None, :])[0]
+            closer = sq < best
+            best[closer] = sq[closer]
+            assign[closer] = j
+            np.minimum(min_pow, geometry.powered_distances(sq, z), out=min_pow)
+    return chosen, assign
 
 
 def _snap_to_dataset(fpts: np.ndarray, centers: np.ndarray) -> np.ndarray:
@@ -137,11 +148,10 @@ def approx_centers(dataset: GridDataset, k: int, z: ZLike, seed: int) -> ApproxC
     pts = dataset.points
     fpts = pts.astype(np.float64)
 
-    idx = _seed_dz(fpts, k, zf, rng)
+    idx, assign = _seed_dz(fpts, k, zf, rng)
     centers = fpts[idx].copy()
 
     # one improvement sweep: move each center to its cluster mean
-    assign = geometry.nearest_assignment(fpts, centers)
     for j in range(k):
         mask = assign == j
         if mask.any():

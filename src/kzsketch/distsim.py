@@ -143,6 +143,11 @@ class StreamState:
         self.z = as_z(self.z)
         if not 0.0 < self.eps < 1.0:    # before the per-block halving
             raise InvalidInput(f"epsilon must lie in (0,1), got {self.eps}")
+        try:                            # the blocks' header eps, before any data
+            codec.quantize_epsilon(self.eps / 2.0)
+        except InvalidInput:
+            raise InvalidInput(f"epsilon {self.eps} does not survive header "
+                               "quantization once halved for the blocks") from None
         if self.block_size < self.k + 1:
             raise InvalidInput(
                 f"block_size must be >= k+1 = {self.k + 1}, got {self.block_size}")

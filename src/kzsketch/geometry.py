@@ -70,6 +70,12 @@ def grid_coordinates(values) -> np.ndarray:
     return a.astype(np.int64, copy=False)
 
 
+def _check_grid_range(pts: np.ndarray, delta: int) -> None:
+    if pts.size and (pts.min() < 1 or pts.max() > delta):
+        raise InvalidInput(f"grid coordinates must lie in [1, {delta}]; "
+                           f"found range [{pts.min()}, {pts.max()}]")
+
+
 @dataclass(frozen=True)
 class GridDataset:
     """n integer points in [1, delta]^d."""
@@ -81,10 +87,7 @@ class GridDataset:
         pts = np.ascontiguousarray(grid_coordinates(self.points))
         if pts.ndim != 2:
             raise InvalidInput("grid points must form an (n, d) array")
-        if pts.size and (pts.min() < 1 or pts.max() > self.delta):
-            raise InvalidInput(
-                f"grid coordinates must lie in [1, {self.delta}]; "
-                f"found range [{pts.min()}, {pts.max()}]")
+        _check_grid_range(pts, self.delta)
         object.__setattr__(self, "points", _freeze(pts))
 
     @property
@@ -366,8 +369,10 @@ def load_dataset(path) -> GridDataset:
         raw = _read_exact(fh, 8 * n * d, "dataset payload")
         if fh.read(1):
             raise InvalidInput("trailing bytes after the dataset payload")
-        pts = np.frombuffer(raw, dtype="<u8").reshape(n, d).astype(np.int64)
-    return GridDataset(pts, int(delta))
+        pts = np.frombuffer(raw, dtype="<u8").reshape(n, d)
+    # checked before the int64 cast, which would wrap a value of 2^63 or more
+    _check_grid_range(pts, min(delta, 2 ** 63 - 1))
+    return GridDataset(pts.astype(np.int64), int(delta))
 
 
 def _read_csv(path, parse, dtype, what: str) -> np.ndarray:

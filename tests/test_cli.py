@@ -258,6 +258,27 @@ class TestParameterValidation:
                                    "--eps", "1e-300", *argv[1:]])
         assert "does not survive header quantization" in err
 
+    # the stream sketches its blocks at eps/2: checked when the stream
+    # starts, not at the first flush, and named as given; 2^-126 passes the
+    # header itself but its half does not
+    @pytest.mark.parametrize("eps", ["1e-300", repr(2.0 ** -126)])
+    @pytest.mark.parametrize("method", ["sensitivity", "identity"])
+    def test_stream_eps_halved_below_header_range_names_given_eps(
+            self, capsys, dataset_file, method, eps):
+        err = usage_error(capsys, ["stream", "--data", dataset_file[0], "--k", "2",
+                                   "--block", "50", "--method", method, "--eps", eps])
+        assert err.startswith(f"error: epsilon {eps} does not survive header "
+                              "quantization once halved for the blocks")
+
+    def test_dataset_coordinate_beyond_int64_is_named_as_stored(self, capsys, tmp_path):
+        path = tmp_path / "big.kzds"
+        path.write_bytes(geometry.DATASET_MAGIC + struct.pack("<HQIQ", 1, 2, 1, 10)
+                         + np.array([2 ** 63 + 5, 3], dtype="<u8").tobytes())
+        err = usage_error(capsys, ["encode", "--data", str(path), "--k", "1",
+                                   "--eps", "0.2", "--out", str(tmp_path / "x.kzsk")])
+        assert err.startswith("error: grid coordinates must lie in [1, 10]; "
+                              "found range [3, 9223372036854775813]")
+
     @pytest.mark.parametrize("extra", [["--z", "1000"], ["--eps", "1e-20"],
                                        ["--z", "5000"]], ids=lambda e: "".join(e))
     def test_lowerbound_grid_side_beyond_codec_is_usage_error(self, capsys, extra):

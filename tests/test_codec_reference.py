@@ -109,10 +109,18 @@ class TestAgainstReference:
 class TestRowBlocks:
     """Payload rows go through bit matrices of at most ``_BLOCK_BITS`` bits;
     here a block holds 4 rows, so 14 rows make blocks of 4, 4, 4 and 2.
-    Zero-weight and zero-delta codes sit on the rows at block edges."""
+    Zero-weight and zero-delta codes sit on the rows at block edges. A block
+    with a zero flag goes through its keep mask; one without is taken whole:
+    the exact case mixes both, and so does the mixed case, whose zero codes
+    all sit in the last block."""
 
-    @pytest.mark.parametrize("delta, exact", [(16, True), (2 ** 20, False)])
-    def test_bytes_and_fields_match_across_blocks(self, delta, exact, monkeypatch):
+    @pytest.mark.parametrize("delta, exact, mixed, masked", [
+        (16, True, False, [True, False, True, True]),
+        (2 ** 20, False, False, [True, True, True, True]),
+        (2 ** 20, False, True, [False, False, False, True]),
+    ], ids=["16-True", "1048576-False", "1048576-mixed"])
+    def test_bytes_and_fields_match_across_blocks(self, delta, exact, mixed, masked,
+                                                  monkeypatch):
         # rows 0-8 in the low half-cube with center 1, rows 9-13 in the high
         # one with center delta: rows stay in coreset order
         rng = np.random.default_rng(9)
@@ -121,10 +129,14 @@ class TestRowBlocks:
         pts[9:] += half
         centers = np.array([[1] * 3, [delta] * 3])
         weights = rng.uniform(0.5, 3.0, size=14)
-        weights[[3, 8, 12]] = 0.0                   # zero weight codes
-        pts[[4, 7]] = centers[0]                    # zero delta codes
-        pts[[11, 13]] = centers[1]
-        pts[9, 1] = delta                           # and one coordinate
+        if mixed:
+            weights[12] = 0.0
+            pts[13] = centers[1]
+        else:
+            weights[[3, 8, 12]] = 0.0               # zero weight codes
+            pts[[4, 7]] = centers[0]                # zero delta codes
+            pts[[11, 13]] = centers[1]
+            pts[9, 1] = delta                       # and one coordinate
         config = ProblemConfig(n=14, d=3, k=2, z=Fraction(2), delta=delta, epsilon=0.3)
         cs = WeightedCoreset(pts, weights, 14, 0.3)
         sketch = codec.encode(cs, centers, config)
@@ -136,8 +148,15 @@ class TestRowBlocks:
 
         sketch = codec.encode(cs, centers, config)
         assert sketch.exact_coordinates == exact
-        assert not sketch.unit_weights and sketch._zero[[3, 8, 12], 0].all()
-        if not exact:
+        assert [keep is not None for _, _, keep, _ in
+                codec._row_blocks(sketch._zero, runs)] == masked
+        assert not sketch.unit_weights
+        if mixed:
+            assert sketch._zero[12, 0] and sketch._zero[13, 1:].all()
+            assert sketch._zero.sum() == 4
+        else:
+            assert sketch._zero[[3, 8, 12], 0].all()
+        if not exact and not mixed:
             assert sketch._zero[[4, 7, 11, 13], 1:].all() and sketch._zero[9, 2]
             assert sketch._zero[:, 1:].sum() == 13
         raw = ref.encode_bytes(cs, centers, config)

@@ -1,12 +1,14 @@
 import itertools
+import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 import nearest_reference
-from kzsketch import geometry
+from kzsketch import coreset, geometry
 from kzsketch.coreset import (WeightedCoreset, _snap_to_dataset, approx_centers,
-                              build_coreset, weight_sum_check)
+                              build_coreset, sensitivity_coreset, weight_sum_check)
 from kzsketch.errors import InvalidInput
 from kzsketch.geometry import CenterSet, GridDataset, cost
 
@@ -74,6 +76,104 @@ class TestApproxCenters:
         centers = rng.integers(1, 5, size=(k, d)) + (0.5 if half else rng.random((k, d)))
         want = nearest_reference.nearest(centers, fpts)[1]
         assert np.array_equal(_snap_to_dataset(fpts, centers), want)
+
+
+def reference_sample(rng, prob, size):
+    """Inverse-CDF draws in the order the uniforms come."""
+    cdf = np.cumsum(prob)
+    cdf[-1] = 1.0
+    return np.searchsorted(cdf, rng.random(size), side="right")
+
+
+def reference_approx_centers(dataset, k, z, seed):
+    """approx_centers as a separate pass per step: dist^z seeding through
+    min_powered_distances, then nearest_assignment over the seeds, the
+    cluster means and the snap."""
+    rng = coreset._rng(seed)
+    fpts = dataset.points.astype(np.float64)
+    n = dataset.n
+    chosen = [reference_sample(rng, np.full(n, 1.0 / n), 1)[0]]
+    with np.errstate(over="ignore"):
+        min_pow = geometry.min_powered_distances(fpts, fpts[chosen], z)
+        for _ in range(1, k):
+            total = coreset.dz_total(min_pow, z)
+            prob = np.full(n, 1.0 / n) if total <= 0 else min_pow / total
+            chosen.append(reference_sample(rng, prob, 1)[0])
+            new_pow = geometry.min_powered_distances(fpts, fpts[chosen[-1:]], z)
+            np.minimum(min_pow, new_pow, out=min_pow)
+    centers = fpts[chosen]
+    assign = geometry.nearest_assignment(fpts, centers)
+    for j in range(k):
+        if (assign == j).any():
+            centers[j] = fpts[assign == j].mean(axis=0)
+    snapped = _snap_to_dataset(fpts, centers)
+    return snapped, k > n or len(np.unique(snapped)) < k
+
+
+def reference_sensitivity(dataset, k, z, eps, seed, centers, weights=None):
+    """sensitivity_coreset with its draws in the order the uniforms come."""
+    n, d = dataset.n, dataset.d
+    w = np.ones(n) if weights is None else weights
+    rng = coreset._rng(seed)
+    with np.errstate(over="ignore"):
+        mass = w * geometry.min_powered_distances(
+            dataset.points.astype(np.float64), centers.centers.astype(np.float64), z)
+        total = coreset.dz_total(mass, z)
+    sens = (mass / total if total > 0 else 0.0) + w / w.sum()
+    prob = sens / sens.sum()
+    m = min(n, int(math.ceil(4.0 * k * eps ** -2 * (d + math.log2(100.0)))))
+    uniq, counts = np.unique(reference_sample(rng, prob, m), return_counts=True)
+    return dataset.points[uniq], w[uniq] * counts / (m * prob[uniq])
+
+
+# tie-heavy inputs: (dataset, k)
+TIE_CASES = {
+    "delta3_grid": (GridDataset(np.random.default_rng(1).integers(1, 4, size=(400, 3)), 3), 6),
+    "all_duplicates": (GridDataset(np.full((60, 2), 2), 3), 4),
+    "k_above_distinct": (GridDataset(np.random.default_rng(2).integers(1, 3, size=(50, 1)), 3), 5),
+}
+TIE_ZS = [Fraction(1), Fraction(3, 2), Fraction(2), Fraction(3)]
+
+
+class TestSeedingKeepsAssignment:
+    """The seeding's running nearest seed replaces a separate assignment
+    pass, and sorted draws replace draws in uniform order; both leave every
+    output as the one-pass-per-step reference gives it."""
+
+    @pytest.mark.parametrize("z", TIE_ZS, ids=str)
+    @pytest.mark.parametrize("case", TIE_CASES)
+    def test_approx_centers_matches_reference(self, case, z):
+        data, k = TIE_CASES[case]
+        for seed in range(10):
+            ac = approx_centers(data, k, z, seed)
+            indices, has_repeats = reference_approx_centers(data, k, z, seed)
+            assert np.array_equal(ac.indices, indices), f"seed {seed}"
+            assert np.array_equal(ac.centers, data.points[indices])
+            assert ac.has_repeats == has_repeats
+
+    @pytest.mark.parametrize("weighted", [False, True])
+    @pytest.mark.parametrize("z", TIE_ZS, ids=str)
+    @pytest.mark.parametrize("case", TIE_CASES)
+    def test_sensitivity_matches_reference(self, case, z, weighted):
+        data, k = TIE_CASES[case]
+        for seed in range(10):
+            w = np.random.default_rng(seed).uniform(0.5, 2.0, data.n) if weighted else None
+            centers = approx_centers(data, k, z, seed)
+            cs = sensitivity_coreset(data, k, z, 0.3, seed, centers=centers, weights=w)
+            pts, new_w = reference_sensitivity(data, k, z, 0.3, seed, centers, w)
+            assert np.array_equal(cs.points, pts), f"seed {seed}"
+            assert np.array_equal(cs.weights, new_w), f"seed {seed}"
+
+    @pytest.mark.parametrize("n, d, k", [(3000, 4, 8), (500, 16, 3), (7, 1, 20)])
+    def test_one_kernel_call_per_seed_and_snap_chunk(self, monkeypatch, n, d, k):
+        calls = []
+        kernel = geometry._nearest
+        monkeypatch.setattr(geometry, "_nearest",
+                            lambda p, c: calls.append(len(c)) or kernel(p, c))
+        approx_centers(geometry.random_grid_dataset(n, d, 64, seed=n), k, 2, seed=0)
+        chunks = len(range(0, n, max(1, n * d // k)))
+        assert len(calls) == k + chunks
+        assert calls[:k] == [1] * k
 
 
 class TestBuildCoreset:

@@ -157,6 +157,11 @@ class TestStream:
         assert state.buffer[0].dtype == np.int64
         assert state.buffer[0].tolist() == [2, 3]
 
+    def test_halved_eps_checked_before_any_point(self):
+        with pytest.raises(InvalidInput, match=r"^epsilon 1e-300 does not survive"):
+            StreamState(delta=8, d=2, k=1, z=Fraction(2), eps=1e-300,
+                        block_size=4, seed=0)
+
     def test_block_size_must_exceed_k(self):
         with pytest.raises(InvalidInput):
             StreamState(delta=8, d=2, k=4, z=Fraction(2), eps=0.2,

@@ -259,6 +259,16 @@ class TestContainers:
         with pytest.raises(InvalidInput, match="truncated dataset payload"):
             geometry.load_dataset(path)
 
+    @pytest.mark.parametrize("delta, bound", [(10, 10), (2 ** 64 - 1, 2 ** 63 - 1)])
+    def test_coordinate_beyond_int64_named_as_stored(self, tmp_path, delta, bound):
+        # read unsigned: the int64 cast would report 2^63 + 5 as -2^63 + 5
+        path = tmp_path / "big.kzds"
+        path.write_bytes(geometry.DATASET_MAGIC + struct.pack("<HQIQ", 1, 2, 1, delta)
+                         + np.array([2 ** 63 + 5, 3], dtype="<u8").tobytes())
+        with pytest.raises(InvalidInput, match=fr"^grid coordinates must lie in "
+                           fr"\[1, {bound}\]; found range \[3, 9223372036854775813\]$"):
+            geometry.load_dataset(path)
+
     def test_short_header_rejected(self, tmp_path):
         path = tmp_path / "short.kzds"
         path.write_bytes(geometry.DATASET_MAGIC + b"\x01\x00")
