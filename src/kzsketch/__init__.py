@@ -12,16 +12,13 @@ from .anglelab import (InnerProductMatrix, OrthonormalBasis, PrincipalAngles,
                        sample_haar_basis)
 from .codec import (BitLedger, ScalarCode, Sketch, compress, decode_scalar,
                     encode, encode_scalar, theoretical_upper_bound)
-from .coloring import (PartialColoring, SeparationWitness, TiledInstance,
-                       adversarial_center, center_for_power, cost_gap,
-                       find_partial_coloring, loglog_family_instance,
-                       round_and_scale, separation_witness, tile_instances)
-from .coreset import (ApproxCenters, WeightedCoreset, approx_centers,
-                      build_coreset, weight_sum_check)
+from .coloring import (PartialColoring, SeparationWitness, adversarial_center,
+                       center_for_power, cost_gap, find_partial_coloring,
+                       round_and_scale, separation_witness)
+from .coreset import ApproxCenters, WeightedCoreset, approx_centers, build_coreset
 from .distsim import (CommLedger, MergedSketch, SitePartition, StreamState,
                       run_coordinator, run_stream)
-from .errors import (CapacityError, DimensionMismatch, InvalidInput,
-                     KZSketchError, SketchFormatError)
+from .errors import DimensionMismatch, InvalidInput, KZSketchError, SketchFormatError
 from .geometry import (CenterSet, GridDataset, ProblemConfig, RealDataset, cost,
                        nearest_assignment, weighted_cost)
 

@@ -295,7 +295,6 @@ class Sketch:
     many threads are safe).
     """
 
-    _source_order = None
     _decoded = None
 
     def __init__(self, data: bytes):
@@ -499,11 +498,6 @@ class Sketch:
     def to_bytes(self) -> bytes:
         return self._data
 
-    @property
-    def source_order(self) -> np.ndarray | None:
-        """Original coreset row per decoded row (encode-side diagnostic only)."""
-        return self._source_order
-
     def decode(self):
         """Reconstruct (weights, points, centers); exact and cached."""
         if self._decoded is None:
@@ -621,7 +615,6 @@ def encode(coreset: WeightedCoreset, centers, config: ProblemConfig) -> Sketch:
     sketch._set_payload(cen, group_sizes.tolist(),
                         np.concatenate(zero_columns, axis=1), fields)
     sketch._data = header + sketch._pack_payload().tobytes()
-    sketch._source_order = order
     return sketch
 
 

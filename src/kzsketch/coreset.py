@@ -56,7 +56,6 @@ class WeightedCoreset:
     points: np.ndarray
     weights: np.ndarray
     source_n: int
-    epsilon: float
 
     def __post_init__(self):
         pts = np.ascontiguousarray(np.asarray(self.points, dtype=np.int64))
@@ -75,9 +74,6 @@ class WeightedCoreset:
     @property
     def size(self) -> int:
         return self.points.shape[0]
-
-    def cost(self, centers, z: ZLike) -> float:
-        return geometry.weighted_cost(self.weights, self.points, centers, z)
 
 
 def dz_total(mass: np.ndarray, z: ZLike) -> float:
@@ -163,11 +159,11 @@ def approx_centers(dataset: GridDataset, k: int, z: ZLike, seed: int) -> ApproxC
     return ApproxCenters(out, snapped, has_repeats=has_repeats)
 
 
-def identity_coreset(dataset: GridDataset, eps: float, weights=None,
+def identity_coreset(dataset: GridDataset, weights=None,
                      source_n: int | None = None) -> WeightedCoreset:
     """S = P with its weights (all exactly 1 by default): a 0-error coreset."""
     w = np.ones(dataset.n) if weights is None else weights
-    return WeightedCoreset(dataset.points, w, source_n or dataset.n, eps)
+    return WeightedCoreset(dataset.points, w, source_n or dataset.n)
 
 
 def sensitivity_coreset(dataset: GridDataset, k: int, z: ZLike, eps: float, seed: int,
@@ -198,7 +194,7 @@ def sensitivity_coreset(dataset: GridDataset, k: int, z: ZLike, eps: float, seed
     draws = _inverse_cdf_sample(rng, prob, m)
     uniq, counts = np.unique(draws, return_counts=True)
     new_w = w[uniq] * counts / (m * prob[uniq])
-    return WeightedCoreset(dataset.points[uniq], new_w, source_n or dataset.n, eps)
+    return WeightedCoreset(dataset.points[uniq], new_w, source_n or dataset.n)
 
 
 def build_coreset(dataset: GridDataset, k: int, z: ZLike, eps: float,
@@ -214,14 +210,7 @@ def build_coreset(dataset: GridDataset, k: int, z: ZLike, eps: float,
     if not (0.0 < eps < 1.0):
         raise InvalidInput(f"eps must lie in (0,1), got {eps}")
     if method == "identity":
-        return identity_coreset(dataset, eps, weights, source_n)
+        return identity_coreset(dataset, weights, source_n)
     if method == "sensitivity":
         return sensitivity_coreset(dataset, k, z, eps, seed, centers, weights, source_n)
     raise InvalidInput(f"unknown coreset method {method!r}")
-
-
-def weight_sum_check(coreset: WeightedCoreset) -> bool:
-    """True iff the total weight lies in (1 +- 4 eps) * source_n."""
-    total = float(np.sum(coreset.weights))
-    n, eps = coreset.source_n, coreset.epsilon
-    return (1 - 4 * eps) * n <= total <= (1 + 4 * eps) * n

@@ -42,7 +42,6 @@ class CommLedger:
     """Exact bits shipped site -> coordinator, one round."""
 
     per_site_bits: list[int]
-    rounds: int = 1
 
     @property
     def total_bits(self) -> int:
@@ -50,7 +49,7 @@ class CommLedger:
 
     def as_dict(self) -> dict:
         return {"per_site_bits": list(self.per_site_bits),
-                "total_bits": self.total_bits, "rounds": self.rounds}
+                "total_bits": self.total_bits, "rounds": 1}
 
 
 class MergedSketch:

@@ -24,7 +24,3 @@ class SketchFormatError(KZSketchError):
         super().__init__(message if bit_offset is None
                          else f"{message} (bit offset {bit_offset})")
         self.bit_offset = bit_offset
-
-
-class CapacityError(KZSketchError):
-    """A placement or spacing constraint cannot be satisfied."""

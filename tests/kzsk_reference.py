@@ -77,6 +77,13 @@ class BitReader:
         return value
 
 
+def row_order(points, centers) -> np.ndarray:
+    """Coreset row of each encoded row: rows are grouped by nearest center
+    (lowest index on ties) and keep their coreset order within a group."""
+    cen = np.asarray(getattr(centers, "centers", centers), dtype=np.float64)
+    return np.argsort(geometry.nearest_assignment(points, cen), kind="stable")
+
+
 def encode_bytes(coreset, centers, config) -> bytes:
     """The v2 wire bytes of ``codec.encode(coreset, centers, config)``,
     written field by field. Inputs must be valid; only the packing differs
@@ -91,13 +98,9 @@ def encode_bytes(coreset, centers, config) -> bytes:
     for l in range(config.k):
         for i in range(config.d):
             writer.write(int(cen[l, i]) - 1, p.center_width)
-    if s:
-        assign = geometry.nearest_assignment(pts, cen.astype(np.float64))
-        order = np.argsort(assign, kind="stable")
-        group_sizes = np.bincount(assign, minlength=config.k)
-    else:
-        assign = order = np.zeros(0, dtype=np.int64)
-        group_sizes = np.zeros(config.k, dtype=np.int64)
+    assign = geometry.nearest_assignment(pts, cen.astype(np.float64))
+    order = row_order(pts, cen)
+    group_sizes = np.bincount(assign, minlength=config.k)
     for l in range(config.k):
         writer.write(int(group_sizes[l]), p.group_width)
 

@@ -10,6 +10,10 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+import kzsk_reference as ref
+from hard_instances import (loglog_family_instance, loglog_witness_centers,
+                            taylor_bounds_margins, tile_instances,
+                            weight_sum_check)
 from kzsketch import anglelab, codec, coreset, distsim, geometry
 from kzsketch.anglelab import (COS_STAR, InnerProductMatrix,
                                OrthonormalBasis, orthogonal_complement_basis,
@@ -17,11 +21,9 @@ from kzsketch.anglelab import (COS_STAR, InnerProductMatrix,
                                sample_haar_basis)
 from kzsketch.cli import main as cli_main
 from kzsketch.coloring import (adversarial_center, cost_gap,
-                               find_partial_coloring, loglog_family_instance,
-                               loglog_witness_centers, odd_grid_side,
+                               find_partial_coloring, odd_grid_side,
                                paired_witness_centers, round_and_scale,
-                               scale_center, separation_witness,
-                               taylor_bounds_margins, tile_instances)
+                               scale_center, separation_witness)
 from kzsketch.geometry import CenterSet, ProblemConfig, RealDataset
 
 DELTA = 2 ** 10
@@ -53,12 +55,12 @@ def sketch_grid():
             for eps in GRID_EPS:
                 config = ProblemConfig(n=n, d=d, k=k, z=Fraction(z),
                                        delta=DELTA, epsilon=eps)
-                cs = coreset.identity_coreset(data, eps)
+                cs = coreset.identity_coreset(data)
                 sk = codec.encode(cs, centers, config)
                 est = np.array([sk.estimate_cost(q) for q in queries])
                 rel = np.abs(est - exact) / exact
                 weights, points, cen = sk.decode()
-                order = sk.source_order
+                order = ref.row_order(cs.points, centers)
                 orig = cs.points[order].astype(float)
                 pdist = np.linalg.norm(orig - points, axis=1)
                 cdist = np.linalg.norm(orig - cen[sk.group_of], axis=1)
@@ -93,7 +95,7 @@ def test_criterion_2_weight_sums():
     n, d, k, eps = 2000, 16, 4, 0.2
     data = geometry.random_grid_dataset(n, d, DELTA, seed=2016)
     identity_ok = True
-    cs = coreset.identity_coreset(data, eps)
+    cs = coreset.identity_coreset(data)
     identity_ok &= float(np.sum(cs.weights)) == float(n)
     sens_ok = True
     worst_dev = 0.0
@@ -102,7 +104,7 @@ def test_criterion_2_weight_sums():
                                    seed=seed)
         total = float(np.sum(cs.weights))
         worst_dev = max(worst_dev, abs(total - n) / n)
-        sens_ok &= coreset.weight_sum_check(cs)
+        sens_ok &= weight_sum_check(cs, eps)
     verdict(2, "coreset weight sums", identity_ok and sens_ok,
             f"identity sum exactly n; 20 sensitivity seeds within "
             f"(1 +- 4 eps) n, worst |sum - n|/n = {worst_dev:.4f} "
@@ -346,7 +348,7 @@ def test_criterion_10_distributed_and_streaming():
     degenerate = distsim.run_stream(stream_data, k, 2, eps,
                                     block_size=stream_data.n, seed=106)
     centers = coreset.approx_centers(stream_data, k, 2, seed=106)
-    cs = coreset.identity_coreset(stream_data, eps / 2)
+    cs = coreset.identity_coreset(stream_data)
     config = ProblemConfig(n=stream_data.n, d=d, k=k, z=Fraction(2),
                            delta=DELTA, epsilon=eps / 2)
     offline = codec.encode(cs, centers, config)

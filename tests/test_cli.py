@@ -361,7 +361,7 @@ def test_wide_row_sketch_parses_in_bounded_memory(tmp_path):
         "off = rng.random(pts.shape) < 0.01\n"
         "pts[off] = rng.integers(1, delta + 1, size=int(off.sum()))\n"
         "config = ProblemConfig(n=s, d=d, k=1, z=Fraction(2), delta=delta, epsilon=1e-18)\n"
-        "cs = WeightedCoreset(pts, rng.uniform(0.5, 2, size=s), s, 1e-18)\n"
+        "cs = WeightedCoreset(pts, rng.uniform(0.5, 2, size=s), s)\n"
         "sketch = codec.encode(cs, center, config)\n"
         "assert not sketch.exact_coordinates and sketch.params.code_widths[1] == 70\n"
         "open(sys.argv[1], 'wb').write(sketch.to_bytes())\n")

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import kzsk_reference as ref
 from kzsketch import codec, geometry
 from kzsketch.codec import (Sketch, decode_scalar, encode, encode_scalar,
                             theoretical_upper_bound)
@@ -61,7 +62,7 @@ class TestBitIO:
         rng = np.random.default_rng(4)
         pts = rng.integers(1, 17, size=(6, 3))
         config = ProblemConfig(n=6, d=3, k=2, z=Fraction(2), delta=16, epsilon=0.3)
-        sketch = encode(WeightedCoreset(pts, rng.uniform(0.5, 2, size=6), 6, 0.3),
+        sketch = encode(WeightedCoreset(pts, rng.uniform(0.5, 2, size=6), 6),
                         pts[[0, 3]], config)
         assert sketch.exact_coordinates and not sketch._zero.any()
         header = codec._HEADER_BYTES
@@ -146,7 +147,7 @@ class TestEncodeDecode:
     def test_point_on_center_stores_zero_deltas(self):
         p = np.array([[17, 33]])
         config = ProblemConfig(n=1, d=2, k=1, z=Fraction(2), delta=64, epsilon=0.25)
-        cs = WeightedCoreset(p, np.ones(1), 1, 0.25)
+        cs = WeightedCoreset(p, np.ones(1), 1)
         sk = encode(cs, p, config)
         # one zero bit per coordinate
         assert sk.ledger.coordinate_bits == 2
@@ -158,7 +159,7 @@ class TestEncodeDecode:
         data, config, centers, cs = make_instance(method="sensitivity", seed=5)
         sk = encode(cs, centers, config)
         w, pts, cen = sk.decode()
-        order = sk.source_order
+        order = ref.row_order(cs.points, centers)
         orig_w = np.asarray(cs.weights)[order]
         thr = config.epsilon / (4 * cs.size)
         live = orig_w > thr
@@ -212,7 +213,7 @@ class TestEncodeDecode:
 
     def test_off_grid_coordinates_rejected(self):
         config = ProblemConfig(n=1, d=2, k=1, z=Fraction(2), delta=16, epsilon=0.2)
-        cs = WeightedCoreset(np.array([[1, 1]]), np.ones(1), 1, 0.2)
+        cs = WeightedCoreset(np.array([[1, 1]]), np.ones(1), 1)
         with pytest.raises(InvalidInput):
             encode(cs, np.array([[1, 20]]), config)
         with pytest.raises(InvalidInput):
@@ -251,7 +252,7 @@ class TestEncodeDecode:
 
     def test_empty_coreset_is_header_plus_centers(self):
         config = ProblemConfig(n=4, d=3, k=2, z=Fraction(1), delta=32, epsilon=0.5)
-        cs = WeightedCoreset(np.zeros((0, 3), dtype=np.int64), np.zeros(0), 4, 0.5)
+        cs = WeightedCoreset(np.zeros((0, 3), dtype=np.int64), np.zeros(0), 4)
         sk = encode(cs, np.array([[1, 2, 3], [4, 5, 6]]), config)
         ledger = sk.ledger
         assert ledger.weight_bits == 0 and ledger.coordinate_bits == 0
@@ -262,7 +263,7 @@ class TestEncodeDecode:
         # frozen fixture pinning the wire format; regenerate deliberately if
         # the format version ever changes
         pts = np.array([[1, 7], [3, 2], [8, 8], [5, 1]])
-        cs = WeightedCoreset(pts, np.array([1.0, 0.25, 2.5, 1e-9]), 4, 0.25)
+        cs = WeightedCoreset(pts, np.array([1.0, 0.25, 2.5, 1e-9]), 4)
         config = ProblemConfig(n=4, d=2, k=2, z=Fraction(2), delta=8,
                                epsilon=0.25)
         sk = encode(cs, np.array([[1, 7], [5, 1]]), config)
@@ -292,7 +293,8 @@ class TestEncodeDecode:
         assert sk.exact_coordinates and sk.unit_weights
         assert sk.ledger.total_bits == sk.ledger.header_bits + sk.ledger.center_bits \
             + n * d * 10
-        assert np.array_equal(sk.decode()[1], data.points[sk.source_order])
+        centers = approx_centers(data, 8, 2, seed=4)
+        assert np.array_equal(sk.decode()[1], data.points[ref.row_order(data.points, centers)])
 
     def test_full_weight_exponent_range(self):
         # weights spanning threshold .. (1+4 eps) n exercise both exponent
@@ -303,7 +305,7 @@ class TestEncodeDecode:
         pts = np.ones((n, 1), dtype=np.int64)
         thr = eps / (4 * n)
         weights = np.geomspace(thr * 1.01, (1 + 4 * eps) * n * 0.9, n)
-        cs = WeightedCoreset(pts, weights, n, eps)
+        cs = WeightedCoreset(pts, weights, n)
         sk = encode(cs, np.array([[1]]), config)
         dec_w, _, _ = sk.decode()
         back = np.sort(dec_w)
@@ -317,7 +319,7 @@ class TestEncodeDecode:
         pts = np.ones((n, 1), dtype=np.int64)
         weights = np.ones(n)
         weights[0] = 16 * n     # far beyond the (1 + 4 eps) n total bound
-        cs = WeightedCoreset(pts, weights, n, eps)
+        cs = WeightedCoreset(pts, weights, n)
         with pytest.raises(InvalidInput):
             encode(cs, np.array([[1]]), config)
 

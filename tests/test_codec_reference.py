@@ -48,7 +48,7 @@ def instances(draw):
     if draw(st.booleans()):
         weights[:] = 1.0
     config = ProblemConfig(n=n, d=d, k=k, z=z, delta=delta, epsilon=eps)
-    return WeightedCoreset(pts, weights, n, eps), centers, config
+    return WeightedCoreset(pts, weights, n), centers, config
 
 
 def assert_same_fields(sketch, expected):
@@ -86,7 +86,7 @@ class TestAgainstReference:
     def test_smallest_supported_epsilon_round_trips(self):
         # eps = 1e-18 gives f_x = 63, a 69-bit coordinate code
         pts = np.array([[1, 7], [3, 2], [8, 8], [5, 1]])
-        cs = WeightedCoreset(pts, np.array([1.0, 0.25, 2.5, 1e-9]), 4, 1e-18)
+        cs = WeightedCoreset(pts, np.array([1.0, 0.25, 2.5, 1e-9]), 4)
         config = ProblemConfig(n=4, d=2, k=2, z=Fraction(2), delta=1024,
                                epsilon=1e-18)
         centers = np.array([[1, 7], [5, 1]])
@@ -99,7 +99,7 @@ class TestAgainstReference:
 
     def test_too_small_epsilon_rejected_before_packing(self):
         pts = np.array([[1, 7], [3, 2]])
-        cs = WeightedCoreset(pts, np.ones(2), 2, 1e-20)
+        cs = WeightedCoreset(pts, np.ones(2), 2)
         config = ProblemConfig(n=2, d=2, k=1, z=Fraction(2), delta=8,
                                epsilon=1e-20)
         with pytest.raises(InvalidInput, match="epsilon 1e-20"):
@@ -138,7 +138,7 @@ class TestRowBlocks:
             pts[[11, 13]] = centers[1]
             pts[9, 1] = delta                       # and one coordinate
         config = ProblemConfig(n=14, d=3, k=2, z=Fraction(2), delta=delta, epsilon=0.3)
-        cs = WeightedCoreset(pts, weights, 14, 0.3)
+        cs = WeightedCoreset(pts, weights, 14)
         sketch = codec.encode(cs, centers, config)
         runs, _ = sketch._layouts()
         row_bits = sum((cols.stop - cols.start) * width for cols, width, _ in runs)
@@ -176,7 +176,7 @@ def _valid_sketch(delta: int = 16, unit: bool = False) -> bytes:
     centers = data[[0, 3]]
     config = ProblemConfig(n=6, d=2, k=2, z=Fraction(3, 2), delta=delta,
                            epsilon=0.3)
-    return ref.encode_bytes(WeightedCoreset(data, weights, 6, 0.3), centers,
+    return ref.encode_bytes(WeightedCoreset(data, weights, 6), centers,
                             config)
 
 
@@ -297,7 +297,7 @@ class TestV2Flags:
         rng = np.random.default_rng(6)
         data = rng.integers(1, 13, size=(6, 2))
         config = ProblemConfig(n=6, d=2, k=2, z=Fraction(2), delta=12, epsilon=0.3)
-        raw = bytearray(ref.encode_bytes(WeightedCoreset(data, np.ones(6), 6, 0.3),
+        raw = bytearray(ref.encode_bytes(WeightedCoreset(data, np.ones(6), 6),
                                          data[[0, 3]], config))
         sketch = codec.Sketch.from_bytes(bytes(raw))
         assert sketch.exact_coordinates and sketch.unit_weights

@@ -3,18 +3,19 @@ import math
 import numpy as np
 import pytest
 
+from hard_instances import (CapacityError, loglog_family_instance,
+                            loglog_witness_centers, taylor_bounds_margins,
+                            tile_instances)
 from kzsketch import geometry
 from kzsketch.anglelab import (COS_STAR, InnerProductMatrix,
                                orthogonal_complement_basis,
                                perturbed_orthogonal_basis, sample_haar_basis)
 from kzsketch.coloring import (adversarial_center, center_for_power,
-                               cost_gap, find_partial_coloring,
-                               loglog_family_instance, loglog_witness_centers,
-                               odd_grid_side, paired_witness_centers,
-                               power_gap_bound, round_and_scale, scale_center,
-                               separation_witness, taylor_bounds_margins,
-                               tile_instances)
-from kzsketch.errors import CapacityError, InvalidInput
+                               cost_gap, find_partial_coloring, odd_grid_side,
+                               paired_witness_centers, power_gap_bound,
+                               round_and_scale, scale_center,
+                               separation_witness)
+from kzsketch.errors import InvalidInput
 from kzsketch.geometry import CenterSet, GridDataset, RealDataset
 
 

@@ -6,9 +6,10 @@ import numpy as np
 import pytest
 
 import nearest_reference
+from hard_instances import weight_sum_check
 from kzsketch import coreset, geometry
 from kzsketch.coreset import (WeightedCoreset, _snap_to_dataset, approx_centers,
-                              build_coreset, sensitivity_coreset, weight_sum_check)
+                              build_coreset, sensitivity_coreset)
 from kzsketch.errors import InvalidInput
 from kzsketch.geometry import CenterSet, GridDataset, cost
 
@@ -183,13 +184,13 @@ class TestBuildCoreset:
         assert (cs.weights == 1.0).all()
         assert cs.weights.sum() == data.n
         cen = CenterSet(np.full((2, 3), 8.0))
-        assert cs.cost(cen, 2) == cost(data, cen, 2)
+        assert geometry.weighted_cost(cs.weights, cs.points, cen, 2) == cost(data, cen, 2)
 
     def test_sensitivity_weight_sums(self):
         data = geometry.random_grid_dataset(500, 8, 256, seed=11)
         for seed in range(20):
             cs = build_coreset(data, 4, 2, 0.2, method="sensitivity", seed=seed)
-            assert weight_sum_check(cs), f"seed {seed}: sum {cs.weights.sum()}"
+            assert weight_sum_check(cs, 0.2), f"seed {seed}: sum {cs.weights.sum()}"
 
     def test_sensitivity_cost_accuracy(self):
         data = geometry.random_grid_dataset(2000, 16, 1024, seed=12)
@@ -197,16 +198,17 @@ class TestBuildCoreset:
         queries = geometry.random_center_sets(data, 4, 100, seed=14)
         for q in queries:
             exact = cost(data, q, 2)
-            est = cs.cost(q, 2)
+            est = geometry.weighted_cost(cs.weights, cs.points, q, 2)
             assert abs(est - exact) <= 0.2 * exact
 
     def test_sensitivity_unbiased(self):
         data = geometry.random_grid_dataset(400, 6, 128, seed=15)
         query = geometry.random_center_sets(data, 3, 1, seed=16)[0]
         exact = cost(data, query, 2)
-        estimates = np.array([
-            build_coreset(data, 3, 2, 0.3, method="sensitivity", seed=s).cost(query, 2)
-            for s in range(200, 400)])
+        coresets = [build_coreset(data, 3, 2, 0.3, method="sensitivity", seed=s)
+                    for s in range(200, 400)]
+        estimates = np.array([geometry.weighted_cost(cs.weights, cs.points, query, 2)
+                              for cs in coresets])
         se = estimates.std(ddof=1) / np.sqrt(len(estimates))
         assert abs(estimates.mean() - exact) <= 2 * se
 
@@ -221,18 +223,17 @@ class TestBuildCoreset:
 class TestWeightSumCheck:
     def test_identity_passes(self):
         data = geometry.random_grid_dataset(30, 2, 8, seed=18)
-        assert weight_sum_check(build_coreset(data, 2, 2, 0.1, method="identity"))
+        assert weight_sum_check(build_coreset(data, 2, 2, 0.1, method="identity"), 0.1)
 
     def test_doubled_weights_fail(self):
         data = geometry.random_grid_dataset(30, 2, 8, seed=19)
         cs = build_coreset(data, 2, 2, 0.1, method="identity")
-        doubled = WeightedCoreset(cs.points, 2 * np.asarray(cs.weights),
-                                  cs.source_n, 0.1)
-        assert not weight_sum_check(doubled)
+        doubled = WeightedCoreset(cs.points, 2 * np.asarray(cs.weights), cs.source_n)
+        assert not weight_sum_check(doubled, 0.1)
 
     def test_negative_weight_rejected(self):
         with pytest.raises(InvalidInput):
-            WeightedCoreset(np.array([[1, 1]]), np.array([-0.5]), 1, 0.1)
+            WeightedCoreset(np.array([[1, 1]]), np.array([-0.5]), 1)
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")

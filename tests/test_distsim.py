@@ -35,7 +35,7 @@ class TestCoordinator:
         merged, ledger = run_coordinator(partition, 3, 2, 0.15, seed=2,
                                          method="identity")
         assert ledger.total_bits == sum(ledger.per_site_bits)
-        assert ledger.rounds == 1
+        assert ledger.as_dict()["rounds"] == 1
         for q in geometry.random_center_sets(data, 3, 100, seed=3):
             exact = geometry.cost(data, q, 2)
             assert abs(merged.estimate_cost(q) - exact) <= 0.15 * exact

@@ -27,6 +27,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import kzsk_reference as ref
 from kzsketch import codec, coreset, distsim, geometry
 from kzsketch.geometry import GridDataset, ProblemConfig
 
@@ -180,7 +181,7 @@ def test_v1_fixture_parses_to_pinned_fingerprint(name):
 @pytest.mark.parametrize("case", CASES, ids=case_id)
 def test_sketch_meets_the_wire_contract(case):
     n, d, k, z, _, delta = case
-    _, cs, sketch = encoded(case)
+    centers, cs, sketch = encoded(case)
     raw = sketch.to_bytes()
     reopened = codec.Sketch.from_bytes(raw)
     assert reopened.ledger == sketch.ledger
@@ -188,7 +189,7 @@ def test_sketch_meets_the_wire_contract(case):
     assert sketch.ledger.total_bits <= codec.theoretical_upper_bound(
         n, k, d, delta, EPS, z, cs.size, sketch.unit_weights)
     if sketch.exact_coordinates:
-        assert np.array_equal(reopened.decode()[1], cs.points[sketch.source_order])
+        assert np.array_equal(reopened.decode()[1], cs.points[ref.row_order(cs.points, centers)])
 
 
 def test_corpus_covers_repeated_centers(golden):

@@ -14,11 +14,6 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 
 ALLOWED_UNUSED = {
-    "taylor_bounds_margins": "acceptance criterion 6 sweeps the Taylor sandwich with it",
-    "tile_instances": "acceptance criterion 8 tiles k/2 instance pairs with it",
-    "loglog_family_instance": "acceptance criterion 9 builds the anchor family with it",
-    "loglog_witness_centers": "acceptance criterion 9 separates the anchor family with it",
-    "weight_sum_check": "acceptance criterion 2 checks coreset total weights with it",
     "save_basis": "the only KZOB writer, which `angles --basis-a/--basis-b` reads",
     "random_grid_dataset": "the README quick start makes its dataset with it",
 }
