@@ -86,18 +86,20 @@ def dz_total(mass: np.ndarray, z: ZLike) -> float:
     return total
 
 
-def _seed_dz(fpts: np.ndarray, k: int, z: ZLike,
+def _seed_dz(dataset: GridDataset, k: int, z: ZLike,
              rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
     """Adaptive seeding: first point uniform, then proportional to dist^z.
     Returns the seeds' indices and each point's nearest seed, lowest index
     on ties: a kernel call per seed gives each point's squared distance to
-    it, and only a strictly smaller one moves the point."""
-    n = fpts.shape[0]
+    it, and only a strictly smaller one moves the point. The kernel gets the
+    dataset itself, so every pass reuses its stored squared norms and its
+    distances are exact grid distances."""
+    n, pts = dataset.n, dataset.points
     chosen = np.empty(k, dtype=np.int64)
     chosen[0] = _inverse_cdf_sample(rng, np.full(n, 1.0 / n), 1)[0]
     assign = np.zeros(n, dtype=np.int64)
     with np.errstate(over="ignore"):
-        best = geometry._nearest(fpts, fpts[chosen[:1]])[0]
+        best = geometry._nearest(dataset, pts[chosen[:1]])[0]
         min_pow = geometry.powered_distances(best, z)
         for j in range(1, k):
             total = dz_total(min_pow, z)
@@ -105,7 +107,7 @@ def _seed_dz(fpts: np.ndarray, k: int, z: ZLike,
                 chosen[j] = _inverse_cdf_sample(rng, np.full(n, 1.0 / n), 1)[0]
             else:
                 chosen[j] = _inverse_cdf_sample(rng, min_pow / total, 1)[0]
-            sq = geometry._nearest(fpts, fpts[chosen[j]][None, :])[0]
+            sq = geometry._nearest(dataset, pts[chosen[j:j + 1]])[0]
             closer = sq < best
             best[closer] = sq[closer]
             assign[closer] = j
@@ -113,16 +115,16 @@ def _seed_dz(fpts: np.ndarray, k: int, z: ZLike,
     return chosen, assign
 
 
-def _snap_to_dataset(fpts: np.ndarray, centers: np.ndarray) -> np.ndarray:
+def _snap_to_dataset(pts: np.ndarray, centers: np.ndarray) -> np.ndarray:
     """Index of the nearest dataset point per center, lowest index on ties.
     The dataset rows are the kernel's centers, in chunks of n d / k rows, so
-    no (k, chunk) temporary outgrows ``fpts``."""
-    n, d = fpts.shape
+    no (k, chunk) temporary outgrows ``pts``."""
+    n, d = pts.shape
     step = max(1, n * d // len(centers))
     best = np.full(len(centers), np.inf)
     arg = np.zeros(len(centers), dtype=np.int64)
     for lo in range(0, n, step):
-        b, a = geometry._nearest(centers, fpts[lo:lo + step])
+        b, a = geometry._nearest(centers, pts[lo:lo + step])
         closer = b < best       # ties stay on the earlier chunk's lower index
         best[closer] = b[closer]
         arg[closer] = a[closer] + lo
@@ -142,18 +144,17 @@ def approx_centers(dataset: GridDataset, k: int, z: ZLike, seed: int) -> ApproxC
         raise InvalidInput("dataset must contain at least one point")
     rng = _rng(seed)
     pts = dataset.points
-    fpts = pts.astype(np.float64)
 
-    idx, assign = _seed_dz(fpts, k, zf, rng)
-    centers = fpts[idx].copy()
+    idx, assign = _seed_dz(dataset, k, zf, rng)
+    centers = pts[idx].astype(np.float64)
 
     # one improvement sweep: move each center to its cluster mean
     for j in range(k):
         mask = assign == j
         if mask.any():
-            centers[j] = fpts[mask].mean(axis=0)
+            centers[j] = pts[mask].astype(np.float64).mean(axis=0)
 
-    snapped = _snap_to_dataset(fpts, centers)
+    snapped = _snap_to_dataset(pts, centers)
     out = pts[snapped]
     has_repeats = k > dataset.n or len(np.unique(snapped)) < k
     return ApproxCenters(out, snapped, has_repeats=has_repeats)
@@ -176,7 +177,9 @@ def sensitivity_coreset(dataset: GridDataset, k: int, z: ZLike, eps: float, seed
     point's new weight ``w counts / (m prob)`` is unbiased for every center
     set.
 
-    The sample count is m = min(n, 4 k eps^-2 (d + log2 100)).
+    The sample count is m = min(n, 4 k eps^-2 (d + log2 100)). The kernel
+    gets the dataset itself, with its stored squared norms, so no float
+    copy of the points is made.
     """
     n, d = dataset.n, dataset.d
     w = np.ones(n) if weights is None else weights
@@ -184,8 +187,7 @@ def sensitivity_coreset(dataset: GridDataset, k: int, z: ZLike, eps: float, seed
     if centers is None:
         centers = approx_centers(dataset, k, z, seed)
     with np.errstate(over="ignore"):
-        mass = w * geometry.min_powered_distances(
-            dataset.points.astype(np.float64), centers.centers.astype(np.float64), z)
+        mass = w * geometry.min_powered_distances(dataset, centers.centers, z)
         total = dz_total(mass, z)
     sens = (mass / total if total > 0 else 0.0) + w / w.sum()
     prob = sens / sens.sum()

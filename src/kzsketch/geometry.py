@@ -11,7 +11,7 @@ import csv
 import os
 import stat
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
@@ -78,10 +78,12 @@ def _check_grid_range(pts: np.ndarray, delta: int) -> None:
 
 @dataclass(frozen=True)
 class GridDataset:
-    """n integer points in [1, delta]^d."""
+    """n integer points in [1, delta]^d. ``sq_norms`` holds each point's
+    squared norm for the distance kernel, computed once and read-only."""
 
     points: np.ndarray
     delta: int
+    sq_norms: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         pts = np.ascontiguousarray(grid_coordinates(self.points))
@@ -89,6 +91,11 @@ class GridDataset:
             raise InvalidInput("grid points must form an (n, d) array")
         _check_grid_range(pts, self.delta)
         object.__setattr__(self, "points", _freeze(pts))
+        # in float64 from float64 coordinates, as the kernel computes them
+        # (an int64 sum of squares wraps for large coordinates); einsum casts
+        # buffer by buffer, so no float copy of the points is made
+        object.__setattr__(self, "sq_norms", _freeze(
+            np.einsum("ij,ij->i", pts, pts, dtype=np.float64)))
 
     @property
     def n(self) -> int:
@@ -146,9 +153,12 @@ class CenterSet:
 
 
 def _points_of(obj) -> np.ndarray:
+    """The coordinates of ``obj``: integer arrays as they are, for the
+    kernel casts them block by block; anything else as float64."""
     if isinstance(obj, (GridDataset, RealDataset)):
         return obj.points
-    return np.asarray(obj, dtype=np.float64)
+    a = np.asarray(obj)
+    return a if a.dtype.kind in "iu" else a.astype(np.float64, copy=False)
 
 
 def _centers_of(obj) -> np.ndarray:
@@ -189,7 +199,7 @@ def _nearest(points, centers) -> tuple[np.ndarray, np.ndarray]:
 
     The result is bit for bit that of :func:`_scan` over all pairs: the direct
     ``((p - c) ** 2).sum()`` value, ties to the lowest index. Rows go in
-    blocks of ``_BLOCK``; with one center there is nothing to filter.
+    blocks of ``_BLOCK``; a ``GridDataset`` lends its stored squared norms.
 
     Filter: one GEMM gives the expanded form ``e_j = |p|^2 + |c_j|^2 -
     2 p.c_j`` of every row. Center j is a candidate when ``e_j <= min(e) +
@@ -197,10 +207,22 @@ def _nearest(points, centers) -> tuple[np.ndarray, np.ndarray]:
     gamma_{d+4} = (d+4) u / (1 - (d+4) u)``, ``u = 2^-53`` and ``eta =
     2^-1075``.
 
+    Grid rows skip the filter: when the points are integers (an integer
+    array or a ``GridDataset``), every center is integral and ``(|p| +
+    max|c|)^2 <= 2^52``, a row takes ``argmin(e)`` and its ``e`` value. Every
+    intermediate of both forms (the products, the partial sums of the dot
+    products and norms, the differences and the sums of squares) is then an
+    integer of magnitude at most ``(|p| + |c|)^2 <= 2^53``, so each is exact
+    in any summation order, with or without fused multiply-adds, and ``e``
+    equals the direct form; ``argmin`` takes the lowest index of a tie. The
+    margin from 2^52 to 2^53 covers the rounding of the computed norms.
+
     Refine: a row with exactly one candidate takes it, and its value is
     recomputed in the direct form. Rows with several (exact ties, duplicate
     centers, overflow) go through ``_scan`` over their candidates only;
-    rows with none (a NaN in e) over every center.
+    rows with none (a NaN in e) over every center. A block that mixes grid
+    rows with others refines all of its rows; a grid row's refined value is
+    its ``e`` value, and it never goes to ``_scan``.
 
     Why a lone candidate is the direct form's strict minimum: let t_j be
     the exact squared distance and X = (|p| + |c_j|)^2 >= t_j. |p|^2,
@@ -225,6 +247,8 @@ def _nearest(points, centers) -> tuple[np.ndarray, np.ndarray]:
         raise InvalidInput("distance evaluation requires finite coordinates")
     n, d = pts.shape
     k = cen.shape[0]
+    norms = points.sq_norms if isinstance(points, GridDataset) else None
+    grid = pts.dtype.kind in "iu" and bool((cen == np.floor(cen)).all())
     best = np.empty(n)
     arg = np.empty(n, dtype=np.int64)
     u = 2.0 ** -53
@@ -236,29 +260,34 @@ def _nearest(points, centers) -> tuple[np.ndarray, np.ndarray]:
     for lo in range(0, n, _BLOCK):
         p = pts[lo:lo + _BLOCK].astype(np.float64, copy=False)
         b, a = best[lo:lo + _BLOCK], arg[lo:lo + _BLOCK]
-        if k == 1:
-            q = p - cen[0]
-            a[:] = 0
-        else:
-            # the filter may overflow; such rows fall to _scan by the rule above
-            with np.errstate(over="ignore", invalid="ignore"):
-                p_sq = np.einsum("ij,ij->i", p, p)
-                e = p @ cen.T
-                e *= -2.0
-                e += c_sq
-                e += p_sq[:, None]
+        # the filter may overflow; such rows fall to _scan by the rule above
+        with np.errstate(over="ignore", invalid="ignore"):
+            p_sq = np.einsum("ij,ij->i", p, p) if norms is None else norms[lo:lo + _BLOCK]
+            e = p @ cen.T
+            e *= -2.0
+            e += c_sq
+            e += p_sq[:, None]
+            if k > 1:
                 j = e.argmin(axis=1)
-                e_min = np.take_along_axis(e, j[:, None], axis=1)
-                e_min += (8.0 * g * (np.sqrt(p_sq) + c_norm) ** 2 + floor)[:, None]
-                near = e <= e_min
-                one = np.count_nonzero(near, axis=1) == 1
-            q = cen.take(j, axis=0)
-            np.subtract(p, q, out=q)
-            a[:] = j
+                e_j = e[np.arange(j.size), j]
+            else:   # a single column is its own minimum
+                j, e_j = np.zeros(len(e), dtype=np.int64), e[:, 0]
+            reach = (np.sqrt(p_sq) + c_norm) ** 2
+        a[:] = j
+        # the grid rows of the block; just False off the grid
+        exact = grid and reach <= 2.0 ** 52
+        if np.all(exact):
+            b[:] = e_j
+            continue
+        with np.errstate(over="ignore", invalid="ignore"):
+            near = e <= (e_j + (8.0 * g * reach + floor))[:, None]
+            one = np.count_nonzero(near, axis=1) == 1
+        q = cen.take(j, axis=0)
+        np.subtract(p, q, out=q)
         np.square(q, out=q)
         q.sum(axis=1, out=b)
-        if k > 1 and not one.all():
-            rest = ~one
+        rest = ~(one | exact)
+        if rest.any():
             near = near[rest]
             near[~near.any(axis=1)] = True
             b[rest], a[rest] = _scan(p[rest], cen, near)
@@ -298,7 +327,7 @@ def weighted_cost(weights, points, centers, z: ZLike) -> float:
             f"{w.shape[0] if w.ndim == 1 else w.shape} weights for {pts.shape[0]} points")
     if not np.isfinite(w).all() or (w < 0).any():
         raise InvalidInput("weights must be finite and nonnegative")
-    return float(np.sum(w * min_powered_distances(pts, centers, z)))
+    return float(np.sum(w * min_powered_distances(points, centers, z)))
 
 
 def nearest_assignment(points, centers) -> np.ndarray:

@@ -165,6 +165,26 @@ class TestSeedingKeepsAssignment:
             assert np.array_equal(cs.points, pts), f"seed {seed}"
             assert np.array_equal(cs.weights, new_w), f"seed {seed}"
 
+    @pytest.mark.parametrize("scale", [40, 62])
+    def test_large_coordinates_match_reference(self, scale):
+        # coordinates where an int64 sum of squares wraps: the kernel's
+        # stored norms and grid rows must leave every output as the float
+        # reference gives it
+        rng = np.random.default_rng(scale)
+        data = GridDataset(np.vstack([np.full((20, 3), 2 ** scale),
+                                      2 ** scale - rng.integers(0, 2 ** 20, size=(200, 3)),
+                                      rng.integers(1, 100, size=(200, 3))]), 2 ** scale)
+        for z in TIE_ZS:
+            for seed in range(3):
+                centers = approx_centers(data, 4, z, seed)
+                indices, has_repeats = reference_approx_centers(data, 4, z, seed)
+                assert np.array_equal(centers.indices, indices), f"z {z}, seed {seed}"
+                assert centers.has_repeats == has_repeats
+                cs = sensitivity_coreset(data, 4, z, 0.3, seed, centers=centers)
+                pts, new_w = reference_sensitivity(data, 4, z, 0.3, seed, centers)
+                assert np.array_equal(cs.points, pts), f"z {z}, seed {seed}"
+                assert np.array_equal(cs.weights, new_w), f"z {z}, seed {seed}"
+
     @pytest.mark.parametrize("n, d, k", [(3000, 4, 8), (500, 16, 3), (7, 1, 20)])
     def test_one_kernel_call_per_seed_and_snap_chunk(self, monkeypatch, n, d, k):
         calls = []

@@ -1,5 +1,6 @@
 import math
 import struct
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -153,6 +154,28 @@ class TestNearestAssignment:
             best = min(dists)
             want = min(j for j, dj in enumerate(dists) if dj == best)
             assert got[i] == want
+
+
+class TestIntegerInput:
+    """An int64 point array is cast block by block inside the kernel, not up
+    front; every public function gives what it gives on ``astype(float64)``,
+    bit for bit, also above 2^53 where the cast rounds."""
+
+    @pytest.mark.parametrize("scale", [0, 20, 26, 40, 55, 62])
+    def test_same_as_float_cast(self, scale):
+        rng = np.random.default_rng(scale)
+        pts = 2 ** scale + rng.integers(-1000, 1000, size=(1500, 3))
+        fpts = pts.astype(np.float64)
+        assert (scale > 53) == (fpts.astype(np.int64) != pts).any()
+        w = rng.uniform(0.5, 2.0, pts.shape[0])
+        for cen in (fpts[:1], fpts[:5], fpts[:5] + 0.5,
+                    fpts[:5] + rng.normal(0.0, 300.0, size=(5, 3))):
+            assert np.array_equal(nearest_assignment(pts, cen), nearest_assignment(fpts, cen))
+            for z in (1, Fraction(3, 2), 2, 3):
+                assert np.array_equal(geometry.min_powered_distances(pts, cen, z),
+                                      geometry.min_powered_distances(fpts, cen, z))
+                assert cost(pts, cen, z) == cost(fpts, cen, z)
+                assert weighted_cost(w, pts, cen, z) == weighted_cost(w, fpts, cen, z)
 
 
 def relaxed_triangle_margins(p1, p2, p3, z: ZLike, eps: float):

@@ -1,6 +1,8 @@
 """The filter-and-refine distance kernel against the scalar per-center
 reference in ``nearest_reference``: both outputs must be equal bit for bit,
-ties, overflow and underflow included."""
+ties, overflow and underflow included, and grid rows (integer points,
+integral centers, ``(|p| + max|c|)^2 <= 2^52``) that take the GEMM value
+as it is."""
 
 import warnings
 
@@ -11,6 +13,7 @@ from hypothesis import strategies as st
 
 import nearest_reference as ref
 from kzsketch import geometry
+from kzsketch.geometry import GridDataset
 
 # (point, center) pairs per example, so the scalar reference stays fast
 MAX_PAIRS = 12_000
@@ -105,3 +108,83 @@ def test_tie_rows_across_pair_chunks():
     cen = np.repeat(rng.integers(0, 3, size=(5, 2)), 600, axis=0).astype(np.float64)
     pts = rng.integers(0, 3, size=(6, 2))
     assert_same_as_reference(pts, cen)
+
+
+# grid rows: the GEMM value is exact only below the bound; at 2^26 and above
+# an integer point's expanded form rounds, so a bound set too high, centers
+# that are not integral or norms that wrap all show as a mismatch
+GRID_SCALES = [0, 10, 20, 24, 25, 26, 27, 30, 40, 53, 62]
+
+
+def grid_centers(rng, base, k, d, kind):
+    """k centers near ``base``: integral, half-integral or real."""
+    cen = base + rng.integers(-50, 51, size=(k, d)).astype(np.float64)
+    if kind == "half":
+        cen += 0.5
+    elif kind == "real":
+        cen += rng.random((k, d))
+    return cen
+
+
+@pytest.mark.parametrize("kind", ["integral", "half", "real"])
+@pytest.mark.parametrize("k", [1, 7])
+@pytest.mark.parametrize("dtype", [np.int64, np.uint64])
+@pytest.mark.parametrize("scale", GRID_SCALES)
+def test_grid_points_near_each_other(scale, dtype, k, kind):
+    # points and centers at the same magnitude, d from 1 to 3
+    rng = np.random.default_rng(scale)
+    d = 1 + scale % 3
+    base = 2 ** scale + 50
+    pts = (base + rng.integers(-50, 51, size=(600, d))).astype(dtype)
+    assert_same_as_reference(pts, grid_centers(rng, float(base), k, d, kind))
+
+
+@pytest.mark.parametrize("kind", ["integral", "half", "real"])
+@pytest.mark.parametrize("scale", [25, 26, 27, 30, 62])
+def test_grid_points_and_centers_far_apart(scale, kind):
+    # large points with small centers and small points with large centers,
+    # of either sign: the norms themselves pass 2^53 before the distances do
+    rng = np.random.default_rng(scale)
+    big = 2 ** scale + rng.integers(0, 2 ** 20, size=(300, 2))
+    pts = np.vstack([big, -big, rng.integers(-60, 61, size=(300, 2))])
+    assert_same_as_reference(pts, grid_centers(rng, 0.0, 5, 2, kind))
+    assert_same_as_reference(pts[600:], np.vstack(
+        [grid_centers(rng, 2.0 ** scale, 3, 2, kind), grid_centers(rng, 0.0, 2, 2, kind)]))
+
+
+def test_grid_block_across_the_bound():
+    # one block: rows on both sides of (|p| + max|c|)^2 = 2^52, rows far
+    # beyond it and small rows, against integral centers up to 2^10
+    rng = np.random.default_rng(9)
+    edge = 2 ** 26 - 2 ** 10
+    pts = np.concatenate([np.arange(edge - 200, edge + 200),
+                          2 ** 27 + rng.integers(-300, 300, size=200),
+                          rng.integers(-2 ** 10, 2 ** 10, size=200)])[:, None]
+    rng.shuffle(pts)
+    assert pts.shape[0] < geometry._BLOCK
+    cen = rng.integers(-2 ** 10, 2 ** 10 + 1, size=(6, 1)).astype(np.float64)
+    cen[0] = 2 ** 10
+    assert_same_as_reference(pts, cen)
+    assert_same_as_reference(pts, cen + 0.5)
+
+
+@pytest.mark.parametrize("scale", [40, 62])
+def test_grid_dataset_with_large_coordinates(scale):
+    # exact powers of two square to multiples of 2^64, so an int64 sum of
+    # squares would wrap to 0 and make such rows look small; small rows in
+    # the same dataset are grid rows against the small centers
+    rng = np.random.default_rng(scale)
+    pts = np.vstack([np.full((50, 3), 2 ** scale),
+                     2 ** scale - rng.integers(0, 2 ** 20, size=(300, 3)),
+                     rng.integers(1, 100, size=(300, 3))])
+    data = GridDataset(pts, 2 ** scale)
+    assert data.sq_norms.dtype == np.float64 and not data.sq_norms.flags.writeable
+    fpts = pts.astype(np.float64)
+    assert np.array_equal(data.sq_norms, np.einsum("ij,ij->i", fpts, fpts))
+    small = rng.integers(1, 100, size=(4, 3)).astype(np.float64)
+    for cen in (small, np.vstack([small, fpts[[0, 60]]]), fpts[[0]]):
+        want = ref.nearest(pts, cen)
+        got = geometry._nearest(data, cen)
+        assert np.array_equal(got[0], want[0])
+        assert np.array_equal(got[1], want[1])
+        assert np.array_equal(geometry.nearest_assignment(data, cen), want[1])
