@@ -1,8 +1,8 @@
 """The filter-and-refine distance kernel against the scalar per-center
 reference in ``nearest_reference``: both outputs must be equal bit for bit,
-ties, overflow and underflow included, and grid rows (integer points,
-integral centers, ``(|p| + max|c|)^2 <= 2^52``) that take the GEMM value
-as it is."""
+ties, overflow and underflow included. Grid rows (integer points, integral
+centers, ``(|p| + max|c|)^2 <= 2^52``) take the GEMM value as it is, so they
+are checked on both sides of that bound."""
 
 import warnings
 
