@@ -86,20 +86,18 @@ def dz_total(mass: np.ndarray, z: ZLike) -> float:
     return total
 
 
-def _seed_dz(dataset: GridDataset, k: int, z: ZLike,
+def _seed_dz(fpts: np.ndarray, k: int, z: ZLike,
              rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
     """Adaptive seeding: first point uniform, then proportional to dist^z.
     Returns the seeds' indices and each point's nearest seed, lowest index
     on ties: a kernel call per seed gives each point's squared distance to
-    it, and only a strictly smaller one moves the point. The kernel gets the
-    dataset itself, so every pass reuses its stored squared norms and its
-    distances are exact grid distances."""
-    n, pts = dataset.n, dataset.points
+    it, and only a strictly smaller one moves the point."""
+    n = fpts.shape[0]
     chosen = np.empty(k, dtype=np.int64)
     chosen[0] = _inverse_cdf_sample(rng, np.full(n, 1.0 / n), 1)[0]
     assign = np.zeros(n, dtype=np.int64)
     with np.errstate(over="ignore"):
-        best = geometry._nearest(dataset, pts[chosen[:1]])[0]
+        best = geometry._nearest(fpts, fpts[chosen[:1]])[0]
         min_pow = geometry.powered_distances(best, z)
         for j in range(1, k):
             total = dz_total(min_pow, z)
@@ -107,24 +105,23 @@ def _seed_dz(dataset: GridDataset, k: int, z: ZLike,
                 chosen[j] = _inverse_cdf_sample(rng, np.full(n, 1.0 / n), 1)[0]
             else:
                 chosen[j] = _inverse_cdf_sample(rng, min_pow / total, 1)[0]
-            sq = geometry._nearest(dataset, pts[chosen[j:j + 1]])[0]
-            closer = sq < best
-            best[closer] = sq[closer]
-            assign[closer] = j
+            sq = geometry._nearest(fpts, fpts[chosen[j]][None, :])[0]
+            np.copyto(assign, j, where=sq < best)
+            np.minimum(best, sq, out=best)
             np.minimum(min_pow, geometry.powered_distances(sq, z), out=min_pow)
     return chosen, assign
 
 
-def _snap_to_dataset(pts: np.ndarray, centers: np.ndarray) -> np.ndarray:
+def _snap_to_dataset(fpts: np.ndarray, centers: np.ndarray) -> np.ndarray:
     """Index of the nearest dataset point per center, lowest index on ties.
     The dataset rows are the kernel's centers, in chunks of n d / k rows, so
-    no (k, chunk) temporary outgrows ``pts``."""
-    n, d = pts.shape
+    no (k, chunk) temporary outgrows ``fpts``."""
+    n, d = fpts.shape
     step = max(1, n * d // len(centers))
     best = np.full(len(centers), np.inf)
     arg = np.zeros(len(centers), dtype=np.int64)
     for lo in range(0, n, step):
-        b, a = geometry._nearest(centers, pts[lo:lo + step])
+        b, a = geometry._nearest(centers, fpts[lo:lo + step])
         closer = b < best       # ties stay on the earlier chunk's lower index
         best[closer] = b[closer]
         arg[closer] = a[closer] + lo
@@ -144,17 +141,20 @@ def approx_centers(dataset: GridDataset, k: int, z: ZLike, seed: int) -> ApproxC
         raise InvalidInput("dataset must contain at least one point")
     rng = _rng(seed)
     pts = dataset.points
+    fpts = pts.astype(np.float64)
 
-    idx, assign = _seed_dz(dataset, k, zf, rng)
-    centers = pts[idx].astype(np.float64)
+    idx, assign = _seed_dz(fpts, k, zf, rng)
+    centers = fpts[idx].copy()
 
-    # one improvement sweep: move each center to its cluster mean
+    # one improvement sweep: move each center to its cluster mean; a stable
+    # sort gives each cluster's rows in dataset order, as a mask would
+    order = np.argsort(assign, kind="stable")
+    ends = np.searchsorted(assign[order], np.arange(k + 1))
     for j in range(k):
-        mask = assign == j
-        if mask.any():
-            centers[j] = pts[mask].astype(np.float64).mean(axis=0)
+        if ends[j] < ends[j + 1]:
+            centers[j] = fpts[order[ends[j]:ends[j + 1]]].mean(axis=0)
 
-    snapped = _snap_to_dataset(pts, centers)
+    snapped = _snap_to_dataset(fpts, centers)
     out = pts[snapped]
     has_repeats = k > dataset.n or len(np.unique(snapped)) < k
     return ApproxCenters(out, snapped, has_repeats=has_repeats)
@@ -178,8 +178,8 @@ def sensitivity_coreset(dataset: GridDataset, k: int, z: ZLike, eps: float, seed
     set.
 
     The sample count is m = min(n, 4 k eps^-2 (d + log2 100)). The kernel
-    gets the dataset itself, with its stored squared norms, so no float
-    copy of the points is made.
+    gets the dataset itself, so no float copy of the points is made and
+    its distances are exact grid distances.
     """
     n, d = dataset.n, dataset.d
     w = np.ones(n) if weights is None else weights

@@ -11,7 +11,7 @@ import csv
 import os
 import stat
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -78,12 +78,10 @@ def _check_grid_range(pts: np.ndarray, delta: int) -> None:
 
 @dataclass(frozen=True)
 class GridDataset:
-    """n integer points in [1, delta]^d. ``sq_norms`` holds each point's
-    squared norm for the distance kernel, computed once and read-only."""
+    """n integer points in [1, delta]^d."""
 
     points: np.ndarray
     delta: int
-    sq_norms: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         pts = np.ascontiguousarray(grid_coordinates(self.points))
@@ -91,11 +89,6 @@ class GridDataset:
             raise InvalidInput("grid points must form an (n, d) array")
         _check_grid_range(pts, self.delta)
         object.__setattr__(self, "points", _freeze(pts))
-        # in float64 from float64 coordinates, as the kernel computes them
-        # (an int64 sum of squares wraps for large coordinates); einsum casts
-        # buffer by buffer, so no float copy of the points is made
-        object.__setattr__(self, "sq_norms", _freeze(
-            np.einsum("ij,ij->i", pts, pts, dtype=np.float64)))
 
     @property
     def n(self) -> int:
@@ -199,7 +192,7 @@ def _nearest(points, centers) -> tuple[np.ndarray, np.ndarray]:
 
     The result is bit for bit that of :func:`_scan` over all pairs: the direct
     ``((p - c) ** 2).sum()`` value, ties to the lowest index. Rows go in
-    blocks of ``_BLOCK``; a ``GridDataset`` lends its stored squared norms.
+    blocks of ``_BLOCK``; with one center there is nothing to filter.
 
     Filter: one GEMM gives the expanded form ``e_j = |p|^2 + |c_j|^2 -
     2 p.c_j`` of every row. Center j is a candidate when ``e_j <= min(e) +
@@ -208,14 +201,15 @@ def _nearest(points, centers) -> tuple[np.ndarray, np.ndarray]:
     2^-1075``.
 
     Grid rows skip the filter: when the points are integers (an integer
-    array or a ``GridDataset``), every center is integral and ``(|p| +
-    max|c|)^2 <= 2^52``, a row takes ``argmin(e)`` and its ``e`` value. Every
-    intermediate of both forms (the products, the partial sums of the dot
-    products and norms, the differences and the sums of squares) is then an
-    integer of magnitude at most ``(|p| + |c|)^2 <= 2^53``, so each is exact
-    in any summation order, with or without fused multiply-adds, and ``e``
-    equals the direct form; ``argmin`` takes the lowest index of a tie. The
-    margin from 2^52 to 2^53 covers the rounding of the computed norms.
+    array or a ``GridDataset``), there are two or more centers, every
+    center is integral and ``(|p| + max|c|)^2 <= 2^52``, a row takes
+    ``argmin(e)`` and its ``e`` value. Every intermediate of both forms
+    (the products, the partial sums of the dot products and norms, the
+    differences and the sums of squares) is then an integer of magnitude at
+    most ``(|p| + |c|)^2 <= 2^53``, so each is exact in any summation order,
+    with or without fused multiply-adds, and ``e`` equals the direct form;
+    ``argmin`` takes the lowest index of a tie. The margin from 2^52 to 2^53
+    covers the rounding of the computed norms.
 
     Refine: a row with exactly one candidate takes it, and its value is
     recomputed in the direct form. Rows with several (exact ties, duplicate
@@ -247,7 +241,6 @@ def _nearest(points, centers) -> tuple[np.ndarray, np.ndarray]:
         raise InvalidInput("distance evaluation requires finite coordinates")
     n, d = pts.shape
     k = cen.shape[0]
-    norms = points.sq_norms if isinstance(points, GridDataset) else None
     grid = pts.dtype.kind in "iu" and bool((cen == np.floor(cen)).all())
     best = np.empty(n)
     arg = np.empty(n, dtype=np.int64)
@@ -260,34 +253,36 @@ def _nearest(points, centers) -> tuple[np.ndarray, np.ndarray]:
     for lo in range(0, n, _BLOCK):
         p = pts[lo:lo + _BLOCK].astype(np.float64, copy=False)
         b, a = best[lo:lo + _BLOCK], arg[lo:lo + _BLOCK]
-        # the filter may overflow; such rows fall to _scan by the rule above
-        with np.errstate(over="ignore", invalid="ignore"):
-            p_sq = np.einsum("ij,ij->i", p, p) if norms is None else norms[lo:lo + _BLOCK]
-            e = p @ cen.T
-            e *= -2.0
-            e += c_sq
-            e += p_sq[:, None]
-            if k > 1:
+        if k == 1:
+            q = p - cen[0]
+            a[:] = 0
+        else:
+            # the filter may overflow; such rows fall to _scan by the rule above
+            with np.errstate(over="ignore", invalid="ignore"):
+                p_sq = np.einsum("ij,ij->i", p, p)
+                e = p @ cen.T
+                e *= -2.0
+                e += c_sq
+                e += p_sq[:, None]
                 j = e.argmin(axis=1)
-                e_j = e[np.arange(j.size), j]
-            else:   # a single column is its own minimum
-                j, e_j = np.zeros(len(e), dtype=np.int64), e[:, 0]
-            reach = (np.sqrt(p_sq) + c_norm) ** 2
-        a[:] = j
-        # the grid rows of the block; just False off the grid
-        exact = grid and reach <= 2.0 ** 52
-        if np.all(exact):
-            b[:] = e_j
-            continue
-        with np.errstate(over="ignore", invalid="ignore"):
-            near = e <= (e_j + (8.0 * g * reach + floor))[:, None]
-            one = np.count_nonzero(near, axis=1) == 1
-        q = cen.take(j, axis=0)
-        np.subtract(p, q, out=q)
+                e_min = np.take_along_axis(e, j[:, None], axis=1)
+                reach = (np.sqrt(p_sq) + c_norm) ** 2
+            a[:] = j
+            # the grid rows of the block; just False off the grid
+            exact = grid and reach <= 2.0 ** 52
+            if grid and exact.all():
+                b[:] = e_min[:, 0]
+                continue
+            with np.errstate(over="ignore", invalid="ignore"):
+                e_min += (8.0 * g * reach + floor)[:, None]
+                near = e <= e_min
+                one = exact | (np.count_nonzero(near, axis=1) == 1)
+            q = cen.take(j, axis=0)
+            np.subtract(p, q, out=q)
         np.square(q, out=q)
         q.sum(axis=1, out=b)
-        rest = ~(one | exact)
-        if rest.any():
+        if k > 1 and not one.all():
+            rest = ~one
             near = near[rest]
             near[~near.any(axis=1)] = True
             b[rest], a[rest] = _scan(p[rest], cen, near)
@@ -327,7 +322,7 @@ def weighted_cost(weights, points, centers, z: ZLike) -> float:
             f"{w.shape[0] if w.ndim == 1 else w.shape} weights for {pts.shape[0]} points")
     if not np.isfinite(w).all() or (w < 0).any():
         raise InvalidInput("weights must be finite and nonnegative")
-    return float(np.sum(w * min_powered_distances(points, centers, z)))
+    return float(np.sum(w * min_powered_distances(pts, centers, z)))
 
 
 def nearest_assignment(points, centers) -> np.ndarray:

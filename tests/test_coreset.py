@@ -168,7 +168,7 @@ class TestSeedingKeepsAssignment:
     @pytest.mark.parametrize("scale", [40, 62])
     def test_large_coordinates_match_reference(self, scale):
         # coordinates where an int64 sum of squares wraps: the kernel's
-        # stored norms and grid rows must leave every output as the float
+        # norms and grid rows must leave every output as the float
         # reference gives it
         rng = np.random.default_rng(scale)
         data = GridDataset(np.vstack([np.full((20, 3), 2 ** scale),

@@ -178,9 +178,7 @@ def test_grid_dataset_with_large_coordinates(scale):
                      2 ** scale - rng.integers(0, 2 ** 20, size=(300, 3)),
                      rng.integers(1, 100, size=(300, 3))])
     data = GridDataset(pts, 2 ** scale)
-    assert data.sq_norms.dtype == np.float64 and not data.sq_norms.flags.writeable
     fpts = pts.astype(np.float64)
-    assert np.array_equal(data.sq_norms, np.einsum("ij,ij->i", fpts, fpts))
     small = rng.integers(1, 100, size=(4, 3)).astype(np.float64)
     for cen in (small, np.vstack([small, fpts[[0, 60]]]), fpts[[0]]):
         want = ref.nearest(pts, cen)
@@ -188,3 +186,22 @@ def test_grid_dataset_with_large_coordinates(scale):
         assert np.array_equal(got[0], want[0])
         assert np.array_equal(got[1], want[1])
         assert np.array_equal(geometry.nearest_assignment(data, cen), want[1])
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e200])
+@pytest.mark.parametrize("grid", [False, True])
+def test_one_center_takes_the_direct_form_alone(monkeypatch, scale, grid):
+    # one center is every row's lone candidate, so no row is filtered or
+    # scanned, not even one whose expanded form overflows to NaN
+    def scan(*args):
+        raise AssertionError("a one-center row went to the scan")
+
+    monkeypatch.setattr(geometry, "_scan", scan)
+    rng = np.random.default_rng(11)
+    if grid:
+        pts = rng.integers(-2 ** 62, 2 ** 62, size=(1500, 4))
+        cen = pts[[7]].astype(np.float64)
+    else:
+        pts = scale * rng.normal(size=(1500, 4))
+        cen = scale * rng.normal(size=(1, 4))
+    assert_same_as_reference(pts, cen)
