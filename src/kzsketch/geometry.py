@@ -267,18 +267,18 @@ def _nearest(points, centers) -> tuple[np.ndarray, np.ndarray]:
                 j = e.argmin(axis=1)
                 e_min = np.take_along_axis(e, j[:, None], axis=1)
                 reach = (np.sqrt(p_sq) + c_norm) ** 2
-            a[:] = j
-            # the grid rows of the block; just False off the grid
-            exact = grid and reach <= 2.0 ** 52
-            if grid and exact.all():
-                b[:] = e_min[:, 0]
-                continue
-            with np.errstate(over="ignore", invalid="ignore"):
+                # the grid rows of the block; just False off the grid
+                exact = grid and reach <= 2.0 ** 52
+                if grid and exact.all():
+                    a[:] = j
+                    b[:] = e_min[:, 0]
+                    continue
                 e_min += (8.0 * g * reach + floor)[:, None]
                 near = e <= e_min
                 one = exact | (np.count_nonzero(near, axis=1) == 1)
             q = cen.take(j, axis=0)
             np.subtract(p, q, out=q)
+            a[:] = j
         np.square(q, out=q)
         q.sum(axis=1, out=b)
         if k > 1 and not one.all():
