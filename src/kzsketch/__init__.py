@@ -10,8 +10,7 @@ grid-rounded instances that no smaller sketch could distinguish.
 from .anglelab import (InnerProductMatrix, OrthonormalBasis, PrincipalAngles,
                        angle_statistics, principal_angles, row_norm_profile,
                        sample_haar_basis)
-from .codec import (BitLedger, ScalarCode, Sketch, compress, decode_scalar,
-                    encode, encode_scalar, theoretical_upper_bound)
+from .codec import BitLedger, Sketch, compress, encode, theoretical_upper_bound
 from .coloring import (PartialColoring, SeparationWitness, adversarial_center,
                        center_for_power, cost_gap, find_partial_coloring,
                        round_and_scale, separation_witness)

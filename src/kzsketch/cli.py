@@ -208,7 +208,7 @@ def run_lowerbound_pipeline(n: int, d: int, z, eps: float, mode: str, seed: int,
     gap_report = {"pm_center_gap_z2": gap2,
                   "gap_bound_z2": 0.5 * math.sqrt(n)}
     if z != 2:
-        c_z = coloring.center_for_power(q, p, center, z)
+        c_z = coloring.center_for_power(q, p, center)
         gap_z = coloring.cost_gap(p, q, c_z, z)
         lead, add = coloring.power_gap_bound(z, n)
         gap_report.update({"power_gap": gap_z, "power_gap_leading": lead,

@@ -4,8 +4,8 @@ bit-exact sketch; decode; estimate clustering cost; account every bit.
 
 Scalars use a sign-magnitude base-2 floating format: an explicit zero bit,
 a sign bit, a fixed-width exponent field and an f-bit fraction with the
-leading 1 implicit. Rounding is round-to-nearest, ties to even, with
-mantissa overflow carried into the exponent. Fraction widths come from the
+leading 1 implicit; :func:`_encode_array` quantizes every weight, every
+coordinate delta and the header's epsilon to it. Fraction widths come from the
 error budget: ceil(log2(4/eps)) bits per weight and ceil(log2(4z/eps)) bits
 per coordinate delta; weights at or below eps/(4|S|) are stored as zero.
 
@@ -76,48 +76,13 @@ def _values_of(bits: np.ndarray, width: int) -> np.ndarray:
     return np.packbits(padded).view(f">u{nb}").reshape(bits.shape[:-1])
 
 
-@dataclass(frozen=True)
-class ScalarCode:
-    """One quantized scalar: zero flag, sign, exponent, f-bit fraction."""
-
-    is_zero: bool
-    sign: int
-    expo: int
-    fraction: int
-
-
-def encode_scalar(value: float, f: int, zero_threshold: float = 0.0) -> ScalarCode:
-    """Quantize one scalar to an f-fraction-bit code.
-
-    |value| <= zero_threshold collapses to the zero code; otherwise the
-    decoded magnitude is (1 + fraction/2^f) * 2^expo.
-    """
-    if f < 1:
-        raise InvalidInput(f"fraction width must be >= 1, got {f}")
-    if not math.isfinite(value):
-        raise InvalidInput(f"cannot encode non-finite value {value}")
-    if abs(value) <= zero_threshold:
-        return ScalarCode(True, 0, 0, 0)
-    sign = 1 if value < 0 else 0
-    m, e = math.frexp(abs(value))          # |value| = m * 2^e, m in [0.5, 1)
-    expo = e - 1
-    fraction = round((m * 2.0 - 1.0) * (1 << f))   # exact; ties to even
-    if fraction == 1 << f:
-        expo += 1
-        fraction = 0
-    return ScalarCode(False, sign, expo, fraction)
-
-
-def decode_scalar(code: ScalarCode, f: int) -> float:
-    """Exact reconstruction of the quantized value."""
-    if code.is_zero:
-        return 0.0
-    mag = math.ldexp((1 << f) + code.fraction, code.expo - f)
-    return -mag if code.sign else mag
-
-
-def _encode_array(values: np.ndarray, f: int, zero_threshold: float):
-    """Vectorized :func:`encode_scalar`; returns (is_zero, sign, expo, fraction)."""
+def _encode_array(values, f: int, zero_threshold: float):
+    """Quantize each value to an f-fraction-bit code; returns the arrays
+    (is_zero, sign, expo, fraction). A value with |value| <= zero_threshold
+    becomes the zero code, every field 0. Any other is rounded to the
+    nearest (1 + fraction/2^f) * 2^expo, ties to even (the scaling before
+    ``np.rint`` is exact), and a fraction that rounds up to 2^f carries
+    into the exponent."""
     vals = np.asarray(values, dtype=np.float64)
     is_zero = np.abs(vals) <= zero_threshold
     sign = (vals < 0).astype(np.int64)
@@ -161,11 +126,12 @@ def quantize_epsilon(eps: float) -> tuple[int, int, float]:
     """Round eps to the 24-bit-mantissa header format; returns (expo, frac, value)."""
     if not (0.0 < eps < 1.0):
         raise InvalidInput(f"epsilon must lie in (0,1), got {eps}")
-    code = encode_scalar(eps, _EPS_FRAC_BITS)
-    value = decode_scalar(code, _EPS_FRAC_BITS)
-    if not (0.0 < value < 1.0) or code.expo < -126:
+    code = _encode_array([eps], _EPS_FRAC_BITS, 0.0)
+    expo, fraction = int(code[2][0]), int(code[3][0])
+    value = float(_decode_array(*code, _EPS_FRAC_BITS)[0])
+    if not (0.0 < value < 1.0) or expo < -126:
         raise InvalidInput(f"epsilon {eps} does not survive header quantization")
-    return code.expo, code.fraction, value
+    return expo, fraction, value
 
 
 @dataclass(frozen=True)
@@ -326,8 +292,8 @@ class Sketch:
                 f"implausible header (k={k}, d={d}, z={z_num}/{z_den}, "
                 f"delta={delta}, n={n}, |S|={s})")
         eps_frac = int.from_bytes(eps_frac_raw, "little")
-        epsilon = decode_scalar(ScalarCode(False, 0, eps_expo, eps_frac),
-                                _EPS_FRAC_BITS)
+        epsilon = float(_decode_array(np.zeros(1, dtype=bool), 0, np.array([eps_expo]),
+                                      np.array([eps_frac]), _EPS_FRAC_BITS)[0])
         if not 0.0 < epsilon < 1.0:
             raise SketchFormatError(f"header epsilon {epsilon} out of (0,1)")
         z = Fraction(z_num, z_den)
@@ -528,11 +494,17 @@ class Sketch:
         return geometry.weighted_cost(weights, points, cen, self.z)
 
 
-def check_header_z(z: Fraction) -> None:
-    """Reject a z whose numerator or denominator does not fit the u32 header."""
+def check_header_fields(config: ProblemConfig) -> None:
+    """Reject a problem whose integers do not fit the header fields that
+    :func:`encode` writes: z's numerator and denominator, k and d in 32
+    bits, n in 64."""
+    z = config.z
     if max(z.numerator, z.denominator) >= 1 << 32:
         raise InvalidInput(f"z = {z}: numerator and denominator must "
                            "fit the header's 32-bit fields")
+    for name, value, bits in (("k", config.k, 32), ("d", config.d, 32), ("n", config.n, 64)):
+        if value >= 1 << bits:
+            raise InvalidInput(f"{name} = {value} does not fit the header's {bits}-bit field")
 
 
 def encode(coreset: WeightedCoreset, centers, config: ProblemConfig) -> Sketch:
@@ -543,7 +515,10 @@ def encode(coreset: WeightedCoreset, centers, config: ProblemConfig) -> Sketch:
     fewer bits than the quantized deltas, and weight codes are left out
     when every weight is exactly 1.
     """
-    check_header_z(config.z)
+    check_header_fields(config)
+    if coreset.size > config.n:
+        raise InvalidInput(f"coreset of {coreset.size} points for n = {config.n}: "
+                           "a coreset has at most n points")
     cen = np.asarray(getattr(centers, "centers", centers))
     if cen.ndim != 2 or cen.shape != (config.k, config.d):
         raise DimensionMismatch(
@@ -629,7 +604,7 @@ def compress(dataset: GridDataset, k: int, z: ZLike, eps: float, method: str,
     config = ProblemConfig(n=dataset.n if n is None else n, d=dataset.d, k=k, z=z,
                            delta=dataset.delta, epsilon=eps)
     # before the coreset, whose dist^z sum and eps^-2 sample count may overflow first
-    check_header_z(config.z)
+    check_header_fields(config)
     quantize_epsilon(eps)
     centers = coreset_mod.approx_centers(dataset, k, z, seed)
     cs = coreset_mod.build_coreset(dataset, k, z, eps, method=method, seed=seed,

@@ -171,6 +171,20 @@ def _null_direction(p: OrthonormalBasis, q: OrthonormalBasis) -> np.ndarray:
     return ns[:, 0]
 
 
+def _unit_completion(p: OrthonormalBasis, q: OrthonormalBasis,
+                     c_tilde: np.ndarray) -> np.ndarray:
+    """c_tilde plus a direction orthogonal to span(P) + span(Q), scaled to
+    make a unit vector; c_tilde alone if its norm is already 1."""
+    resid = max(0.0, 1.0 - float(c_tilde @ c_tilde))
+    c = c_tilde
+    if resid > 1e-15:
+        c = c_tilde + math.sqrt(resid) * _null_direction(p, q)
+    nrm = float(np.linalg.norm(c))
+    if abs(nrm - 1.0) > 1e-10:
+        raise InvalidInput(f"constructed center has norm {nrm}")
+    return c
+
+
 def adversarial_center(q: OrthonormalBasis, p: OrthonormalBasis, zeta) -> np.ndarray:
     """Unit center c = (1/sqrt n) Q zeta plus an orthogonal completion.
 
@@ -182,15 +196,7 @@ def adversarial_center(q: OrthonormalBasis, p: OrthonormalBasis, zeta) -> np.nda
     if d <= 2 * n:
         raise InvalidInput(f"adversarial center needs d > 2n, got d={d}, n={n}")
     z = _check_zeta(zeta, n)
-    c_tilde = q.matrix @ (z / math.sqrt(n))
-    resid = max(0.0, 1.0 - float(c_tilde @ c_tilde))
-    c = c_tilde
-    if resid > 1e-15:
-        c = c_tilde + math.sqrt(resid) * _null_direction(p, q)
-    nrm = float(np.linalg.norm(c))
-    if abs(nrm - 1.0) > 1e-10:
-        raise InvalidInput(f"constructed center has norm {nrm}")
-    return c
+    return _unit_completion(p, q, q.matrix @ (z / math.sqrt(n)))
 
 
 def paired_witness_centers(q: OrthonormalBasis, zeta) -> CenterSet:
@@ -241,17 +247,16 @@ def power_gap_bound(z: ZLike, n: int) -> tuple[float, float]:
     return leading, additive
 
 
-def center_for_power(p: OrthonormalBasis, q: OrthonormalBasis, c_hat: np.ndarray,
-                     z: ZLike) -> np.ndarray:
+def center_for_power(p: OrthonormalBasis, q: OrthonormalBasis,
+                     c_hat: np.ndarray) -> np.ndarray:
     """Center achieving the general-z cost gap: c = c_hat/2 plus an
     orthogonal completion to unit norm.
 
     Requires the precondition sum|<p_i, c_hat>| - sum|<q_i, c_hat>| > sqrt(n)/2
     (call with P and Q in the order that makes the difference positive);
     the resulting gap cost_z(Q, {c,-c}) - cost_z(P, {c,-c}) then meets
-    ``power_gap_bound(z, n)``.
+    ``power_gap_bound(z, n)`` for every z.
     """
-    zf = float(as_z(z))
     if q.matrix.shape != p.matrix.shape:
         raise DimensionMismatch("P and Q must share (d, n)")
     d, n = p.d, p.n
@@ -266,13 +271,7 @@ def center_for_power(p: OrthonormalBasis, q: OrthonormalBasis, c_hat: np.ndarray
         raise InvalidInput(
             f"precondition gap {achieved:.6f} is below sqrt(n)/2 = "
             f"{0.5 * math.sqrt(n):.6f}")
-    c_tilde = 0.5 * c_hat
-    resid = 1.0 - float(c_tilde @ c_tilde)
-    c = c_tilde + math.sqrt(resid) * _null_direction(p, q)
-    nrm = float(np.linalg.norm(c))
-    if abs(nrm - 1.0) > 1e-10:
-        raise InvalidInput(f"constructed center has norm {nrm}")
-    return c
+    return _unit_completion(p, q, 0.5 * c_hat)
 
 
 def odd_grid_side(d: int, eps: float, z: ZLike = 2) -> int:

@@ -2,21 +2,52 @@
 (versions 1 and 2).
 
 It is slow and simple on purpose: every scalar is quantized and decoded on
-its own, and every field is written and read one at a time, MSB first, in
-wire order. Tests compare the library's bytes and parsed fields with this
-oracle; it shares only the scalar quantizer (``encode_scalar`` and
-``decode_scalar``), the parameter derivation, the nearest-center assignment
-and the header layout with the library.
+its own, in integer arithmetic, and every field is written and read one at
+a time, MSB first, in wire order. Tests compare the library's bytes and
+parsed fields with this oracle; it shares only the parameter derivation,
+the nearest-center assignment, the header layout and (in :func:`parse`) the
+header parser with the library.
 """
 
 from __future__ import annotations
 
+import math
 import struct
 
 import numpy as np
 
 from kzsketch import codec, geometry
 from kzsketch.errors import InvalidInput, SketchFormatError
+
+
+def quantize(value: float, f: int, zero_threshold: float = 0.0):
+    """(is_zero, sign, expo, fraction) of one value with an f-bit fraction:
+    zero at or below the threshold, else the nearest (1 + fraction/2^f) *
+    2^expo, ties to even, a fraction of 2^f carried into the exponent."""
+    if abs(value) <= zero_threshold:
+        return True, 0, 0, 0
+    m, e = math.frexp(abs(value))
+    mantissa = int(m * 2.0 ** 53) - (1 << 52)     # 52 exact fraction bits
+    shift = 52 - f
+    if shift <= 0:
+        fraction = mantissa << -shift
+    else:
+        fraction, rest = divmod(mantissa, 1 << shift)
+        half = 1 << (shift - 1)
+        fraction += rest > half or (rest == half and fraction % 2 == 1)
+    expo = e - 1
+    if fraction == 1 << f:
+        expo, fraction = expo + 1, 0
+    return False, int(value < 0), expo, fraction
+
+
+def dequantize(code, f: int) -> float:
+    """The exact value of a :func:`quantize` code."""
+    is_zero, sign, expo, fraction = code
+    if is_zero:
+        return 0.0
+    magnitude = math.ldexp((1 << f) + fraction, expo - f)
+    return -magnitude if sign else magnitude
 
 
 class BitWriter:
@@ -90,7 +121,9 @@ def encode_bytes(coreset, centers, config) -> bytes:
     from the library."""
     cen = np.asarray(getattr(centers, "centers", centers)).astype(np.int64)
     pts = coreset.points
-    eps_expo, eps_frac, eps_q = codec.quantize_epsilon(config.epsilon)
+    eps_code = quantize(config.epsilon, codec._EPS_FRAC_BITS)
+    _, _, eps_expo, eps_frac = eps_code
+    eps_q = dequantize(eps_code, codec._EPS_FRAC_BITS)
     s = coreset.size
     p = codec.derive_params(eps_q, config.z, config.n, s, config.delta)
 
@@ -104,29 +137,29 @@ def encode_bytes(coreset, centers, config) -> bytes:
     for l in range(config.k):
         writer.write(int(group_sizes[l]), p.group_width)
 
-    x_codes = {(row, i): codec.encode_scalar(float(pts[row, i] - cen[assign[row], i]), p.f_x)
+    x_codes = {(row, i): quantize(float(pts[row, i] - cen[assign[row], i]), p.f_x)
                for row in order for i in range(config.d)}
-    quantized_bits = sum(1 if x.is_zero else p.code_widths[1] for x in x_codes.values())
+    quantized_bits = sum(1 if x[0] else p.code_widths[1] for x in x_codes.values())
     exact = s * config.d * p.center_width < quantized_bits
     unit = all(coreset.weights[row] == 1.0 for row in order)
     for row in order:
         if not unit:
-            w = codec.encode_scalar(float(coreset.weights[row]), p.f_w,
-                                    p.weight_zero_threshold)
-            if w.is_zero:
+            w_zero, _, w_expo, w_frac = quantize(float(coreset.weights[row]), p.f_w,
+                                                 p.weight_zero_threshold)
+            if w_zero:
                 writer.write(1, 1)
             else:
-                writer.write((w.expo - p.w_expo_min) << p.f_w | w.fraction,
+                writer.write((w_expo - p.w_expo_min) << p.f_w | w_frac,
                              2 + p.w_expo_width + p.f_w)
         for i in range(config.d):
-            x = x_codes[row, i]
+            x_zero, x_sign, x_expo, x_frac = x_codes[row, i]
             if exact:
                 writer.write(int(pts[row, i]) - 1, p.center_width)
-            elif x.is_zero:
+            elif x_zero:
                 writer.write(1, 1)
             else:
-                writer.write((x.sign << p.x_expo_width | x.expo) << p.f_x
-                             | x.fraction, 2 + p.x_expo_width + p.f_x)
+                writer.write((x_sign << p.x_expo_width | x_expo) << p.f_x
+                             | x_frac, 2 + p.x_expo_width + p.f_x)
 
     header = struct.pack(codec._HEADER_FMT, codec.SKETCH_MAGIC, 2,
                          config.k, config.d,
@@ -203,12 +236,11 @@ def parse(data: bytes) -> dict:
             f"trailing bytes: file has {len(sk._data)}, format needs {expected_len}",
             bit_offset=payload_bits)
 
-    weights = np.array([codec.decode_scalar(codec.ScalarCode(
-        bool(zero), 0, int(expo) + p.w_expo_min, int(frac)), p.f_w)
-        for zero, _, expo, frac in w_codes.T])
-    deltas = np.array([[codec.decode_scalar(codec.ScalarCode(
-        bool(zero), int(sign), int(expo), int(frac)), p.f_x)
-        for zero, sign, expo, frac in row] for row in x_codes.transpose(1, 2, 0)])
+    weights = np.array([dequantize((zero, 0, int(expo) + p.w_expo_min, int(frac)), p.f_w)
+                        for zero, _, expo, frac in w_codes.T])
+    deltas = np.array([[dequantize((zero, int(sign), int(expo), int(frac)), p.f_x)
+                        for zero, sign, expo, frac in row]
+                       for row in x_codes.transpose(1, 2, 0)])
     group_of = np.repeat(np.arange(k), group_sizes)
     if sk.exact_coordinates:
         points = grid.astype(np.float64)

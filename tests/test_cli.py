@@ -294,6 +294,28 @@ class TestParameterValidation:
                                    "--max-restarts", restarts])
         assert err.startswith(f"error: max_restarts must be >= 1, got {restarts}")
 
+    @pytest.mark.parametrize("argv, message", [
+        (["angles", "--d", "8", "--n", "2", "--trials", "0"],
+         "error: trials must be >= 1"),
+        (["angles", "--d", "8", "--n", "2", "--index", "0"],
+         "error: angle index 0 out of range 1..2"),
+        (["angles", "--d", "8", "--n", "2", "--index", "3"],
+         "error: angle index 3 out of range 1..2"),
+        (["angles", "--basis-a", "unused.kzob"],
+         "error: --basis-a and --basis-b go together"),
+        (["angles", "--d", "8"], "error: sampling mode needs --d and --n"),
+        (["distributed", "--sites", "0", "--k", "2", "--eps", "0.2"],
+         "error: need 1 <= l <= n, got l=0, n=200"),
+        (["encode", "--k", "2", "--eps", "0.2", "--z", "abc", "--out", "unused.kzsk"],
+         "error: cannot parse z='abc' as a rational"),
+    ], ids=["angles-trials-0", "angles-index-0", "angles-index-n+1",
+            "angles-basis-a-alone", "angles-d-without-n", "distributed-sites-0",
+            "encode-z-abc"])
+    def test_argument_is_usage_error(self, capsys, dataset_file, argv, message):
+        if argv[0] != "angles":
+            argv = [argv[0], "--data", dataset_file[0], *argv[1:]]
+        assert usage_error(capsys, argv).startswith(message)
+
 
 def test_oversized_sketch_header_rejected_in_bounded_memory(tmp_path):
     # a 52-byte KZSK file declaring k = d = 2^16 centers: 32 GiB of int64 if
@@ -335,6 +357,29 @@ def test_oversized_sketch_header_rejected_in_bounded_memory(tmp_path):
     assert proc.returncode == 2, proc.stderr
     assert proc.stdout == ""
     assert proc.stderr.startswith("error: payload of 0 bits")
+
+
+def test_k_beyond_header_field_rejected_in_bounded_memory(tmp_path, dataset_file):
+    # k = 2^32 does not fit the header's u32 field; the seeding would
+    # allocate per center if nothing checked it first. The child runs under
+    # a 1 GiB address-space cap, so a regression fails, not swaps.
+    resource = pytest.importorskip("resource")
+    src = str(Path(kzsketch.__file__).resolve().parents[1])
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1",
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+    proc = subprocess.run([sys.executable, "-m", "kzsketch.cli", "encode",
+                           "--data", dataset_file[0], "--k", str(2 ** 32),
+                           "--eps", "0.2", "--out", str(tmp_path / "o.kzsk")],
+                          env=env, preexec_fn=cap, capture_output=True, text=True,
+                          timeout=120)
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stdout == ""
+    assert proc.stderr.startswith(
+        "error: k = 4294967296 does not fit the header's 32-bit field")
 
 
 def test_wide_row_sketch_parses_in_bounded_memory(tmp_path):

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from fractions import Fraction
 
@@ -8,8 +9,7 @@ from hypothesis import strategies as st
 
 import kzsk_reference as ref
 from kzsketch import codec, geometry
-from kzsketch.codec import (Sketch, decode_scalar, encode, encode_scalar,
-                            theoretical_upper_bound)
+from kzsketch.codec import Sketch, encode, theoretical_upper_bound
 from kzsketch.coreset import WeightedCoreset, approx_centers, build_coreset
 from kzsketch.errors import InvalidInput, SketchFormatError
 from kzsketch.geometry import CenterSet, ProblemConfig
@@ -74,42 +74,49 @@ class TestBitIO:
         assert err.value.bit_offset == 8 * cut
 
 
+def quantize(value, f, zero_threshold=0.0):
+    """(is_zero, sign, expo, fraction, decoded value) of one scalar, through
+    the library's array quantizer."""
+    code = codec._encode_array([value], f, zero_threshold)
+    return *(int(c[0]) for c in code), float(codec._decode_array(*code, f)[0])
+
+
 class TestScalarCodec:
     def test_power_of_two_is_exact(self):
-        code = encode_scalar(1.0, 6)
-        assert (code.is_zero, code.sign, code.expo, code.fraction) == (False, 0, 0, 0)
-        assert decode_scalar(code, 6) == 1.0
+        is_zero, sign, expo, fraction, back = quantize(1.0, 6)
+        assert (is_zero, sign, expo, fraction) == (False, 0, 0, 0)
+        assert back == 1.0
 
     def test_hand_worked_example(self):
         # 0.3 with 4 fraction bits: mantissa 1.2 at expo -2, fraction
         # round(0.2 * 16) = 3, decoded 1.1875 * 2^-2 = 0.296875
-        code = encode_scalar(0.3, 4)
-        assert (code.expo, code.fraction) == (-2, 3)
-        assert decode_scalar(code, 4) == 0.296875
-        assert abs(decode_scalar(code, 4) - 0.3) / 0.3 <= 0.25 / 4
+        _, _, expo, fraction, back = quantize(0.3, 4)
+        assert (expo, fraction) == (-2, 3)
+        assert back == 0.296875
+        assert abs(back - 0.3) / 0.3 <= 0.25 / 4
 
     def test_below_threshold_becomes_zero(self):
-        code = encode_scalar(1e-9, 5, zero_threshold=1e-3)
-        assert code.is_zero
-        assert decode_scalar(code, 5) == 0.0
+        is_zero, *_, back = quantize(1e-9, 5, zero_threshold=1e-3)
+        assert is_zero
+        assert back == 0.0
 
     def test_threshold_comparison_is_inclusive(self):
-        assert encode_scalar(1e-3, 5, zero_threshold=1e-3).is_zero
-        assert not encode_scalar(math.nextafter(1e-3, 1), 5, zero_threshold=1e-3).is_zero
+        assert quantize(1e-3, 5, zero_threshold=1e-3)[0]
+        assert not quantize(math.nextafter(1e-3, 1), 5, zero_threshold=1e-3)[0]
 
     def test_sign_symmetry(self):
         for v in (0.3, 1.7, 123.456, 2.0 ** -20):
-            pos = encode_scalar(v, 8)
-            neg = encode_scalar(-v, 8)
-            assert (neg.expo, neg.fraction) == (pos.expo, pos.fraction)
-            assert (pos.sign, neg.sign) == (0, 1)
-            assert decode_scalar(neg, 8) == -decode_scalar(pos, 8)
+            _, pos_sign, pos_expo, pos_fraction, pos = quantize(v, 8)
+            _, neg_sign, neg_expo, neg_fraction, neg = quantize(-v, 8)
+            assert (neg_expo, neg_fraction) == (pos_expo, pos_fraction)
+            assert (pos_sign, neg_sign) == (0, 1)
+            assert neg == -pos
 
     def test_mantissa_carry_rolls_exponent(self):
         # 1.999.. with few fraction bits rounds up to 2.0
-        code = encode_scalar(1.99, 3)
-        assert (code.expo, code.fraction) == (1, 0)
-        assert decode_scalar(code, 3) == 2.0
+        _, _, expo, fraction, back = quantize(1.99, 3)
+        assert (expo, fraction) == (1, 0)
+        assert back == 2.0
 
     @given(v=st.floats(min_value=1e-200, max_value=1e200),
            f=st.integers(min_value=1, max_value=24),
@@ -117,29 +124,31 @@ class TestScalarCodec:
     @settings(max_examples=300, deadline=None)
     def test_relative_error_bound(self, v, f, sign):
         value = sign * v
-        back = decode_scalar(encode_scalar(value, f), f)
+        back = quantize(value, f)[-1]
         assert abs(back - value) <= 2.0 ** -f * abs(value)
 
     @given(v=st.floats(min_value=1e-30, max_value=1e30),
            f=st.integers(min_value=1, max_value=20))
     @settings(max_examples=200, deadline=None)
     def test_quantization_is_idempotent(self, v, f):
-        once = encode_scalar(v, f)
-        again = encode_scalar(decode_scalar(once, f), f)
+        once = quantize(v, f)
+        again = quantize(once[-1], f)
         assert once == again
 
     def test_array_path_matches_scalar_path(self):
+        # the library's quantizer against the reference codec's own
         rng = np.random.default_rng(3)
         vals = np.concatenate([rng.normal(scale=10.0 ** rng.integers(-6, 6), size=20)
                                for _ in range(20)])
         vals[::37] = 1e-9       # below the threshold: zero codes
+        # mantissa carries, and ties that round down and up to an even fraction
+        vals[1:5] = 1.999, -3.999, 1 + 2.0 ** -8, 1 + 3 * 2.0 ** -8
         iz, sg, ex, fr = codec._encode_array(vals, 7, 1e-8)
         for i, v in enumerate(vals):
-            ref = encode_scalar(float(v), 7, 1e-8)
-            assert (bool(iz[i]), sg[i], ex[i], fr[i]) == \
-                (ref.is_zero, ref.sign, ref.expo, ref.fraction), f"value {v}"
+            assert (bool(iz[i]), sg[i], ex[i], fr[i]) == ref.quantize(float(v), 7, 1e-8), \
+                f"value {v}"
         back = codec._decode_array(iz, sg, ex, fr, 7)
-        assert back.tolist() == [decode_scalar(encode_scalar(float(v), 7, 1e-8), 7)
+        assert back.tolist() == [ref.dequantize(ref.quantize(float(v), 7, 1e-8), 7)
                                  for v in vals]
 
 
@@ -322,6 +331,20 @@ class TestEncodeDecode:
         cs = WeightedCoreset(pts, weights, n)
         with pytest.raises(InvalidInput):
             encode(cs, np.array([[1]]), config)
+
+    def test_coreset_larger_than_n_rejected(self):
+        # the parser rejects a header with |S| > n, so encode writes none
+        _, config, centers, cs = make_instance(n=100, k=2, seed=10)
+        with pytest.raises(InvalidInput, match="coreset of 100 points for n = 50"):
+            encode(cs, centers, dataclasses.replace(config, n=50))
+
+    @pytest.mark.parametrize("field, value, bits", [
+        ("k", 2 ** 32, 32), ("d", 2 ** 32, 32), ("n", 2 ** 64, 64)])
+    def test_integer_beyond_its_header_field_rejected(self, field, value, bits):
+        _, config, centers, cs = make_instance(seed=11)
+        with pytest.raises(InvalidInput, match=f"{field} = {value} does not fit "
+                                               f"the header's {bits}-bit field"):
+            encode(cs, centers, dataclasses.replace(config, **{field: value}))
 
 
 class TestCompress:

@@ -144,7 +144,7 @@ class TestCenterForPower:
         n = 100
         p, q = orthogonal_pair(256, n, seed=18)
         c_hat = adversarial_center(q, p, np.ones(n))
-        c = center_for_power(q, p, c_hat, 2)
+        c = center_for_power(q, p, c_hat)
         assert abs(np.linalg.norm(c) - 1.0) <= 1e-10
         gap = -cost_gap(q, p, c, 2)
         lead, add = power_gap_bound(2, n)
@@ -156,7 +156,7 @@ class TestCenterForPower:
         n = 100
         p, q = orthogonal_pair(256, n, seed=19)
         c_hat = adversarial_center(q, p, np.ones(n))
-        c = center_for_power(q, p, c_hat, z)
+        c = center_for_power(q, p, c_hat)
         gap = -cost_gap(q, p, c, z)
         lead, add = power_gap_bound(z, n)
         assert gap >= lead - add - 1e-9
@@ -165,7 +165,7 @@ class TestCenterForPower:
         p, q = orthogonal_pair(256, 100, seed=20)
         bad = adversarial_center(p, q, np.ones(100))  # aligned with P, not Q
         with pytest.raises(InvalidInput):
-            center_for_power(q, p, bad, 2)
+            center_for_power(q, p, bad)
 
 
 class TestTaylorBounds:
