@@ -23,7 +23,7 @@ import numpy as np
 
 from . import anglelab, codec, coloring, distsim, geometry
 from .errors import KZSketchError
-from .geometry import CenterSet, GridDataset
+from .geometry import CenterSet, GridDataset, ProblemConfig
 
 REPORT_DIR_ENV = "KZSKETCH_REPORT_DIR"
 
@@ -78,8 +78,21 @@ def _check(name: str, lhs: float, rhs: float, relation: str = "<=") -> dict:
 # sketch commands
 
 
-def _build_sketch(args):
+def _load_instance(args) -> GridDataset:
+    """The dataset of a sketching command, checked against its flags before
+    any coreset work: the header's fields first, then k <= n. The library
+    takes k > n (repeated centers), but its seeding allocates and draws per
+    center, so a k beyond the dataset's points is a usage error here."""
     data = _load_dataset(args.data)
+    codec.check_header_fields(ProblemConfig(data.n, data.d, args.k, _parse_z(args.z),
+                                            data.delta, args.eps))
+    if args.k > data.n:
+        raise KZSketchError(f"k = {args.k} exceeds the dataset's n = {data.n}")
+    return data
+
+
+def _build_sketch(args):
+    data = _load_instance(args)
     return data, codec.compress(data, args.k, _parse_z(args.z), args.eps,
                                 args.method, args.seed)
 
@@ -299,7 +312,7 @@ def cmd_angles(args) -> int:
 
 
 def cmd_distributed(args) -> int:
-    data = _load_dataset(args.data)
+    data = _load_instance(args)
     z = _parse_z(args.z)
     partition = distsim.split_round_robin(data, args.sites)
     merged, ledger = distsim.run_coordinator(partition, args.k, z, args.eps,
@@ -321,7 +334,7 @@ def cmd_distributed(args) -> int:
 
 
 def cmd_stream(args) -> int:
-    data = _load_dataset(args.data)
+    data = _load_instance(args)
     z = _parse_z(args.z)
     result = distsim.run_stream(data, args.k, z, args.eps, args.block,
                                 args.seed, method=args.method,

@@ -90,14 +90,29 @@ def _seed_dz(fpts: np.ndarray, k: int, z: ZLike,
              rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
     """Adaptive seeding: first point uniform, then proportional to dist^z.
     Returns the seeds' indices and each point's nearest seed, lowest index
-    on ties: a kernel call per seed gives each point's squared distance to
-    it, and only a strictly smaller one moves the point."""
+    on ties: each seed gives every point's squared distance to it, and only
+    a strictly smaller one moves the point.
+
+    ``fpts`` is the float copy of a grid dataset's points, so every seed is
+    an integral row. The squared norms are computed once per call. When
+    ``4 max|p|^2 <= 2^52``, then ``(|p| + |c|)^2 <= 2^52`` for every point p
+    and seed c, inside the kernel's grid rule, and a seed's distances are one
+    GEMV (``geometry._grid_distances``), equal to the direct form bit for
+    bit. Beyond that bound each seed is a kernel call."""
     n = fpts.shape[0]
     chosen = np.empty(k, dtype=np.int64)
     chosen[0] = _inverse_cdf_sample(rng, np.full(n, 1.0 / n), 1)[0]
     assign = np.zeros(n, dtype=np.int64)
+    p_sq = np.einsum("ij,ij->i", fpts, fpts)
+    grid = 4.0 * p_sq.max() <= 2.0 ** 52
+
+    def distances(i):
+        if grid:
+            return geometry._grid_distances(fpts, p_sq, fpts[i])
+        return geometry._nearest(fpts, fpts[i][None, :])[0]
+
     with np.errstate(over="ignore"):
-        best = geometry._nearest(fpts, fpts[chosen[:1]])[0]
+        best = distances(chosen[0])
         min_pow = geometry.powered_distances(best, z)
         for j in range(1, k):
             total = dz_total(min_pow, z)
@@ -105,7 +120,7 @@ def _seed_dz(fpts: np.ndarray, k: int, z: ZLike,
                 chosen[j] = _inverse_cdf_sample(rng, np.full(n, 1.0 / n), 1)[0]
             else:
                 chosen[j] = _inverse_cdf_sample(rng, min_pow / total, 1)[0]
-            sq = geometry._nearest(fpts, fpts[chosen[j]][None, :])[0]
+            sq = distances(chosen[j])
             np.copyto(assign, j, where=sq < best)
             np.minimum(best, sq, out=best)
             np.minimum(min_pow, geometry.powered_distances(sq, z), out=min_pow)

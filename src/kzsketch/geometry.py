@@ -289,6 +289,22 @@ def _nearest(points, centers) -> tuple[np.ndarray, np.ndarray]:
     return best, arg
 
 
+def _grid_distances(points: np.ndarray, p_sq: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """Squared distance of every row of the float array ``points`` to the one
+    center ``c``, as one GEMV in the expanded form ``p_sq + |c|^2 - 2 p.c``,
+    where ``p_sq`` holds the rows' squared norms.
+
+    The caller guarantees the grid rule of :func:`_nearest`: the rows and
+    ``c`` are integral and ``(|p| + |c|)^2 <= 2^52`` for every row. Then, by
+    the proof in that docstring, every value equals the direct form
+    ``((p - c) ** 2).sum()`` bit for bit, in any summation order."""
+    sq = points @ c
+    sq *= -2.0
+    sq += p_sq
+    sq += c @ c
+    return sq
+
+
 def powered_distances(sqdist: np.ndarray, z: ZLike) -> np.ndarray:
     """Raise squared distances to the z/2 power, exactly for z in {1, 2}."""
     zf = as_z(z)

@@ -223,6 +223,25 @@ class TestParameterValidation:
                                    *argv[1:]])
         assert err.startswith("error: n, d and k must all be >= 1")
 
+    # the library takes k > n, but from the command line it is rejected
+    # before the seeding allocates or draws per center
+    @pytest.mark.parametrize("k", ["201", "100000000"])
+    @pytest.mark.parametrize("argv", [
+        ["encode", "--eps", "0.2", "--out", "unused.kzsk"],
+        ["verify", "--eps", "0.2", "--trials", "2"],
+        ["distributed", "--sites", "2", "--eps", "0.2"],
+        ["stream", "--block", "50", "--eps", "0.2"],
+    ], ids=lambda argv: argv[0])
+    def test_k_beyond_dataset_is_usage_error(self, capsys, dataset_file, argv, k):
+        err = usage_error(capsys, [argv[0], "--data", dataset_file[0], "--k", k,
+                                   *argv[1:]])
+        assert err == f"error: k = {k} exceeds the dataset's n = 200\n"
+
+    def test_k_equal_to_dataset_size_is_accepted(self, capsys, dataset_file, tmp_path):
+        code, _ = run_cli(capsys, ["encode", "--data", dataset_file[0], "--k", "200",
+                                   "--eps", "0.2", "--out", str(tmp_path / "o.kzsk")])
+        assert code == 0
+
     @pytest.mark.parametrize("eps", ["1.5", "1", "0", "nan"])
     def test_stream_eps_outside_unit_interval_is_usage_error(self, capsys,
                                                              dataset_file, eps):
@@ -380,6 +399,28 @@ def test_k_beyond_header_field_rejected_in_bounded_memory(tmp_path, dataset_file
     assert proc.stdout == ""
     assert proc.stderr.startswith(
         "error: k = 4294967296 does not fit the header's 32-bit field")
+
+
+def test_k_beyond_dataset_rejected_in_bounded_memory(tmp_path, dataset_file):
+    # k = 2^32 - 1 fits the header, and per-center arrays of that length take
+    # 32 GiB; the child runs under a 1 GiB address-space cap and a timeout,
+    # so a k that reached the seeding fails here instead of swapping
+    resource = pytest.importorskip("resource")
+    src = str(Path(kzsketch.__file__).resolve().parents[1])
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1",
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+    proc = subprocess.run([sys.executable, "-m", "kzsketch.cli", "encode",
+                           "--data", dataset_file[0], "--k", str(2 ** 32 - 1),
+                           "--eps", "0.1", "--out", str(tmp_path / "o.kzsk")],
+                          env=env, preexec_fn=cap, capture_output=True, text=True,
+                          timeout=120)
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stdout == ""
+    assert proc.stderr == "error: k = 4294967295 exceeds the dataset's n = 200\n"
 
 
 def test_wide_row_sketch_parses_in_bounded_memory(tmp_path):

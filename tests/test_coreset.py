@@ -165,6 +165,22 @@ class TestSeedingKeepsAssignment:
             assert np.array_equal(cs.points, pts), f"seed {seed}"
             assert np.array_equal(cs.weights, new_w), f"seed {seed}"
 
+    # 4 max|p|^2 against 2^52, the bound of the seeding's one GEMV per seed:
+    # at it (2^24 with d = 4), just above it, below 2^56, and far above it.
+    # The rows sit within 8 of the grid's top, so a seed's distances are
+    # small next to the norms and an expanded form that rounds moves draws
+    @pytest.mark.parametrize("delta", [2 ** 24, 2 ** 24 + 1, 2 ** 26 - 1, 2 ** 40])
+    @pytest.mark.parametrize("z", TIE_ZS, ids=str)
+    def test_seeding_either_side_of_the_gemv_bound(self, z, delta):
+        pts = delta - np.random.default_rng(delta % 97).integers(0, 8, size=(300, 4))
+        pts[0] = delta
+        data = GridDataset(pts, delta)
+        for seed in range(5):
+            ac = approx_centers(data, 5, z, seed)
+            indices, has_repeats = reference_approx_centers(data, 5, z, seed)
+            assert np.array_equal(ac.indices, indices), f"seed {seed}"
+            assert ac.has_repeats == has_repeats
+
     @pytest.mark.parametrize("scale", [40, 62])
     def test_large_coordinates_match_reference(self, scale):
         # coordinates where an int64 sum of squares wraps: the kernel's
@@ -185,16 +201,25 @@ class TestSeedingKeepsAssignment:
                 assert np.array_equal(cs.points, pts), f"z {z}, seed {seed}"
                 assert np.array_equal(cs.weights, new_w), f"z {z}, seed {seed}"
 
+    @pytest.mark.parametrize("delta", [64, 2 ** 40])
     @pytest.mark.parametrize("n, d, k", [(3000, 4, 8), (500, 16, 3), (7, 1, 20)])
-    def test_one_kernel_call_per_seed_and_snap_chunk(self, monkeypatch, n, d, k):
-        calls = []
-        kernel = geometry._nearest
+    def test_one_pass_per_seed_and_kernel_call_per_snap_chunk(self, monkeypatch,
+                                                              n, d, k, delta):
+        # inside the GEMV bound (delta = 64) each seed is one GEMV and the
+        # kernel runs for the snap's chunks only; beyond it (2^40) each seed
+        # is a one-center kernel call, before the chunks
+        calls, gemvs = [], []
+        kernel, gemv = geometry._nearest, geometry._grid_distances
         monkeypatch.setattr(geometry, "_nearest",
                             lambda p, c: calls.append(len(c)) or kernel(p, c))
-        approx_centers(geometry.random_grid_dataset(n, d, 64, seed=n), k, 2, seed=0)
+        monkeypatch.setattr(geometry, "_grid_distances",
+                            lambda p, p_sq, c: gemvs.append(c) or gemv(p, p_sq, c))
+        approx_centers(geometry.random_grid_dataset(n, d, delta, seed=n), k, 2, seed=0)
         chunks = len(range(0, n, max(1, n * d // k)))
-        assert len(calls) == k + chunks
-        assert calls[:k] == [1] * k
+        seeds = k if delta == 64 else 0
+        assert len(gemvs) == seeds
+        assert len(calls) == k - seeds + chunks
+        assert calls[:k - seeds] == [1] * (k - seeds)
 
 
 class TestBuildCoreset:

@@ -4,6 +4,7 @@ ties, overflow and underflow included. Grid rows (integer points, integral
 centers, ``(|p| + max|c|)^2 <= 2^52``) take the GEMM value as it is, so they
 are checked on both sides of that bound."""
 
+import math
 import warnings
 
 import numpy as np
@@ -205,3 +206,43 @@ def test_one_center_takes_the_direct_form_alone(monkeypatch, scale, grid):
         pts = scale * rng.normal(size=(1500, 4))
         cen = scale * rng.normal(size=(1, 4))
     assert_same_as_reference(pts, cen)
+
+
+def assert_one_center_form_exact(points, seeds):
+    """``geometry._grid_distances`` against the reference, each of the rows
+    ``seeds`` of ``points`` taking its turn as the one center, as a seed
+    does."""
+    fpts = np.asarray(points).astype(np.float64)
+    p_sq = np.einsum("ij,ij->i", fpts, fpts)
+    for i in seeds:
+        got = geometry._grid_distances(fpts, p_sq, fpts[i])
+        assert np.array_equal(got, ref.nearest(points, fpts[[i]])[0])
+
+
+@pytest.mark.parametrize("d", [1, 4, 16])
+def test_one_center_form_at_the_seeding_bound(d):
+    # 4 max|p|^2 is exactly 2^52: the largest rows the seeding sends to the
+    # GEMV, next to small ones and ones just below the top
+    top = 2 ** 25 // math.isqrt(d)
+    rng = np.random.default_rng(d)
+    pts = np.vstack([np.full((1, d), top), top - rng.integers(0, 3, size=(40, d)),
+                     rng.integers(1, top + 1, size=(40, d)), np.ones((1, d), np.int64)])
+    assert 4 * np.einsum("ij,ij->i", pts.astype(np.float64), pts).max() == 2.0 ** 52
+    assert_one_center_form_exact(pts, range(len(pts)))
+
+
+def test_one_center_form_just_above_the_seeding_bound():
+    # 4 max|p|^2 is 2^52 + 2^28 + 4, so the seeding takes the kernel; the
+    # form itself stays exact here, as the kernel's proof runs to
+    # (|p| + |c|)^2 <= 2^53 and the bound keeps that margin for the norms
+    pts = np.array([[2 ** 25], [2 ** 25 + 1], [2 ** 25 - 1], [1]])
+    assert 4.0 * (2 ** 25 + 1) ** 2 > 2.0 ** 52
+    assert_one_center_form_exact(pts, range(len(pts)))
+
+
+def test_one_center_form_on_a_d16_grid():
+    # the shape the benchmark's compress workload seeds on, Delta = 2^10
+    rng = np.random.default_rng(16)
+    pts = rng.integers(1, 2 ** 10 + 1, size=(2000, 16))
+    pts[0] = 2 ** 10
+    assert_one_center_form_exact(pts, [0, *rng.integers(0, 2000, size=5)])
