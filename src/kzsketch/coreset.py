@@ -98,7 +98,9 @@ def _seed_dz(fpts: np.ndarray, k: int, z: ZLike,
     ``4 max|p|^2 <= 2^52``, then ``(|p| + |c|)^2 <= 2^52`` for every point p
     and seed c, inside the kernel's grid rule, and a seed's distances are one
     GEMV (``geometry._grid_distances``), equal to the direct form bit for
-    bit. Beyond that bound each seed is a kernel call."""
+    bit. An integer row's computed squared norm is exact up to 2^53 and at
+    least 2^53 beyond, so the check on it is exact. Beyond the bound each
+    seed is a kernel call."""
     n = fpts.shape[0]
     chosen = np.empty(k, dtype=np.int64)
     chosen[0] = _inverse_cdf_sample(rng, np.full(n, 1.0 / n), 1)[0]

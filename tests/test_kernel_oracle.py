@@ -2,7 +2,8 @@
 reference in ``nearest_reference``: both outputs must be equal bit for bit,
 ties, overflow and underflow included. Grid rows (integer points, integral
 centers, ``(|p| + max|c|)^2 <= 2^52``) take the GEMM value as it is, so they
-are checked on both sides of that bound."""
+are checked on both sides of that bound. So is the seeding's one-center
+GEMV, ``_grid_distances``, at and just above its bound."""
 
 import math
 import warnings
