@@ -1,7 +1,11 @@
 """Golden sketch corpus: fixed inputs whose wire bytes, ledger and decoded
 arrays are pinned, so a refactor of the kernel, snapping or codec path that
 changes any output bit fails here. At delta = 1024 exact grid coordinates
-are the cheaper form; the delta = 2^24 cases pin the quantized one. A
+are the cheaper form; the delta = 2^24 cases pin the quantized one. Each case
+also pins the sketch's estimates of a fixed query list (integral and
+jittered center sets, a one-center set and a set with a duplicated center),
+so a change to how ``estimate_cost`` reaches the kernel must keep every
+estimate bit for bit. A
 second corpus pins the wire bytes of the coordinator's sites and of the
 stream's live sketches, including the stream's level-0 reductions, with
 the stream's resident-bits maximum and the formula value at that moment.
@@ -50,10 +54,15 @@ def case_id(case) -> str:
     return f"n{n}-d{d}-k{k}-z{z}-{method}" + ("" if delta == DELTA else f"-delta{delta}")
 
 
+def dataset(case) -> GridDataset:
+    n, d, k, _, _, delta = case
+    return geometry.random_grid_dataset(n, d, delta, seed=n + d + k)
+
+
 def encoded(case):
     """(approximate centers, coreset, sketch) of one case."""
     n, d, k, z, method, delta = case
-    data = geometry.random_grid_dataset(n, d, delta, seed=n + d + k)
+    data = dataset(case)
     config = ProblemConfig(n=n, d=d, k=k, z=Fraction(z), delta=delta, epsilon=EPS)
     centers = coreset.approx_centers(data, k, z, seed=z)
     cs = coreset.build_coreset(data, k, z, EPS, method=method, seed=z + 1,
@@ -61,11 +70,21 @@ def encoded(case):
     return centers, cs, codec.encode(cs, centers, config)
 
 
+def queries(data: GridDataset) -> list:
+    """Two integral and two jittered 5-center sets (the alternation of
+    ``random_center_sets``), a one-center set and an integral set whose
+    first center is repeated at the end."""
+    sets = [q.centers for q in geometry.random_center_sets(data, 5, 4, seed=77)]
+    one = geometry.random_center_sets(data, 1, 1, seed=78)[0].centers
+    return sets + [one, np.vstack([sets[0], sets[0][:1]])]
+
+
 def fingerprint(case) -> dict:
     centers, _, sketch = encoded(case)
     return {"has_repeats": centers.has_repeats,
             "exact_coordinates": sketch.exact_coordinates,
             "unit_weights": sketch.unit_weights,
+            "estimates": [sketch.estimate_cost(q).hex() for q in queries(dataset(case))],
             **wire_fingerprint(sketch)}
 
 
