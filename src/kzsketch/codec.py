@@ -257,8 +257,11 @@ class Sketch:
     Construct with :func:`encode` or :meth:`Sketch.from_bytes`. The raw wire
     bytes are the source of truth: ``encode`` keeps the fields it packed and
     ``from_bytes`` parses the same fields back. Decoded arrays are computed
-    once and cached (the cache fill is idempotent, so concurrent queries from
-    many threads are safe).
+    once, read-only and cached, together with the points prepared for the
+    distance kernel (their squared norms, and whether every coordinate is an
+    integer, which lets integral queries take the kernel's exact grid path).
+    The cache is filled by one assignment, so concurrent queries from many
+    threads are safe.
     """
 
     _decoded = None
@@ -440,7 +443,7 @@ class Sketch:
         """Keep the parsed or encoded payload: the (|S|, m) zero flags of the
         row layout and one field array per entry of the field layout."""
         p, s, d = self.params, self.coreset_size, self.d
-        self.centers = centers
+        self.centers = geometry._freeze(centers)
         self.group_sizes = group_sizes
         self.group_of = np.repeat(np.arange(self.k), group_sizes)
         self._zero, self._fields = zero, fields
@@ -465,7 +468,7 @@ class Sketch:
         return self._data
 
     def decode(self):
-        """Reconstruct (weights, points, centers); exact and cached."""
+        """Reconstruct (weights, points, centers); exact, cached and read-only."""
         if self._decoded is None:
             p, zero, fields = self.params, self._zero, self._fields
             if self.unit_weights:
@@ -478,12 +481,15 @@ class Sketch:
             else:
                 points = _decode_array(zero[:, -self.d:], *fields[-3:], p.f_x)
                 points += self.centers[self.group_of]
-            self._decoded = (weights, points, self.centers)
-        return self._decoded
+            points = geometry._freeze(points)
+            self._decoded = ((geometry._freeze(weights), points, self.centers),
+                             geometry._Rows(points))
+        return self._decoded[0]
 
     def estimate_cost(self, centers) -> float:
         """Weighted cost of the decoded coreset against a query center set."""
-        weights, points, _ = self.decode()
+        weights, _, _ = self.decode()
+        rows = self._decoded[1]
         cen = centers.centers if isinstance(centers, geometry.CenterSet) else centers
         cen = np.asarray(cen, dtype=np.float64)
         if cen.ndim != 2 or cen.shape[0] < 1:
@@ -491,7 +497,7 @@ class Sketch:
         if cen.shape[1] != self.d:
             raise DimensionMismatch(
                 f"sketch dimension {self.d} != query dimension {cen.shape[1]}")
-        return geometry.weighted_cost(weights, points, cen, self.z)
+        return geometry.weighted_cost(weights, rows, cen, self.z)
 
 
 def check_header_fields(config: ProblemConfig) -> None:

@@ -145,10 +145,28 @@ class CenterSet:
         return self.centers.shape[1]
 
 
+class _Rows:
+    """Rows prepared once for the distance kernel: the finite float64
+    ``points``, their squared norms ``sq`` and whether every value is
+    integral, which makes them grid rows for :func:`_nearest`. The points
+    must not change afterwards; a sketch's decoded points are read-only."""
+
+    __slots__ = ("points", "sq", "integral")
+
+    def __init__(self, points: np.ndarray):
+        points = np.asarray(points, dtype=np.float64)
+        if points.ndim != 2 or not np.isfinite(points).all():
+            raise InvalidInput("prepared rows must be a finite (n, d) array")
+        self.points = points
+        with np.errstate(over="ignore"):
+            self.sq = _freeze(np.einsum("ij,ij->i", points, points))
+        self.integral = bool((points == np.floor(points)).all())
+
+
 def _points_of(obj) -> np.ndarray:
     """The coordinates of ``obj``: integer arrays as they are, for the
     kernel casts them block by block; anything else as float64."""
-    if isinstance(obj, (GridDataset, RealDataset)):
+    if isinstance(obj, (GridDataset, RealDataset, _Rows)):
         return obj.points
     a = np.asarray(obj)
     return a if a.dtype.kind in "iu" else a.astype(np.float64, copy=False)
@@ -200,8 +218,9 @@ def _nearest(points, centers) -> tuple[np.ndarray, np.ndarray]:
     gamma_{d+4} = (d+4) u / (1 - (d+4) u)``, ``u = 2^-53`` and ``eta =
     2^-1075``.
 
-    Grid rows skip the filter: when the points are integers (an integer
-    array or a ``GridDataset``), there are two or more centers, every
+    Grid rows skip the filter: when every point is integral (an integer
+    array, a ``GridDataset`` or prepared rows whose values are all
+    integers, whatever their dtype), there are two or more centers, every
     center is integral and ``(|p| + max|c|)^2 <= 2^52``, a row takes
     ``argmin(e)`` and its ``e`` value. Every intermediate of both forms
     (the products, the partial sums of the dot products and norms, the
@@ -230,18 +249,26 @@ def _nearest(points, centers) -> tuple[np.ndarray, np.ndarray]:
     r_j > r_i whenever T >= 4 gamma_{d+2} X + 8 d eta; the T above is at
     least twice that, which covers the rounding of the norms and of T.
     If (|p| + max|c|)^2 overflows, T is inf and every center is a
-    candidate; otherwise no intermediate of e overflows."""
+    candidate; otherwise no intermediate of e overflows.
+
+    Prepared rows (:class:`_Rows`) bring their squared norms, their
+    finiteness check and their integrality, so a call takes each block's
+    ``|p|^2`` from them instead of recomputing it; the values, and so the
+    proof above, are the same."""
     pts, cen = _points_of(points), _centers_of(centers)
     if pts.ndim != 2 or cen.ndim != 2 or pts.shape[1] != cen.shape[1]:
         raise DimensionMismatch(
             f"points have dimension {pts.shape[1:]} but centers {cen.shape[1:]}")
     if cen.shape[0] < 1:
         raise InvalidInput("need at least one center")
-    if not np.isfinite(cen).all() or (pts.dtype.kind == "f" and not np.isfinite(pts).all()):
+    rows = points if isinstance(points, _Rows) else None
+    if not np.isfinite(cen).all() or (
+            rows is None and pts.dtype.kind == "f" and not np.isfinite(pts).all()):
         raise InvalidInput("distance evaluation requires finite coordinates")
     n, d = pts.shape
     k = cen.shape[0]
-    grid = pts.dtype.kind in "iu" and bool((cen == np.floor(cen)).all())
+    integral = pts.dtype.kind in "iu" if rows is None else rows.integral
+    grid = integral and bool((cen == np.floor(cen)).all())
     best = np.empty(n)
     arg = np.empty(n, dtype=np.int64)
     u = 2.0 ** -53
@@ -259,7 +286,8 @@ def _nearest(points, centers) -> tuple[np.ndarray, np.ndarray]:
         else:
             # the filter may overflow; such rows fall to _scan by the rule above
             with np.errstate(over="ignore", invalid="ignore"):
-                p_sq = np.einsum("ij,ij->i", p, p)
+                p_sq = np.einsum("ij,ij->i", p, p) if rows is None \
+                    else rows.sq[lo:lo + _BLOCK]
                 e = p @ cen.T
                 e *= -2.0
                 e += c_sq
@@ -332,13 +360,14 @@ def cost(points, centers, z: ZLike) -> float:
 def weighted_cost(weights, points, centers, z: ZLike) -> float:
     """Weighted clustering cost; zero-weight points contribute exactly 0."""
     w = np.asarray(weights, dtype=np.float64)
-    pts = _points_of(points)
-    if w.ndim != 1 or w.shape[0] != pts.shape[0]:
+    n = _points_of(points).shape[0]
+    if w.ndim != 1 or w.shape[0] != n:
         raise DimensionMismatch(
-            f"{w.shape[0] if w.ndim == 1 else w.shape} weights for {pts.shape[0]} points")
+            f"{w.shape[0] if w.ndim == 1 else w.shape} weights for {n} points")
     if not np.isfinite(w).all() or (w < 0).any():
         raise InvalidInput("weights must be finite and nonnegative")
-    return float(np.sum(w * min_powered_distances(pts, centers, z)))
+    # the points as given, so that prepared rows reach the kernel as such
+    return float(np.sum(w * min_powered_distances(points, centers, z)))
 
 
 def nearest_assignment(points, centers) -> np.ndarray:

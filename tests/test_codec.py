@@ -394,6 +394,45 @@ class TestEstimateCost:
             exact = geometry.cost(data, q, 2)
             assert abs(sk.estimate_cost(q) - exact) <= eps * exact
 
+    @pytest.mark.parametrize("delta", [1024, 2 ** 24])
+    def test_decoded_arrays_are_read_only(self, delta):
+        # the cached arrays are what every later estimate reads, so a write
+        # into them must fail instead of moving the next estimate
+        data, config, centers, cs = make_instance(delta=delta, method="sensitivity",
+                                                  seed=17)
+        sk = encode(cs, centers, config)
+        q = geometry.random_center_sets(data, 4, 1, seed=18)[0]
+        before = sk.estimate_cost(q)
+        for arr in sk.decode():
+            with pytest.raises(ValueError):
+                arr += 100
+        assert sk.estimate_cost(q) == before
+        assert all(a is b for a, b in zip(sk.decode(), sk.decode()))
+
+    @pytest.mark.parametrize("delta", [1024, 2 ** 24])
+    def test_estimate_equals_the_kernel_on_a_copy_of_the_rows(self, delta):
+        # prepared rows give the same float as the decoded arrays handed to
+        # weighted_cost as plain writable arrays, for integral queries (grid
+        # rows of an exact-coordinate sketch) and jittered ones
+        data, config, centers, cs = make_instance(n=300, delta=delta,
+                                                  method="sensitivity", seed=19)
+        sk = encode(cs, centers, config)
+        assert sk.exact_coordinates == (delta == 1024)
+        w, pts, _ = (a.copy() for a in sk.decode())
+        for q in geometry.random_center_sets(data, 5, 6, seed=20):
+            assert sk.estimate_cost(q) == geometry.weighted_cost(w, pts, q, config.z)
+
+    def test_integral_rows_of_a_quantized_sketch_are_grid_rows(self):
+        # points on their centers store zero deltas, so the quantized form is
+        # the cheaper one, yet every decoded value is an integer
+        p = np.array([[17, 33], [17, 33], [40, 2]])
+        config = ProblemConfig(n=3, d=2, k=2, z=Fraction(2), delta=64, epsilon=0.25)
+        sk = encode(WeightedCoreset(p, np.ones(3), 3), p[1:], config)
+        assert not sk.exact_coordinates
+        q = np.array([[1.0, 1.0], [30.0, 20.0]])
+        assert sk.estimate_cost(q) == geometry.weighted_cost(np.ones(3), p, q, 2)
+        assert sk._decoded[1].integral
+
 
 class TestTheoreticalBound:
     def test_hand_golden_value(self):

@@ -3,7 +3,13 @@ reference in ``nearest_reference``: both outputs must be equal bit for bit,
 ties, overflow and underflow included. Grid rows (integer points, integral
 centers, ``(|p| + max|c|)^2 <= 2^52``) take the GEMM value as it is, so they
 are checked on both sides of that bound. So is the seeding's one-center
-GEMV, ``_grid_distances``, at and just above its bound."""
+GEMV, ``_grid_distances``, at and just above its bound.
+
+Every comparison also runs the kernel on prepared rows (``_Rows``, the form
+a sketch's decoded points take), built from the float64 copy of the points
+that the reference computes on: they must give the same two outputs as the
+reference and as the unprepared call. Integral float rows are grid rows
+there, so the grid cases check them on both sides of the bound too."""
 
 import math
 import warnings
@@ -31,8 +37,11 @@ def assert_same_as_reference(points, centers):
         warnings.simplefilter("ignore", RuntimeWarning)
         want = ref.nearest(points, centers)
         got = geometry._nearest(points, centers)
-    assert np.array_equal(got[0], want[0])
-    assert np.array_equal(got[1], want[1])
+        prepared = geometry._nearest(
+            geometry._Rows(np.asarray(points).astype(np.float64)), centers)
+    for out in (got, prepared):
+        assert np.array_equal(out[0], want[0])
+        assert np.array_equal(out[1], want[1])
 
 
 @st.composite
@@ -182,11 +191,12 @@ def test_grid_dataset_with_large_coordinates(scale):
     data = GridDataset(pts, 2 ** scale)
     fpts = pts.astype(np.float64)
     small = rng.integers(1, 100, size=(4, 3)).astype(np.float64)
+    rows = geometry._Rows(fpts)
     for cen in (small, np.vstack([small, fpts[[0, 60]]]), fpts[[0]]):
         want = ref.nearest(pts, cen)
-        got = geometry._nearest(data, cen)
-        assert np.array_equal(got[0], want[0])
-        assert np.array_equal(got[1], want[1])
+        for got in (geometry._nearest(data, cen), geometry._nearest(rows, cen)):
+            assert np.array_equal(got[0], want[0])
+            assert np.array_equal(got[1], want[1])
         assert np.array_equal(geometry.nearest_assignment(data, cen), want[1])
 
 
@@ -207,6 +217,32 @@ def test_one_center_takes_the_direct_form_alone(monkeypatch, scale, grid):
         pts = scale * rng.normal(size=(1500, 4))
         cen = scale * rng.normal(size=(1, 4))
     assert_same_as_reference(pts, cen)
+
+
+@pytest.mark.parametrize("blocks", [1, 3])
+def test_prepared_integral_rows_take_the_grid_path(monkeypatch, blocks):
+    # float rows that tie between duplicate integral centers: unprepared,
+    # a float row is never a grid row, so its ties go to the scan; prepared,
+    # every row is integral and takes argmin(e) with no filter or scan
+    rng = np.random.default_rng(12)
+    pts = rng.integers(0, 4, size=(blocks * geometry._BLOCK - 5, 3)).astype(np.float64)
+    cen = np.vstack([pts[:3], pts[:2]])
+    want = ref.nearest(pts, cen)
+    assert (want[1] < 2).any()
+    monkeypatch.setattr(geometry, "_scan", lambda *args: pytest.fail("a grid row was scanned"))
+    got = geometry._nearest(geometry._Rows(pts), cen)
+    assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+    with pytest.raises(pytest.fail.Exception):
+        geometry._nearest(pts, cen)
+
+
+def test_prepared_rows_check_finiteness_once():
+    rows = geometry._Rows(np.array([[1.0, 2.0], [3.5, -4.0]]))
+    assert not rows.integral
+    assert rows.sq.tolist() == [5.0, 28.25]
+    for bad in (np.inf, np.nan):
+        with pytest.raises(geometry.InvalidInput):
+            geometry._Rows(np.array([[1.0, bad]]))
 
 
 def assert_one_center_form_exact(points, seeds):
