@@ -46,9 +46,9 @@ UNIT_WEIGHTS = 2
 _EPS_FRAC_BITS = 24
 
 
-# bits per block of payload rows (at least one row): the packer's and the
-# parser's (rows, R) bit matrix and mask stay near 4 MiB each, unless a
-# single row is wider
+# bits per block of payload rows (at least one row): a block's scratch
+# (rows, R) bit matrix and mask, made only when it has a zero flag, stay
+# near 4 MiB each, unless a single row is wider
 _BLOCK_BITS = 1 << 22
 
 
@@ -187,28 +187,46 @@ def _field_layout(p: SketchParams, exact: bool, unit: bool):
     return fields + [(x, 1, 1), (x, 2, p.x_expo_width), (x, 2 + p.x_expo_width, p.f_x)]
 
 
-def _row_blocks(zero: np.ndarray, runs):
+def _row_blocks(zero: np.ndarray, runs, bits: np.ndarray, pos: int):
     """The payload rows in blocks of about _BLOCK_BITS bits (at least one
-    row), given their (|S|, m) zero flags and their row layout. Per block,
-    yields the slice of its rows, a zeroed (rows, R) bit matrix for the rows
-    at full width, the mask of the matrix bits the payload stores (all but
-    those after a zero flag; None if the block has no zero flag, so the
-    payload stores the whole matrix), and per run of the row layout its
-    (rows, columns, width) view of the matrix."""
+    row), given their (|S|, m) zero flags, their row layout and the flat
+    payload bit array ``bits``, whose rows start at bit ``pos``. Per block,
+    yields the slice of its rows, a (rows, R) bit matrix for the rows at
+    full width, the mask of the matrix bits the payload stores (all but
+    those after a zero flag), the span of ``bits`` that holds them, and per
+    run of the row layout its (rows, columns, width) view of the matrix.
+
+    A block with no zero flag has no mask: the payload stores it whole, so
+    its matrix is a view of its span of ``bits`` and needs no copy either
+    way. A block with one has a zeroed scratch matrix, whose masked bits
+    the caller moves to or from its span. A block that would end past
+    ``bits`` is a ``SketchFormatError``, raised before its span is viewed."""
     row_bits = sum((cols.stop - cols.start) * width for cols, width, _ in runs)
     step = max(1, _BLOCK_BITS // row_bits)
     for lo in range(0, len(zero), step):
         z = zero[lo:lo + step]
-        matrix = np.zeros((len(z), row_bits), dtype=np.uint8)
-        keep = np.ones(matrix.shape, dtype=bool) if z.any() else None
+        keep = None
+        if z.any():
+            keep = np.ones((len(z), row_bits), dtype=bool)
+            start = 0
+            for cols, width, variable in runs:
+                end = start + (cols.stop - cols.start) * width
+                if variable:
+                    keep[:, start:end].reshape(len(z), -1, width)[:, :, 1:] = ~z[:, cols, None]
+                start = end
+        count = len(z) * row_bits if keep is None else int(np.count_nonzero(keep))
+        if pos + count > bits.size:
+            raise SketchFormatError("payload ends early", bit_offset=bits.size)
+        span = slice(pos, pos + count)
+        matrix = bits[span].reshape(len(z), row_bits) if keep is None \
+            else np.zeros(keep.shape, dtype=np.uint8)
         views, start = [], 0
-        for cols, width, variable in runs:
+        for cols, width, _ in runs:
             end = start + (cols.stop - cols.start) * width
             views.append(matrix[:, start:end].reshape(len(z), -1, width))
-            if variable and keep is not None:
-                keep[:, start:end].reshape(len(z), -1, width)[:, :, 1:] = ~z[:, cols, None]
             start = end
-        yield slice(lo, lo + len(z)), matrix, keep, views
+        yield slice(lo, lo + len(z)), matrix, keep, span, views
+        pos += count
 
 
 def derive_params(eps_q: float, z: Fraction, n: int, s: int, delta: int) -> SketchParams:
@@ -328,10 +346,10 @@ class Sketch:
     def _parse_payload(self):
         """Read the payload: one pass over the zero flags of the variable-
         width codes, the only sequential dependency of the layout, then per
-        block of rows (see :func:`_row_blocks`) one fill of its bit matrix
-        with the payload bits that follow (masked if the block has a zero
-        flag), and every field of the block read from its view of the
-        matrix."""
+        block of rows (see :func:`_row_blocks`) every field read from its
+        view of the block's bit matrix: the unpacked payload itself, or, if
+        the block has a zero flag, a scratch matrix filled with the masked
+        bits."""
         p, k, d, s = self.params, self.k, self.d, self.coreset_size
         payload = np.frombuffer(self._data, dtype=np.uint8, offset=self._header_bytes)
         nbits = 8 * payload.size
@@ -379,16 +397,9 @@ class Sketch:
         except IndexError:
             raise SketchFormatError("payload ends early", bit_offset=pos) from None
         zero[:, :len(steps)] = np.frombuffer(flags, dtype=bool).reshape(s, len(steps))
-        pos = code_start
-        for rows, matrix, keep, views in _row_blocks(zero, runs):
-            count = matrix.size if keep is None else int(np.count_nonzero(keep))
-            if pos + count > nbits:
-                raise SketchFormatError("payload ends early", bit_offset=nbits)
-            if keep is None:
-                matrix.ravel()[:] = bits[pos:pos + count]
-            else:
-                matrix[keep] = bits[pos:pos + count]
-            pos += count
+        for rows, matrix, keep, span, views in _row_blocks(zero, runs, bits, code_start):
+            if keep is not None:
+                matrix[keep] = bits[span]
             if not self.unit_weights and views[0][:, 0, 1].any():
                 raise SketchFormatError("negative weight code")
             for field, (g, shift, width) in zip(fields, layout):
@@ -416,27 +427,27 @@ class Sketch:
         Layout: centers, group sizes, then per point one row of fields (see
         :func:`_row_layout`). A variable-width code is [1] if zero, else
         [0][sign][expo][fraction]; a grid value is its coordinate minus 1.
-        Each block of rows is written into its bit matrix at full width,
-        and the payload takes the bits its mask keeps, or the whole matrix
-        if the block has no zero flag.
+        Each block of rows is written into its bit matrix at full width: a
+        block with no zero flag straight into the payload bits, any other
+        into a scratch matrix whose masked bits the payload then takes.
         """
         p, k, d = self.params, self.k, self.d
         cw, gw = p.center_width, p.group_width
         runs, layout = self._layouts()
-        bits = np.empty(self.ledger.total_bits - 8 * self._header_bytes, dtype=np.uint8)
+        # zero-filled: a weight code's sign bit is never written
+        bits = np.zeros(self.ledger.total_bits - 8 * self._header_bytes, dtype=np.uint8)
         pos = k * d * cw
         bits[:pos] = _bits_of(self.centers.ravel() - 1, cw).ravel()
         bits[pos:pos + k * gw] = _bits_of(self.group_sizes, gw).ravel()
         pos += k * gw
-        for rows, matrix, keep, views in _row_blocks(self._zero, runs):
+        for rows, matrix, keep, span, views in _row_blocks(self._zero, runs, bits, pos):
             for (cols, _, variable), view in zip(runs, views):
-                if variable:
+                if variable and keep is not None:
                     view[:, :, 0] = self._zero[rows, cols]
             for field, (g, shift, width) in zip(self._fields, layout):
                 views[g][:, :, shift:shift + width] = _bits_of(field[rows], width)
-            stored = matrix.ravel() if keep is None else matrix[keep]
-            bits[pos:pos + stored.size] = stored
-            pos += stored.size
+            if keep is not None:
+                bits[span] = matrix[keep]
         return np.packbits(bits)
 
     def _set_payload(self, centers, group_sizes, zero, fields):
@@ -548,7 +559,12 @@ def encode(coreset: WeightedCoreset, centers, config: ProblemConfig) -> Sketch:
         raise InvalidInput(f"epsilon {config.epsilon} with z = {config.z} and "
                            f"delta = {config.delta}: {reason}")
 
-    assign = geometry.nearest_assignment(pts, cen.astype(np.float64))
+    # the sensitivity pass's nearest centers, if it ran against these centers
+    carried = getattr(coreset, "_assignment", None)
+    if carried is not None and np.array_equal(carried[0], cen):
+        assign = carried[1]
+    else:
+        assign = geometry.nearest_assignment(pts, cen.astype(np.float64))
     order = np.argsort(assign, kind="stable")
     group_sizes = np.bincount(assign, minlength=config.k)
     weights = coreset.weights[order]

@@ -86,32 +86,24 @@ def dz_total(mass: np.ndarray, z: ZLike) -> float:
     return total
 
 
-def _seed_dz(fpts: np.ndarray, k: int, z: ZLike,
+def _seed_dz(rows: geometry._Rows, k: int, z: ZLike,
              rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
     """Adaptive seeding: first point uniform, then proportional to dist^z.
     Returns the seeds' indices and each point's nearest seed, lowest index
     on ties: each seed gives every point's squared distance to it, and only
     a strictly smaller one moves the point.
 
-    ``fpts`` is the float copy of a grid dataset's points, so every seed is
-    an integral row. The squared norms are computed once per call. When
-    ``4 max|p|^2 <= 2^52``, then ``(|p| + |c|)^2 <= 2^52`` for every point p
-    and seed c, inside the kernel's grid rule, and a seed's distances are one
-    GEMV (``geometry._grid_distances``), equal to the direct form bit for
-    bit. An integer row's computed squared norm is exact up to 2^53 and at
-    least 2^53 beyond, so the check on it is exact. Beyond the bound each
-    seed is a kernel call."""
-    n = fpts.shape[0]
+    ``rows`` are a grid dataset's prepared rows, so every seed is an
+    integral row and each seed's distances are one one-center kernel call:
+    one GEMV while every point is inside the kernel's grid bound, the
+    direct form beyond it."""
+    n = rows.points.shape[0]
     chosen = np.empty(k, dtype=np.int64)
     chosen[0] = _inverse_cdf_sample(rng, np.full(n, 1.0 / n), 1)[0]
     assign = np.zeros(n, dtype=np.int64)
-    p_sq = np.einsum("ij,ij->i", fpts, fpts)
-    grid = 4.0 * p_sq.max() <= 2.0 ** 52
 
     def distances(i):
-        if grid:
-            return geometry._grid_distances(fpts, p_sq, fpts[i])
-        return geometry._nearest(fpts, fpts[i][None, :])[0]
+        return geometry._nearest(rows, rows.points[i][None, :])[0]
 
     with np.errstate(over="ignore"):
         best = distances(chosen[0])
@@ -157,11 +149,11 @@ def approx_centers(dataset: GridDataset, k: int, z: ZLike, seed: int) -> ApproxC
     if dataset.n < 1:
         raise InvalidInput("dataset must contain at least one point")
     rng = _rng(seed)
-    pts = dataset.points
-    fpts = pts.astype(np.float64)
+    rows = geometry._Rows(dataset)
+    fpts = rows.points
 
-    idx, assign = _seed_dz(fpts, k, zf, rng)
-    centers = fpts[idx].copy()
+    idx, assign = _seed_dz(rows, k, zf, rng)
+    centers = fpts[idx]
 
     # one improvement sweep: move each center to its cluster mean; a stable
     # sort gives each cluster's rows in dataset order, as a mask would
@@ -172,7 +164,7 @@ def approx_centers(dataset: GridDataset, k: int, z: ZLike, seed: int) -> ApproxC
             centers[j] = fpts[order[ends[j]:ends[j + 1]]].mean(axis=0)
 
     snapped = _snap_to_dataset(fpts, centers)
-    out = pts[snapped]
+    out = dataset.points[snapped]
     has_repeats = k > dataset.n or len(np.unique(snapped)) < k
     return ApproxCenters(out, snapped, has_repeats=has_repeats)
 
@@ -195,16 +187,19 @@ def sensitivity_coreset(dataset: GridDataset, k: int, z: ZLike, eps: float, seed
     set.
 
     The sample count is m = min(n, 4 k eps^-2 (d + log2 100)). The kernel
-    gets the dataset itself, so no float copy of the points is made and
-    its distances are exact grid distances.
+    runs on the dataset's prepared rows, a float copy that lives for this
+    call only, so its distances are exact grid distances. The kept points'
+    nearest centers go with the coreset, keyed by those centers, for
+    :func:`codec.encode` to reuse; they are no field of it.
     """
     n, d = dataset.n, dataset.d
     w = np.ones(n) if weights is None else weights
     rng = _rng(seed)
     if centers is None:
         centers = approx_centers(dataset, k, z, seed)
+    sq, assign = geometry._nearest(geometry._Rows(dataset), centers.centers)
     with np.errstate(over="ignore"):
-        mass = w * geometry.min_powered_distances(dataset, centers.centers, z)
+        mass = w * geometry.powered_distances(sq, z)
         total = dz_total(mass, z)
     sens = (mass / total if total > 0 else 0.0) + w / w.sum()
     prob = sens / sens.sum()
@@ -213,7 +208,9 @@ def sensitivity_coreset(dataset: GridDataset, k: int, z: ZLike, eps: float, seed
     draws = _inverse_cdf_sample(rng, prob, m)
     uniq, counts = np.unique(draws, return_counts=True)
     new_w = w[uniq] * counts / (m * prob[uniq])
-    return WeightedCoreset(dataset.points[uniq], new_w, source_n or dataset.n)
+    out = WeightedCoreset(dataset.points[uniq], new_w, source_n or dataset.n)
+    object.__setattr__(out, "_assignment", (centers.centers.copy(), assign[uniq]))
+    return out
 
 
 def build_coreset(dataset: GridDataset, k: int, z: ZLike, eps: float,
@@ -228,8 +225,14 @@ def build_coreset(dataset: GridDataset, k: int, z: ZLike, eps: float,
     """
     if not (0.0 < eps < 1.0):
         raise InvalidInput(f"eps must lie in (0,1), got {eps}")
+    if method not in ("identity", "sensitivity"):
+        raise InvalidInput(f"unknown coreset method {method!r}")
+    if weights is not None:
+        weights = geometry._checked_weights(weights, dataset.n)
+        with np.errstate(over="ignore"):
+            total = weights.sum()
+        if not 0.0 < total < np.inf:
+            raise InvalidInput(f"weights must have a positive, finite sum, got {total}")
     if method == "identity":
         return identity_coreset(dataset, weights, source_n)
-    if method == "sensitivity":
-        return sensitivity_coreset(dataset, k, z, eps, seed, centers, weights, source_n)
-    raise InvalidInput(f"unknown coreset method {method!r}")
+    return sensitivity_coreset(dataset, k, z, eps, seed, centers, weights, source_n)

@@ -148,19 +148,25 @@ class CenterSet:
 class _Rows:
     """Rows prepared once for the distance kernel: the finite float64
     ``points``, their squared norms ``sq`` and whether every value is
-    integral, which makes them grid rows for :func:`_nearest`. The points
-    must not change afterwards; a sketch's decoded points are read-only."""
+    integral, which makes them grid rows for :func:`_nearest`. A
+    ``GridDataset`` gives the float64 copy of its points; they are finite
+    and integral by construction, so both scans are skipped. The points must
+    not change afterwards: that copy and a sketch's decoded points are
+    read-only."""
 
     __slots__ = ("points", "sq", "integral")
 
-    def __init__(self, points: np.ndarray):
-        points = np.asarray(points, dtype=np.float64)
-        if points.ndim != 2 or not np.isfinite(points).all():
-            raise InvalidInput("prepared rows must be a finite (n, d) array")
-        self.points = points
+    def __init__(self, points):
+        if isinstance(points, GridDataset):
+            points, integral = _freeze(points.points.astype(np.float64)), True
+        else:
+            points = np.asarray(points, dtype=np.float64)
+            if points.ndim != 2 or not np.isfinite(points).all():
+                raise InvalidInput("prepared rows must be a finite (n, d) array")
+            integral = bool((points == np.floor(points)).all())
+        self.points, self.integral = points, integral
         with np.errstate(over="ignore"):
             self.sq = _freeze(np.einsum("ij,ij->i", points, points))
-        self.integral = bool((points == np.floor(points)).all())
 
 
 def _points_of(obj) -> np.ndarray:
@@ -251,10 +257,18 @@ def _nearest(points, centers) -> tuple[np.ndarray, np.ndarray]:
     If (|p| + max|c|)^2 overflows, T is inf and every center is a
     candidate; otherwise no intermediate of e overflows.
 
-    Prepared rows (:class:`_Rows`) bring their squared norms, their
-    finiteness check and their integrality, so a call takes each block's
-    ``|p|^2`` from them instead of recomputing it; the values, and so the
-    proof above, are the same."""
+    One center on prepared integral rows (:class:`_Rows`) against an
+    integral center, when every row has ``(|p| + |c|)^2 <= 2^52``, is one
+    GEMV over all rows in the same expanded form, ``e`` and the direct
+    form being equal there by the grid rule's proof; the check is made on
+    the largest row norm, as the computed ``(|p| + |c|)^2`` grows with
+    ``|p|^2``. Otherwise one center takes the direct form, row by row.
+
+    Prepared rows bring their squared norms, their finiteness check and
+    their integrality, so a call takes each block's ``|p|^2`` from them
+    instead of recomputing it; the values, and so the proof above, are the
+    same. The per-block ``e`` and ``p - c`` matrices are allocated once per
+    call, the latter only if some block needs it."""
     pts, cen = _points_of(points), _centers_of(centers)
     if pts.ndim != 2 or cen.ndim != 2 or pts.shape[1] != cen.shape[1]:
         raise DimensionMismatch(
@@ -269,26 +283,31 @@ def _nearest(points, centers) -> tuple[np.ndarray, np.ndarray]:
     k = cen.shape[0]
     integral = pts.dtype.kind in "iu" if rows is None else rows.integral
     grid = integral and bool((cen == np.floor(cen)).all())
-    best = np.empty(n)
-    arg = np.empty(n, dtype=np.int64)
     u = 2.0 ** -53
     g = (d + 4) * u / (1 - (d + 4) * u)
     floor = 64.0 * (d + 4) * 2.0 ** -1074  # 128 (d + 4) eta
     with np.errstate(over="ignore"):
         c_sq = np.einsum("ij,ij->i", cen, cen)
-    c_norm = np.sqrt(c_sq.max())
+        c_norm = np.sqrt(c_sq.max())
+        if k == 1 and grid and rows is not None \
+                and (np.sqrt(rows.sq.max(initial=0.0)) + c_norm) ** 2 <= 2.0 ** 52:
+            best = pts @ cen[0]
+            best *= -2.0
+            best += rows.sq
+            best += c_sq[0]
+            return best, np.zeros(n, dtype=np.int64)
+    best = np.empty(n)
+    arg = np.empty(n, dtype=np.int64)
+    q_buf, e_buf = None, np.empty((min(n, _BLOCK), k)) if k > 1 else None
     for lo in range(0, n, _BLOCK):
         p = pts[lo:lo + _BLOCK].astype(np.float64, copy=False)
         b, a = best[lo:lo + _BLOCK], arg[lo:lo + _BLOCK]
-        if k == 1:
-            q = p - cen[0]
-            a[:] = 0
-        else:
+        if k > 1:
             # the filter may overflow; such rows fall to _scan by the rule above
             with np.errstate(over="ignore", invalid="ignore"):
                 p_sq = np.einsum("ij,ij->i", p, p) if rows is None \
                     else rows.sq[lo:lo + _BLOCK]
-                e = p @ cen.T
+                e = np.matmul(p, cen.T, out=e_buf[:len(p)])
                 e *= -2.0
                 e += c_sq
                 e += p_sq[:, None]
@@ -304,7 +323,15 @@ def _nearest(points, centers) -> tuple[np.ndarray, np.ndarray]:
                 e_min += (8.0 * g * reach + floor)[:, None]
                 near = e <= e_min
                 one = exact | (np.count_nonzero(near, axis=1) == 1)
-            q = cen.take(j, axis=0)
+        if q_buf is None:       # grid blocks never need it
+            q_buf = np.empty((min(n, _BLOCK), d))
+        q = q_buf[:len(p)]
+        if k == 1:
+            np.subtract(p, cen[0], out=q)
+            a[:] = 0
+        else:
+            # argmin indices are in range; "clip" writes into q unbuffered
+            cen.take(j, axis=0, out=q, mode="clip")
             np.subtract(p, q, out=q)
             a[:] = j
         np.square(q, out=q)
@@ -315,22 +342,6 @@ def _nearest(points, centers) -> tuple[np.ndarray, np.ndarray]:
             near[~near.any(axis=1)] = True
             b[rest], a[rest] = _scan(p[rest], cen, near)
     return best, arg
-
-
-def _grid_distances(points: np.ndarray, p_sq: np.ndarray, c: np.ndarray) -> np.ndarray:
-    """Squared distance of every row of the float array ``points`` to the one
-    center ``c``, as one GEMV in the expanded form ``p_sq + |c|^2 - 2 p.c``,
-    where ``p_sq`` holds the rows' squared norms.
-
-    The caller guarantees the grid rule of :func:`_nearest`: the rows and
-    ``c`` are integral and ``(|p| + |c|)^2 <= 2^52`` for every row. Then, by
-    the proof in that docstring, every value equals the direct form
-    ``((p - c) ** 2).sum()`` bit for bit, in any summation order."""
-    sq = points @ c
-    sq *= -2.0
-    sq += p_sq
-    sq += c @ c
-    return sq
 
 
 def powered_distances(sqdist: np.ndarray, z: ZLike) -> np.ndarray:
@@ -357,15 +368,20 @@ def cost(points, centers, z: ZLike) -> float:
     return float(np.sum(min_powered_distances(points, centers, z)))
 
 
-def weighted_cost(weights, points, centers, z: ZLike) -> float:
-    """Weighted clustering cost; zero-weight points contribute exactly 0."""
+def _checked_weights(weights, n: int) -> np.ndarray:
+    """``weights`` as float64, checked to be n finite, nonnegative values."""
     w = np.asarray(weights, dtype=np.float64)
-    n = _points_of(points).shape[0]
     if w.ndim != 1 or w.shape[0] != n:
         raise DimensionMismatch(
             f"{w.shape[0] if w.ndim == 1 else w.shape} weights for {n} points")
     if not np.isfinite(w).all() or (w < 0).any():
         raise InvalidInput("weights must be finite and nonnegative")
+    return w
+
+
+def weighted_cost(weights, points, centers, z: ZLike) -> float:
+    """Weighted clustering cost; zero-weight points contribute exactly 0."""
+    w = _checked_weights(weights, _points_of(points).shape[0])
     # the points as given, so that prepared rows reach the kernel as such
     return float(np.sum(w * min_powered_distances(points, centers, z)))
 

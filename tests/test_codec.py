@@ -346,6 +346,30 @@ class TestEncodeDecode:
                                                f"the header's {bits}-bit field"):
             encode(cs, centers, dataclasses.replace(config, **{field: value}))
 
+    @pytest.mark.parametrize("other", ["reversed", "another seed"])
+    def test_carried_assignment_only_for_the_centers_it_was_sampled_against(
+            self, monkeypatch, other):
+        # the sensitivity pass hands encode its nearest centers, keyed by the
+        # centers it ran against; against other centers, even the same ones
+        # in another order, encode finds its own, and the bytes are those
+        # of the same coreset with nothing carried
+        data, config, centers, cs = make_instance(n=400, k=4, method="sensitivity",
+                                                  seed=12)
+        bare = WeightedCoreset(cs.points, cs.weights, cs.source_n)
+        assert repr(bare) == repr(cs) and not hasattr(bare, "_assignment")
+        b = centers.centers[::-1] if other == "reversed" else \
+            approx_centers(data, 4, 2, seed=99).centers
+        assert not np.array_equal(geometry.nearest_assignment(cs.points, b),
+                                  geometry.nearest_assignment(cs.points, centers.centers))
+        assert encode(cs, b, config).to_bytes() == encode(bare, b, config).to_bytes()
+        want = encode(bare, centers, config).to_bytes()
+        monkeypatch.setattr(geometry, "nearest_assignment",
+                            lambda *a: pytest.fail("the carried assignment was not used"))
+        assert encode(cs, centers, config).to_bytes() == want
+        assert encode(cs, centers.centers.astype(np.float64), config).to_bytes() == want
+        identity = build_coreset(data, 4, 2, 0.2, method="identity")
+        assert not hasattr(identity, "_assignment")
+
 
 class TestCompress:
     @pytest.mark.parametrize("method", ["identity", "sensitivity"])

@@ -109,18 +109,23 @@ class TestAgainstReference:
 class TestRowBlocks:
     """Payload rows go through bit matrices of at most ``_BLOCK_BITS`` bits;
     here a block holds 4 rows, so 14 rows make blocks of 4, 4, 4 and 2.
-    Zero-weight and zero-delta codes sit on the rows at block edges. A block
-    with a zero flag goes through its keep mask; one without is taken whole:
-    the exact case mixes both, and so does the mixed case, whose zero codes
-    all sit in the last block."""
+    A block with a zero flag goes through a scratch matrix and its keep
+    mask; one without is a view of the payload bits, with no copy. In the
+    spread case zero-weight and zero-delta codes sit on the rows at block
+    edges, and the exact form of it mixes both kinds of block; the last
+    case has its zero codes in the last block only, the alternating case in
+    the first and third (in the first only when coordinates are exact, as
+    grid values have no zero flag)."""
 
-    @pytest.mark.parametrize("delta, exact, mixed, masked", [
-        (16, True, False, [True, False, True, True]),
-        (2 ** 20, False, False, [True, True, True, True]),
-        (2 ** 20, False, True, [False, False, False, True]),
-    ], ids=["16-True", "1048576-False", "1048576-mixed"])
-    def test_bytes_and_fields_match_across_blocks(self, delta, exact, mixed, masked,
-                                                  monkeypatch):
+    CASES = {"16-spread": (16, "spread", True, [True, False, True, True]),
+             "1048576-spread": (2 ** 20, "spread", False, [True, True, True, True]),
+             "1048576-last": (2 ** 20, "last", False, [False, False, False, True]),
+             "16-alternating": (16, "alternating", True, [True, False, False, False]),
+             "1048576-alternating": (2 ** 20, "alternating", False,
+                                     [True, False, True, False])}
+
+    @staticmethod
+    def coreset(delta, zeros):
         # rows 0-8 in the low half-cube with center 1, rows 9-13 in the high
         # one with center delta: rows stay in coreset order
         rng = np.random.default_rng(9)
@@ -129,34 +134,64 @@ class TestRowBlocks:
         pts[9:] += half
         centers = np.array([[1] * 3, [delta] * 3])
         weights = rng.uniform(0.5, 3.0, size=14)
-        if mixed:
+        if zeros == "last":
             weights[12] = 0.0
             pts[13] = centers[1]
+        elif zeros == "alternating":
+            weights[1] = 0.0
+            pts[9] = centers[1]
         else:
             weights[[3, 8, 12]] = 0.0               # zero weight codes
             pts[[4, 7]] = centers[0]                # zero delta codes
             pts[[11, 13]] = centers[1]
             pts[9, 1] = delta                       # and one coordinate
         config = ProblemConfig(n=14, d=3, k=2, z=Fraction(2), delta=delta, epsilon=0.3)
-        cs = WeightedCoreset(pts, weights, 14)
-        sketch = codec.encode(cs, centers, config)
+        return WeightedCoreset(pts, weights, 14), centers, config
+
+    @staticmethod
+    def blocks(sketch, raw=None):
+        """The row blocks of ``sketch`` over the unpacked payload of ``raw``
+        (its own bytes by default), and that bit array."""
+        raw = sketch.to_bytes() if raw is None else raw
+        bits = np.unpackbits(np.frombuffer(raw, dtype=np.uint8,
+                                           offset=codec._HEADER_BYTES))
+        p = sketch.params
+        start = sketch.k * sketch.d * p.center_width + sketch.k * p.group_width
+        runs, _ = sketch._layouts()
+        return codec._row_blocks(sketch._zero, runs, bits, start), bits
+
+    @staticmethod
+    def four_rows_per_block(sketch, monkeypatch):
         runs, _ = sketch._layouts()
         row_bits = sum((cols.stop - cols.start) * width for cols, width, _ in runs)
         monkeypatch.setattr(codec, "_BLOCK_BITS", 4 * row_bits + 3)
-        assert [rows.stop - rows.start for rows, *_ in
-                codec._row_blocks(sketch._zero, runs)] == [4, 4, 4, 2]
 
+    @pytest.mark.parametrize("delta, zeros, exact, masked", CASES.values(), ids=CASES)
+    def test_bytes_and_fields_match_across_blocks(self, delta, zeros, exact, masked,
+                                                  monkeypatch):
+        cs, centers, config = self.coreset(delta, zeros)
+        self.four_rows_per_block(codec.encode(cs, centers, config), monkeypatch)
         sketch = codec.encode(cs, centers, config)
+        blocks, bits = self.blocks(sketch)
+        blocks = list(blocks)
+        assert [rows.stop - rows.start for rows, *_ in blocks] == [4, 4, 4, 2]
+        assert [keep is not None for _, _, keep, _, _ in blocks] == masked
+        # an unmasked block is a view of the payload bits, a masked one is not
+        for _, matrix, keep, span, _ in blocks:
+            assert np.shares_memory(matrix, bits) == (keep is None)
+            assert span.stop - span.start == (matrix.size if keep is None
+                                              else np.count_nonzero(keep))
         assert sketch.exact_coordinates == exact
-        assert [keep is not None for _, _, keep, _ in
-                codec._row_blocks(sketch._zero, runs)] == masked
         assert not sketch.unit_weights
-        if mixed:
+        if zeros == "last":
             assert sketch._zero[12, 0] and sketch._zero[13, 1:].all()
             assert sketch._zero.sum() == 4
+        elif zeros == "alternating":
+            assert sketch._zero[1, 0] and sketch._zero[9, 1:].all() != exact
+            assert sketch._zero.sum() == 1 + 3 * (not exact)
         else:
             assert sketch._zero[[3, 8, 12], 0].all()
-        if not exact and not mixed:
+        if not exact and zeros == "spread":
             assert sketch._zero[[4, 7, 11, 13], 1:].all() and sketch._zero[9, 2]
             assert sketch._zero[:, 1:].sum() == 13
         raw = ref.encode_bytes(cs, centers, config)
@@ -164,6 +199,35 @@ class TestRowBlocks:
         expected = ref.parse(raw)
         assert_same_fields(sketch, expected)
         assert_same_fields(codec.Sketch.from_bytes(raw), expected)
+
+    @pytest.mark.parametrize("delta, zeros, exact, masked", CASES.values(), ids=CASES)
+    def test_truncation_inside_the_rows(self, delta, zeros, exact, masked, monkeypatch):
+        # every cut inside the rows is "payload ends early", never a numpy
+        # error from viewing a short span as a matrix. A cut after the last
+        # zero flag passes the flag pass and fails in the last block, at the
+        # payload's end, as it did when every block was copied
+        cs, centers, config = self.coreset(delta, zeros)
+        self.four_rows_per_block(codec.encode(cs, centers, config), monkeypatch)
+        sketch = codec.encode(cs, centers, config)
+        raw, header = sketch.to_bytes(), codec._HEADER_BYTES
+        last = [span for _, _, _, span, _ in self.blocks(sketch)[0]][-1]
+        for length in range(header + last.start // 8 - 8, len(raw)):
+            with pytest.raises(SketchFormatError, match="payload ends early"):
+                codec.Sketch.from_bytes(raw[:length])
+        runs, _ = sketch._layouts()
+        row_bits = sum((cols.stop - cols.start) * width for cols, width, _ in runs)
+        # the last flag read: the weight code's in exact mode, else the last
+        # coordinate code's
+        if exact:
+            flag = last.stop - row_bits
+        else:
+            flag = last.stop - (1 if sketch._zero[-1, -1] else sketch.params.code_widths[1])
+        cuts = range(flag // 8 + 1, (last.stop + 7) // 8)
+        assert len(cuts) > 0 or zeros != "alternating"
+        for cut in cuts:
+            with pytest.raises(SketchFormatError, match="payload ends early") as err:
+                codec.Sketch.from_bytes(raw[:header + cut])
+            assert err.value.bit_offset == 8 * cut
 
 
 def _valid_sketch(delta: int = 16, unit: bool = False) -> bytes:

@@ -10,7 +10,7 @@ from hard_instances import weight_sum_check
 from kzsketch import coreset, geometry
 from kzsketch.coreset import (WeightedCoreset, _snap_to_dataset, approx_centers,
                               build_coreset, sensitivity_coreset)
-from kzsketch.errors import InvalidInput
+from kzsketch.errors import DimensionMismatch, InvalidInput
 from kzsketch.geometry import CenterSet, GridDataset, cost
 
 
@@ -203,26 +203,51 @@ class TestSeedingKeepsAssignment:
 
     @pytest.mark.parametrize("delta", [64, 2 ** 40])
     @pytest.mark.parametrize("n, d, k", [(3000, 4, 8), (500, 16, 3), (7, 1, 20)])
-    def test_one_pass_per_seed_and_kernel_call_per_snap_chunk(self, monkeypatch,
-                                                              n, d, k, delta):
-        # inside the GEMV bound (delta = 64) each seed is one GEMV and the
-        # kernel runs for the snap's chunks only; beyond it (2^40) each seed
-        # is a one-center kernel call, before the chunks
+    def test_one_kernel_call_per_seed_and_per_snap_chunk(self, monkeypatch, n, d, k, delta):
+        # each seed is one one-center kernel call on the dataset's prepared
+        # rows, then the snap's chunks follow: inside the grid bound
+        # (delta = 64) every seed's call is the whole-array GEMV, beyond it
+        # (2^40) none is; with blocks of no rows only the GEMV can return
         calls, gemvs = [], []
-        kernel, gemv = geometry._nearest, geometry._grid_distances
-        monkeypatch.setattr(geometry, "_nearest",
-                            lambda p, c: calls.append(len(c)) or kernel(p, c))
-        monkeypatch.setattr(geometry, "_grid_distances",
-                            lambda p, p_sq, c: gemvs.append(c) or gemv(p, p_sq, c))
+        kernel = geometry._nearest
+
+        def counted(p, c):
+            calls.append(len(c))
+            if len(c) == 1 and isinstance(p, geometry._Rows):
+                with monkeypatch.context() as m:
+                    m.setattr(geometry, "_BLOCK", 0)
+                    try:
+                        kernel(p, c)
+                        gemvs.append(c)
+                    except ValueError:
+                        pass
+            return kernel(p, c)
+
+        monkeypatch.setattr(geometry, "_nearest", counted)
         approx_centers(geometry.random_grid_dataset(n, d, delta, seed=n), k, 2, seed=0)
         chunks = len(range(0, n, max(1, n * d // k)))
-        seeds = k if delta == 64 else 0
-        assert len(gemvs) == seeds
-        assert len(calls) == k - seeds + chunks
-        assert calls[:k - seeds] == [1] * (k - seeds)
+        assert len(calls) == k + chunks
+        assert calls[:k] == [1] * k
+        assert len(gemvs) == (k if delta == 64 else 0)
 
 
 class TestBuildCoreset:
+    @pytest.mark.parametrize("method", ["identity", "sensitivity"])
+    @pytest.mark.parametrize("weights, error, match", [
+        (np.zeros(50), InvalidInput, "positive, finite sum, got 0.0"),
+        (np.r_[np.nan, np.ones(49)], InvalidInput, "finite and nonnegative"),
+        (np.r_[-1.0, np.ones(49)], InvalidInput, "finite and nonnegative"),
+        (np.ones(49), DimensionMismatch, "49 weights for 50 points"),
+        (np.ones((50, 1)), DimensionMismatch, r"\(50, 1\) weights for 50 points"),
+    ], ids=["all-zero", "nan", "negative", "49-weights", "column"])
+    def test_weights_checked_before_any_work(self, monkeypatch, method, weights,
+                                             error, match):
+        data = geometry.random_grid_dataset(50, 3, 16, seed=10)
+        monkeypatch.setattr(geometry, "_nearest",
+                            lambda *a: pytest.fail("work began before the weights' check"))
+        with pytest.raises(error, match=match):
+            build_coreset(data, 2, 2, 0.3, method=method, weights=weights)
+
     def test_identity_is_exact(self):
         data = geometry.random_grid_dataset(50, 3, 16, seed=10)
         cs = build_coreset(data, 2, 2, 0.3, method="identity")

@@ -2,8 +2,8 @@
 reference in ``nearest_reference``: both outputs must be equal bit for bit,
 ties, overflow and underflow included. Grid rows (integer points, integral
 centers, ``(|p| + max|c|)^2 <= 2^52``) take the GEMM value as it is, so they
-are checked on both sides of that bound. So is the seeding's one-center
-GEMV, ``_grid_distances``, at and just above its bound.
+are checked on both sides of that bound. So is one center on prepared
+integral rows, which takes a whole-array GEMV inside the bound.
 
 Every comparison also runs the kernel on prepared rows (``_Rows``, the form
 a sketch's decoded points take), built from the float64 copy of the points
@@ -191,10 +191,12 @@ def test_grid_dataset_with_large_coordinates(scale):
     data = GridDataset(pts, 2 ** scale)
     fpts = pts.astype(np.float64)
     small = rng.integers(1, 100, size=(4, 3)).astype(np.float64)
-    rows = geometry._Rows(fpts)
-    for cen in (small, np.vstack([small, fpts[[0, 60]]]), fpts[[0]]):
+    rows, data_rows = geometry._Rows(fpts), geometry._Rows(data)
+    assert data_rows.integral and np.array_equal(data_rows.sq, rows.sq)
+    for cen in (small, np.vstack([small, fpts[[0, 60]]]), fpts[[0]], small[[0]]):
         want = ref.nearest(pts, cen)
-        for got in (geometry._nearest(data, cen), geometry._nearest(rows, cen)):
+        for got in (geometry._nearest(data, cen), geometry._nearest(rows, cen),
+                    geometry._nearest(data_rows, cen)):
             assert np.array_equal(got[0], want[0])
             assert np.array_equal(got[1], want[1])
         assert np.array_equal(geometry.nearest_assignment(data, cen), want[1])
@@ -245,41 +247,59 @@ def test_prepared_rows_check_finiteness_once():
             geometry._Rows(np.array([[1.0, bad]]))
 
 
-def assert_one_center_form_exact(points, seeds):
-    """``geometry._grid_distances`` against the reference, each of the rows
-    ``seeds`` of ``points`` taking its turn as the one center, as a seed
-    does."""
-    fpts = np.asarray(points).astype(np.float64)
-    p_sq = np.einsum("ij,ij->i", fpts, fpts)
+def assert_one_center_exact(points, seeds, monkeypatch, gemv):
+    """One-center ``_nearest`` on the prepared rows of ``points`` against the
+    reference, each of the rows ``seeds`` taking its turn as the center, as
+    a seed does. With blocks of no rows the row-by-row form cannot run, so
+    a call that returns took the whole-array GEMV: it must when ``gemv``
+    holds, and must not otherwise."""
+    rows = geometry._Rows(np.asarray(points).astype(np.float64))
     for i in seeds:
-        got = geometry._grid_distances(fpts, p_sq, fpts[i])
-        assert np.array_equal(got, ref.nearest(points, fpts[[i]])[0])
+        got = geometry._nearest(rows, rows.points[[i]])
+        want = ref.nearest(points, rows.points[[i]])
+        assert np.array_equal(got[0], want[0])
+        assert np.array_equal(got[1], want[1])
+    with monkeypatch.context() as m:
+        m.setattr(geometry, "_BLOCK", 0)
+        for i in seeds:
+            if gemv:
+                geometry._nearest(rows, rows.points[[i]])
+            else:
+                with pytest.raises(ValueError):
+                    geometry._nearest(rows, rows.points[[i]])
 
 
 @pytest.mark.parametrize("d", [1, 4, 16])
-def test_one_center_form_at_the_seeding_bound(d):
-    # 4 max|p|^2 is exactly 2^52: the largest rows the seeding sends to the
-    # GEMV, next to small ones and ones just below the top
+def test_one_center_at_the_grid_bound(d, monkeypatch):
+    # the top row against itself has (|p| + |c|)^2 = 2^52: the largest rows
+    # the one-center GEMV takes, next to small ones and ones just below the
+    # top
     top = 2 ** 25 // math.isqrt(d)
     rng = np.random.default_rng(d)
     pts = np.vstack([np.full((1, d), top), top - rng.integers(0, 3, size=(40, d)),
                      rng.integers(1, top + 1, size=(40, d)), np.ones((1, d), np.int64)])
     assert 4 * np.einsum("ij,ij->i", pts.astype(np.float64), pts).max() == 2.0 ** 52
-    assert_one_center_form_exact(pts, range(len(pts)))
+    assert_one_center_exact(pts, range(len(pts)), monkeypatch, gemv=True)
 
 
-def test_one_center_form_just_above_the_seeding_bound():
-    # 4 max|p|^2 is 2^52 + 2^28 + 4, so the seeding takes the kernel; the
-    # form itself stays exact here, as the kernel's proof runs to
-    # (|p| + |c|)^2 <= 2^53 and the bound keeps that margin for the norms
-    pts = np.array([[2 ** 25], [2 ** 25 + 1], [2 ** 25 - 1], [1]])
+def test_one_center_just_above_the_grid_bound(monkeypatch):
+    # (|p| + |c|)^2 passes 2^52 for the top rows, so every call takes the
+    # direct form; in the same call are rows near 2^27, whose expanded form
+    # rounds away from the direct one, so only the bound keeps the GEMV out
+    rng = np.random.default_rng(27)
+    pts = np.concatenate([[2 ** 25, 2 ** 25 + 1, 2 ** 25 - 1, 1],
+                          2 ** 27 + 2 * rng.integers(0, 2 ** 20, size=40) + 1])[:, None]
     assert 4.0 * (2 ** 25 + 1) ** 2 > 2.0 ** 52
-    assert_one_center_form_exact(pts, range(len(pts)))
+    fpts = pts.astype(np.float64)
+    expanded = fpts[:, 0] ** 2 - 2.0 * fpts[:, 0] + 1.0
+    assert not np.array_equal(expanded, ref.nearest(pts, fpts[[3]])[0])
+    assert_one_center_exact(pts, range(len(pts)), monkeypatch, gemv=False)
 
 
-def test_one_center_form_on_a_d16_grid():
+def test_one_center_on_a_d16_grid(monkeypatch):
     # the shape the benchmark's compress workload seeds on, Delta = 2^10
     rng = np.random.default_rng(16)
     pts = rng.integers(1, 2 ** 10 + 1, size=(2000, 16))
     pts[0] = 2 ** 10
-    assert_one_center_form_exact(pts, [0, *rng.integers(0, 2000, size=5)])
+    assert_one_center_exact(pts, [0, *rng.integers(0, 2000, size=5)], monkeypatch,
+                            gemv=True)
