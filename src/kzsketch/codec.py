@@ -565,7 +565,7 @@ def encode(coreset: WeightedCoreset, centers, config: ProblemConfig) -> Sketch:
         assign = carried[1]
     else:
         assign = geometry.nearest_assignment(pts, cen.astype(np.float64))
-    order = np.argsort(assign, kind="stable")
+    order = coreset_mod._group_order(assign, config.k)
     group_sizes = np.bincount(assign, minlength=config.k)
     weights = coreset.weights[order]
     deltas = pts - cen[assign]

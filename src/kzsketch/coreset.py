@@ -121,6 +121,14 @@ def _seed_dz(rows: geometry._Rows, k: int, z: ZLike,
     return chosen, assign
 
 
+def _group_order(assign: np.ndarray, k: int) -> np.ndarray:
+    """The stable sort of center indices ``assign`` in [0, k): each group's
+    rows in their order. Indices narrowed to the smallest unsigned type
+    that holds k - 1 sort the same, by numpy's radix sort while that type
+    has at most 16 bits."""
+    return np.argsort(assign.astype(np.min_scalar_type(k - 1)), kind="stable")
+
+
 def _snap_to_dataset(fpts: np.ndarray, centers: np.ndarray) -> np.ndarray:
     """Index of the nearest dataset point per center, lowest index on ties.
     The dataset rows are the kernel's centers, in chunks of n d / k rows, so
@@ -157,7 +165,7 @@ def approx_centers(dataset: GridDataset, k: int, z: ZLike, seed: int) -> ApproxC
 
     # one improvement sweep: move each center to its cluster mean; a stable
     # sort gives each cluster's rows in dataset order, as a mask would
-    order = np.argsort(assign, kind="stable")
+    order = _group_order(assign, k)
     ends = np.searchsorted(assign[order], np.arange(k + 1))
     for j in range(k):
         if ends[j] < ends[j + 1]:

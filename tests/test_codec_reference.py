@@ -117,9 +117,9 @@ class TestRowBlocks:
     the first and third (in the first only when coordinates are exact, as
     grid values have no zero flag)."""
 
-    CASES = {"16-spread": (16, "spread", True, [True, False, True, True]),
-             "1048576-spread": (2 ** 20, "spread", False, [True, True, True, True]),
-             "1048576-last": (2 ** 20, "last", False, [False, False, False, True]),
+    CASES = {"16-True": (16, "spread", True, [True, False, True, True]),
+             "1048576-False": (2 ** 20, "spread", False, [True, True, True, True]),
+             "1048576-mixed": (2 ** 20, "last", False, [False, False, False, True]),
              "16-alternating": (16, "alternating", True, [True, False, False, False]),
              "1048576-alternating": (2 ** 20, "alternating", False,
                                      [True, False, True, False])}

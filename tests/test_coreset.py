@@ -8,8 +8,8 @@ import pytest
 import nearest_reference
 from hard_instances import weight_sum_check
 from kzsketch import coreset, geometry
-from kzsketch.coreset import (WeightedCoreset, _snap_to_dataset, approx_centers,
-                              build_coreset, sensitivity_coreset)
+from kzsketch.coreset import (WeightedCoreset, _group_order, _snap_to_dataset,
+                              approx_centers, build_coreset, sensitivity_coreset)
 from kzsketch.errors import DimensionMismatch, InvalidInput
 from kzsketch.geometry import CenterSet, GridDataset, cost
 
@@ -136,6 +136,15 @@ TIE_CASES = {
 TIE_ZS = [Fraction(1), Fraction(3, 2), Fraction(2), Fraction(3)]
 
 
+@pytest.mark.parametrize("k", [1, 8, 256, 257, 70_000])
+def test_group_order_is_the_stable_sort(k):
+    # narrowed to uint8, uint16 or uint32 by k, the order stays that of the
+    # int64 indices, ties in row order
+    assign = np.random.default_rng(k).integers(0, k, size=5000)
+    assign[:3] = k - 1
+    assert np.array_equal(_group_order(assign, k), np.argsort(assign, kind="stable"))
+
+
 class TestSeedingKeepsAssignment:
     """The seeding's running nearest seed replaces a separate assignment
     pass, and sorted draws replace draws in uniform order; both leave every
@@ -203,7 +212,8 @@ class TestSeedingKeepsAssignment:
 
     @pytest.mark.parametrize("delta", [64, 2 ** 40])
     @pytest.mark.parametrize("n, d, k", [(3000, 4, 8), (500, 16, 3), (7, 1, 20)])
-    def test_one_kernel_call_per_seed_and_per_snap_chunk(self, monkeypatch, n, d, k, delta):
+    def test_one_pass_per_seed_and_kernel_call_per_snap_chunk(self, monkeypatch,
+                                                              n, d, k, delta):
         # each seed is one one-center kernel call on the dataset's prepared
         # rows, then the snap's chunks follow: inside the grid bound
         # (delta = 64) every seed's call is the whole-array GEMV, beyond it
