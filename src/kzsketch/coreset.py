@@ -94,16 +94,19 @@ def _seed_dz(rows: geometry._Rows, k: int, z: ZLike,
     a strictly smaller one moves the point.
 
     ``rows`` are a grid dataset's prepared rows, so every seed is an
-    integral row and each seed's distances are one one-center kernel call:
-    one GEMV while every point is inside the kernel's grid bound, the
-    direct form beyond it."""
+    integral row and each seed's distances are one one-center kernel call
+    with no index: the kernel's grid pass while every point is inside its
+    grid bound, the direct form beyond it. The nearest seed is kept in the
+    smallest unsigned type that holds k - 1, and as j is above every index
+    stored, ``maximum`` with ``(sq < best) * j`` moves exactly the points
+    whose distance strictly fell."""
     n = rows.points.shape[0]
     chosen = np.empty(k, dtype=np.int64)
     chosen[0] = _inverse_cdf_sample(rng, np.full(n, 1.0 / n), 1)[0]
-    assign = np.zeros(n, dtype=np.int64)
+    assign = np.zeros(n, dtype=np.min_scalar_type(k - 1))
 
     def distances(i):
-        return geometry._nearest(rows, rows.points[i][None, :])[0]
+        return geometry._nearest(rows, rows.points[i][None, :], index=False)[0]
 
     with np.errstate(over="ignore"):
         best = distances(chosen[0])
@@ -115,7 +118,7 @@ def _seed_dz(rows: geometry._Rows, k: int, z: ZLike,
             else:
                 chosen[j] = _inverse_cdf_sample(rng, min_pow / total, 1)[0]
             sq = distances(chosen[j])
-            np.copyto(assign, j, where=sq < best)
+            np.maximum(assign, (sq < best) * assign.dtype.type(j), out=assign)
             np.minimum(best, sq, out=best)
             np.minimum(min_pow, geometry.powered_distances(sq, z), out=min_pow)
     return chosen, assign
@@ -125,8 +128,16 @@ def _group_order(assign: np.ndarray, k: int) -> np.ndarray:
     """The stable sort of center indices ``assign`` in [0, k): each group's
     rows in their order. Indices narrowed to the smallest unsigned type
     that holds k - 1 sort the same, by numpy's radix sort while that type
-    has at most 16 bits."""
-    return np.argsort(assign.astype(np.min_scalar_type(k - 1)), kind="stable")
+    has at most 16 bits; the seeding's indices already have that type."""
+    return np.argsort(assign.astype(np.min_scalar_type(k - 1), copy=False),
+                      kind="stable")
+
+
+def _sorted_counts(draws: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``np.unique(draws, return_counts=True)`` for nonempty ``draws`` in
+    ascending order: the head and the length of each run."""
+    heads = np.flatnonzero(np.r_[True, draws[1:] != draws[:-1]])
+    return draws[heads], np.diff(np.r_[heads, draws.size])
 
 
 def _snap_to_dataset(fpts: np.ndarray, centers: np.ndarray) -> np.ndarray:
@@ -214,7 +225,7 @@ def sensitivity_coreset(dataset: GridDataset, k: int, z: ZLike, eps: float, seed
 
     m = min(n, int(math.ceil(4.0 * k * eps ** -2 * (d + math.log2(100.0)))))
     draws = _inverse_cdf_sample(rng, prob, m)
-    uniq, counts = np.unique(draws, return_counts=True)
+    uniq, counts = _sorted_counts(draws)
     new_w = w[uniq] * counts / (m * prob[uniq])
     out = WeightedCoreset(dataset.points[uniq], new_w, source_n or dataset.n)
     object.__setattr__(out, "_assignment", (centers.centers.copy(), assign[uniq]))

@@ -186,6 +186,8 @@ def _centers_of(obj) -> np.ndarray:
 
 # rows per block of the distance kernel: its temporaries are O(_BLOCK * (k + d))
 _BLOCK = 1024
+# values per chunk of the grid pass's (k, rows) matrix: 4 MB of float64
+_GRID_VALUES = 2 ** 19
 
 
 def _scan(fpts: np.ndarray, cen: np.ndarray,
@@ -211,8 +213,10 @@ def _scan(fpts: np.ndarray, cen: np.ndarray,
     return best, arg
 
 
-def _nearest(points, centers) -> tuple[np.ndarray, np.ndarray]:
-    """(squared distance to the nearest center, its index) for every point.
+def _nearest(points, centers,
+             index: bool = True) -> tuple[np.ndarray, np.ndarray | None]:
+    """(squared distance to the nearest center, its index) for every point;
+    with ``index`` false the index is None, and the grid pass keeps none.
 
     The result is bit for bit that of :func:`_scan` over all pairs: the direct
     ``((p - c) ** 2).sum()`` value, ties to the lowest index. Rows go in
@@ -257,12 +261,17 @@ def _nearest(points, centers) -> tuple[np.ndarray, np.ndarray]:
     If (|p| + max|c|)^2 overflows, T is inf and every center is a
     candidate; otherwise no intermediate of e overflows.
 
-    One center on prepared integral rows (:class:`_Rows`) against an
-    integral center, when every row has ``(|p| + |c|)^2 <= 2^52``, is one
-    GEMV over all rows in the same expanded form, ``e`` and the direct
-    form being equal there by the grid rule's proof; the check is made on
-    the largest row norm, as the computed ``(|p| + |c|)^2`` grows with
-    ``|p|^2``. Otherwise one center takes the direct form, row by row.
+    Prepared integral rows (:class:`_Rows`) against integral centers, when
+    every row has ``(|p| + max|c|)^2 <= 2^52``, skip the blocks: any number
+    of centers is one pass over chunks of ``max(1, _GRID_VALUES // k)``
+    rows, so its ``(k, rows)`` matrix holds at most ``max(_GRID_VALUES,
+    k)`` values. A chunk's ``e = (-2 C) P^T + |c|^2 + |p|^2`` equals the
+    direct form by the grid rule's proof (scaling by -2 is exact), and a
+    running minimum over its k rows moves a row only on a strictly smaller
+    value, so ties keep the lowest index, as ``argmin`` does. The check is
+    made on the largest row norm, as the computed ``(|p| + max|c|)^2``
+    grows with ``|p|^2``. Otherwise one center takes the direct form, row
+    by row.
 
     Prepared rows bring their squared norms, their finiteness check and
     their integrality, so a call takes each block's ``|p|^2`` from them
@@ -289,13 +298,29 @@ def _nearest(points, centers) -> tuple[np.ndarray, np.ndarray]:
     with np.errstate(over="ignore"):
         c_sq = np.einsum("ij,ij->i", cen, cen)
         c_norm = np.sqrt(c_sq.max())
-        if k == 1 and grid and rows is not None \
+        if grid and rows is not None \
                 and (np.sqrt(rows.sq.max(initial=0.0)) + c_norm) ** 2 <= 2.0 ** 52:
-            best = pts @ cen[0]
-            best *= -2.0
-            best += rows.sq
-            best += c_sq[0]
-            return best, np.zeros(n, dtype=np.int64)
+            best = np.empty(n)
+            arg = np.zeros(n, dtype=np.min_scalar_type(k - 1)) if index else None
+            step = max(1, _GRID_VALUES // k)
+            e_buf, m2c = np.empty(k * min(n, step)), -2.0 * cen
+            for lo in range(0, n, step):
+                p, b = pts[lo:lo + step], best[lo:lo + step]
+                e = e_buf[:k * len(p)].reshape(k, len(p))
+                np.matmul(m2c, p.T, out=e)
+                e += c_sq[:, None]
+                e += rows.sq[lo:lo + step]
+                if arg is None:
+                    e.min(axis=0, out=b)
+                    continue
+                a = arg[lo:lo + step]
+                b[:] = e[0]
+                for j in range(1, k):
+                    # j is above every stored index, so the maximum is a
+                    # write where e[j] is strictly smaller
+                    np.maximum(a, (e[j] < b) * a.dtype.type(j), out=a)
+                    np.minimum(b, e[j], out=b)
+            return best, None if arg is None else arg.astype(np.int64)
     best = np.empty(n)
     arg = np.empty(n, dtype=np.int64)
     q_buf, e_buf = None, np.empty((min(n, _BLOCK), k)) if k > 1 else None
@@ -341,26 +366,27 @@ def _nearest(points, centers) -> tuple[np.ndarray, np.ndarray]:
             near = near[rest]
             near[~near.any(axis=1)] = True
             b[rest], a[rest] = _scan(p[rest], cen, near)
-    return best, arg
+    return best, arg if index else None
 
 
 def powered_distances(sqdist: np.ndarray, z: ZLike) -> np.ndarray:
-    """Raise squared distances to the z/2 power, exactly for z in {1, 2}."""
+    """Raise squared distances to the z/2 power, exactly for z in {1, 2}.
+    Other powers are ``exp(z/2 log(x))``: the kernel's values lie in [0,
+    inf], and 0 (either sign) gives log 0 = -inf and exp(-inf) = 0 exactly,
+    with its divide-by-zero flag ignored."""
     zf = as_z(z)
     if zf == 2:
         return sqdist.copy()
     if zf == 1:
         return np.sqrt(sqdist)
     half_z = float(zf) / 2.0
-    out = np.zeros_like(sqdist)
-    pos = sqdist > 0
-    out[pos] = np.exp(half_z * np.log(sqdist[pos]))
-    return out
+    with np.errstate(divide="ignore"):
+        return np.exp(half_z * np.log(sqdist))
 
 
 def min_powered_distances(points, centers, z: ZLike) -> np.ndarray:
     """dist^z(p, C) for every point; the shared kernel of the cost functions."""
-    return powered_distances(_nearest(points, centers)[0], z)
+    return powered_distances(_nearest(points, centers, index=False)[0], z)
 
 
 def cost(points, centers, z: ZLike) -> float:

@@ -145,6 +145,24 @@ def test_group_order_is_the_stable_sort(k):
     assert np.array_equal(_group_order(assign, k), np.argsort(assign, kind="stable"))
 
 
+@pytest.mark.parametrize("case", ["one", "all-equal", "distinct", "runs", "sampled"])
+def test_sorted_counts_are_uniques(case):
+    # run heads and lengths of ascending draws are np.unique's values and
+    # counts, dtypes included; "sampled" draws as the sensitivity pass does
+    rng = np.random.default_rng(len(case))
+    prob = rng.random(300) ** 8
+    draws = {
+        "one": lambda: np.array([5]),
+        "all-equal": lambda: np.full(100, 3),
+        "distinct": lambda: np.arange(7, 50),
+        "runs": lambda: np.sort(rng.integers(0, 40, size=500)),
+        "sampled": lambda: coreset._inverse_cdf_sample(rng, prob / prob.sum(), 20_000),
+    }[case]()
+    got, want = coreset._sorted_counts(draws), np.unique(draws, return_counts=True)
+    for g, w in zip(got, want):
+        assert g.dtype == w.dtype and np.array_equal(g, w)
+
+
 class TestSeedingKeepsAssignment:
     """The seeding's running nearest seed replaces a separate assignment
     pass, and sorted draws replace draws in uniform order; both leave every
@@ -214,31 +232,45 @@ class TestSeedingKeepsAssignment:
     @pytest.mark.parametrize("n, d, k", [(3000, 4, 8), (500, 16, 3), (7, 1, 20)])
     def test_one_pass_per_seed_and_kernel_call_per_snap_chunk(self, monkeypatch,
                                                               n, d, k, delta):
-        # each seed is one one-center kernel call on the dataset's prepared
-        # rows, then the snap's chunks follow: inside the grid bound
-        # (delta = 64) every seed's call is the whole-array GEMV, beyond it
-        # (2^40) none is; with blocks of no rows only the GEMV can return
-        calls, gemvs = [], []
+        # each seed is one one-center kernel call with no index on the
+        # dataset's prepared rows, then the snap's chunks follow: inside the
+        # grid bound (delta = 64) every seed's call is the grid pass, beyond
+        # it (2^40) none is; with blocks of no rows only the pass can return
+        calls, passes = [], []
         kernel = geometry._nearest
 
-        def counted(p, c):
-            calls.append(len(c))
+        def counted(p, c, **kw):
+            calls.append((len(c), kw))
             if len(c) == 1 and isinstance(p, geometry._Rows):
                 with monkeypatch.context() as m:
                     m.setattr(geometry, "_BLOCK", 0)
                     try:
                         kernel(p, c)
-                        gemvs.append(c)
+                        passes.append(c)
                     except ValueError:
                         pass
-            return kernel(p, c)
+            return kernel(p, c, **kw)
 
         monkeypatch.setattr(geometry, "_nearest", counted)
         approx_centers(geometry.random_grid_dataset(n, d, delta, seed=n), k, 2, seed=0)
         chunks = len(range(0, n, max(1, n * d // k)))
         assert len(calls) == k + chunks
-        assert calls[:k] == [1] * k
-        assert len(gemvs) == (k if delta == 64 else 0)
+        assert calls[:k] == [(1, {"index": False})] * k
+        assert len(passes) == (k if delta == 64 else 0)
+
+    @pytest.mark.parametrize("k", [256, 257])
+    def test_seeding_with_a_wide_index(self, k):
+        # the nearest seed is kept in uint8 up to k = 256 and in uint16 from
+        # 257, where the last seed's own row moves to index 256
+        data = geometry.random_grid_dataset(1200, 4, 1024, seed=k)
+        _, assign = coreset._seed_dz(geometry._Rows(data), k, 2, coreset._rng(0))
+        assert assign.dtype == np.min_scalar_type(k - 1) and assign.max() == k - 1
+        for z in (Fraction(3, 2), Fraction(2)):
+            for seed in range(2):
+                ac = approx_centers(data, k, z, seed)
+                indices, has_repeats = reference_approx_centers(data, k, z, seed)
+                assert np.array_equal(ac.indices, indices), f"z {z}, seed {seed}"
+                assert ac.has_repeats == has_repeats
 
 
 class TestBuildCoreset:

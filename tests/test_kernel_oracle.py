@@ -2,8 +2,9 @@
 reference in ``nearest_reference``: both outputs must be equal bit for bit,
 ties, overflow and underflow included. Grid rows (integer points, integral
 centers, ``(|p| + max|c|)^2 <= 2^52``) take the GEMM value as it is, so they
-are checked on both sides of that bound. So is one center on prepared
-integral rows, which takes a whole-array GEMV inside the bound.
+are checked on both sides of that bound. So are prepared integral rows
+against integral centers, which inside the bound take the grid pass: (k,
+rows) GEMM chunks and a running minimum, for any number of centers.
 
 Every comparison also runs the kernel on prepared rows (``_Rows``, the form
 a sketch's decoded points take), built from the float64 copy of the points
@@ -13,6 +14,7 @@ there, so the grid cases check them on both sides of the bound too."""
 
 import math
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -37,11 +39,14 @@ def assert_same_as_reference(points, centers):
         warnings.simplefilter("ignore", RuntimeWarning)
         want = ref.nearest(points, centers)
         got = geometry._nearest(points, centers)
-        prepared = geometry._nearest(
-            geometry._Rows(np.asarray(points).astype(np.float64)), centers)
+        rows = geometry._Rows(np.asarray(points).astype(np.float64))
+        prepared = geometry._nearest(rows, centers)
+        no_index = [geometry._nearest(p, centers, index=False) for p in (points, rows)]
     for out in (got, prepared):
         assert np.array_equal(out[0], want[0])
         assert np.array_equal(out[1], want[1])
+    for dist, index in no_index:
+        assert np.array_equal(dist, want[0]) and index is None
 
 
 @st.composite
@@ -225,7 +230,7 @@ def test_one_center_takes_the_direct_form_alone(monkeypatch, scale, grid):
 def test_prepared_integral_rows_take_the_grid_path(monkeypatch, blocks):
     # float rows that tie between duplicate integral centers: unprepared,
     # a float row is never a grid row, so its ties go to the scan; prepared,
-    # every row is integral and takes argmin(e) with no filter or scan
+    # every row is integral and takes the grid pass, with no filter or scan
     rng = np.random.default_rng(12)
     pts = rng.integers(0, 4, size=(blocks * geometry._BLOCK - 5, 3)).astype(np.float64)
     cen = np.vstack([pts[:3], pts[:2]])
@@ -247,45 +252,55 @@ def test_prepared_rows_check_finiteness_once():
             geometry._Rows(np.array([[1.0, bad]]))
 
 
-def assert_one_center_exact(points, seeds, monkeypatch, gemv):
-    """One-center ``_nearest`` on the prepared rows of ``points`` against the
-    reference, each of the rows ``seeds`` taking its turn as the center, as
-    a seed does. With blocks of no rows the row-by-row form cannot run, so
-    a call that returns took the whole-array GEMV: it must when ``gemv``
-    holds, and must not otherwise."""
-    rows = geometry._Rows(np.asarray(points).astype(np.float64))
-    for i in seeds:
-        got = geometry._nearest(rows, rows.points[[i]])
-        want = ref.nearest(points, rows.points[[i]])
-        assert np.array_equal(got[0], want[0])
-        assert np.array_equal(got[1], want[1])
+def took_grid_pass(rows, centers, monkeypatch):
+    """Whether ``_nearest`` on ``rows`` against ``centers`` takes the grid
+    pass: with blocks of no rows the block loop cannot start, so a call
+    that returns took the pass."""
     with monkeypatch.context() as m:
         m.setattr(geometry, "_BLOCK", 0)
-        for i in seeds:
-            if gemv:
-                geometry._nearest(rows, rows.points[[i]])
-            else:
-                with pytest.raises(ValueError):
-                    geometry._nearest(rows, rows.points[[i]])
+        try:
+            geometry._nearest(rows, centers)
+        except ValueError as exc:
+            assert "must not be zero" in str(exc)
+            return False
+    return True
 
 
-@pytest.mark.parametrize("d", [1, 4, 16])
-def test_one_center_at_the_grid_bound(d, monkeypatch):
-    # the top row against itself has (|p| + |c|)^2 = 2^52: the largest rows
-    # the one-center GEMV takes, next to small ones and ones just below the
-    # top
+def assert_grid_pass_exact(points, center_sets, monkeypatch, grid_pass):
+    """``_nearest`` on the prepared rows of ``points`` against the reference,
+    both outputs bit for bit and with and without the index, each of
+    ``center_sets`` (lists of row indices) taking its turn as the centers,
+    as a seed or the sensitivity pass has them. The grid pass must run
+    when ``grid_pass`` holds, and must not otherwise."""
+    rows = geometry._Rows(np.asarray(points).astype(np.float64))
+    for idx in center_sets:
+        cen = rows.points[list(idx)]
+        want = ref.nearest(points, cen)
+        got = geometry._nearest(rows, cen)
+        assert got[1].dtype == np.int64
+        assert np.array_equal(got[0], want[0])
+        assert np.array_equal(got[1], want[1])
+        dist, index = geometry._nearest(rows, cen, index=False)
+        assert np.array_equal(dist, want[0]) and index is None
+        assert took_grid_pass(rows, cen, monkeypatch) == grid_pass
+
+
+def rows_at_the_grid_bound(d):
+    """The top row against itself has (|p| + |c|)^2 = 2^52: the largest
+    rows the grid pass takes, next to small ones and ones just below the
+    top."""
     top = 2 ** 25 // math.isqrt(d)
     rng = np.random.default_rng(d)
     pts = np.vstack([np.full((1, d), top), top - rng.integers(0, 3, size=(40, d)),
                      rng.integers(1, top + 1, size=(40, d)), np.ones((1, d), np.int64)])
     assert 4 * np.einsum("ij,ij->i", pts.astype(np.float64), pts).max() == 2.0 ** 52
-    assert_one_center_exact(pts, range(len(pts)), monkeypatch, gemv=True)
+    return pts
 
 
-def test_one_center_just_above_the_grid_bound(monkeypatch):
-    # (|p| + |c|)^2 passes 2^52 for the top rows, so every call takes the
-    # direct form; in the same call are rows near 2^27, whose expanded form
-    # rounds away from the direct one, so only the bound keeps the GEMV out
+def rows_just_above_the_grid_bound():
+    """(|p| + |c|)^2 passes 2^52 for the top rows, so every call takes the
+    block loop; next to them are rows near 2^27, whose expanded form rounds
+    away from the direct one, so only the bound keeps the grid pass out."""
     rng = np.random.default_rng(27)
     pts = np.concatenate([[2 ** 25, 2 ** 25 + 1, 2 ** 25 - 1, 1],
                           2 ** 27 + 2 * rng.integers(0, 2 ** 20, size=40) + 1])[:, None]
@@ -293,7 +308,40 @@ def test_one_center_just_above_the_grid_bound(monkeypatch):
     fpts = pts.astype(np.float64)
     expanded = fpts[:, 0] ** 2 - 2.0 * fpts[:, 0] + 1.0
     assert not np.array_equal(expanded, ref.nearest(pts, fpts[[3]])[0])
-    assert_one_center_exact(pts, range(len(pts)), monkeypatch, gemv=False)
+    return pts
+
+
+def spread_sets(n, k):
+    """n center sets of k rows each, the top row among them: row i, then
+    every seventh row after it, wrapping around."""
+    return [[0, *((i + 7 * t) % n for t in range(k - 1))] for i in range(n)]
+
+
+@pytest.mark.parametrize("d", [1, 4, 16])
+def test_one_center_at_the_grid_bound(d, monkeypatch):
+    pts = rows_at_the_grid_bound(d)
+    assert_grid_pass_exact(pts, [[i] for i in range(len(pts))], monkeypatch, True)
+
+
+def test_one_center_just_above_the_grid_bound(monkeypatch):
+    pts = rows_just_above_the_grid_bound()
+    assert_grid_pass_exact(pts, [[i] for i in range(len(pts))], monkeypatch, False)
+
+
+@pytest.mark.parametrize("k", [2, 5])
+@pytest.mark.parametrize("d", [1, 4, 16])
+def test_centers_at_the_grid_bound(d, k, monkeypatch):
+    pts = rows_at_the_grid_bound(d)
+    assert_grid_pass_exact(pts, spread_sets(len(pts), k), monkeypatch, True)
+
+
+@pytest.mark.parametrize("k", [2, 5])
+def test_centers_just_above_the_grid_bound(k, monkeypatch):
+    pts = rows_just_above_the_grid_bound()
+    # with only the row at 1 as centers, too: the large rows alone pass
+    # the bound
+    sets = spread_sets(len(pts), k) + [[3] * k]
+    assert_grid_pass_exact(pts, sets, monkeypatch, False)
 
 
 def test_one_center_on_a_d16_grid(monkeypatch):
@@ -301,5 +349,61 @@ def test_one_center_on_a_d16_grid(monkeypatch):
     rng = np.random.default_rng(16)
     pts = rng.integers(1, 2 ** 10 + 1, size=(2000, 16))
     pts[0] = 2 ** 10
-    assert_one_center_exact(pts, [0, *rng.integers(0, 2000, size=5)], monkeypatch,
-                            gemv=True)
+    assert_grid_pass_exact(pts, [[0], *([i] for i in rng.integers(0, 2000, size=5))],
+                           monkeypatch, True)
+
+
+@pytest.mark.parametrize("k", [2, 8, 32, 255, 256, 257])
+def test_grid_pass_for_any_number_of_centers(k, monkeypatch):
+    # the pass keeps its index in uint8 up to k = 256 and in uint16 from
+    # 257; the last center is the strict nearest of its own row, so an
+    # index too narrow for k - 1 shows
+    rng = np.random.default_rng(k)
+    n = max(k + 10, 6000 // k)
+    pts = rng.integers(1, 2 ** 10 + 1, size=(n, 3))
+    idx = rng.choice(n, size=k, replace=False)
+    assert (ref.nearest(pts, pts[idx])[1] == k - 1).any()
+    assert_grid_pass_exact(pts, [idx], monkeypatch, True)
+
+
+@pytest.mark.parametrize("k", [2, 9, 300])
+def test_grid_pass_ties_go_to_the_lowest_index(k, monkeypatch):
+    # coordinates in {0, ..., 3}: most rows are equally far from several
+    # centers, and every center appears twice, in shuffled places
+    rng = np.random.default_rng(k)
+    pts = rng.integers(0, 4, size=(max(60, 6000 // k), 2))
+    idx = np.repeat(rng.integers(0, len(pts), size=(k + 1) // 2), 2)[:k]
+    rng.shuffle(idx)
+    dist = ((pts[:, None, :] - pts[idx][None]) ** 2).sum(axis=2)
+    assert ((dist == dist.min(axis=1, keepdims=True)).sum(axis=1) > 1).mean() > 0.5
+    assert_grid_pass_exact(pts, [idx], monkeypatch, True)
+
+
+@pytest.mark.parametrize("n", [6, 7, 8, 17])
+@pytest.mark.parametrize("k", [1, 5])
+def test_grid_pass_across_chunks(monkeypatch, k, n):
+    # chunks of 7 rows: n at one chunk less one row, one chunk, one more
+    # row, and two chunks and three rows; then chunks of one row, when the
+    # bound is below k
+    rng = np.random.default_rng(n + k)
+    pts = rng.integers(0, 4, size=(n, 2))
+    sets = [rng.integers(0, n, size=k) for _ in range(3)]
+    for values in (7 * k, k - 1):
+        monkeypatch.setattr(geometry, "_GRID_VALUES", values)
+        assert_grid_pass_exact(pts, sets, monkeypatch, True)
+
+
+def test_powers_of_zero_and_inf():
+    # 0 of either sign is log 0 = -inf and exp(-inf) = 0, with no warning;
+    # other values are the masked form's, bit for bit
+    x = np.array([0.0, -0.0, np.inf, 2.0, 5e-324, 1e300])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = geometry.powered_distances(x, Fraction(3, 2))
+    assert got[:3].tolist() == [0.0, 0.0, np.inf] and not np.signbit(got).any()
+    rng = np.random.default_rng(32)
+    x = np.r_[0.0, rng.integers(0, 2 ** 20, size=1001) * 2.0 ** rng.integers(-40, 40, size=1001)]
+    for z in (Fraction(3, 2), Fraction(3), Fraction(5, 3)):
+        want = np.zeros_like(x)
+        want[x > 0] = np.exp(float(z) / 2 * np.log(x[x > 0]))
+        assert np.array_equal(geometry.powered_distances(x, z), want)
