@@ -192,7 +192,7 @@ class TestSeedingKeepsAssignment:
             assert np.array_equal(cs.points, pts), f"seed {seed}"
             assert np.array_equal(cs.weights, new_w), f"seed {seed}"
 
-    # 4 max|p|^2 against 2^52, the bound of the seeding's one GEMV per seed:
+    # 4 max|p|^2 against 2^52, the bound of each seed's grid pass:
     # at it (2^24 with d = 4), just above it, below 2^56, and far above it.
     # The rows sit within 8 of the grid's top, so a seed's distances are
     # small next to the norms and an expanded form that rounds moves draws

@@ -312,7 +312,7 @@ def rows_just_above_the_grid_bound():
 
 
 def spread_sets(n, k):
-    """n center sets of k rows each, the top row among them: row i, then
+    """n center sets of k rows each: the top row (row 0), then row i and
     every seventh row after it, wrapping around."""
     return [[0, *((i + 7 * t) % n for t in range(k - 1))] for i in range(n)]
 
