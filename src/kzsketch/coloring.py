@@ -349,12 +349,16 @@ def separation_witness(p: GridDataset, q: GridDataset, centers: CenterSet,
     """Check cost_z(P, C) against the open band (1 +- 3 eps) cost_z(Q, C).
 
     A zero cost on exactly one side always separates: no sketch can answer
-    both 0 and a positive value for the same query.
+    both 0 and a positive value for the same query. A cost that overflows
+    float64 raises an error naming z, as no band can be checked against inf.
     """
     if p.d != q.d:
         raise DimensionMismatch("datasets must share d")
-    cp = geometry.cost(p, centers, z)
-    cq = geometry.cost(q, centers, z)
+    with np.errstate(over="ignore"):
+        cp = geometry.cost(p, centers, z)
+        cq = geometry.cost(q, centers, z)
+    if not (math.isfinite(cp) and math.isfinite(cq)):
+        raise InvalidInput(f"z = {as_z(z)}: a witness cost overflows float64")
     if cp == 0.0 or cq == 0.0:
         sep = cp != cq
     else:

@@ -206,8 +206,8 @@ def sensitivity_coreset(dataset: GridDataset, k: int, z: ZLike, eps: float, seed
     set.
 
     The sample count is m = min(n, 4 k eps^-2 (d + log2 100)). The kernel
-    runs on the dataset's prepared rows, a float copy that lives for this
-    call only, so its distances are exact grid distances. The kept points'
+    prepares the dataset's rows, a float copy that lives for this call
+    only, so its distances are exact grid distances. The kept points'
     nearest centers go with the coreset, keyed by those centers, for
     :func:`codec.encode` to reuse; they are no field of it.
     """
@@ -216,7 +216,7 @@ def sensitivity_coreset(dataset: GridDataset, k: int, z: ZLike, eps: float, seed
     rng = _rng(seed)
     if centers is None:
         centers = approx_centers(dataset, k, z, seed)
-    sq, assign = geometry._nearest(geometry._Rows(dataset), centers.centers)
+    sq, assign = geometry._nearest(dataset, centers.centers)
     with np.errstate(over="ignore"):
         mass = w * geometry.powered_distances(sq, z)
         total = dz_total(mass, z)

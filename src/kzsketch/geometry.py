@@ -146,23 +146,24 @@ class CenterSet:
 
 
 class _Rows:
-    """Rows prepared once for the distance kernel: the finite float64
-    ``points``, their squared norms ``sq`` and whether every value is
-    integral, which makes them grid rows for :func:`_nearest`. A
-    ``GridDataset`` gives the float64 copy of its points; they are finite
-    and integral by construction, so both scans are skipped. The points must
-    not change afterwards: that copy and a sketch's decoded points are
-    read-only."""
+    """Rows prepared for the distance kernel: the finite float64 ``points``,
+    their squared norms ``sq`` and whether every value is integral, which
+    makes them grid rows for :func:`_nearest`. Integer input (an integer
+    array or a ``GridDataset``) is finite and integral by its type, so both
+    scans are skipped for its read-only float64 copy. The points must not
+    change afterwards."""
 
     __slots__ = ("points", "sq", "integral")
 
     def __init__(self, points):
-        if isinstance(points, GridDataset):
-            points, integral = _freeze(points.points.astype(np.float64)), True
+        points = _points_of(points)
+        if points.ndim != 2:
+            raise InvalidInput("prepared rows must be an (n, d) array")
+        if points.dtype.kind in "iu":
+            points, integral = _freeze(points.astype(np.float64)), True
+        elif not np.isfinite(points).all():
+            raise InvalidInput("distance evaluation requires finite coordinates")
         else:
-            points = np.asarray(points, dtype=np.float64)
-            if points.ndim != 2 or not np.isfinite(points).all():
-                raise InvalidInput("prepared rows must be a finite (n, d) array")
             integral = bool((points == np.floor(points)).all())
         self.points, self.integral = points, integral
         with np.errstate(over="ignore"):
@@ -170,8 +171,8 @@ class _Rows:
 
 
 def _points_of(obj) -> np.ndarray:
-    """The coordinates of ``obj``: integer arrays as they are, for the
-    kernel casts them block by block; anything else as float64."""
+    """The coordinates of ``obj``: integer arrays as they are, for
+    :class:`_Rows` to tell them by their type; anything else as float64."""
     if isinstance(obj, (GridDataset, RealDataset, _Rows)):
         return obj.points
     a = np.asarray(obj)
@@ -219,8 +220,23 @@ def _nearest(points, centers,
     with ``index`` false the index is None, and the grid pass keeps none.
 
     The result is bit for bit that of :func:`_scan` over all pairs: the direct
-    ``((p - c) ** 2).sum()`` value, ties to the lowest index. Rows go in
-    blocks of ``_BLOCK``; with one center there is nothing to filter.
+    ``((p - c) ** 2).sum()`` value, ties to the lowest index. Any input is
+    taken as :class:`_Rows`, prepared here unless the caller prepared it.
+
+    Grid pass: integral rows against integral centers with ``(sqrt(max
+    |p|^2) + max|c|)^2 <= 2^52`` go in chunks of ``max(1, _GRID_VALUES //
+    k)`` rows, each a ``(k, rows)`` matrix ``e = (-2 C) P^T + |c|^2 +
+    |p|^2`` that equals the direct form: every intermediate of both forms
+    (the products, the partial sums of the dot products and norms, the
+    differences and the sums of squares) is an integer of magnitude at most
+    ``(|p| + |c|)^2 <= 2^53``, so each is exact in any summation order, with
+    or without fused multiply-adds. The margin from 2^52 to 2^53 covers the
+    rounding of the computed norms, the largest of which bounds them all. A
+    running minimum over the k rows of ``e`` moves a row only on a strictly
+    smaller value, so ties keep the lowest index.
+
+    Otherwise rows go in blocks of ``_BLOCK``; with one center every row
+    takes the direct form.
 
     Filter: one GEMM gives the expanded form ``e_j = |p|^2 + |c_j|^2 -
     2 p.c_j`` of every row. Center j is a candidate when ``e_j <= min(e) +
@@ -228,24 +244,10 @@ def _nearest(points, centers,
     gamma_{d+4} = (d+4) u / (1 - (d+4) u)``, ``u = 2^-53`` and ``eta =
     2^-1075``.
 
-    Grid rows skip the filter: when every point is integral (an integer
-    array, a ``GridDataset`` or prepared rows whose values are all
-    integers, whatever their dtype), there are two or more centers, every
-    center is integral and ``(|p| + max|c|)^2 <= 2^52``, a row takes
-    ``argmin(e)`` and its ``e`` value. Every intermediate of both forms
-    (the products, the partial sums of the dot products and norms, the
-    differences and the sums of squares) is then an integer of magnitude at
-    most ``(|p| + |c|)^2 <= 2^53``, so each is exact in any summation order,
-    with or without fused multiply-adds, and ``e`` equals the direct form;
-    ``argmin`` takes the lowest index of a tie. The margin from 2^52 to 2^53
-    covers the rounding of the computed norms.
-
     Refine: a row with exactly one candidate takes it, and its value is
     recomputed in the direct form. Rows with several (exact ties, duplicate
     centers, overflow) go through ``_scan`` over their candidates only;
-    rows with none (a NaN in e) over every center. A block that mixes grid
-    rows with others refines all of its rows; a grid row's refined value is
-    its ``e`` value, and it never goes to ``_scan``.
+    rows with none (a NaN in e) over every center.
 
     Why a lone candidate is the direct form's strict minimum: let t_j be
     the exact squared distance and X = (|p| + |c_j|)^2 >= t_j. |p|^2,
@@ -259,46 +261,26 @@ def _nearest(points, centers,
     r_j > r_i whenever T >= 4 gamma_{d+2} X + 8 d eta; the T above is at
     least twice that, which covers the rounding of the norms and of T.
     If (|p| + max|c|)^2 overflows, T is inf and every center is a
-    candidate; otherwise no intermediate of e overflows.
-
-    Prepared integral rows (:class:`_Rows`) against integral centers, when
-    every row has ``(|p| + max|c|)^2 <= 2^52``, skip the blocks: any number
-    of centers is one pass over chunks of ``max(1, _GRID_VALUES // k)``
-    rows, so its ``(k, rows)`` matrix holds at most ``max(_GRID_VALUES,
-    k)`` values. A chunk's ``e = (-2 C) P^T + |c|^2 + |p|^2`` equals the
-    direct form by the grid rule's proof (scaling by -2 is exact), and a
-    running minimum over its k rows moves a row only on a strictly smaller
-    value, so ties keep the lowest index, as ``argmin`` does. The check is
-    made on the largest row norm, as the computed ``(|p| + max|c|)^2``
-    grows with ``|p|^2``. Otherwise one center takes the direct form, row
-    by row.
-
-    Prepared rows bring their squared norms, their finiteness check and
-    their integrality, so a call takes each block's ``|p|^2`` from them
-    instead of recomputing it; the values, and so the proof above, are the
-    same. The per-block ``e`` and ``p - c`` matrices are allocated once per
-    call, the latter only if some block needs it."""
+    candidate; otherwise no intermediate of e overflows."""
     pts, cen = _points_of(points), _centers_of(centers)
     if pts.ndim != 2 or cen.ndim != 2 or pts.shape[1] != cen.shape[1]:
         raise DimensionMismatch(
             f"points have dimension {pts.shape[1:]} but centers {cen.shape[1:]}")
     if cen.shape[0] < 1:
         raise InvalidInput("need at least one center")
-    rows = points if isinstance(points, _Rows) else None
-    if not np.isfinite(cen).all() or (
-            rows is None and pts.dtype.kind == "f" and not np.isfinite(pts).all()):
+    rows = points if isinstance(points, _Rows) else _Rows(pts)
+    if not np.isfinite(cen).all():
         raise InvalidInput("distance evaluation requires finite coordinates")
+    pts = rows.points
     n, d = pts.shape
     k = cen.shape[0]
-    integral = pts.dtype.kind in "iu" if rows is None else rows.integral
-    grid = integral and bool((cen == np.floor(cen)).all())
     u = 2.0 ** -53
     g = (d + 4) * u / (1 - (d + 4) * u)
     floor = 64.0 * (d + 4) * 2.0 ** -1074  # 128 (d + 4) eta
     with np.errstate(over="ignore"):
         c_sq = np.einsum("ij,ij->i", cen, cen)
         c_norm = np.sqrt(c_sq.max())
-        if grid and rows is not None \
+        if rows.integral and (cen == np.floor(cen)).all() \
                 and (np.sqrt(rows.sq.max(initial=0.0)) + c_norm) ** 2 <= 2.0 ** 52:
             best = np.empty(n)
             arg = np.zeros(n, dtype=np.min_scalar_type(k - 1)) if index else None
@@ -323,46 +305,33 @@ def _nearest(points, centers,
             return best, None if arg is None else arg.astype(np.int64)
     best = np.empty(n)
     arg = np.empty(n, dtype=np.int64)
-    q_buf, e_buf = None, np.empty((min(n, _BLOCK), k)) if k > 1 else None
+    q_buf = np.empty((min(n, _BLOCK), d))
+    e_buf = np.empty((min(n, _BLOCK), k)) if k > 1 else None
     for lo in range(0, n, _BLOCK):
-        p = pts[lo:lo + _BLOCK].astype(np.float64, copy=False)
+        p, p_sq = pts[lo:lo + _BLOCK], rows.sq[lo:lo + _BLOCK]
         b, a = best[lo:lo + _BLOCK], arg[lo:lo + _BLOCK]
-        if k > 1:
+        q = q_buf[:len(p)]
+        if k == 1:
+            np.subtract(p, cen[0], out=q)
+            a[:] = 0
+        else:
             # the filter may overflow; such rows fall to _scan by the rule above
             with np.errstate(over="ignore", invalid="ignore"):
-                p_sq = np.einsum("ij,ij->i", p, p) if rows is None \
-                    else rows.sq[lo:lo + _BLOCK]
                 e = np.matmul(p, cen.T, out=e_buf[:len(p)])
                 e *= -2.0
                 e += c_sq
                 e += p_sq[:, None]
                 j = e.argmin(axis=1)
                 e_min = np.take_along_axis(e, j[:, None], axis=1)
-                reach = (np.sqrt(p_sq) + c_norm) ** 2
-                # the grid rows of the block; just False off the grid
-                exact = grid and reach <= 2.0 ** 52
-                if grid and exact.all():
-                    a[:] = j
-                    b[:] = e_min[:, 0]
-                    continue
-                e_min += (8.0 * g * reach + floor)[:, None]
+                e_min += (8.0 * g * (np.sqrt(p_sq) + c_norm) ** 2 + floor)[:, None]
                 near = e <= e_min
-                one = exact | (np.count_nonzero(near, axis=1) == 1)
-        if q_buf is None:       # grid blocks never need it
-            q_buf = np.empty((min(n, _BLOCK), d))
-        q = q_buf[:len(p)]
-        if k == 1:
-            np.subtract(p, cen[0], out=q)
-            a[:] = 0
-        else:
             # argmin indices are in range; "clip" writes into q unbuffered
             cen.take(j, axis=0, out=q, mode="clip")
             np.subtract(p, q, out=q)
             a[:] = j
         np.square(q, out=q)
         q.sum(axis=1, out=b)
-        if k > 1 and not one.all():
-            rest = ~one
+        if k > 1 and (rest := np.count_nonzero(near, axis=1) != 1).any():
             near = near[rest]
             near[~near.any(axis=1)] = True
             b[rest], a[rest] = _scan(p[rest], cen, near)

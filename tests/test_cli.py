@@ -4,6 +4,7 @@ import os
 import struct
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -306,6 +307,14 @@ class TestParameterValidation:
         err = usage_error(capsys, ["lowerbound", "--n", "8", "--d", "32", *extra])
         assert err.startswith("error: grid side ")
         assert "is not below 2^62" in err
+
+    def test_lowerbound_witness_cost_overflow_is_usage_error(self, capsys):
+        # both witness costs pass float64 at z = 40 (at z = 35 they do not):
+        # an error naming z, with no RuntimeWarning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            err = usage_error(capsys, ["lowerbound", "--n", "8", "--d", "32", "--z", "40"])
+        assert err.startswith("error: z = 40: a witness cost overflows float64")
 
     @pytest.mark.parametrize("restarts", ["0", "-5"])
     def test_max_restarts_below_one_is_usage_error(self, capsys, restarts):

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -287,6 +288,20 @@ class TestSeparationWitness:
                                   CenterSet(np.array([[1.0, 1.0], [3.0, 1.0]])),
                                   2, 1 / 6)
         assert wit2.cost_p == 0.0 and wit2.separated
+
+    @pytest.mark.parametrize("swap", [False, True])
+    def test_overflowing_cost_is_an_error_naming_z(self, swap):
+        # 999^300 passes float64: an inf cost on either side would make
+        # (1 - 3 eps) inf < cost false and so read as separated
+        near = GridDataset(np.array([[1], [2]]), 1000)
+        far = GridDataset(np.array([[1], [1000]]), 1000)
+        p, q = (far, near) if swap else (near, far)
+        cen = CenterSet(np.array([[1.0]]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvalidInput, match="z = 300: a witness cost overflows"):
+                separation_witness(p, q, cen, 300, 0.1)
+            assert separation_witness(p, q, cen, 100, 0.1).separated
 
     def test_end_to_end_orthogonal_pipeline(self):
         eps = 0.05

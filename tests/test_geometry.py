@@ -157,8 +157,8 @@ class TestNearestAssignment:
 
 
 class TestIntegerInput:
-    """An int64 point array is cast block by block inside the kernel, not up
-    front; every public function gives what it gives on ``astype(float64)``,
+    """An int64 point array is prepared as its float64 copy inside the
+    kernel; every public function gives what it gives on ``astype(float64)``,
     bit for bit, also above 2^53 where the cast rounds."""
 
     @pytest.mark.parametrize("scale", [0, 20, 26, 40, 55, 62])

@@ -1,16 +1,16 @@
 """The filter-and-refine distance kernel against the scalar per-center
 reference in ``nearest_reference``: both outputs must be equal bit for bit,
-ties, overflow and underflow included. Grid rows (integer points, integral
-centers, ``(|p| + max|c|)^2 <= 2^52``) take the GEMM value as it is, so they
-are checked on both sides of that bound. So are prepared integral rows
-against integral centers, which inside the bound take the grid pass: (k,
-rows) GEMM chunks and a running minimum, for any number of centers.
+ties, overflow and underflow included. Integral rows (an integer array, a
+``GridDataset`` or float values that are all integers) against integral
+centers take the grid pass when ``(sqrt(max |p|^2) + max|c|)^2 <= 2^52``:
+(k, rows) GEMM chunks whose value is taken as it is and a running minimum,
+for any number of centers. So they are checked on both sides of that bound,
+and rows that are not integral against integral centers are checked too.
 
 Every comparison also runs the kernel on prepared rows (``_Rows``, the form
 a sketch's decoded points take), built from the float64 copy of the points
 that the reference computes on: they must give the same two outputs as the
-reference and as the unprepared call. Integral float rows are grid rows
-there, so the grid cases check them on both sides of the bound too."""
+reference and as the unprepared call."""
 
 import math
 import warnings
@@ -51,17 +51,19 @@ def assert_same_as_reference(points, centers):
 
 @st.composite
 def kernel_inputs(draw):
-    """Points and centers of one of five kinds, at one magnitude.
+    """Points and centers of one of six kinds, at one magnitude.
 
     ``gauss``: independent Gaussians. ``grid``: coordinates in {0, 1, 2, 3},
     so exact ties are common. ``rows``: centers copied from data rows, half
     of them duplicated. ``near``: near-duplicates at scale 1e6, far below
     the expanded form's resolution. ``int``: int64 grid points, as
-    ``GridDataset`` holds them, with centers on data rows."""
+    ``GridDataset`` holds them, with centers on data rows. ``frac``: such
+    grid points plus Gaussian jitter, with integral centers on the grid
+    points, so the rows are not grid rows although the centers are."""
     k = draw(st.integers(1, 64))
     n = min(draw(st.integers(1, 2000)), max(1, MAX_PAIRS // k))
     d = draw(st.integers(1, 512))
-    kind = draw(st.sampled_from(["gauss", "grid", "rows", "near", "int"]))
+    kind = draw(st.sampled_from(["gauss", "grid", "rows", "near", "int", "frac"]))
     scale = draw(st.sampled_from(SCALES) | st.builds(lambda e: 10.0 ** e,
                                                      st.integers(-300, 300)))
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
@@ -79,7 +81,8 @@ def kernel_inputs(draw):
         cen = pts[rng.integers(0, n, size=k)] + 1e-9 * rng.normal(size=(k, d))
     else:
         pts = rng.integers(1, 1025, size=(n, d))
-        return pts, pts[rng.integers(0, n, size=k)].astype(np.float64)
+        cen = pts[rng.integers(0, n, size=k)].astype(np.float64)
+        return (pts if kind == "int" else pts + rng.normal(size=(n, d))), cen
     return pts * scale, cen * scale
 
 
@@ -107,6 +110,19 @@ def test_ties_among_subnormal_distances(scale):
     cen = rng.integers(-20, 21, size=(8, 2)) * scale
     assert_same_as_reference(pts, cen)
 
+
+@pytest.mark.parametrize("k", [2, 7])
+def test_rows_whose_expanded_form_is_nan(k):
+    # points and centers near 1e160, about 1e150 apart: p.c and |c|^2
+    # overflow, so every e_j is -inf + inf = NaN and no center is a
+    # candidate, while the direct form stays finite; each row goes to the
+    # scan over every center
+    rng = np.random.default_rng(k)
+    pts = 1e160 + 1e150 * rng.normal(size=(300, 3))
+    cen = 1e160 + 1e150 * rng.normal(size=(k, 3))
+    want = ref.nearest(pts, cen)
+    assert np.isfinite(want[0]).all() and (want[1] > 0).any()
+    assert_same_as_reference(pts, cen)
 
 
 def test_tie_heavy_grid():
@@ -168,9 +184,11 @@ def test_grid_points_and_centers_far_apart(scale, kind):
         [grid_centers(rng, 2.0 ** scale, 3, 2, kind), grid_centers(rng, 0.0, 2, 2, kind)]))
 
 
-def test_grid_block_across_the_bound():
+def test_grid_block_across_the_bound(monkeypatch):
     # one block: rows on both sides of (|p| + max|c|)^2 = 2^52, rows far
-    # beyond it and small rows, against integral centers up to 2^10
+    # beyond it and small rows, against integral centers up to 2^10; the
+    # grid test is on the largest row norm, so the block filters as a
+    # whole, while its rows with (|p| + 2^10)^2 <= 2^52 take the grid pass
     rng = np.random.default_rng(9)
     edge = 2 ** 26 - 2 ** 10
     pts = np.concatenate([np.arange(edge - 200, edge + 200),
@@ -182,6 +200,10 @@ def test_grid_block_across_the_bound():
     cen[0] = 2 ** 10
     assert_same_as_reference(pts, cen)
     assert_same_as_reference(pts, cen + 0.5)
+    inside = pts[np.abs(pts[:, 0]) <= edge]
+    assert len(inside) == 401
+    assert not took_grid_pass(pts, cen, monkeypatch)
+    assert took_grid_pass(inside, cen, monkeypatch)
 
 
 @pytest.mark.parametrize("scale", [40, 62])
@@ -227,20 +249,21 @@ def test_one_center_takes_the_direct_form_alone(monkeypatch, scale, grid):
 
 
 @pytest.mark.parametrize("blocks", [1, 3])
-def test_prepared_integral_rows_take_the_grid_path(monkeypatch, blocks):
-    # float rows that tie between duplicate integral centers: unprepared,
-    # a float row is never a grid row, so its ties go to the scan; prepared,
-    # every row is integral and takes the grid pass, with no filter or scan
+def test_integral_rows_take_the_grid_pass_prepared_or_not(monkeypatch, blocks):
+    # rows that tie between duplicate integral centers, as float, int64 and
+    # uint64 arrays, as a GridDataset and as the prepared rows of each: all
+    # are integral, so every call takes the grid pass, with no filter or scan
     rng = np.random.default_rng(12)
-    pts = rng.integers(0, 4, size=(blocks * geometry._BLOCK - 5, 3)).astype(np.float64)
-    cen = np.vstack([pts[:3], pts[:2]])
+    pts = rng.integers(1, 5, size=(blocks * geometry._BLOCK - 5, 3))
+    cen = np.vstack([pts[:3], pts[:2]]).astype(np.float64)
     want = ref.nearest(pts, cen)
     assert (want[1] < 2).any()
     monkeypatch.setattr(geometry, "_scan", lambda *args: pytest.fail("a grid row was scanned"))
-    got = geometry._nearest(geometry._Rows(pts), cen)
-    assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
-    with pytest.raises(pytest.fail.Exception):
-        geometry._nearest(pts, cen)
+    inputs = [pts.astype(np.float64), pts, pts.astype(np.uint64), GridDataset(pts, 4)]
+    for points in inputs + [geometry._Rows(p) for p in inputs]:
+        got = geometry._nearest(points, cen)
+        assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+        assert took_grid_pass(points, cen, monkeypatch)
 
 
 def test_prepared_rows_check_finiteness_once():
@@ -252,14 +275,14 @@ def test_prepared_rows_check_finiteness_once():
             geometry._Rows(np.array([[1.0, bad]]))
 
 
-def took_grid_pass(rows, centers, monkeypatch):
-    """Whether ``_nearest`` on ``rows`` against ``centers`` takes the grid
-    pass: with blocks of no rows the block loop cannot start, so a call
-    that returns took the pass."""
+def took_grid_pass(points, centers, monkeypatch):
+    """Whether ``_nearest`` on ``points`` (any input it takes) against
+    ``centers`` takes the grid pass: with blocks of no rows the block loop
+    cannot start, so a call that returns took the pass."""
     with monkeypatch.context() as m:
         m.setattr(geometry, "_BLOCK", 0)
         try:
-            geometry._nearest(rows, centers)
+            geometry._nearest(points, centers)
         except ValueError as exc:
             assert "must not be zero" in str(exc)
             return False
@@ -267,22 +290,23 @@ def took_grid_pass(rows, centers, monkeypatch):
 
 
 def assert_grid_pass_exact(points, center_sets, monkeypatch, grid_pass):
-    """``_nearest`` on the prepared rows of ``points`` against the reference,
-    both outputs bit for bit and with and without the index, each of
-    ``center_sets`` (lists of row indices) taking its turn as the centers,
-    as a seed or the sensitivity pass has them. The grid pass must run
-    when ``grid_pass`` holds, and must not otherwise."""
+    """``_nearest`` on ``points`` and on their prepared rows against the
+    reference, both outputs bit for bit and with and without the index,
+    each of ``center_sets`` (lists of row indices) taking its turn as the
+    centers, as a seed or the sensitivity pass has them. The grid pass
+    must run when ``grid_pass`` holds, and must not otherwise."""
     rows = geometry._Rows(np.asarray(points).astype(np.float64))
     for idx in center_sets:
         cen = rows.points[list(idx)]
         want = ref.nearest(points, cen)
-        got = geometry._nearest(rows, cen)
-        assert got[1].dtype == np.int64
-        assert np.array_equal(got[0], want[0])
-        assert np.array_equal(got[1], want[1])
-        dist, index = geometry._nearest(rows, cen, index=False)
-        assert np.array_equal(dist, want[0]) and index is None
-        assert took_grid_pass(rows, cen, monkeypatch) == grid_pass
+        for p in (points, rows):
+            got = geometry._nearest(p, cen)
+            assert got[1].dtype == np.int64
+            assert np.array_equal(got[0], want[0])
+            assert np.array_equal(got[1], want[1])
+            dist, index = geometry._nearest(p, cen, index=False)
+            assert np.array_equal(dist, want[0]) and index is None
+            assert took_grid_pass(p, cen, monkeypatch) == grid_pass
 
 
 def rows_at_the_grid_bound(d):
@@ -351,6 +375,19 @@ def test_one_center_on_a_d16_grid(monkeypatch):
     pts[0] = 2 ** 10
     assert_grid_pass_exact(pts, [[0], *([i] for i in rng.integers(0, 2000, size=5))],
                            monkeypatch, True)
+
+
+@pytest.mark.parametrize("d", [1, 4, 16])
+def test_fractional_rows_against_integral_centers(d, monkeypatch):
+    # the first rows are integral grid points and serve as the centers; the
+    # rest are grid points plus Gaussian jitter, so the rows as a whole are
+    # not integral and no call takes the grid pass, whose expanded form
+    # would round away from the direct one on most of them
+    rng = np.random.default_rng(40 + d)
+    grid = rng.integers(1, 2 ** 10 + 1, size=(600, d))
+    pts = grid + rng.normal(size=grid.shape)
+    pts[:9] = grid[:9]
+    assert_grid_pass_exact(pts, [[0], range(4), range(9)], monkeypatch, False)
 
 
 @pytest.mark.parametrize("k", [2, 8, 32, 255, 256, 257])
