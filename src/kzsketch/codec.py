@@ -46,15 +46,21 @@ UNIT_WEIGHTS = 2
 _EPS_FRAC_BITS = 24
 
 
-# bits per block of payload rows (at least one row): a block's scratch
-# (rows, R) bit matrix and mask, made only when it has a zero flag, stay
-# near 4 MiB each, unless a single row is wider
-_BLOCK_BITS = 1 << 22
+# bits per block of payload rows (at least one row) and per window of the
+# zero-flag pass: the scratch bit matrix and mask of a block, and the bits a
+# window unpacks, stay near 256 KiB each, unless a single row is wider
+_BLOCK_BITS = 1 << 18
 
 
 def _byte_width(width: int) -> int:
     """Bytes of the smallest unsigned integer type that holds ``width`` bits."""
     return next(b for b in (1, 2, 4, 8) if 8 * b >= width)
+
+
+def _grid_dtype(width: int) -> np.dtype:
+    """The smallest unsigned integer type that holds ``width`` bits, which
+    grid values are kept in."""
+    return np.dtype(f"u{_byte_width(width)}")
 
 
 def _bits_of(values, width: int) -> np.ndarray:
@@ -187,20 +193,12 @@ def _field_layout(p: SketchParams, exact: bool, unit: bool):
     return fields + [(x, 1, 1), (x, 2, p.x_expo_width), (x, 2 + p.x_expo_width, p.f_x)]
 
 
-def _row_blocks(zero: np.ndarray, runs, bits: np.ndarray, pos: int):
+def _row_blocks(zero: np.ndarray, runs):
     """The payload rows in blocks of about _BLOCK_BITS bits (at least one
-    row), given their (|S|, m) zero flags, their row layout and the flat
-    payload bit array ``bits``, whose rows start at bit ``pos``. Per block,
-    yields the slice of its rows, a (rows, R) bit matrix for the rows at
-    full width, the mask of the matrix bits the payload stores (all but
-    those after a zero flag), the span of ``bits`` that holds them, and per
-    run of the row layout its (rows, columns, width) view of the matrix.
-
-    A block with no zero flag has no mask: the payload stores it whole, so
-    its matrix is a view of its span of ``bits`` and needs no copy either
-    way. A block with one has a zeroed scratch matrix, whose masked bits
-    the caller moves to or from its span. A block that would end past
-    ``bits`` is a ``SketchFormatError``, raised before its span is viewed."""
+    row), given their (|S|, m) zero flags and their row layout. Per block,
+    yields the slice of its rows, the mask of the bits of its (rows, R) bit
+    matrix at full width that the payload stores (all but those after a zero
+    flag), or None if it stores them all, and how many bits it stores."""
     row_bits = sum((cols.stop - cols.start) * width for cols, width, _ in runs)
     step = max(1, _BLOCK_BITS // row_bits)
     for lo in range(0, len(zero), step):
@@ -208,25 +206,30 @@ def _row_blocks(zero: np.ndarray, runs, bits: np.ndarray, pos: int):
         keep = None
         if z.any():
             keep = np.ones((len(z), row_bits), dtype=bool)
-            start = 0
-            for cols, width, variable in runs:
-                end = start + (cols.stop - cols.start) * width
+            for (cols, width, variable), view in zip(runs, _run_views(keep, runs)):
                 if variable:
-                    keep[:, start:end].reshape(len(z), -1, width)[:, :, 1:] = ~z[:, cols, None]
-                start = end
+                    view[:, :, 1:] = ~z[:, cols, None]
         count = len(z) * row_bits if keep is None else int(np.count_nonzero(keep))
-        if pos + count > bits.size:
-            raise SketchFormatError("payload ends early", bit_offset=bits.size)
-        span = slice(pos, pos + count)
-        matrix = bits[span].reshape(len(z), row_bits) if keep is None \
-            else np.zeros(keep.shape, dtype=np.uint8)
-        views, start = [], 0
-        for cols, width, _ in runs:
-            end = start + (cols.stop - cols.start) * width
-            views.append(matrix[:, start:end].reshape(len(z), -1, width))
-            start = end
-        yield slice(lo, lo + len(z)), matrix, keep, span, views
-        pos += count
+        yield slice(lo, lo + len(z)), keep, count
+
+
+def _run_views(matrix: np.ndarray, runs) -> list:
+    """Per run of the row layout, its (rows, columns, width) view of a
+    (rows, R) bit matrix."""
+    views, start = [], 0
+    for cols, width, _ in runs:
+        end = start + (cols.stop - cols.start) * width
+        views.append(matrix[:, start:end].reshape(len(matrix), -1, width))
+        start = end
+    return views
+
+
+def _put_bytes(out: np.ndarray, at: int, bits: np.ndarray):
+    """Pack the whole bytes of the bit array ``bits`` into ``out`` from byte
+    ``at``; returns the next byte and a copy of the fewer than 8 bits left."""
+    whole = bits.size // 8
+    out[at:at + whole] = np.packbits(bits[:8 * whole])
+    return at + whole, bits[8 * whole:].copy()
 
 
 def derive_params(eps_q: float, z: Fraction, n: int, s: int, delta: int) -> SketchParams:
@@ -344,12 +347,16 @@ class Sketch:
     # -- payload -----------------------------------------------------------
 
     def _parse_payload(self):
-        """Read the payload: one pass over the zero flags of the variable-
-        width codes, the only sequential dependency of the layout, then per
-        block of rows (see :func:`_row_blocks`) every field read from its
-        view of the block's bit matrix: the unpacked payload itself, or, if
-        the block has a zero flag, a scratch matrix filled with the masked
-        bits."""
+        """Read the payload: the centers and group sizes, then one pass over
+        the zero flags of the variable-width codes, the only sequential
+        dependency of the layout, then per block of rows (see
+        :func:`_row_blocks`) every field read from its view of the block's
+        bit matrix: the block's unpacked span itself, or, if the block has a
+        zero flag, a scratch matrix filled with the masked bits. The flag
+        pass reads windows of about _BLOCK_BITS bits: a read past a window's
+        end starts the next window at its byte, and one past the payload's
+        end is a ``SketchFormatError`` at its bit. A block that would end past
+        the payload is one at the payload's end."""
         p, k, d, s = self.params, self.k, self.d, self.coreset_size
         payload = np.frombuffer(self._data, dtype=np.uint8, offset=self._header_bytes)
         nbits = 8 * payload.size
@@ -371,39 +378,61 @@ class Sketch:
                 steps += [(width, 1)] * n
             elif steps:
                 steps[-1] = (steps[-1][0] + n * width, steps[-1][1] + n * width)
-        # what the sketch keeps is allocated before the scratch bit array, so
-        # that freeing the scratch leaves no hole under live memory
         flags = bytearray(s * len(steps))
         zero = np.zeros((s, runs[-1][0].stop), dtype=bool)
-        fields = [np.zeros_like(zero[:, runs[g][0]], dtype=np.int64) for g, _, _ in layout]
-        bits = np.unpackbits(payload)
+        # grid values in the smallest unsigned type that holds them
+        dtypes = [np.int64] * len(layout)
+        if self.exact_coordinates:
+            dtypes[-1] = _grid_dtype(p.center_width)
+        fields = [np.zeros_like(zero[:, runs[g][0]], dtype=t)
+                  for (g, _, _), t in zip(layout, dtypes)]
+        prefix = np.unpackbits(payload[:(code_start + 7) // 8])
         cw, gw = p.center_width, p.group_width
-        centers = _values_of(bits[:k * d * cw].reshape(k, d, cw), cw).astype(np.int64) + 1
-        group_sizes = _values_of(bits[k * d * cw:code_start].reshape(k, gw), gw).tolist()
+        centers = _values_of(prefix[:k * d * cw].reshape(k, d, cw), cw).astype(np.int64) + 1
+        group_sizes = _values_of(prefix[k * d * cw:code_start].reshape(k, gw), gw).tolist()
         if sum(group_sizes) != s:
             raise SketchFormatError(
                 f"group sizes sum to {sum(group_sizes)}, header says {s}",
                 bit_offset=code_start)
 
-        flat = memoryview(bits)
-        pos = code_start
-        try:
-            for i, (full, one) in zip(range(len(flags)), itertools.cycle(steps)):
-                if flat[pos]:
-                    flags[i] = 1
-                    pos += one
-                else:
-                    pos += full
-        except IndexError:
-            raise SketchFormatError("payload ends early", bit_offset=pos) from None
+        pos, i = code_start, 0
+        while i < len(flags):
+            start = pos // 8
+            if start >= payload.size:
+                raise SketchFormatError("payload ends early", bit_offset=pos)
+            window = memoryview(np.unpackbits(payload[start:start + max(1, _BLOCK_BITS // 8)]))
+            pos -= 8 * start
+            try:
+                for i, (full, one) in zip(range(i, len(flags)), itertools.islice(
+                        itertools.cycle(steps), i % len(steps), None)):
+                    if window[pos]:
+                        flags[i] = 1
+                        pos += one
+                    else:
+                        pos += full
+                i = len(flags)
+            except IndexError:
+                pass
+            pos += 8 * start
         zero[:, :len(steps)] = np.frombuffer(flags, dtype=bool).reshape(s, len(steps))
-        for rows, matrix, keep, span, views in _row_blocks(zero, runs, bits, code_start):
-            if keep is not None:
-                matrix[keep] = bits[span]
+        pos = code_start
+        for rows, keep, count in _row_blocks(zero, runs):
+            if pos + count > nbits:
+                raise SketchFormatError("payload ends early", bit_offset=nbits)
+            start = pos // 8
+            span = np.unpackbits(payload[start:(pos + count + 7) // 8])
+            span = span[pos - 8 * start:pos - 8 * start + count]
+            if keep is None:
+                matrix = span.reshape(rows.stop - rows.start, -1)
+            else:
+                matrix = np.zeros(keep.shape, dtype=np.uint8)
+                matrix[keep] = span
+            views = _run_views(matrix, runs)
             if not self.unit_weights and views[0][:, 0, 1].any():
                 raise SketchFormatError("negative weight code")
             for field, (g, shift, width) in zip(fields, layout):
                 field[rows] = _values_of(views[g][:, :, shift:shift + width], width)
+            pos += count
 
         if centers.max() > self.delta or (
                 self.exact_coordinates and fields[-1].max(initial=0) >= self.delta):
@@ -421,34 +450,48 @@ class Sketch:
                 f"trailing bytes: file has {len(self._data)}, format needs {expected_len}",
                 bit_offset=payload_bits)
 
-    def _pack_payload(self) -> np.ndarray:
-        """Pack the payload fields MSB first; the inverse of _parse_payload.
+    def _pack_payload(self, header: bytes) -> bytes:
+        """``header`` and then the payload fields packed MSB first; the
+        inverse of _parse_payload.
 
         Layout: centers, group sizes, then per point one row of fields (see
         :func:`_row_layout`). A variable-width code is [1] if zero, else
         [0][sign][expo][fraction]; a grid value is its coordinate minus 1.
-        Each block of rows is written into its bit matrix at full width: a
-        block with no zero flag straight into the payload bits, any other
-        into a scratch matrix whose masked bits the payload then takes.
+        Each block of rows is written at full width into one scratch bit
+        matrix, behind the fewer than 8 bits that the bits before it left
+        over; a block with a zero flag then keeps only its masked bits. The
+        whole bytes go to the output and the rest carries over.
         """
         p, k, d = self.params, self.k, self.d
         cw, gw = p.center_width, p.group_width
         runs, layout = self._layouts()
-        # zero-filled: a weight code's sign bit is never written
-        bits = np.zeros(self.ledger.total_bits - 8 * self._header_bytes, dtype=np.uint8)
-        pos = k * d * cw
-        bits[:pos] = _bits_of(self.centers.ravel() - 1, cw).ravel()
-        bits[pos:pos + k * gw] = _bits_of(self.group_sizes, gw).ravel()
-        pos += k * gw
-        for rows, matrix, keep, span, views in _row_blocks(self._zero, runs, bits, pos):
+        row_bits = sum((cols.stop - cols.start) * width for cols, width, _ in runs)
+        payload_bits = self.ledger.total_bits - 8 * self._header_bytes
+        out = np.empty(len(header) + (payload_bits + 7) // 8, dtype=np.uint8)
+        out[:len(header)] = np.frombuffer(header, dtype=np.uint8)
+        at, carry = _put_bytes(out, len(header), np.concatenate(
+            [_bits_of(self.centers.ravel() - 1, cw).ravel(),
+             _bits_of(self.group_sizes, gw).ravel()]))
+        scratch = np.empty(8 + min(len(self._zero), max(1, _BLOCK_BITS // row_bits)) * row_bits,
+                           dtype=np.uint8)
+        for rows, keep, count in _row_blocks(self._zero, runs):
+            c = carry.size
+            scratch[:c] = carry
+            matrix = scratch[c:c + (rows.stop - rows.start) * row_bits].reshape(-1, row_bits)
+            # a weight code's sign bit is never written
+            matrix.fill(0)
+            views = _run_views(matrix, runs)
             for (cols, _, variable), view in zip(runs, views):
                 if variable and keep is not None:
                     view[:, :, 0] = self._zero[rows, cols]
             for field, (g, shift, width) in zip(self._fields, layout):
                 views[g][:, :, shift:shift + width] = _bits_of(field[rows], width)
             if keep is not None:
-                bits[span] = matrix[keep]
-        return np.packbits(bits)
+                scratch[c:c + count] = matrix[keep]
+            at, carry = _put_bytes(out, at, scratch[:c + count])
+        # the last byte, padded with zeros
+        out[at:] = np.packbits(carry)
+        return out.tobytes()
 
     def _set_payload(self, centers, group_sizes, zero, fields):
         """Keep the parsed or encoded payload: the (|S|, m) zero flags of the
@@ -488,13 +531,16 @@ class Sketch:
                 weights = _decode_array(zero[:, 0], 0, fields[0][:, 0] + p.w_expo_min,
                                         fields[1][:, 0], p.f_w)
             if self.exact_coordinates:
-                points = fields[-1] + 1.0
+                # coordinates as integers: their prepared rows need no scans
+                rows = geometry._Rows(np.add(fields[-1], 1,
+                                             dtype=_grid_dtype(p.center_width + 1)))
+                points = rows.points
             else:
                 points = _decode_array(zero[:, -self.d:], *fields[-3:], p.f_x)
                 points += self.centers[self.group_of]
-            points = geometry._freeze(points)
-            self._decoded = ((geometry._freeze(weights), points, self.centers),
-                             geometry._Rows(points))
+                points = geometry._freeze(points)
+                rows = geometry._Rows(points)
+            self._decoded = ((geometry._freeze(weights), points, self.centers), rows)
         return self._decoded[0]
 
     def estimate_cost(self, centers) -> float:
@@ -568,12 +614,16 @@ def encode(coreset: WeightedCoreset, centers, config: ProblemConfig) -> Sketch:
     order = coreset_mod._group_order(assign, config.k)
     group_sizes = np.bincount(assign, minlength=config.k)
     weights = coreset.weights[order]
-    deltas = pts - cen[assign]
+    rows = pts[order]
 
     unit = bool((weights == 1.0).all())
-    # grid values against quantized deltas: one bit if zero, else a full code
-    exact = deltas.size * params.center_width \
-        < deltas.size + np.count_nonzero(deltas) * (params.code_widths[1] - 1)
+    # grid values against quantized deltas: one bit if zero, else a full code;
+    # the nonzero deltas are counted group by group on the sorted rows
+    ends = np.cumsum(group_sizes)
+    nonzero = sum(np.count_nonzero(rows[end - size:end] != cen[g])
+                  for g, (size, end) in enumerate(zip(group_sizes, ends)) if size)
+    exact = rows.size * params.center_width \
+        < rows.size + nonzero * (params.code_widths[1] - 1)
     zero_columns, fields = [], []
     if not unit:
         w_zero, _, w_expo, w_frac = _encode_array(
@@ -589,10 +639,11 @@ def encode(coreset: WeightedCoreset, centers, config: ProblemConfig) -> Sketch:
         fields += [w_field[:, None], w_frac[:, None]]
     if exact:
         zero_columns.append(np.zeros(pts.shape, dtype=bool))
-        fields.append(pts[order] - 1)
+        rows -= 1
+        fields.append(rows.astype(_grid_dtype(params.center_width)))
     else:
         x_zero, x_sign, x_expo, x_frac = _encode_array(
-            deltas[order].astype(np.float64), params.f_x, 0.0)
+            (rows - cen[assign[order]]).astype(np.float64), params.f_x, 0.0)
         if x_expo.min(initial=0) < 0 or x_expo.max(initial=0) > params.x_expo_max:
             raise InvalidInput("coordinate delta exponent out of range")
         zero_columns.append(x_zero)
@@ -611,7 +662,7 @@ def encode(coreset: WeightedCoreset, centers, config: ProblemConfig) -> Sketch:
                        config.n, s, params, SKETCH_VERSION, flags)
     sketch._set_payload(cen, group_sizes.tolist(),
                         np.concatenate(zero_columns, axis=1), fields)
-    sketch._data = header + sketch._pack_payload().tobytes()
+    sketch._data = sketch._pack_payload(header)
     return sketch
 
 

@@ -150,10 +150,11 @@ class _Rows:
     their squared norms ``sq`` and whether every value is integral, which
     makes them grid rows for :func:`_nearest`. Integer input (an integer
     array or a ``GridDataset``) is finite and integral by its type, so both
-    scans are skipped for its read-only float64 copy. The points must not
-    change afterwards."""
+    scans are skipped for its read-only float64 copy; any other input is
+    scanned for integrality on the first read of ``integral``. The points
+    must not change afterwards."""
 
-    __slots__ = ("points", "sq", "integral")
+    __slots__ = ("points", "sq", "_integral")
 
     def __init__(self, points):
         points = _points_of(points)
@@ -164,10 +165,16 @@ class _Rows:
         elif not np.isfinite(points).all():
             raise InvalidInput("distance evaluation requires finite coordinates")
         else:
-            integral = bool((points == np.floor(points)).all())
-        self.points, self.integral = points, integral
+            integral = None
+        self.points, self._integral = points, integral
         with np.errstate(over="ignore"):
             self.sq = _freeze(np.einsum("ij,ij->i", points, points))
+
+    @property
+    def integral(self) -> bool:
+        if self._integral is None:
+            self._integral = bool((self.points == np.floor(self.points)).all())
+        return self._integral
 
 
 def _points_of(obj) -> np.ndarray:
@@ -280,7 +287,7 @@ def _nearest(points, centers,
     with np.errstate(over="ignore"):
         c_sq = np.einsum("ij,ij->i", cen, cen)
         c_norm = np.sqrt(c_sq.max())
-        if rows.integral and (cen == np.floor(cen)).all() \
+        if (cen == np.floor(cen)).all() and rows.integral \
                 and (np.sqrt(rows.sq.max(initial=0.0)) + c_norm) ** 2 <= 2.0 ** 52:
             best = np.empty(n)
             arg = np.zeros(n, dtype=np.min_scalar_type(k - 1)) if index else None

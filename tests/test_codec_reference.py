@@ -2,6 +2,7 @@
 ``kzsk_reference``, on small instances and on corrupted bytes."""
 
 import struct
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -106,16 +107,49 @@ class TestAgainstReference:
             codec.encode(cs, np.array([[1, 7]]), config)
 
 
+def _row_bits(sketch) -> int:
+    runs, _ = sketch._layouts()
+    return sum((cols.stop - cols.start) * width for cols, width, _ in runs)
+
+
+def _code_start(sketch) -> int:
+    p = sketch.params
+    return sketch.k * sketch.d * p.center_width + sketch.k * p.group_width
+
+
+def _flag_reads(sketch) -> tuple[np.ndarray, np.ndarray]:
+    """(payload bit offset, value) of every zero flag the flag pass reads, in
+    wire order: the flag of every variable-width code of every row."""
+    runs, _ = sketch._layouts()
+    columns = [(width, variable) for cols, width, variable in runs
+               for _ in range(cols.stop - cols.start)]
+    widths = np.array([width for width, _ in columns])
+    variable = np.array([v for _, v in columns])
+    taken = np.where(sketch._zero & variable, 1, widths).ravel()
+    offsets = _code_start(sketch) + np.cumsum(taken) - taken
+    offsets = offsets.reshape(sketch._zero.shape)
+    return offsets[:, variable].ravel(), sketch._zero[:, variable].ravel()
+
+
+def _truncation_offset(sketch, nbits: int) -> int:
+    """The ``bit_offset`` of "payload ends early" for the sketch's bytes cut
+    to a payload of ``nbits`` bits: the first flag read at or past the cut,
+    or else the payload's end, at which the row blocks find it short."""
+    reads, _ = _flag_reads(sketch)
+    past = reads[reads >= nbits]
+    return int(past[0]) if past.size else nbits
+
+
 class TestRowBlocks:
     """Payload rows go through bit matrices of at most ``_BLOCK_BITS`` bits;
     here a block holds 4 rows, so 14 rows make blocks of 4, 4, 4 and 2.
-    A block with a zero flag goes through a scratch matrix and its keep
-    mask; one without is a view of the payload bits, with no copy. In the
-    spread case zero-weight and zero-delta codes sit on the rows at block
-    edges, and the exact form of it mixes both kinds of block; the last
-    case has its zero codes in the last block only, the alternating case in
-    the first and third (in the first only when coordinates are exact, as
-    grid values have no zero flag)."""
+    A block with a zero flag is masked: only the bits its keep mask marks
+    are stored; one without stores its matrix whole. In the spread case
+    zero-weight and zero-delta codes sit on the rows at block edges, and
+    the exact form of it mixes both kinds of block; the last case has its
+    zero codes in the last block only, the alternating case in the first
+    and third (in the first only when coordinates are exact, as grid values
+    have no zero flag)."""
 
     CASES = {"16-True": (16, "spread", True, [True, False, True, True]),
              "1048576-False": (2 ** 20, "spread", False, [True, True, True, True]),
@@ -149,22 +183,18 @@ class TestRowBlocks:
         return WeightedCoreset(pts, weights, 14), centers, config
 
     @staticmethod
-    def blocks(sketch, raw=None):
-        """The row blocks of ``sketch`` over the unpacked payload of ``raw``
-        (its own bytes by default), and that bit array."""
-        raw = sketch.to_bytes() if raw is None else raw
-        bits = np.unpackbits(np.frombuffer(raw, dtype=np.uint8,
-                                           offset=codec._HEADER_BYTES))
-        p = sketch.params
-        start = sketch.k * sketch.d * p.center_width + sketch.k * p.group_width
+    def blocks(sketch):
+        """(rows, keep mask, span of payload bits) of each row block."""
         runs, _ = sketch._layouts()
-        return codec._row_blocks(sketch._zero, runs, bits, start), bits
+        out, pos = [], _code_start(sketch)
+        for rows, keep, count in codec._row_blocks(sketch._zero, runs):
+            out.append((rows, keep, slice(pos, pos + count)))
+            pos += count
+        return out
 
     @staticmethod
     def four_rows_per_block(sketch, monkeypatch):
-        runs, _ = sketch._layouts()
-        row_bits = sum((cols.stop - cols.start) * width for cols, width, _ in runs)
-        monkeypatch.setattr(codec, "_BLOCK_BITS", 4 * row_bits + 3)
+        monkeypatch.setattr(codec, "_BLOCK_BITS", 4 * _row_bits(sketch) + 3)
 
     @pytest.mark.parametrize("delta, zeros, exact, masked", CASES.values(), ids=CASES)
     def test_bytes_and_fields_match_across_blocks(self, delta, zeros, exact, masked,
@@ -172,15 +202,16 @@ class TestRowBlocks:
         cs, centers, config = self.coreset(delta, zeros)
         self.four_rows_per_block(codec.encode(cs, centers, config), monkeypatch)
         sketch = codec.encode(cs, centers, config)
-        blocks, bits = self.blocks(sketch)
-        blocks = list(blocks)
-        assert [rows.stop - rows.start for rows, *_ in blocks] == [4, 4, 4, 2]
-        assert [keep is not None for _, _, keep, _, _ in blocks] == masked
-        # an unmasked block is a view of the payload bits, a masked one is not
-        for _, matrix, keep, span, _ in blocks:
-            assert np.shares_memory(matrix, bits) == (keep is None)
-            assert span.stop - span.start == (matrix.size if keep is None
-                                              else np.count_nonzero(keep))
+        blocks = self.blocks(sketch)
+        assert [rows.stop - rows.start for rows, _, _ in blocks] == [4, 4, 4, 2]
+        assert [keep is not None for _, keep, _ in blocks] == masked
+        # an unmasked block stores every bit of its matrix, a masked one those
+        # its mask keeps; the spans tile the rows up to the payload's end
+        for rows, keep, span in blocks:
+            assert span.stop - span.start == (
+                (rows.stop - rows.start) * _row_bits(sketch) if keep is None
+                else np.count_nonzero(keep))
+        assert blocks[-1][2].stop == sketch.ledger.total_bits - 8 * codec._HEADER_BYTES
         assert sketch.exact_coordinates == exact
         assert not sketch.unit_weights
         if zeros == "last":
@@ -203,31 +234,141 @@ class TestRowBlocks:
     @pytest.mark.parametrize("delta, zeros, exact, masked", CASES.values(), ids=CASES)
     def test_truncation_inside_the_rows(self, delta, zeros, exact, masked, monkeypatch):
         # every cut inside the rows is "payload ends early", never a numpy
-        # error from viewing a short span as a matrix. A cut after the last
-        # zero flag passes the flag pass and fails in the last block, at the
-        # payload's end, as it did when every block was copied
+        # error from a short span. A cut after the last zero flag passes the
+        # flag pass and fails in the last block, at the payload's end
         cs, centers, config = self.coreset(delta, zeros)
         self.four_rows_per_block(codec.encode(cs, centers, config), monkeypatch)
         sketch = codec.encode(cs, centers, config)
         raw, header = sketch.to_bytes(), codec._HEADER_BYTES
-        last = [span for _, _, _, span, _ in self.blocks(sketch)[0]][-1]
+        last = self.blocks(sketch)[-1][2]
         for length in range(header + last.start // 8 - 8, len(raw)):
             with pytest.raises(SketchFormatError, match="payload ends early"):
                 codec.Sketch.from_bytes(raw[:length])
-        runs, _ = sketch._layouts()
-        row_bits = sum((cols.stop - cols.start) * width for cols, width, _ in runs)
         # the last flag read: the weight code's in exact mode, else the last
         # coordinate code's
         if exact:
-            flag = last.stop - row_bits
+            flag = last.stop - _row_bits(sketch)
         else:
             flag = last.stop - (1 if sketch._zero[-1, -1] else sketch.params.code_widths[1])
+        assert flag == _flag_reads(sketch)[0][-1]
         cuts = range(flag // 8 + 1, (last.stop + 7) // 8)
         assert len(cuts) > 0 or zeros != "alternating"
         for cut in cuts:
             with pytest.raises(SketchFormatError, match="payload ends early") as err:
                 codec.Sketch.from_bytes(raw[:header + cut])
             assert err.value.bit_offset == 8 * cut
+
+
+class TestFlagWindows:
+    """The flag pass reads the payload in windows of ``_BLOCK_BITS // 8``
+    bytes (at least one), restarting at the byte of the first read past a
+    window. Here the window shrinks from a few rows to one byte, so zero
+    flags fall on the first and the last read of a window, and rows on
+    block edges, in every mode: bytes and fields must still be the
+    reference's, and every cut must fail where the parent parser failed."""
+
+    MODES = {"exact": (16, False), "exact-unit": (16, True),
+             "quantized": (2 ** 20, False), "quantized-unit": (2 ** 20, True)}
+
+    @staticmethod
+    def coreset(delta, unit):
+        rng = np.random.default_rng(21)
+        pts = rng.integers(1, delta + 1, size=(40, 3))
+        centers = pts[[0, 20]]
+        pts[rng.random(40) < 0.3] = centers[0]      # zero delta codes
+        pts[[5, 6, 7], 1] = centers[0, 1]           # and single coordinates
+        weights = np.ones(40) if unit else rng.uniform(0.5, 3.0, size=40)
+        if not unit:
+            weights[rng.random(40) < 0.3] = 0.0     # zero weight codes
+            weights[[10, 11, 12]] = 0.0
+        config = ProblemConfig(n=40, d=3, k=2, z=Fraction(2), delta=delta, epsilon=0.3)
+        return WeightedCoreset(pts, weights, 40), centers, config
+
+    @staticmethod
+    def window_firsts(reads: np.ndarray, window_bytes: int) -> list[int]:
+        """The indices of the flag reads that start a window."""
+        firsts, end = [], -1
+        for i, pos in enumerate(reads.tolist()):
+            if pos >= end:
+                firsts.append(i)
+                end = 8 * (pos // 8 + window_bytes)
+        return firsts
+
+    @pytest.mark.parametrize("delta, unit", MODES.values(), ids=MODES)
+    def test_bytes_fields_and_cuts_match_at_every_window(self, delta, unit, monkeypatch):
+        cs, centers, config = self.coreset(delta, unit)
+        raw = ref.encode_bytes(cs, centers, config)
+        expected = ref.parse(raw)
+        sketch = codec.encode(cs, centers, config)
+        assert (sketch.exact_coordinates, sketch.unit_weights) == (delta == 16, unit)
+        reads, zero = _flag_reads(sketch)
+        assert zero.any() != (delta == 16 and unit)      # exact unit rows have no flags
+        row_bits, header = _row_bits(sketch), codec._HEADER_BYTES
+        zero_first = zero_last = False
+        for block_bits in range(1, 3 * row_bits):
+            monkeypatch.setattr(codec, "_BLOCK_BITS", block_bits)
+            sketch = codec.encode(cs, centers, config)
+            assert sketch.to_bytes() == raw
+            assert_same_fields(sketch, expected)
+            assert_same_fields(codec.Sketch.from_bytes(raw), expected)
+            firsts = self.window_firsts(reads, max(1, block_bits // 8))[1:]
+            zero_first |= bool(zero[firsts].any())
+            zero_last |= bool(zero[np.array(firsts, dtype=int) - 1].any())
+        if zero.any():
+            assert zero_first and zero_last
+        # cuts with windows of one byte, of a few codes and of 3 rows; blocks
+        # of one row and of two
+        for block_bits in (8, 4 * 8 + 5, 2 * row_bits + 1):
+            monkeypatch.setattr(codec, "_BLOCK_BITS", block_bits)
+            for length in range(header, len(raw)):
+                nbits = 8 * (length - header)
+                with pytest.raises(SketchFormatError) as err:
+                    codec.Sketch.from_bytes(raw[:length])
+                if "cannot hold" in str(err.value):
+                    assert err.value.bit_offset == nbits
+                    grid = sketch.params.center_width if sketch.exact_coordinates else 1
+                    assert nbits < _code_start(sketch) + 40 * (3 * grid + (not unit))
+                    continue
+                assert "payload ends early" in str(err.value)
+                assert err.value.bit_offset == _truncation_offset(sketch, nbits)
+
+
+class TestScratchMemory:
+    """The codec's scratch is block-sized: neither ``encode`` nor
+    ``from_bytes`` followed by ``decode`` holds a bit array the size of the
+    payload (one uint8 per bit) at any time, for a sketch of many blocks.
+    The shape makes such an array outweigh everything the codec needs:
+    30-bit grid values, 64 to a row, and about 130 rows to a block."""
+
+    @staticmethod
+    def sketch_input():
+        rng = np.random.default_rng(3)
+        s, d, delta = 4000, 64, 2 ** 30
+        pts = rng.integers(1, delta + 1, size=(s, d))
+        weights = rng.uniform(0.5, 1.5, size=s)
+        config = ProblemConfig(n=s, d=d, k=4, z=Fraction(2), delta=delta, epsilon=5e-7)
+        return WeightedCoreset(pts, weights, s), pts[[0, 1, 2, 3]], config
+
+    @staticmethod
+    def peak(call):
+        tracemalloc.start()
+        try:
+            result = call()
+            return result, tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_peaks_stay_below_a_payload_bit_array(self):
+        cs, centers, config = self.sketch_input()
+        sketch, encode_peak = self.peak(lambda: codec.encode(cs, centers, config))
+        assert sketch.exact_coordinates and not sketch.unit_weights
+        payload_bits = sketch.ledger.total_bits - 8 * codec._HEADER_BYTES
+        assert payload_bits >= 8 * codec._BLOCK_BITS
+        raw = sketch.to_bytes()
+        del sketch
+        _, parse_peak = self.peak(lambda: codec.Sketch.from_bytes(raw).decode())
+        assert encode_peak < payload_bits
+        assert parse_peak < payload_bits
 
 
 def _valid_sketch(delta: int = 16, unit: bool = False) -> bytes:

@@ -275,6 +275,29 @@ def test_prepared_rows_check_finiteness_once():
             geometry._Rows(np.array([[1.0, bad]]))
 
 
+def test_float_rows_are_scanned_for_integrality_only_against_integral_centers(
+        monkeypatch):
+    # the integrality of float rows decides only between the grid pass and
+    # the block loop, and only integral centers can take the pass: against
+    # jittered centers the rows are never scanned, and integral float rows
+    # against integral centers are scanned once and take the pass
+    rng = np.random.default_rng(13)
+    pts = rng.integers(1, 1025, size=(3000, 4)).astype(np.float64)
+    jittered = pts[:5] + rng.normal(scale=0.25, size=(5, 4))
+    for points in (pts, pts + 0.5):
+        rows, want = geometry._Rows(points), ref.nearest(points, jittered)
+        got = geometry._nearest(rows, jittered)
+        assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+        assert np.array_equal(geometry._nearest(rows, jittered, index=False)[0], want[0])
+        assert rows._integral is None
+    rows = geometry._Rows(pts)
+    assert took_grid_pass(rows, pts[:5], monkeypatch)
+    assert rows._integral is True
+    half = geometry._Rows(pts + 0.5)
+    assert not took_grid_pass(half, pts[:5], monkeypatch)
+    assert half._integral is False
+
+
 def took_grid_pass(points, centers, monkeypatch):
     """Whether ``_nearest`` on ``points`` (any input it takes) against
     ``centers`` takes the grid pass: with blocks of no rows the block loop
