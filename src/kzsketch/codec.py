@@ -21,6 +21,7 @@ which have neither, still parse.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import struct
@@ -50,6 +51,9 @@ _EPS_FRAC_BITS = 24
 # zero-flag pass: the scratch bit matrix and mask of a block, and the bits a
 # window unpacks, stay near 256 KiB each, unless a single row is wider
 _BLOCK_BITS = 1 << 18
+# widths of at most this many bits are unpacked through a table of every
+# value's bits: 2^12 rows of 12 bits, about 100 KB for every width up to it
+_TABLE_BITS = 12
 
 
 def _byte_width(width: int) -> int:
@@ -65,11 +69,27 @@ def _grid_dtype(width: int) -> np.dtype:
 
 def _bits_of(values, width: int) -> np.ndarray:
     """The low ``width`` bits of each value, MSB first, along a new last
-    axis: one big-endian unpackbits."""
+    axis: up to _TABLE_BITS bits, one wrapping take from the table of every
+    value's bits, whose rows come out contiguous, so that copying them into
+    a bit matrix is one pass; wider, one big-endian unpackbits."""
+    if width <= _TABLE_BITS:
+        return _bit_table(width).take(values, axis=0, mode="wrap")
+    return _unpacked_bits(values, width)
+
+
+def _unpacked_bits(values, width: int) -> np.ndarray:
     nb = _byte_width(width)
     be = np.asarray(values, dtype=np.int64).astype(f">u{nb}")
     bits = np.unpackbits(be.view(np.uint8)).reshape(be.shape + (8 * nb,))
     return bits[..., 8 * nb - width:]
+
+
+@functools.cache
+def _bit_table(width: int) -> np.ndarray:
+    """Row v holds the ``width`` bits of v, MSB first; read-only."""
+    table = np.ascontiguousarray(_unpacked_bits(np.arange(1 << width), width))
+    table.setflags(write=False)
+    return table
 
 
 def _values_of(bits: np.ndarray, width: int) -> np.ndarray:
@@ -614,7 +634,7 @@ def encode(coreset: WeightedCoreset, centers, config: ProblemConfig) -> Sketch:
     order = coreset_mod._group_order(assign, config.k)
     group_sizes = np.bincount(assign, minlength=config.k)
     weights = coreset.weights[order]
-    rows = pts[order]
+    rows = pts.take(order, axis=0)
 
     unit = bool((weights == 1.0).all())
     # grid values against quantized deltas: one bit if zero, else a full code;
@@ -624,7 +644,8 @@ def encode(coreset: WeightedCoreset, centers, config: ProblemConfig) -> Sketch:
                   for g, (size, end) in enumerate(zip(group_sizes, ends)) if size)
     exact = rows.size * params.center_width \
         < rows.size + nonzero * (params.code_widths[1] - 1)
-    zero_columns, fields = [], []
+    zero = np.zeros((s, (not unit) + config.d), dtype=bool)
+    fields = []
     if not unit:
         w_zero, _, w_expo, w_frac = _encode_array(
             weights, params.f_w, params.weight_zero_threshold)
@@ -635,18 +656,17 @@ def encode(coreset: WeightedCoreset, centers, config: ProblemConfig) -> Sketch:
             raise InvalidInput(
                 "weight exponent out of representable range; the coreset "
                 "violates the (1 +- 4 eps) n total-weight bound")
-        zero_columns.append(w_zero[:, None])
+        zero[:, 0] = w_zero
         fields += [w_field[:, None], w_frac[:, None]]
     if exact:
-        zero_columns.append(np.zeros(pts.shape, dtype=bool))
-        rows -= 1
-        fields.append(rows.astype(_grid_dtype(params.center_width)))
+        grid = np.empty(rows.shape, dtype=_grid_dtype(params.center_width))
+        fields.append(np.subtract(rows, 1, out=grid, casting="unsafe"))
     else:
         x_zero, x_sign, x_expo, x_frac = _encode_array(
             (rows - cen[assign[order]]).astype(np.float64), params.f_x, 0.0)
         if x_expo.min(initial=0) < 0 or x_expo.max(initial=0) > params.x_expo_max:
             raise InvalidInput("coordinate delta exponent out of range")
-        zero_columns.append(x_zero)
+        zero[:, -config.d:] = x_zero
         fields += [x_sign, x_expo, x_frac]
     flags = EXACT_COORDINATES * exact | UNIT_WEIGHTS * unit
 
@@ -660,8 +680,7 @@ def encode(coreset: WeightedCoreset, centers, config: ProblemConfig) -> Sketch:
     sketch = Sketch.__new__(Sketch)
     sketch._set_header(config.k, config.d, config.z, config.delta, eps_q,
                        config.n, s, params, SKETCH_VERSION, flags)
-    sketch._set_payload(cen, group_sizes.tolist(),
-                        np.concatenate(zero_columns, axis=1), fields)
+    sketch._set_payload(cen, group_sizes.tolist(), zero, fields)
     sketch._data = sketch._pack_payload(header)
     return sketch
 
