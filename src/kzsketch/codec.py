@@ -78,6 +78,7 @@ def _bits_of(values, width: int) -> np.ndarray:
 
 
 def _unpacked_bits(values, width: int) -> np.ndarray:
+    """:func:`_bits_of` for any width, through one big-endian unpackbits."""
     nb = _byte_width(width)
     be = np.asarray(values, dtype=np.int64).astype(f">u{nb}")
     bits = np.unpackbits(be.view(np.uint8)).reshape(be.shape + (8 * nb,))
