@@ -635,16 +635,20 @@ def encode(coreset: WeightedCoreset, centers, config: ProblemConfig) -> Sketch:
     order = coreset_mod._group_order(assign, config.k)
     group_sizes = np.bincount(assign, minlength=config.k)
     weights = coreset.weights[order]
-    rows = pts.take(order, axis=0)
+    # grid values, coordinates minus 1, in the smallest type that holds them
+    # and in group order
+    grid_type = _grid_dtype(params.center_width)
+    grid = np.subtract(pts, 1, out=np.empty(pts.shape, dtype=grid_type),
+                       casting="unsafe").take(order, axis=0)
 
     unit = bool((weights == 1.0).all())
     # grid values against quantized deltas: one bit if zero, else a full code;
-    # the nonzero deltas are counted group by group on the sorted rows
-    ends = np.cumsum(group_sizes)
-    nonzero = sum(np.count_nonzero(rows[end - size:end] != cen[g])
+    # the nonzero deltas are counted group by group on the sorted grid values
+    cen_grid, ends = (cen - 1).astype(grid_type), np.cumsum(group_sizes)
+    nonzero = sum(np.count_nonzero(grid[end - size:end] != cen_grid[g])
                   for g, (size, end) in enumerate(zip(group_sizes, ends)) if size)
-    exact = rows.size * params.center_width \
-        < rows.size + nonzero * (params.code_widths[1] - 1)
+    exact = grid.size * params.center_width \
+        < grid.size + nonzero * (params.code_widths[1] - 1)
     zero = np.zeros((s, (not unit) + config.d), dtype=bool)
     fields = []
     if not unit:
@@ -660,11 +664,11 @@ def encode(coreset: WeightedCoreset, centers, config: ProblemConfig) -> Sketch:
         zero[:, 0] = w_zero
         fields += [w_field[:, None], w_frac[:, None]]
     if exact:
-        grid = np.empty(rows.shape, dtype=_grid_dtype(params.center_width))
-        fields.append(np.subtract(rows, 1, out=grid, casting="unsafe"))
+        fields.append(grid)
     else:
         x_zero, x_sign, x_expo, x_frac = _encode_array(
-            (rows - cen[assign[order]]).astype(np.float64), params.f_x, 0.0)
+            (pts.take(order, axis=0) - cen[assign[order]]).astype(np.float64),
+            params.f_x, 0.0)
         if x_expo.min(initial=0) < 0 or x_expo.max(initial=0) > params.x_expo_max:
             raise InvalidInput("coordinate delta exponent out of range")
         zero[:, -config.d:] = x_zero
