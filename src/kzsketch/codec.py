@@ -493,12 +493,14 @@ class Sketch:
         at, carry = _put_bytes(out, len(header), np.concatenate(
             [_bits_of(self.centers.ravel() - 1, cw).ravel(),
              _bits_of(self.group_sizes, gw).ravel()]))
-        scratch = np.empty(8 + min(len(self._zero), max(1, _BLOCK_BITS // row_bits)) * row_bits,
-                           dtype=np.uint8)
+        scratch = None
         for rows, keep, count in _row_blocks(self._zero, runs):
+            size = (rows.stop - rows.start) * row_bits
+            if scratch is None:     # the first block is the largest
+                scratch = np.empty(8 + size, dtype=np.uint8)
             c = carry.size
             scratch[:c] = carry
-            matrix = scratch[c:c + (rows.stop - rows.start) * row_bits].reshape(-1, row_bits)
+            matrix = scratch[c:c + size].reshape(-1, row_bits)
             # a weight code's sign bit is never written
             matrix.fill(0)
             views = _run_views(matrix, runs)
