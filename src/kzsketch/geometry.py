@@ -176,6 +176,14 @@ class _Rows:
             self._integral = bool((self.points == np.floor(self.points)).all())
         return self._integral
 
+    def chunk(self, lo: int, hi: int) -> "_Rows":
+        """Rows ``lo:hi``, sharing ``points`` and ``sq``; integral when
+        these rows are known to be, otherwise read lazily."""
+        out = object.__new__(_Rows)
+        out.points, out.sq = self.points[lo:hi], self.sq[lo:hi]
+        out._integral = True if self._integral else None
+        return out
+
 
 def _points_of(obj) -> np.ndarray:
     """The coordinates of ``obj``: integer arrays as they are, for
@@ -229,6 +237,9 @@ def _nearest(points, centers,
     The result is bit for bit that of :func:`_scan` over all pairs: the direct
     ``((p - c) ** 2).sum()`` value, ties to the lowest index. Any input is
     taken as :class:`_Rows`, prepared here unless the caller prepared it.
+    Centers may be prepared rows too: their ``sq`` and ``integral`` serve
+    as the centers' norms and grid test, with no second finiteness scan;
+    the path and every value are those of the same centers unprepared.
 
     Grid pass: integral rows against integral centers with ``(sqrt(max
     |p|^2) + max|c|)^2 <= 2^52`` go in chunks of ``max(1, _GRID_VALUES //
@@ -269,14 +280,15 @@ def _nearest(points, centers,
     least twice that, which covers the rounding of the norms and of T.
     If (|p| + max|c|)^2 overflows, T is inf and every center is a
     candidate; otherwise no intermediate of e overflows."""
-    pts, cen = _points_of(points), _centers_of(centers)
+    prepared = isinstance(centers, _Rows)
+    pts, cen = _points_of(points), centers.points if prepared else _centers_of(centers)
     if pts.ndim != 2 or cen.ndim != 2 or pts.shape[1] != cen.shape[1]:
         raise DimensionMismatch(
             f"points have dimension {pts.shape[1:]} but centers {cen.shape[1:]}")
     if cen.shape[0] < 1:
         raise InvalidInput("need at least one center")
     rows = points if isinstance(points, _Rows) else _Rows(pts)
-    if not np.isfinite(cen).all():
+    if not prepared and not np.isfinite(cen).all():
         raise InvalidInput("distance evaluation requires finite coordinates")
     pts = rows.points
     n, d = pts.shape
@@ -285,9 +297,10 @@ def _nearest(points, centers,
     g = (d + 4) * u / (1 - (d + 4) * u)
     floor = 64.0 * (d + 4) * 2.0 ** -1074  # 128 (d + 4) eta
     with np.errstate(over="ignore"):
-        c_sq = np.einsum("ij,ij->i", cen, cen)
+        c_sq = centers.sq if prepared else np.einsum("ij,ij->i", cen, cen)
         c_norm = np.sqrt(c_sq.max())
-        if (cen == np.floor(cen)).all() and rows.integral \
+        c_int = centers.integral if prepared else (cen == np.floor(cen)).all()
+        if c_int and rows.integral \
                 and (np.sqrt(rows.sq.max(initial=0.0)) + c_norm) ** 2 <= 2.0 ** 52:
             best = np.empty(n)
             arg = np.zeros(n, dtype=np.min_scalar_type(k - 1)) if index else None

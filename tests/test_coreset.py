@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -76,7 +77,23 @@ class TestApproxCenters:
         fpts = rng.integers(1, 5, size=(n, d)).astype(np.float64)
         centers = rng.integers(1, 5, size=(k, d)) + (0.5 if half else rng.random((k, d)))
         want = nearest_reference.nearest(centers, fpts)[1]
-        assert np.array_equal(_snap_to_dataset(fpts, centers), want)
+        assert np.array_equal(_snap_to_dataset(geometry._Rows(fpts), centers), want)
+
+
+    @pytest.mark.parametrize("z", [Fraction(2), Fraction(1), Fraction(3, 2)])
+    def test_peak_memory_below_two_float_copies(self, z):
+        # the prepared float copy of the points is the one dataset-sized
+        # array: the seeding, the sweep and the snap share it, so no second
+        # copy (the snap preparing the dataset again) fits under the pin
+        n, d = 20_000, 16
+        data = geometry.random_grid_dataset(n, d, 1024, seed=20)
+        tracemalloc.start()
+        try:
+            approx_centers(data, 8, z, seed=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * n * d * 8
 
 
 def reference_sample(rng, prob, size):
@@ -89,7 +106,7 @@ def reference_sample(rng, prob, size):
 def reference_approx_centers(dataset, k, z, seed):
     """approx_centers as a separate pass per step: dist^z seeding through
     min_powered_distances, then nearest_assignment over the seeds, the
-    cluster means and the snap."""
+    cluster means and the snap, by the scalar reference kernel."""
     rng = coreset._rng(seed)
     fpts = dataset.points.astype(np.float64)
     n = dataset.n
@@ -107,7 +124,7 @@ def reference_approx_centers(dataset, k, z, seed):
     for j in range(k):
         if (assign == j).any():
             centers[j] = fpts[assign == j].mean(axis=0)
-    snapped = _snap_to_dataset(fpts, centers)
+    snapped = nearest_reference.nearest(centers, fpts)[1]
     return snapped, k > n or len(np.unique(snapped)) < k
 
 
@@ -235,13 +252,17 @@ class TestSeedingKeepsAssignment:
         # each seed is one one-center kernel call with no index on the
         # dataset's prepared rows, then the snap's chunks follow: inside the
         # grid bound (delta = 64) every seed's call is the grid pass, beyond
-        # it (2^40) none is; with blocks of no rows only the pass can return
-        calls, passes = [], []
+        # it (2^40) none is; with blocks of no rows only the pass can return.
+        # The snap's centers are chunks of the seeding's prepared rows, so
+        # the dataset is not prepared again
+        calls, args, passes = [], [], []
         kernel = geometry._nearest
 
         def counted(p, c, **kw):
-            calls.append((len(c), kw))
-            if len(c) == 1 and isinstance(p, geometry._Rows):
+            rows = len(c.points if isinstance(c, geometry._Rows) else c)
+            calls.append((rows, kw))
+            args.append((p, c))
+            if rows == 1 and isinstance(p, geometry._Rows):
                 with monkeypatch.context() as m:
                     m.setattr(geometry, "_BLOCK", 0)
                     try:
@@ -257,6 +278,13 @@ class TestSeedingKeepsAssignment:
         assert len(calls) == k + chunks
         assert calls[:k] == [(1, {"index": False})] * k
         assert len(passes) == (k if delta == 64 else 0)
+        seeding = args[0][0]
+        assert all(p is seeding for p, _ in args[:k])
+        for _, c in args[k:]:
+            assert isinstance(c, geometry._Rows)
+            assert np.shares_memory(c.points, seeding.points)
+            assert np.shares_memory(c.sq, seeding.sq)
+            assert c._integral is True
 
     @pytest.mark.parametrize("k", [256, 257])
     def test_seeding_with_a_wide_index(self, k):

@@ -10,7 +10,9 @@ and rows that are not integral against integral centers are checked too.
 Every comparison also runs the kernel on prepared rows (``_Rows``, the form
 a sketch's decoded points take), built from the float64 copy of the points
 that the reference computes on: they must give the same two outputs as the
-reference and as the unprepared call."""
+reference and as the unprepared call, and so must prepared points against
+centers prepared as ``_Rows`` too, the form the snap of ``approx_centers``
+hands the kernel its dataset rows in."""
 
 import math
 import warnings
@@ -41,8 +43,9 @@ def assert_same_as_reference(points, centers):
         got = geometry._nearest(points, centers)
         rows = geometry._Rows(np.asarray(points).astype(np.float64))
         prepared = geometry._nearest(rows, centers)
+        both = geometry._nearest(rows, geometry._Rows(centers))
         no_index = [geometry._nearest(p, centers, index=False) for p in (points, rows)]
-    for out in (got, prepared):
+    for out in (got, prepared, both):
         assert np.array_equal(out[0], want[0])
         assert np.array_equal(out[1], want[1])
     for dist, index in no_index:
@@ -296,6 +299,46 @@ def test_float_rows_are_scanned_for_integrality_only_against_integral_centers(
     half = geometry._Rows(pts + 0.5)
     assert not took_grid_pass(half, pts[:5], monkeypatch)
     assert half._integral is False
+
+
+@pytest.mark.parametrize("kind", ["integral", "half", "jittered"])
+@pytest.mark.parametrize("k", [1, 40])
+@pytest.mark.parametrize("delta", [64, 2 ** 40])
+def test_prepared_centers(monkeypatch, kind, k, delta):
+    # dataset rows as the centers, the snap's form: integer rows inside the
+    # grid bound (delta = 64) or beyond it (2^40), half of them duplicated
+    # when there are many, against integral, half-integral or jittered
+    # points. Prepared from int64 they are integral by type, from float64
+    # their integrality is read lazily, and a chunk shares it when known;
+    # each must take the path and give the values of the bare array
+    rng = np.random.default_rng(k + delta % 97)
+    X = rng.integers(1, delta + 1, size=(k, 3))
+    X[k // 2:] = X[:k - k // 2]
+    pts = rng.integers(1, delta + 1, size=(500, 3)).astype(np.float64)
+    pts += {"integral": 0.0, "half": 0.5, "jittered": rng.normal(size=pts.shape)}[kind]
+    want = ref.nearest(pts, X)
+    lazy, typed = geometry._Rows(X.astype(np.float64)), geometry._Rows(X)
+    assert lazy._integral is None and typed._integral is True
+    chunk = geometry._Rows(np.vstack([X, X])).chunk(0, k)
+    assert chunk._integral is True
+    for cen in (X, typed, lazy, chunk):
+        for points in (pts, geometry._Rows(pts)):
+            got = geometry._nearest(points, cen)
+            assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+            dist, index = geometry._nearest(points, cen, index=False)
+            assert np.array_equal(dist, want[0]) and index is None
+        assert took_grid_pass(pts, cen, monkeypatch) == (kind == "integral" and delta == 64)
+    assert lazy._integral is True
+    float_chunk = geometry._Rows(X + 0.5).chunk(0, k)
+    assert float_chunk._integral is None
+    assert np.array_equal(geometry._nearest(pts, float_chunk)[1], ref.nearest(pts, X + 0.5)[1])
+
+
+def test_unprepared_centers_are_checked_for_finiteness():
+    pts = np.ones((4, 2))
+    for bad in (np.inf, -np.inf, np.nan):
+        with pytest.raises(geometry.InvalidInput, match="finite"):
+            geometry._nearest(pts, np.array([[1.0, 1.0], [bad, 0.0]]))
 
 
 def took_grid_pass(points, centers, monkeypatch):
