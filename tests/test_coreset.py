@@ -79,7 +79,6 @@ class TestApproxCenters:
         want = nearest_reference.nearest(centers, fpts)[1]
         assert np.array_equal(_snap_to_dataset(geometry._Rows(fpts), centers), want)
 
-
     @pytest.mark.parametrize("z", [Fraction(2), Fraction(1), Fraction(3, 2)])
     def test_peak_memory_below_two_float_copies(self, z):
         # the prepared float copy of the points is the one dataset-sized
