@@ -49,8 +49,12 @@ _EPS_FRAC_BITS = 24
 
 # bits per block of payload rows (at least one row) and per window of the
 # zero-flag pass: the scratch bit matrix and mask of a block, and the bits a
-# window unpacks, stay near 256 KiB each, unless a single row is wider
+# window unpacks, stay near 256 KiB each, unless a single row is wider; a
+# vector step of the flag pass spans at most this many bits of codes
 _BLOCK_BITS = 1 << 18
+# a vector step of the zero-flag pass costs about as much as this many
+# per-code steps
+_RUN = 64
 # widths of at most this many bits are unpacked through a table of every
 # value's bits: 2^12 rows of 12 bits, about 100 KB for every width up to it
 _TABLE_BITS = 12
@@ -253,6 +257,83 @@ def _put_bytes(out: np.ndarray, at: int, bits: np.ndarray):
     return at + whole, bits[8 * whole:].copy()
 
 
+def _zero_flags(payload: np.ndarray, pos: int, steps, count: int) -> bytearray:
+    """The zero flags, one byte each, of ``count`` variable-width codes
+    whose first flag is payload bit ``pos``; ``steps`` holds, per code of a
+    row, the bits that it and the fixed-width columns after it take if it
+    is nonzero and if it is zero.
+
+    Each flag's offset depends on every flag before it. A vector step
+    assumes that the next codes are all nonzero, so that their flags sit at
+    a running sum of full widths, and gathers those bits from the payload
+    bytes at once: the flags up to the first set one are then known, and
+    the walk resumes after that zero code. Its chunk of codes doubles while
+    no zero turns up, up to about _BLOCK_BITS bits of codes. A per-code
+    step reads one flag from a window of about _BLOCK_BITS unpacked bits;
+    the walk takes them after a vector step that knows fewer than _RUN
+    codes, in stretches that double in length until the last _RUN flags
+    read are all nonzero. A flag past the payload's end is a
+    ``SketchFormatError`` at its bit."""
+    flags = bytearray(count)
+    if not count:
+        return flags
+    period, nbits = len(steps), 8 * payload.size
+    widths = np.array([w for w, _ in steps], dtype=np.int64)
+    zero_widths = [w for _, w in steps]
+    most = max(1, _BLOCK_BITS * period // int(widths.sum()))
+    # offset of each code of a row-aligned run of nonzero codes, from the first
+    rows = 1 + -(-most // period)
+    ahead = np.zeros(rows * period + 1, dtype=np.int64)
+    np.cumsum(np.tile(widths, rows), out=ahead[1:])
+    i, chunk, length, window, base = 0, min(most, 4 * _RUN), 4 * _RUN, b"", 0
+    while i < count:
+        r, c = i % period, min(chunk, count - i)
+        guess = ahead[r:r + c + 1] - (ahead[r] - pos)
+        fit = int(guess[:c].searchsorted(nbits))
+        if not fit:
+            raise SketchFormatError("payload ends early", bit_offset=pos)
+        q = guess[:fit]
+        bits = (payload[q >> 3] << (q & 7)) & 0x80
+        j = int(bits.argmax())
+        if bits[j]:
+            flags[i + j] = 1
+            pos, known = int(guess[j]) + zero_widths[(i + j) % period], j + 1
+        else:
+            pos, known = int(guess[fit]), fit
+        i += known
+        chunk = min(most, max(4 * _RUN, 2 * known))
+        if known >= _RUN:
+            length = 4 * _RUN
+            continue
+        while i < count:
+            first, end = i, min(count, i + length)
+            length *= 2
+            while i < end:
+                if pos - base >= len(window):
+                    start = pos // 8
+                    if start >= payload.size:
+                        raise SketchFormatError("payload ends early", bit_offset=pos)
+                    window = memoryview(np.unpackbits(
+                        payload[start:start + max(1, _BLOCK_BITS // 8)]))
+                    base = 8 * start
+                at = pos - base
+                try:
+                    for i, (nonzero, zero) in zip(range(i, end), itertools.islice(
+                            itertools.cycle(steps), i % period, None)):
+                        if window[at]:
+                            flags[i] = 1
+                            at += zero
+                        else:
+                            at += nonzero
+                    i = end
+                except IndexError:
+                    pass
+                pos = base + at
+            if i - 1 - flags.rfind(1, first, i) >= _RUN:
+                break
+    return flags
+
+
 def derive_params(eps_q: float, z: Fraction, n: int, s: int, delta: int) -> SketchParams:
     f_w = _ceil_log2_float(4.0 / eps_q)
     f_x = _ceil_log2_float(4.0 * float(z) / eps_q)
@@ -368,16 +449,16 @@ class Sketch:
     # -- payload -----------------------------------------------------------
 
     def _parse_payload(self):
-        """Read the payload: the centers and group sizes, then one pass over
-        the zero flags of the variable-width codes, the only sequential
-        dependency of the layout, then per block of rows (see
-        :func:`_row_blocks`) every field read from its view of the block's
-        bit matrix: the block's unpacked span itself, or, if the block has a
-        zero flag, a scratch matrix filled with the masked bits. The flag
-        pass reads windows of about _BLOCK_BITS bits: a read past a window's
-        end starts the next window at its byte, and one past the payload's
-        end is a ``SketchFormatError`` at its bit. A block that would end past
-        the payload is one at the payload's end."""
+        """Read the payload: the centers and group sizes, then the zero
+        flags of the variable-width codes, the only sequential dependency of
+        the layout, in vector steps over runs of nonzero codes and per-code
+        steps where zero codes are dense (see :func:`_zero_flags`), then per
+        block of rows (see :func:`_row_blocks`) every field read from its
+        view of the block's bit matrix: the block's unpacked span itself,
+        or, if the block has a zero flag, a scratch matrix filled with the
+        masked bits. A flag past the payload's end is a
+        ``SketchFormatError`` at its bit, and a block that would end past
+        the payload one at the payload's end."""
         p, k, d, s = self.params, self.k, self.d, self.coreset_size
         payload = np.frombuffer(self._data, dtype=np.uint8, offset=self._header_bytes)
         nbits = 8 * payload.size
@@ -399,7 +480,6 @@ class Sketch:
                 steps += [(width, 1)] * n
             elif steps:
                 steps[-1] = (steps[-1][0] + n * width, steps[-1][1] + n * width)
-        flags = bytearray(s * len(steps))
         zero = np.zeros((s, runs[-1][0].stop), dtype=bool)
         # grid values in the smallest unsigned type that holds them
         dtypes = [np.int64] * len(layout)
@@ -416,25 +496,7 @@ class Sketch:
                 f"group sizes sum to {sum(group_sizes)}, header says {s}",
                 bit_offset=code_start)
 
-        pos, i = code_start, 0
-        while i < len(flags):
-            start = pos // 8
-            if start >= payload.size:
-                raise SketchFormatError("payload ends early", bit_offset=pos)
-            window = memoryview(np.unpackbits(payload[start:start + max(1, _BLOCK_BITS // 8)]))
-            pos -= 8 * start
-            try:
-                for i, (full, one) in zip(range(i, len(flags)), itertools.islice(
-                        itertools.cycle(steps), i % len(steps), None)):
-                    if window[pos]:
-                        flags[i] = 1
-                        pos += one
-                    else:
-                        pos += full
-                i = len(flags)
-            except IndexError:
-                pass
-            pos += 8 * start
+        flags = _zero_flags(payload, code_start, steps, s * len(steps))
         zero[:, :len(steps)] = np.frombuffer(flags, dtype=bool).reshape(s, len(steps))
         pos = code_start
         for rows, keep, count in _row_blocks(zero, runs):

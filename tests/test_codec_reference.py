@@ -1,6 +1,7 @@
 """The vectorized KZSK codec against the per-field reference codec in
 ``kzsk_reference``, on small instances and on corrupted bytes."""
 
+import itertools
 import struct
 import tracemalloc
 from fractions import Fraction
@@ -260,12 +261,14 @@ class TestRowBlocks:
 
 
 class TestFlagWindows:
-    """The flag pass reads the payload in windows of ``_BLOCK_BITS // 8``
-    bytes (at least one), restarting at the byte of the first read past a
-    window. Here the window shrinks from a few rows to one byte, so zero
-    flags fall on the first and the last read of a window, and rows on
-    block edges, in every mode: bytes and fields must still be the
-    reference's, and every cut must fail where the parent parser failed."""
+    """The flag pass takes its per-code steps in windows of
+    ``_BLOCK_BITS // 8`` bytes (at least one), restarting at the byte of
+    the first read past a window, and its vector steps over codes of at
+    most about ``_BLOCK_BITS`` bits. Here the window shrinks from a few
+    rows to one byte, so zero flags fall on the first and the last read of
+    a window, and rows on block edges, in every mode: bytes and fields must
+    still be the reference's, and every cut must fail at the offset that
+    ``_truncation_offset`` derives from the wire format."""
 
     MODES = {"exact": (16, False), "exact-unit": (16, True),
              "quantized": (2 ** 20, False), "quantized-unit": (2 ** 20, True)}
@@ -331,6 +334,144 @@ class TestFlagWindows:
                     continue
                 assert "payload ends early" in str(err.value)
                 assert err.value.bit_offset == _truncation_offset(sketch, nbits)
+
+
+def _flagged(zero: np.ndarray, delta: int, unit: bool):
+    """A coreset and its one center whose sketch has exactly the zero flags
+    ``zero`` (rows by the variable-width codes of a row, in wire order):
+    delta = 16 stores grid values, so a row's only flag is its weight
+    code's; at 2^20 every coordinate is a code too, zero where the point
+    repeats the center's coordinate. With one center, rows keep their order."""
+    rng = np.random.default_rng(zero.size)
+    s, d = len(zero), 3
+    center = np.full((1, d), delta // 2)
+    if delta == 16:
+        pts = rng.integers(1, delta + 1, size=(s, d))
+    else:
+        pts = center + rng.integers(1, 1000, size=(s, d)) * rng.choice([-1, 1], size=(s, d))
+        pts[zero[:, -d:]] = delta // 2
+    weights = np.ones(s) if unit else np.where(zero[:, 0], 0.0, rng.uniform(0.5, 3.0, size=s))
+    config = ProblemConfig(n=s, d=d, k=1, z=Fraction(2), delta=delta, epsilon=0.3)
+    return WeightedCoreset(pts, weights, s), center, config
+
+
+def _check_flag_pattern(pattern, delta: int, unit: bool, block_bits, cuts) -> None:
+    """Parse the sketch of ``_flagged`` with windows of ``block_bits``: its
+    flags must be ``pattern`` and its fields the reference parser's, and
+    the bytes cut to each payload length in ``cuts`` (bytes; those at or
+    past the payload's length are skipped) must fail with the message and
+    ``bit_offset`` of the wire format's first unreadable bit: the first
+    flag read past the cut, else the payload's end."""
+    codes = (not unit) + 3 * (delta != 16)
+    zero = np.asarray(pattern, dtype=bool).reshape(-1, codes)
+    cs, center, config = _flagged(zero, delta, unit)
+    raw = ref.encode_bytes(cs, center, config)
+    expected, header = ref.parse(raw), codec._HEADER_BYTES
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(codec, "_BLOCK_BITS", block_bits)
+        sketch = codec.Sketch.from_bytes(raw)
+        assert (sketch.exact_coordinates, sketch.unit_weights) == (delta == 16, unit)
+        assert np.array_equal(_flag_reads(sketch)[1], zero.ravel())
+        assert_same_fields(sketch, expected)
+        for cut in (c for c in cuts if header + c < len(raw)):
+            with pytest.raises(SketchFormatError) as err:
+                codec.Sketch.from_bytes(raw[:header + cut])
+            if "cannot hold" not in str(err.value):
+                assert "payload ends early" in str(err.value)
+                assert err.value.bit_offset == _truncation_offset(sketch, 8 * cut)
+            else:
+                assert err.value.bit_offset == 8 * cut
+
+
+def _code_cuts(pattern, delta: int, unit: bool, codes) -> list[int]:
+    """The payload lengths in bytes that cut through the flags of ``codes``
+    (indices into the flat pattern) or the bits of a code just after one."""
+    zero = np.asarray(pattern, dtype=bool)
+    cs, center, config = _flagged(zero.reshape(-1, (not unit) + 3 * (delta != 16)),
+                                  delta, unit)
+    reads, _ = _flag_reads(codec.encode(cs, center, config))
+    reads = np.append(reads, reads[-1] + 80)
+    return sorted({b for c in codes for b in range(reads[c] // 8, reads[c + 1] // 8 + 2)})
+
+
+class TestFlagPatterns:
+    """The flag pass on chosen and on random zero-flag patterns of about
+    1000 variable-width codes, in each mode with flags, with the default
+    windows (vector steps over chunks of 256, 512, ... codes), with vector
+    steps of a few codes and with one-byte windows (one code per vector
+    step): flags, fields and cut bytes as in ``_check_flag_pattern``."""
+
+    MODES = {"exact": (16, False), "quantized": (2 ** 20, False),
+             "quantized-unit": (2 ** 20, True)}
+    BLOCKS = {"default": 1 << 18, "few-codes": 100, "one-byte": 8}
+
+    @staticmethod
+    def patterns(n: int) -> dict:
+        run = codec._RUN
+        # with no zero before them, a first vector step of 4 _RUN codes ends
+        # at code 4 _RUN - 1 and the next, of 8 _RUN, at code 12 _RUN - 1;
+        # a zero there is the last code of its chunk, and one right after it
+        # the first of the next
+        edges = np.zeros(n, dtype=bool)
+        edges[[4 * run - 1, 12 * run - 1, 12 * run]] = True
+        # runs of nonzero codes just below, at and above _RUN, and short ones
+        lengths = itertools.cycle([run - 1, run, run + 1, 1, 2, 0])
+        runs, at = np.zeros(n, dtype=bool), 0
+        while (at := at + next(lengths)) < n:
+            runs[at] = True
+            at += 1
+        rng = np.random.default_rng(n)
+        mixed = np.zeros(n, dtype=bool)
+        mixed[:300] = rng.random(300) < 0.5
+        mixed[-100:] = True
+        return {"none": np.zeros(n, dtype=bool), "all": np.ones(n, dtype=bool),
+                "alternating": np.arange(n) % 2 == 0,
+                "first": np.arange(n) == 0, "last": np.arange(n) == n - 1,
+                "next-to-last": np.arange(n) == n - 2,
+                "chunk-edges": edges, "runs": runs, "mixed": mixed}
+
+    @pytest.mark.parametrize("block", BLOCKS)
+    @pytest.mark.parametrize("mode", MODES)
+    def test_chosen_patterns(self, mode, block):
+        delta, unit = self.MODES[mode]
+        codes = (not unit) + 3 * (delta != 16)
+        n = -(-1000 // codes) * codes
+        for name, pattern in self.patterns(n).items():
+            # cuts through the first and last codes, the zero codes (or
+            # every 97th, if there are many), and every 61st payload byte
+            marked = np.flatnonzero(pattern)
+            marked = marked if len(marked) < 20 else marked[::97]
+            cuts = _code_cuts(pattern, delta, unit, [0, n - 3, n - 2, n - 1, *marked])
+            cuts += list(range(0, cuts[-1], 61))
+            _check_flag_pattern(pattern, delta, unit, self.BLOCKS[block], cuts)
+
+    def test_a_guessed_offset_past_the_payload(self):
+        # the last code follows a zero one: a vector step that takes the
+        # zero code for a full code puts the last flag 11 bits later than
+        # it is, past the cut, while the flag itself is before it
+        delta, unit = self.MODES["quantized"]
+        pattern = np.arange(1000) == 998
+        cs, center, config = _flagged(pattern.reshape(-1, 4), delta, unit)
+        reads, _ = _flag_reads(codec.encode(cs, center, config))
+        x_bits = codec.encode(cs, center, config).params.code_widths[1]
+        assert reads[999] == reads[998] + 1
+        cut = reads[999] // 8 + 1
+        assert reads[998] + x_bits >= 8 * cut
+        _check_flag_pattern(pattern, delta, unit, 1 << 18, [cut])
+
+    @given(st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_random_patterns(self, data):
+        mode = data.draw(st.sampled_from(sorted(self.MODES)))
+        delta, unit = self.MODES[mode]
+        codes = (not unit) + 3 * (delta != 16)
+        rows = data.draw(st.integers(1, 400 // codes))
+        density = data.draw(st.sampled_from([0.0, 0.002, 0.02, 0.1, 0.5, 0.9, 1.0]))
+        seed = data.draw(st.integers(0, 2 ** 32 - 1))
+        pattern = np.random.default_rng(seed).random(rows * codes) < density
+        block = data.draw(st.sampled_from([1, 8, 37, 100, 1000, 1 << 18]))
+        cuts = data.draw(st.lists(st.integers(0, rows * 40), max_size=8))
+        _check_flag_pattern(pattern, delta, unit, block, cuts)
 
 
 class TestScratchMemory:

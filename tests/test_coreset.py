@@ -285,6 +285,23 @@ class TestSeedingKeepsAssignment:
             assert np.shares_memory(c.sq, seeding.sq)
             assert c._integral is True
 
+    @pytest.mark.parametrize("z", TIE_ZS, ids=str)
+    def test_integral_means_snap_like_the_reference(self, z):
+        # rows drawn from 8 distinct grid points: every cluster mean is one
+        # of them, so the snap hands the kernel 8 integral rows against a
+        # chunk of 2000 dataset rows as its centers, and the grid pass takes
+        # one argmin down the columns instead of a pass per center
+        rng = np.random.default_rng(17)
+        sites = rng.integers(1, 1025, size=(8, 16))
+        assert len(np.unique(sites, axis=0)) == 8
+        data = GridDataset(sites[rng.integers(0, 8, size=2000)], 1024)
+        for seed in range(4):
+            ac = approx_centers(data, 8, z, seed)
+            indices, has_repeats = reference_approx_centers(data, 8, z, seed)
+            assert np.array_equal(ac.indices, indices), f"seed {seed}"
+            assert not has_repeats and not ac.has_repeats
+            assert len(np.unique(data.points[indices], axis=0)) == 8
+
     @pytest.mark.parametrize("k", [256, 257])
     def test_seeding_with_a_wide_index(self, k):
         # the nearest seed is kept in uint8 up to k = 256 and in uint16 from

@@ -4,6 +4,7 @@ ties, overflow and underflow included. Integral rows (an integer array, a
 ``GridDataset`` or float values that are all integers) against integral
 centers take the grid pass when ``(sqrt(max |p|^2) + max|c|)^2 <= 2^52``:
 (k, rows) GEMM chunks whose value is taken as it is and a running minimum,
+or one argmin down the columns of a chunk with fewer rows than centers,
 for any number of centers. So they are checked on both sides of that bound,
 and rows that are not integral against integral centers are checked too.
 
@@ -494,6 +495,26 @@ def test_grid_pass_across_chunks(monkeypatch, k, n):
     for values in (7 * k, k - 1):
         monkeypatch.setattr(geometry, "_GRID_VALUES", values)
         assert_grid_pass_exact(pts, sets, monkeypatch, True)
+
+
+@pytest.mark.parametrize("k", [200, 300])
+def test_grid_pass_with_fewer_rows_than_centers(k, monkeypatch):
+    # a few integral rows against hundreds of integral centers, the snap's
+    # shape when every cluster mean is integral: a chunk with fewer rows
+    # than centers takes one argmin down its columns. Coordinates in
+    # {0, ..., 3} make most rows tie between duplicate centers. Chunks of
+    # 8 rows, of one row and of 3, then 400 rows in chunks of 250 and 150,
+    # so a chunk at or above k is followed by one below it
+    rng = np.random.default_rng(k)
+    cen = rng.integers(0, 4, size=(k, 2)).astype(np.float64)
+    pts = rng.integers(0, 4, size=(400, 2))
+    dist = ((pts[:8, None, :] - cen[None]) ** 2).sum(axis=2)
+    assert ((dist == dist.min(axis=1, keepdims=True)).sum(axis=1) > 1).all()
+    for rows, values in ((pts[:8], 2 ** 19), (pts[:8], 1), (pts[:8], 3 * k),
+                         (pts, 250 * k)):
+        monkeypatch.setattr(geometry, "_GRID_VALUES", values)
+        assert_same_as_reference(rows, cen)
+        assert took_grid_pass(rows, cen, monkeypatch)
 
 
 def test_powers_of_zero_and_inf():
