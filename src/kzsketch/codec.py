@@ -97,14 +97,56 @@ def _bit_table(width: int) -> np.ndarray:
     return table
 
 
-def _values_of(bits: np.ndarray, width: int) -> np.ndarray:
-    """The inverse of :func:`_bits_of`: the value of each run of ``width``
-    bits along the last axis, through one flat packbits, as big-endian
-    unsigned integers (the caller's assignment or astype converts them)."""
-    nb = _byte_width(width)
-    padded = np.zeros(bits.shape[:-1] + (8 * nb,), dtype=np.uint8)
-    padded[..., 8 * nb - width:] = bits
-    return np.packbits(padded).view(f">u{nb}").reshape(bits.shape[:-1])
+class _ByteRows:
+    """A zeroed (rows, width) bit matrix, ``bits``, whose rows start on byte
+    boundaries, read back by fields once it is filled (:meth:`values`)."""
+
+    # zero bytes after the last row for the word reads that run past it: a
+    # group of 8 columns reaches up to 7 columns of at most 72 bits past
+    # a row's end, and a word and a ninth byte read 16 bytes
+    PAD = 128
+
+    def __init__(self, rows: int, width: int):
+        self.row_bytes = -(-width // 8)
+        self._flat = np.zeros(8 * (rows * self.row_bytes + self.PAD), dtype=np.uint8)
+        self.bits = self._flat[:8 * rows * self.row_bytes].reshape(rows, -1)[:, :width]
+        self._packed = None
+
+    def values(self, columns: tuple, width: int) -> np.ndarray:
+        """The inverse of :func:`_bits_of`: the value of the ``width`` bits
+        (at most 64) at each bit of ``columns`` (see :func:`_columns`) in
+        every row, as (rows, columns) uint64.
+
+        The rows are packed into bytes once; a value is then the unaligned
+        big-endian 64-bit word at its byte, shifted into place, and the
+        words are gathered at their byte offsets across the rows. Such a
+        gather costs per offset, so fewer than 8 rows read their columns
+        in groups of 8: column c + 8 lies ``step`` bytes after column c at
+        the same bit, so 8 offsets serve every group. A field of more than
+        57 bits runs into a ninth byte, whose leading bits come from the
+        word 8 bytes on (numpy shifts a uint64 by 64 to 0)."""
+        if self._packed is None:
+            self._packed = np.packbits(self._flat)
+        byte, bit, step = columns
+        count = len(byte)
+        period = min(8, count) if len(self.bits) < 8 else count
+        byte, bit = byte[:period], bit[:period]
+        words = np.ndarray((len(self.bits), -(-count // period), int(byte[-1]) + 9),
+                           dtype=">u8", buffer=self._packed, strides=(self.row_bytes, step, 1))
+        out = words[:, :, byte].astype(np.uint64)
+        out <<= bit
+        if width > 57:
+            out |= words[:, :, byte + 8].astype(np.uint64) >> (np.uint64(64) - bit)
+        out >>= np.uint64(64 - width)
+        return out.reshape(len(out), -1)[:, :count]
+
+
+def _columns(start: int, step: int, count: int) -> tuple:
+    """The bits ``start + c * step`` of ``count`` columns of a row, as
+    :meth:`_ByteRows.values` reads them: their bytes, their bits within
+    those bytes as uint64, and ``step``."""
+    at = start + step * np.arange(count)
+    return at >> 3, (at & 7).astype(np.uint64), step
 
 
 def _encode_array(values, f: int, zero_threshold: float):
@@ -453,10 +495,10 @@ class Sketch:
         flags of the variable-width codes, the only sequential dependency of
         the layout, in vector steps over runs of nonzero codes and per-code
         steps where zero codes are dense (see :func:`_zero_flags`), then per
-        block of rows (see :func:`_row_blocks`) every field read from its
-        view of the block's bit matrix: the block's unpacked span itself,
-        or, if the block has a zero flag, a scratch matrix filled with the
-        masked bits. A flag past the payload's end is a
+        block of rows (see :func:`_row_blocks`) the block's unpacked span,
+        or, if the block has a zero flag, its masked bits, copied into a
+        :class:`_ByteRows` matrix, from whose packed rows every field is
+        read, each column by one word read. A flag past the payload's end is a
         ``SketchFormatError`` at its bit, and a block that would end past
         the payload one at the payload's end."""
         p, k, d, s = self.params, self.k, self.d, self.coreset_size
@@ -489,8 +531,11 @@ class Sketch:
                   for (g, _, _), t in zip(layout, dtypes)]
         prefix = np.unpackbits(payload[:(code_start + 7) // 8])
         cw, gw = p.center_width, p.group_width
-        centers = _values_of(prefix[:k * d * cw].reshape(k, d, cw), cw).astype(np.int64) + 1
-        group_sizes = _values_of(prefix[k * d * cw:code_start].reshape(k, gw), gw).tolist()
+        head = _ByteRows(k, d * cw + gw)
+        head.bits[:, :d * cw] = prefix[:k * d * cw].reshape(k, d * cw)
+        head.bits[:, d * cw:] = prefix[k * d * cw:code_start].reshape(k, gw)
+        centers = head.values(_columns(0, cw, d), cw).astype(np.int64) + 1
+        group_sizes = head.values(_columns(d * cw, gw, 1), gw)[:, 0].tolist()
         if sum(group_sizes) != s:
             raise SketchFormatError(
                 f"group sizes sum to {sum(group_sizes)}, header says {s}",
@@ -498,6 +543,10 @@ class Sketch:
 
         flags = _zero_flags(payload, code_start, steps, s * len(steps))
         zero[:, :len(steps)] = np.frombuffer(flags, dtype=bool).reshape(s, len(steps))
+        # each field's columns in a row
+        starts = np.cumsum([0] + [(cols.stop - cols.start) * width for cols, width, _ in runs])
+        columns = [_columns(int(starts[g]) + shift, runs[g][1], runs[g][0].stop - runs[g][0].start)
+                   for g, shift, _ in layout]
         pos = code_start
         for rows, keep, count in _row_blocks(zero, runs):
             if pos + count > nbits:
@@ -505,16 +554,15 @@ class Sketch:
             start = pos // 8
             span = np.unpackbits(payload[start:(pos + count + 7) // 8])
             span = span[pos - 8 * start:pos - 8 * start + count]
+            block = _ByteRows(rows.stop - rows.start, int(starts[-1]))
             if keep is None:
-                matrix = span.reshape(rows.stop - rows.start, -1)
+                block.bits[...] = span.reshape(block.bits.shape)
             else:
-                matrix = np.zeros(keep.shape, dtype=np.uint8)
-                matrix[keep] = span
-            views = _run_views(matrix, runs)
-            if not self.unit_weights and views[0][:, 0, 1].any():
+                block.bits[keep] = span
+            if not self.unit_weights and _run_views(block.bits, runs)[0][:, 0, 1].any():
                 raise SketchFormatError("negative weight code")
-            for field, (g, shift, width) in zip(fields, layout):
-                field[rows] = _values_of(views[g][:, :, shift:shift + width], width)
+            for field, at, (_, _, width) in zip(fields, columns, layout):
+                field[rows] = block.values(at, width)
             pos += count
 
         if centers.max() > self.delta or (

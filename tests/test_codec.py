@@ -25,6 +25,14 @@ def make_instance(n=120, d=6, k=3, z=2, delta=1024, eps=0.2, seed=0,
     return data, config, centers, cs
 
 
+def values_of(bits, start, step, count, width):
+    """The parser's read of ``count`` fields of the rows of the bit matrix
+    ``bits``, ``step`` bits apart from bit ``start``."""
+    rows = codec._ByteRows(*bits.shape)
+    rows.bits[...] = bits
+    return rows.values(codec._columns(start, step, count), width)
+
+
 class TestBitIO:
     def test_round_trip_fields(self):
         rng = np.random.default_rng(0)
@@ -40,8 +48,14 @@ class TestBitIO:
         assert raw == (acc << pad).to_bytes(len(raw), "big")
         back = np.unpackbits(np.frombuffer(raw, dtype=np.uint8))
         ends = np.cumsum([nb for _, nb in fields])
-        assert [int(codec._values_of(back[end - nb:end][None], nb)[0])
+        assert [int(values_of(back[end - nb:end][None], 0, nb, 1, nb)[0, 0])
                 for (_, nb), end in zip(fields, ends)] == [v for v, _ in fields]
+        # every field read from every bit of a byte: from 58 bits on, some
+        # of these run into a ninth byte
+        for v, nb in fields:
+            for bit in range(8):
+                row = np.r_[np.ones(bit, np.uint8), codec._bits_of([v], nb)[0], 1][None]
+                assert int(values_of(row, bit, nb, 1, nb)[0, 0]) == v
 
     def test_many_values_in_one_call(self):
         values = np.array([[0, 1, 6], [7, 3, 2]])
@@ -49,12 +63,26 @@ class TestBitIO:
         assert bits.shape == (2, 3, 3)
         assert bits.ravel().tolist() == [0, 0, 0, 0, 0, 1, 1, 1, 0,
                                          1, 1, 1, 0, 1, 1, 0, 1, 0]
-        assert codec._values_of(bits, 3).tolist() == values.tolist()
-        # a strided view of a wider matrix reads the same
+        assert values_of(bits.reshape(2, 9), 0, 3, 3, 3).tolist() == values.tolist()
+        # a strided view of a wider matrix reads the same, and so do the
+        # offsets of the columns within the wider rows
         matrix = np.zeros((2, 11), dtype=np.uint8)
         matrix[:, 1:10].reshape(2, 3, 3)[...] = bits
-        assert codec._values_of(matrix[:, 1:10].reshape(2, 3, 3), 3).tolist() \
-            == values.tolist()
+        assert values_of(matrix[:, 1:10], 0, 3, 3, 3).tolist() == values.tolist()
+        assert values_of(matrix, 1, 3, 3, 3).tolist() == values.tolist()
+
+    @pytest.mark.parametrize("rows", [1, 3, 7, 8, 40])
+    @pytest.mark.parametrize("width", [1, 10, 57, 63])
+    def test_many_columns(self, rows, width):
+        # fewer than 8 rows read their columns in groups of 8, the rest all
+        # at once; 3 columns of a 61-column run, between other bits
+        rng = np.random.default_rng(rows * width)
+        values = rng.integers(0, 2 ** width, size=(rows, 61), dtype=np.uint64)
+        bits = codec._bits_of(values.astype(np.int64), width)
+        matrix = rng.integers(0, 2, size=(rows, 5 + 61 * (width + 2) + 3), dtype=np.uint8)
+        matrix[:, 5:-3].reshape(rows, 61, width + 2)[:, :, 1:-1] = bits
+        got = values_of(matrix, 6, width + 2, 61, width)
+        assert got.dtype == np.uint64 and np.array_equal(got, values)
 
     def test_truncation_reports_offset(self):
         # exact coordinates after nonzero weight codes: the flag pass reads

@@ -260,6 +260,28 @@ class TestRowBlocks:
             assert err.value.bit_offset == 8 * cut
 
 
+@pytest.mark.parametrize("rows", [1, 3, 8])
+@pytest.mark.parametrize("delta", [16, 2 ** 20])
+def test_wide_rows_in_small_blocks(delta, rows, monkeypatch):
+    # 20 coordinates to a row and blocks of 1, 3 or 8 rows: blocks of fewer
+    # than 8 rows read their columns in groups of 8, and the 4 centers,
+    # 20 columns of a few rows, too
+    rng = np.random.default_rng(rows)
+    pts = rng.integers(1, delta + 1, size=(30, 20))
+    centers = pts[[0, 10, 20, 25]]
+    pts[rng.random(pts.shape) < 0.2] = centers[0, 0]
+    weights = rng.uniform(0.5, 3.0, size=30)
+    weights[[4, 17]] = 0.0
+    config = ProblemConfig(n=30, d=20, k=4, z=Fraction(2), delta=delta, epsilon=0.3)
+    cs = WeightedCoreset(pts, weights, 30)
+    raw = ref.encode_bytes(cs, centers, config)
+    sketch = codec.Sketch.from_bytes(raw)
+    assert sketch.exact_coordinates == (delta == 16)
+    monkeypatch.setattr(codec, "_BLOCK_BITS", rows * _row_bits(sketch))
+    assert_same_fields(codec.Sketch.from_bytes(raw), ref.parse(raw))
+    assert codec.encode(cs, centers, config).to_bytes() == raw
+
+
 class TestFlagWindows:
     """The flag pass takes its per-code steps in windows of
     ``_BLOCK_BITS // 8`` bytes (at least one), restarting at the byte of
@@ -470,7 +492,7 @@ class TestFlagPatterns:
         seed = data.draw(st.integers(0, 2 ** 32 - 1))
         pattern = np.random.default_rng(seed).random(rows * codes) < density
         block = data.draw(st.sampled_from([1, 8, 37, 100, 1000, 1 << 18]))
-        cuts = data.draw(st.lists(st.integers(0, rows * 40), max_size=8))
+        cuts = data.draw(st.lists(st.integers(0, rows * 6), max_size=8))
         _check_flag_pattern(pattern, delta, unit, block, cuts)
 
 
