@@ -559,7 +559,8 @@ class Sketch:
                 block.bits[...] = span.reshape(block.bits.shape)
             else:
                 block.bits[keep] = span
-            if not self.unit_weights and _run_views(block.bits, runs)[0][:, 0, 1].any():
+            # a row's weight code, if any, leads it: bit 1 is its sign
+            if not self.unit_weights and block.bits[:, 1].any():
                 raise SketchFormatError("negative weight code")
             for field, at, (_, _, width) in zip(fields, columns, layout):
                 field[rows] = block.values(at, width)
