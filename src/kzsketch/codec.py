@@ -53,7 +53,10 @@ _EPS_FRAC_BITS = 24
 # vector step of the flag pass spans at most this many bits of codes
 _BLOCK_BITS = 1 << 18
 # a vector step of the zero-flag pass costs about as much as this many
-# per-code steps
+# per-code steps; after a short one, the pass takes _RUN * max(_RUN, codes
+# per row) per-code steps, since taking them up again costs a vector step
+# and finding the code's place in its row, so dense zero codes cost at most
+# about 1/_RUN more than per-code steps alone
 _RUN = 64
 # widths of at most this many bits are unpacked through a table of every
 # value's bits: 2^12 rows of 12 bits, about 100 KB for every width up to it
@@ -312,10 +315,9 @@ def _zero_flags(payload: np.ndarray, pos: int, steps, count: int) -> bytearray:
     the walk resumes after that zero code. Its chunk of codes doubles while
     no zero turns up, up to about _BLOCK_BITS bits of codes. A per-code
     step reads one flag from a window of about _BLOCK_BITS unpacked bits;
-    the walk takes them after a vector step that knows fewer than _RUN
-    codes, in stretches that double in length until the last _RUN flags
-    read are all nonzero. A flag past the payload's end is a
-    ``SketchFormatError`` at its bit."""
+    after a vector step that knows fewer than _RUN codes, the walk takes
+    the next _RUN * max(_RUN, len(steps)) codes in per-code steps. A flag
+    past the payload's end is a ``SketchFormatError`` at its bit."""
     flags = bytearray(count)
     if not count:
         return flags
@@ -327,7 +329,7 @@ def _zero_flags(payload: np.ndarray, pos: int, steps, count: int) -> bytearray:
     rows = 1 + -(-most // period)
     ahead = np.zeros(rows * period + 1, dtype=np.int64)
     np.cumsum(np.tile(widths, rows), out=ahead[1:])
-    i, chunk, length, window, base = 0, min(most, 4 * _RUN), 4 * _RUN, b"", 0
+    i, chunk, window, base = 0, min(most, 4 * _RUN), b"", 0
     while i < count:
         r, c = i % period, min(chunk, count - i)
         guess = ahead[r:r + c + 1] - (ahead[r] - pos)
@@ -345,34 +347,29 @@ def _zero_flags(payload: np.ndarray, pos: int, steps, count: int) -> bytearray:
         i += known
         chunk = min(most, max(4 * _RUN, 2 * known))
         if known >= _RUN:
-            length = 4 * _RUN
             continue
-        while i < count:
-            first, end = i, min(count, i + length)
-            length *= 2
-            while i < end:
-                if pos - base >= len(window):
-                    start = pos // 8
-                    if start >= payload.size:
-                        raise SketchFormatError("payload ends early", bit_offset=pos)
-                    window = memoryview(np.unpackbits(
-                        payload[start:start + max(1, _BLOCK_BITS // 8)]))
-                    base = 8 * start
-                at = pos - base
-                try:
-                    for i, (nonzero, zero) in zip(range(i, end), itertools.islice(
-                            itertools.cycle(steps), i % period, None)):
-                        if window[at]:
-                            flags[i] = 1
-                            at += zero
-                        else:
-                            at += nonzero
-                    i = end
-                except IndexError:
-                    pass
-                pos = base + at
-            if i - 1 - flags.rfind(1, first, i) >= _RUN:
-                break
+        end = min(count, i + _RUN * max(_RUN, period))
+        while i < end:
+            if pos - base >= len(window):
+                start = pos // 8
+                if start >= payload.size:
+                    raise SketchFormatError("payload ends early", bit_offset=pos)
+                window = memoryview(np.unpackbits(
+                    payload[start:start + max(1, _BLOCK_BITS // 8)]))
+                base = 8 * start
+            at = pos - base
+            try:
+                for i, (nonzero, zero) in zip(range(i, end), itertools.islice(
+                        itertools.cycle(steps), i % period, None)):
+                    if window[at]:
+                        flags[i] = 1
+                        at += zero
+                    else:
+                        at += nonzero
+                i = end
+            except IndexError:
+                pass
+            pos = base + at
     return flags
 
 

@@ -251,9 +251,7 @@ def _nearest(points, centers,
     or without fused multiply-adds. The margin from 2^52 to 2^53 covers the
     rounding of the computed norms, the largest of which bounds them all. A
     running minimum over the k rows of ``e`` moves a row only on a strictly
-    smaller value, so ties keep the lowest index; a chunk with fewer rows
-    than centers takes ``argmin`` down each column instead, which keeps the
-    first index of the same exact minimum.
+    smaller value, so ties keep the lowest index.
 
     Otherwise rows go in blocks of ``_BLOCK``; with one center every row
     takes the direct form.
@@ -318,14 +316,6 @@ def _nearest(points, centers,
                     e.min(axis=0, out=b)
                     continue
                 a = arg[lo:lo + step]
-                if len(p) < k:
-                    # fewer rows than centers: one argmin down the columns
-                    # instead of k passes over the rows; it also keeps the
-                    # first index of the (exact) minimum
-                    j = e.argmin(axis=0)
-                    a[:] = j
-                    b[:] = e[j, np.arange(len(p))]
-                    continue
                 b[:] = e[0]
                 for j in range(1, k):
                     # j is above every stored index, so the maximum is a

@@ -467,6 +467,24 @@ class TestFlagPatterns:
             cuts += list(range(0, cuts[-1], 61))
             _check_flag_pattern(pattern, delta, unit, self.BLOCKS[block], cuts)
 
+    @pytest.mark.parametrize("block", BLOCKS)
+    @pytest.mark.parametrize("mode", MODES)
+    def test_vector_steps_after_a_per_code_stretch(self, mode, block):
+        # a zero first code leaves the first vector step one code, so codes
+        # 1 to _RUN^2 go in per-code steps (rows here have at most 4 codes,
+        # fewer than _RUN); zeros on the stretch's last
+        # code and on the last codes of the two vector chunks after it
+        # (of 4 _RUN and 8 _RUN codes)
+        delta, unit = self.MODES[mode]
+        codes = (not unit) + 3 * (delta != 16)
+        run = codec._RUN
+        n = -(-(run * run + 16 * run) // codes) * codes
+        marked = [0, run * run, run * run + 4 * run, run * run + 12 * run]
+        pattern = np.isin(np.arange(n), marked)
+        cuts = _code_cuts(pattern, delta, unit, [*marked, n - 1])
+        cuts += list(range(0, cuts[-1], 613))
+        _check_flag_pattern(pattern, delta, unit, self.BLOCKS[block], cuts)
+
     def test_a_guessed_offset_past_the_payload(self):
         # the last code follows a zero one: a vector step that takes the
         # zero code for a full code puts the last flag 11 bits later than

@@ -288,9 +288,8 @@ class TestSeedingKeepsAssignment:
     @pytest.mark.parametrize("z", TIE_ZS, ids=str)
     def test_integral_means_snap_like_the_reference(self, z):
         # rows drawn from 8 distinct grid points: every cluster mean is one
-        # of them, so the snap hands the kernel 8 integral rows against a
-        # chunk of 2000 dataset rows as its centers, and the grid pass takes
-        # one argmin down the columns instead of a pass per center
+        # of them, so the snap hands the kernel's grid pass 8 integral rows
+        # against a chunk of 2000 dataset rows as its centers
         rng = np.random.default_rng(17)
         sites = rng.integers(1, 1025, size=(8, 16))
         assert len(np.unique(sites, axis=0)) == 8

@@ -4,7 +4,6 @@ ties, overflow and underflow included. Integral rows (an integer array, a
 ``GridDataset`` or float values that are all integers) against integral
 centers take the grid pass when ``(sqrt(max |p|^2) + max|c|)^2 <= 2^52``:
 (k, rows) GEMM chunks whose value is taken as it is and a running minimum,
-or one argmin down the columns of a chunk with fewer rows than centers,
 for any number of centers. So they are checked on both sides of that bound,
 and rows that are not integral against integral centers are checked too.
 
@@ -500,8 +499,8 @@ def test_grid_pass_across_chunks(monkeypatch, k, n):
 @pytest.mark.parametrize("k", [200, 300])
 def test_grid_pass_with_fewer_rows_than_centers(k, monkeypatch):
     # a few integral rows against hundreds of integral centers, the snap's
-    # shape when every cluster mean is integral: a chunk with fewer rows
-    # than centers takes one argmin down its columns. Coordinates in
+    # shape when every cluster mean is integral, where each chunk has fewer
+    # rows than centers. Coordinates in
     # {0, ..., 3} make most rows tie between duplicate centers. Chunks of
     # 8 rows, of one row and of 3, then 400 rows in chunks of 250 and 150,
     # so a chunk at or above k is followed by one below it
