@@ -200,9 +200,10 @@ def _centers_of(obj) -> np.ndarray:
     return np.asarray(obj, dtype=np.float64)
 
 
-# rows per block of the distance kernel: its temporaries are O(_BLOCK * (k + d))
+# pairs per chunk of _scan: its temporaries are O(_BLOCK * d)
 _BLOCK = 1024
-# values per chunk of the grid pass's (k, rows) matrix: 4 MB of float64
+# values per chunk of the distance kernel, its (k, rows) matrix and the
+# rows' (rows, d) direct form together: 4 MB of float64
 _GRID_VALUES = 2 ** 19
 
 
@@ -229,6 +230,13 @@ def _scan(fpts: np.ndarray, cen: np.ndarray,
     return best, arg
 
 
+def _grid_chunk(integral: bool, p_sq: np.ndarray, c_norm: float) -> bool:
+    """Whether rows of squared norms ``p_sq`` take :func:`_nearest`'s grid
+    pass: both sides are ``integral`` and sqrt(max p_sq) + c_norm <= 2^26,
+    which for floats is (sqrt(max p_sq) + c_norm)^2 <= 2^52 and cannot overflow."""
+    return integral and np.sqrt(p_sq.max(initial=0.0)) + c_norm <= 2.0 ** 26
+
+
 def _nearest(points, centers,
              index: bool = True) -> tuple[np.ndarray, np.ndarray | None]:
     """(squared distance to the nearest center, its index) for every point;
@@ -241,26 +249,29 @@ def _nearest(points, centers,
     as the centers' norms and grid test, with no second finiteness scan;
     the path and every value are those of the same centers unprepared.
 
-    Grid pass: integral rows against integral centers with ``(sqrt(max
-    |p|^2) + max|c|)^2 <= 2^52`` go in chunks of ``max(1, _GRID_VALUES //
-    k)`` rows, each a ``(k, rows)`` matrix ``e = (-2 C) P^T + |c|^2 +
-    |p|^2`` that equals the direct form: every intermediate of both forms
-    (the products, the partial sums of the dot products and norms, the
-    differences and the sums of squares) is an integer of magnitude at most
-    ``(|p| + |c|)^2 <= 2^53``, so each is exact in any summation order, with
-    or without fused multiply-adds. The margin from 2^52 to 2^53 covers the
-    rounding of the computed norms, the largest of which bounds them all. A
-    running minimum over the k rows of ``e`` moves a row only on a strictly
-    smaller value, so ties keep the lowest index.
+    One loop takes the rows in chunks of ``max(1, _GRID_VALUES // (k + d))``,
+    each the ``(k, rows)`` matrix ``e = -2 C P^T + |c|^2 + |p|^2``, the
+    smaller operand scaled by -2 (exactly), and its minimum per row with
+    the index, ties to the lowest: a running minimum over the k rows of
+    ``e`` that moves a row only on a strictly smaller value or, with more
+    centers than rows, one ``argmin`` over k, then ``e``'s contiguous axis.
 
-    Otherwise rows go in blocks of ``_BLOCK``; with one center every row
-    takes the direct form.
+    Grid pass: a chunk of integral rows against integral centers with
+    ``(sqrt(max |p|^2) + max|c|)^2 <= 2^52``, on the chunk's own largest
+    norm, stops there, as ``e`` is the direct form: every intermediate of
+    both forms (the products, the partial sums of the dot products and
+    norms, the differences and the sums of squares) is an integer of
+    magnitude at most ``(|p| + |c|)^2 <= 2^53``, so each is exact in any
+    summation order, with or without fused multiply-adds. The margin from
+    2^52 to 2^53 covers the rounding of the computed norms, the largest of
+    which bounds them all.
 
-    Filter: one GEMM gives the expanded form ``e_j = |p|^2 + |c_j|^2 -
-    2 p.c_j`` of every row. Center j is a candidate when ``e_j <= min(e) +
-    T``, with ``T = 8 g (|p| + max|c|)^2 + 128 (d + 4) eta``, ``g =
-    gamma_{d+4} = (d+4) u / (1 - (d+4) u)``, ``u = 2^-53`` and ``eta =
-    2^-1075``.
+    One center off the grid is every row's lone candidate: the chunk skips
+    ``e`` and takes the direct form. Any other chunk is filtered.
+
+    Filter: center j is a candidate when ``e_j <= min(e) + T``, with ``T =
+    8 g (|p| + max|c|)^2 + 128 (d + 4) eta``, ``g = gamma_{d+4} = (d+4) u /
+    (1 - (d+4) u)``, ``u = 2^-53`` and ``eta = 2^-1075``.
 
     Refine: a row with exactly one candidate takes it, and its value is
     recomputed in the direct form. Rows with several (exact ties, duplicate
@@ -299,63 +310,52 @@ def _nearest(points, centers,
     with np.errstate(over="ignore"):
         c_sq = centers.sq if prepared else np.einsum("ij,ij->i", cen, cen)
         c_norm = np.sqrt(c_sq.max())
-        c_int = centers.integral if prepared else (cen == np.floor(cen)).all()
-        if c_int and rows.integral \
-                and (np.sqrt(rows.sq.max(initial=0.0)) + c_norm) ** 2 <= 2.0 ** 52:
-            best = np.empty(n)
-            arg = np.zeros(n, dtype=np.min_scalar_type(k - 1)) if index else None
-            step = max(1, _GRID_VALUES // k)
-            e_buf, m2c = np.empty(k * min(n, step)), -2.0 * cen
-            for lo in range(0, n, step):
-                p, b = pts[lo:lo + step], best[lo:lo + step]
-                e = e_buf[:k * len(p)].reshape(k, len(p))
-                np.matmul(m2c, p.T, out=e)
-                e += c_sq[:, None]
-                e += rows.sq[lo:lo + step]
-                if arg is None:
-                    e.min(axis=0, out=b)
-                    continue
-                a = arg[lo:lo + step]
-                b[:] = e[0]
-                for j in range(1, k):
-                    # j is above every stored index, so the maximum is a
-                    # write where e[j] is strictly smaller
-                    np.maximum(a, (e[j] < b) * a.dtype.type(j), out=a)
-                    np.minimum(b, e[j], out=b)
-            return best, None if arg is None else arg.astype(np.int64)
-    best = np.empty(n)
-    arg = np.empty(n, dtype=np.int64)
-    q_buf = np.empty((min(n, _BLOCK), d))
-    e_buf = np.empty((min(n, _BLOCK), k)) if k > 1 else None
-    for lo in range(0, n, _BLOCK):
-        p, p_sq = pts[lo:lo + _BLOCK], rows.sq[lo:lo + _BLOCK]
-        b, a = best[lo:lo + _BLOCK], arg[lo:lo + _BLOCK]
-        q = q_buf[:len(p)]
-        if k == 1:
-            np.subtract(p, cen[0], out=q)
-            a[:] = 0
-        else:
+    integral = bool(centers.integral if prepared else (cen == np.floor(cen)).all()) \
+        and rows.integral
+    best, arg = np.empty(n), np.zeros(n, dtype=np.min_scalar_type(k - 1))
+    step = max(1, _GRID_VALUES // (k + d))
+    buf = np.empty(k * min(n, step))
+    for lo in range(0, n, step):
+        p, p_sq, b = pts[lo:lo + step], rows.sq[lo:lo + step], best[lo:lo + step]
+        r = len(p)
+        wide = k > r  # more centers than rows: k is e's contiguous axis
+        a = arg[lo:lo + step]
+        grid = _grid_chunk(integral, p_sq, c_norm)
+        if grid or k > 1:
             # the filter may overflow; such rows fall to _scan by the rule above
             with np.errstate(over="ignore", invalid="ignore"):
-                e = np.matmul(p, cen.T, out=e_buf[:len(p)])
-                e *= -2.0
-                e += c_sq
-                e += p_sq[:, None]
-                j = e.argmin(axis=1)
-                e_min = np.take_along_axis(e, j[:, None], axis=1)
-                e_min += (8.0 * g * (np.sqrt(p_sq) + c_norm) ** 2 + floor)[:, None]
-                near = e <= e_min
-            # argmin indices are in range; "clip" writes into q unbuffered
-            cen.take(j, axis=0, out=q, mode="clip")
-            np.subtract(p, q, out=q)
-            a[:] = j
+                if wide:
+                    e = np.matmul(-2.0 * p, cen.T, out=buf[:r * k].reshape(r, k)).T
+                else:
+                    e = np.matmul(-2.0 * cen, p.T, out=buf[:k * r].reshape(k, r))
+                e += c_sq[:, None]
+                e += p_sq
+                if grid and not index:
+                    e.min(axis=0, out=b)
+                    continue
+                if wide:
+                    a[:] = e.argmin(axis=0)
+                    b[:] = e[a, np.arange(r)]
+                else:
+                    b[:] = e[0]
+                    for j in range(1, k):
+                        # j is above every stored index, so the maximum is
+                        # a write where e[j] is strictly smaller
+                        np.maximum(a, (e[j] < b) * a.dtype.type(j), out=a)
+                        np.minimum(b, e[j], out=b)
+                if grid:
+                    continue
+                near = e <= b + (8.0 * g * (np.sqrt(p_sq) + c_norm) ** 2 + floor)
+        q = cen.take(a, axis=0)
+        np.subtract(p, q, out=q)
         np.square(q, out=q)
         q.sum(axis=1, out=b)
-        if k > 1 and (rest := np.count_nonzero(near, axis=1) != 1).any():
-            near = near[rest]
+        del q  # not held while the next chunk allocates its own
+        if k > 1 and (rest := np.count_nonzero(near, axis=0) != 1).any():
+            near = near[:, rest].T
             near[~near.any(axis=1)] = True
             b[rest], a[rest] = _scan(p[rest], cen, near)
-    return best, arg if index else None
+    return best, arg.astype(np.int64) if index else None
 
 
 def powered_distances(sqdist: np.ndarray, z: ZLike) -> np.ndarray:

@@ -251,26 +251,27 @@ class TestSeedingKeepsAssignment:
         # each seed is one one-center kernel call with no index on the
         # dataset's prepared rows, then the snap's chunks follow: inside the
         # grid bound (delta = 64) every seed's call is the grid pass, beyond
-        # it (2^40) none is; with blocks of no rows only the pass can return.
-        # The snap's centers are chunks of the seeding's prepared rows, so
-        # the dataset is not prepared again
-        calls, args, passes = [], [], []
-        kernel = geometry._nearest
+        # it (2^40) none is, each chunk's grid decision says which. The
+        # snap's centers are chunks of the seeding's prepared rows, so the
+        # dataset is not prepared again
+        calls, args, passes, decisions = [], [], [], []
+        kernel, grid_chunk = geometry._nearest, geometry._grid_chunk
+
+        def spy(*a):
+            decisions.append(bool(grid_chunk(*a)))
+            return decisions[-1]
 
         def counted(p, c, **kw):
             rows = len(c.points if isinstance(c, geometry._Rows) else c)
             calls.append((rows, kw))
             args.append((p, c))
-            if rows == 1 and isinstance(p, geometry._Rows):
-                with monkeypatch.context() as m:
-                    m.setattr(geometry, "_BLOCK", 0)
-                    try:
-                        kernel(p, c)
-                        passes.append(c)
-                    except ValueError:
-                        pass
-            return kernel(p, c, **kw)
+            decisions.clear()
+            out = kernel(p, c, **kw)
+            if rows == 1 and isinstance(p, geometry._Rows) and decisions and all(decisions):
+                passes.append(c)
+            return out
 
+        monkeypatch.setattr(geometry, "_grid_chunk", spy)
         monkeypatch.setattr(geometry, "_nearest", counted)
         approx_centers(geometry.random_grid_dataset(n, d, delta, seed=n), k, 2, seed=0)
         chunks = len(range(0, n, max(1, n * d // k)))

@@ -15,6 +15,7 @@ centers prepared as ``_Rows`` too, the form the snap of ``approx_centers``
 hands the kernel its dataset rows in."""
 
 import math
+import tracemalloc
 import warnings
 from fractions import Fraction
 
@@ -95,12 +96,89 @@ def test_kernel_matches_scalar_reference(case):
     assert_same_as_reference(*case)
 
 
-def test_rows_across_blocks():
-    # more rows than one block, with ties between duplicate centers
+def chunk_rows(monkeypatch, n, k, d, chunks):
+    """Set ``_GRID_VALUES`` so that ``_nearest`` takes n rows of d values
+    against k centers in chunks of ``ceil(n / chunks)`` rows, and return
+    that chunk size."""
+    step = -(-n // chunks)
+    monkeypatch.setattr(geometry, "_GRID_VALUES", step * (k + d))
+    return step
+
+
+@pytest.mark.parametrize("offset", [0.0, 0.5])
+def test_rows_across_blocks(monkeypatch, offset):
+    # three chunks, with ties between duplicate centers, against integral
+    # centers (the grid pass) and half-integral ones (the filter): the rows
+    # on either side of each chunk edge tie between centers 0 and 2
     rng = np.random.default_rng(3)
-    pts = rng.integers(0, 4, size=(2 * geometry._BLOCK + 3, 3)).astype(np.float64)
-    cen = np.vstack([pts[:2], pts[:1]])
+    pts = rng.integers(0, 4, size=(2051, 3)).astype(np.float64)
+    cen = np.vstack([pts[:2], pts[:1]]) + offset
+    step = chunk_rows(monkeypatch, len(pts), 3, 3, 3)
+    edges = [step - 1, step, 2 * step - 1, 2 * step]
+    pts[edges] = pts[0]
+    dist = ((pts[edges, None, :] - cen[None]) ** 2).sum(axis=2)
+    assert (dist[:, 0] == dist[:, 2]).all() and (dist[:, 0] <= dist[:, 1]).all()
     assert_same_as_reference(pts, cen)
+    assert grid_decisions(pts, cen, monkeypatch) == [offset == 0.0] * 3
+
+
+@pytest.mark.parametrize("values", [2 ** 19, 1, 3 * 2002])
+def test_filter_with_fewer_rows_than_centers(monkeypatch, values):
+    # the snap's shape off the grid: 8 fractional rows, as cluster means,
+    # against 2000 integral rows on {0, ..., 3}^2 as the centers. Eight of
+    # the 16 grid points repeat about 250 times each, the other eight occur
+    # once. The half-integral rows tie among the corners of their cell, the
+    # rows jittered around a lone grid point have one candidate. In one
+    # chunk, in chunks of one row and in chunks of 3
+    rng = np.random.default_rng(21)
+    sites = rng.permutation(np.stack(np.meshgrid(range(4), range(4)), -1).reshape(16, 2))
+    cen = np.vstack([sites[rng.integers(0, 8, size=1992)], sites[8:]])
+    rng.shuffle(cen)
+    pts = np.vstack([rng.integers(0, 3, size=(4, 2)) + 0.5,
+                     sites[8:12] + rng.normal(scale=0.1, size=(4, 2))])
+    dist = ((pts[:, None, :] - cen[None]) ** 2).sum(axis=2)
+    ties = (dist == dist.min(axis=1, keepdims=True)).sum(axis=1)
+    assert (ties[:4] > 1).all() and (ties[4:] == 1).all()
+    monkeypatch.setattr(geometry, "_GRID_VALUES", values)
+    assert_same_as_reference(pts, cen)
+    for centers in (cen, geometry._Rows(cen)):
+        assert not any(grid_decisions(pts, centers, monkeypatch))
+
+
+def test_rows_straddling_the_grid_bound_across_chunks(monkeypatch):
+    # 1-D rows in [1, 1000) with a run at 2^27 inside the second of four
+    # chunks, against integral centers below 1000: the grid test is taken
+    # per chunk, on its own largest row, so only that chunk filters and
+    # the other three take the grid pass; against half-integral centers
+    # every chunk filters
+    rng = np.random.default_rng(23)
+    pts = rng.integers(1, 1000, size=(2000, 1))
+    pts[600:700] = 2 ** 27 + rng.integers(0, 1000, size=(100, 1))
+    cen = rng.integers(1, 1000, size=(6, 1)).astype(np.float64)
+    chunk_rows(monkeypatch, len(pts), 6, 1, 4)
+    for centers, decisions in ((cen, [True, False, True, True]), (cen + 0.5, [False] * 4)):
+        assert_same_as_reference(pts, centers)
+        assert grid_decisions(pts, centers, monkeypatch) == decisions
+
+
+def test_filter_memory_stays_within_a_chunk(monkeypatch):
+    # jittered centers over 200000 prepared rows: each filtered chunk's
+    # temporaries (its (k, rows) matrix, the direct form's (rows, d) rows,
+    # the candidate marks) are about _GRID_VALUES values, so the traced
+    # peak is the outputs plus that, however many chunks there are
+    n, d, k = 200_000, 16, 8
+    rng = np.random.default_rng(24)
+    rows = geometry._Rows(rng.integers(1, 1025, size=(n, d)))
+    cen = rows.points[:k] + rng.normal(size=(k, d))
+    chunk = 8 * geometry._GRID_VALUES
+    for index, outputs in ((True, n * (8 + 1 + 8)), (False, n * 8)):
+        tracemalloc.start()
+        try:
+            geometry._nearest(rows, cen, index=index)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < outputs + 1.25 * chunk, (index, peak)
 
 
 @pytest.mark.parametrize("scale", [1e-162, 1e-160, 1e-158])
@@ -188,17 +266,17 @@ def test_grid_points_and_centers_far_apart(scale, kind):
 
 
 def test_grid_block_across_the_bound(monkeypatch):
-    # one block: rows on both sides of (|p| + max|c|)^2 = 2^52, rows far
+    # one chunk: rows on both sides of (|p| + max|c|)^2 = 2^52, rows far
     # beyond it and small rows, against integral centers up to 2^10; the
-    # grid test is on the largest row norm, so the block filters as a
-    # whole, while its rows with (|p| + 2^10)^2 <= 2^52 take the grid pass
+    # grid test is on the chunk's largest row norm, so the chunk filters as
+    # a whole, while its rows with (|p| + 2^10)^2 <= 2^52 take the grid pass
     rng = np.random.default_rng(9)
     edge = 2 ** 26 - 2 ** 10
     pts = np.concatenate([np.arange(edge - 200, edge + 200),
                           2 ** 27 + rng.integers(-300, 300, size=200),
                           rng.integers(-2 ** 10, 2 ** 10, size=200)])[:, None]
     rng.shuffle(pts)
-    assert pts.shape[0] < geometry._BLOCK
+    assert pts.shape[0] <= geometry._GRID_VALUES // (6 + 1)
     cen = rng.integers(-2 ** 10, 2 ** 10 + 1, size=(6, 1)).astype(np.float64)
     cen[0] = 2 ** 10
     assert_same_as_reference(pts, cen)
@@ -251,22 +329,30 @@ def test_one_center_takes_the_direct_form_alone(monkeypatch, scale, grid):
     assert_same_as_reference(pts, cen)
 
 
-@pytest.mark.parametrize("blocks", [1, 3])
-def test_integral_rows_take_the_grid_pass_prepared_or_not(monkeypatch, blocks):
+@pytest.mark.parametrize("chunks", [1, 3, 7])
+def test_integral_rows_take_the_grid_pass_prepared_or_not(monkeypatch, chunks):
     # rows that tie between duplicate integral centers, as float, int64 and
     # uint64 arrays, as a GridDataset and as the prepared rows of each: all
-    # are integral, so every call takes the grid pass, with no filter or scan
+    # are integral, so every chunk takes the grid pass, with no filter or
+    # scan. The rows on either side of each chunk edge tie. Against
+    # half-integral centers, with the same ties, every chunk filters
     rng = np.random.default_rng(12)
-    pts = rng.integers(1, 5, size=(blocks * geometry._BLOCK - 5, 3))
+    pts = rng.integers(1, 5, size=(3067, 3))
     cen = np.vstack([pts[:3], pts[:2]]).astype(np.float64)
+    step = chunk_rows(monkeypatch, len(pts), 5, 3, chunks)
+    for lo in range(step, len(pts), step):
+        pts[[lo - 1, lo]] = pts[0]
     want = ref.nearest(pts, cen)
     assert (want[1] < 2).any()
-    monkeypatch.setattr(geometry, "_scan", lambda *args: pytest.fail("a grid row was scanned"))
-    inputs = [pts.astype(np.float64), pts, pts.astype(np.uint64), GridDataset(pts, 4)]
-    for points in inputs + [geometry._Rows(p) for p in inputs]:
-        got = geometry._nearest(points, cen)
-        assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
-        assert took_grid_pass(points, cen, monkeypatch)
+    with monkeypatch.context() as m:
+        m.setattr(geometry, "_scan", lambda *args: pytest.fail("a grid row was scanned"))
+        inputs = [pts.astype(np.float64), pts, pts.astype(np.uint64), GridDataset(pts, 4)]
+        for points in inputs + [geometry._Rows(p) for p in inputs]:
+            got = geometry._nearest(points, cen)
+            assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+            assert grid_decisions(points, cen, monkeypatch) == [True] * chunks
+    assert_same_as_reference(pts, cen + 0.5)
+    assert grid_decisions(pts, cen + 0.5, monkeypatch) == [False] * chunks
 
 
 def test_prepared_rows_check_finiteness_once():
@@ -341,18 +427,27 @@ def test_unprepared_centers_are_checked_for_finiteness():
             geometry._nearest(pts, np.array([[1.0, 1.0], [bad, 0.0]]))
 
 
-def took_grid_pass(points, centers, monkeypatch):
-    """Whether ``_nearest`` on ``points`` (any input it takes) against
-    ``centers`` takes the grid pass: with blocks of no rows the block loop
-    cannot start, so a call that returns took the pass."""
+def grid_decisions(points, centers, monkeypatch):
+    """The grid decision of each chunk of ``_nearest`` on ``points`` (any
+    input it takes) against ``centers``, in row order."""
+    decisions, grid_chunk = [], geometry._grid_chunk
+
+    def spy(*args):
+        decisions.append(bool(grid_chunk(*args)))
+        return decisions[-1]
+
     with monkeypatch.context() as m:
-        m.setattr(geometry, "_BLOCK", 0)
-        try:
-            geometry._nearest(points, centers)
-        except ValueError as exc:
-            assert "must not be zero" in str(exc)
-            return False
-    return True
+        m.setattr(geometry, "_grid_chunk", spy)
+        geometry._nearest(points, centers)
+    return decisions
+
+
+def took_grid_pass(points, centers, monkeypatch):
+    """Whether every chunk of ``_nearest`` on ``points`` against ``centers``
+    takes the grid pass. One center off the grid takes the direct form, and
+    its chunks decide against the grid as a filtered chunk does."""
+    decisions = grid_decisions(points, centers, monkeypatch)
+    return bool(decisions) and all(decisions)
 
 
 def assert_grid_pass_exact(points, center_sets, monkeypatch, grid_pass):
