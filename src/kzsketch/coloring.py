@@ -310,11 +310,11 @@ class RoundScaleResult:
         return float(self.displacement.max()) if len(self.displacement) else 0.0
 
 
-def round_and_scale(points: RealDataset | np.ndarray, delta: int) -> RoundScaleResult:
+def round_and_scale(points: RealDataset, delta: int) -> RoundScaleResult:
     """Map unit-ball points onto [1, delta]^d: shift the origin to
     ceil(delta/2) * 1, scale by delta/2, round every coordinate upward,
     then clamp into the grid."""
-    pts = points.points if isinstance(points, RealDataset) else np.asarray(points, float)
+    pts = points.points
     if delta < 3 or delta % 2 == 0:
         raise InvalidInput(f"delta must be an odd integer >= 3, got {delta}")
     norms = np.linalg.norm(pts, axis=1)

@@ -140,23 +140,6 @@ def _sorted_counts(draws: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return draws[heads], np.diff(np.r_[heads, draws.size])
 
 
-def _snap_to_dataset(rows: geometry._Rows, centers: np.ndarray) -> np.ndarray:
-    """Index of the nearest dataset point per center, lowest index on ties.
-    The dataset's prepared rows are the kernel's centers, in chunks of
-    n d / k rows that share their points, norms and integrality, so the
-    dataset is not scanned again and no (k, chunk) temporary outgrows it."""
-    n, d = rows.points.shape
-    step = max(1, n * d // len(centers))
-    best = np.full(len(centers), np.inf)
-    arg = np.zeros(len(centers), dtype=np.int64)
-    for lo in range(0, n, step):
-        b, a = geometry._nearest(centers, rows.chunk(lo, lo + step))
-        closer = b < best       # ties stay on the earlier chunk's lower index
-        best[closer] = b[closer]
-        arg[closer] = a[closer] + lo
-    return arg
-
-
 def approx_centers(dataset: GridDataset, k: int, z: ZLike, seed: int) -> ApproxCenters:
     """Constant-factor centers restricted to dataset points.
 
@@ -183,7 +166,9 @@ def approx_centers(dataset: GridDataset, k: int, z: ZLike, seed: int) -> ApproxC
         if ends[j] < ends[j + 1]:
             centers[j] = fpts[order[ends[j]:ends[j + 1]]].mean(axis=0)
 
-    snapped = _snap_to_dataset(rows, centers)
+    # the snap: the dataset's prepared rows are the kernel's centers, so
+    # they are not scanned again, and ties go to the lowest index
+    snapped = geometry._nearest(centers, rows)[1]
     out = dataset.points[snapped]
     has_repeats = k > dataset.n or len(np.unique(snapped)) < k
     return ApproxCenters(out, snapped, has_repeats=has_repeats)

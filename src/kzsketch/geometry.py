@@ -146,13 +146,14 @@ class CenterSet:
 
 
 class _Rows:
-    """Rows prepared for the distance kernel: the finite float64 ``points``,
-    their squared norms ``sq`` and whether every value is integral, which
-    makes them grid rows for :func:`_nearest`. Integer input (an integer
-    array or a ``GridDataset``) is finite and integral by its type, so both
-    scans are skipped for its read-only float64 copy; any other input is
-    scanned for integrality on the first read of ``integral``. The points
-    must not change afterwards."""
+    """Rows prepared for the distance kernel, its one operand type for
+    points and centers alike: the finite float64 ``points``, their squared
+    norms ``sq`` and whether every value is integral, which makes them grid
+    rows for :func:`_nearest`. Integer input (an integer array or a
+    ``GridDataset``) is finite and integral by its type, so both scans are
+    skipped for its read-only float64 copy; any other input is scanned for
+    integrality on the first read of ``integral``. The points must not
+    change afterwards."""
 
     __slots__ = ("points", "sq", "_integral")
 
@@ -176,28 +177,16 @@ class _Rows:
             self._integral = bool((self.points == np.floor(self.points)).all())
         return self._integral
 
-    def chunk(self, lo: int, hi: int) -> "_Rows":
-        """Rows ``lo:hi``, sharing ``points`` and ``sq``; integral when
-        these rows are known to be, otherwise read lazily."""
-        out = object.__new__(_Rows)
-        out.points, out.sq = self.points[lo:hi], self.sq[lo:hi]
-        out._integral = True if self._integral else None
-        return out
-
 
 def _points_of(obj) -> np.ndarray:
     """The coordinates of ``obj``: integer arrays as they are, for
     :class:`_Rows` to tell them by their type; anything else as float64."""
     if isinstance(obj, (GridDataset, RealDataset, _Rows)):
         return obj.points
-    a = np.asarray(obj)
-    return a if a.dtype.kind in "iu" else a.astype(np.float64, copy=False)
-
-
-def _centers_of(obj) -> np.ndarray:
     if isinstance(obj, CenterSet):
         return obj.centers
-    return np.asarray(obj, dtype=np.float64)
+    a = np.asarray(obj)
+    return a if a.dtype.kind in "iu" else a.astype(np.float64, copy=False)
 
 
 # pairs per chunk of _scan: its temporaries are O(_BLOCK * d)
@@ -244,10 +233,9 @@ def _nearest(points, centers,
 
     The result is bit for bit that of :func:`_scan` over all pairs: the direct
     ``((p - c) ** 2).sum()`` value, ties to the lowest index. Any input is
-    taken as :class:`_Rows`, prepared here unless the caller prepared it.
-    Centers may be prepared rows too: their ``sq`` and ``integral`` serve
-    as the centers' norms and grid test, with no second finiteness scan;
-    the path and every value are those of the same centers unprepared.
+    taken as :class:`_Rows`, the centers as the points: prepared here unless
+    the caller prepared them, so their ``sq`` and ``integral`` serve as the
+    norms and the grid test, and a caller's rows are not scanned again.
 
     One loop takes the rows in chunks of ``max(1, _GRID_VALUES // (k + d))``,
     each the ``(k, rows)`` matrix ``e = -2 C P^T + |c|^2 + |p|^2``, the
@@ -291,27 +279,22 @@ def _nearest(points, centers,
     least twice that, which covers the rounding of the norms and of T.
     If (|p| + max|c|)^2 overflows, T is inf and every center is a
     candidate; otherwise no intermediate of e overflows."""
-    prepared = isinstance(centers, _Rows)
-    pts, cen = _points_of(points), centers.points if prepared else _centers_of(centers)
+    pts, cen = _points_of(points), _points_of(centers)
     if pts.ndim != 2 or cen.ndim != 2 or pts.shape[1] != cen.shape[1]:
         raise DimensionMismatch(
             f"points have dimension {pts.shape[1:]} but centers {cen.shape[1:]}")
     if cen.shape[0] < 1:
         raise InvalidInput("need at least one center")
     rows = points if isinstance(points, _Rows) else _Rows(pts)
-    if not prepared and not np.isfinite(cen).all():
-        raise InvalidInput("distance evaluation requires finite coordinates")
-    pts = rows.points
+    centers = centers if isinstance(centers, _Rows) else _Rows(cen)
+    pts, cen, c_sq = rows.points, centers.points, centers.sq
     n, d = pts.shape
     k = cen.shape[0]
     u = 2.0 ** -53
     g = (d + 4) * u / (1 - (d + 4) * u)
     floor = 64.0 * (d + 4) * 2.0 ** -1074  # 128 (d + 4) eta
-    with np.errstate(over="ignore"):
-        c_sq = centers.sq if prepared else np.einsum("ij,ij->i", cen, cen)
-        c_norm = np.sqrt(c_sq.max())
-    integral = bool(centers.integral if prepared else (cen == np.floor(cen)).all()) \
-        and rows.integral
+    c_norm = np.sqrt(c_sq.max())
+    integral = centers.integral and rows.integral
     best, arg = np.empty(n), np.zeros(n, dtype=np.min_scalar_type(k - 1))
     step = max(1, _GRID_VALUES // (k + d))
     buf = np.empty(k * min(n, step))

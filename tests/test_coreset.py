@@ -9,8 +9,8 @@ import pytest
 import nearest_reference
 from hard_instances import weight_sum_check
 from kzsketch import coreset, geometry
-from kzsketch.coreset import (WeightedCoreset, _group_order, _snap_to_dataset,
-                              approx_centers, build_coreset, sensitivity_coreset)
+from kzsketch.coreset import (WeightedCoreset, _group_order, approx_centers,
+                              build_coreset, sensitivity_coreset)
 from kzsketch.errors import DimensionMismatch, InvalidInput
 from kzsketch.geometry import CenterSet, GridDataset, cost
 
@@ -66,18 +66,38 @@ class TestApproxCenters:
         assert not np.array_equal(a.indices, c.indices)
 
     @pytest.mark.parametrize("n, d, k, half", [
-        (3000, 2, 8, True),     # 4 chunks of 750 dataset rows, many ties
+        (3000, 2, 8, True),     # many ties among the dataset rows
         (3000, 4, 8, True),
-        (500, 16, 3, False),    # one chunk
-        (7, 1, 20, False),      # k > n d: one dataset row per chunk
+        (500, 16, 3, False),    # one mean per chunk
+        (7, 1, 20, False),      # chunks of 7, 7 and 6 means against 7 rows
     ])
-    def test_snap_matches_reference(self, n, d, k, half):
-        # the nearest dataset row per center, ties to the lowest index
+    def test_snap_matches_reference(self, monkeypatch, n, d, k, half):
+        # the snap's one kernel call: k cluster means as the points against
+        # the dataset's prepared rows as the centers gives the nearest row
+        # per mean, ties to the lowest index. _GRID_VALUES puts the means in
+        # 3 chunks, so a chunk has fewer means than there are dataset rows
+        # (one argmin over the rows) or, in the last case, as many (the
+        # running minimum) and then fewer. The means on either side of each
+        # chunk edge lie halfway between two dataset rows, an exact tie
         rng = np.random.default_rng(n + d + k)
         fpts = rng.integers(1, 5, size=(n, d)).astype(np.float64)
         centers = rng.integers(1, 5, size=(k, d)) + (0.5 if half else rng.random((k, d)))
-        want = nearest_reference.nearest(centers, fpts)[1]
-        assert np.array_equal(_snap_to_dataset(geometry._Rows(fpts), centers), want)
+        step = -(-k // 3)
+        monkeypatch.setattr(geometry, "_GRID_VALUES", step * (n + d))
+        low, high = n // 2, n - 1
+        fpts[low] = fpts[high] + np.eye(d)[0]
+        edges = [i for lo in range(step, k, step) for i in (lo - 1, lo)]
+        centers[edges] = fpts[high] + 0.5 * np.eye(d)[0]
+        dist = ((centers[edges, None, :] - fpts[None]) ** 2).sum(axis=2)
+        assert (dist[:, low] == dist.min(axis=1)).all()
+        assert (dist[:, high] == dist.min(axis=1)).all()
+        want = nearest_reference.nearest(centers, fpts)
+        chunks, grid_chunk = [], geometry._grid_chunk
+        monkeypatch.setattr(geometry, "_grid_chunk",
+                            lambda *a: chunks.append(a) or grid_chunk(*a))
+        got = geometry._nearest(centers, geometry._Rows(fpts))
+        assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+        assert len(chunks) == 3
 
     @pytest.mark.parametrize("z", [Fraction(2), Fraction(1), Fraction(3, 2)])
     def test_peak_memory_below_two_float_copies(self, z):
@@ -93,6 +113,23 @@ class TestApproxCenters:
         finally:
             tracemalloc.stop()
         assert peak < 2 * n * d * 8
+
+    def test_peak_memory_with_many_centers(self):
+        # the snap of 64 means against the 20000 dataset rows is one kernel
+        # call, whose temporaries stay within one chunk of _GRID_VALUES
+        # values (its (k, rows) matrix plus the candidate marks) however
+        # many centers there are; next to it live the float copy and a few
+        # per-row arrays of the seeding (norms, distances, powers, the
+        # nearest seed, the sweep's order)
+        n, d = 20_000, 16
+        data = geometry.random_grid_dataset(n, d, 1024, seed=20)
+        tracemalloc.start()
+        try:
+            approx_centers(data, 64, Fraction(3, 2), seed=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < n * d * 8 + 8 * n * 8 + 1.25 * 8 * geometry._GRID_VALUES
 
 
 def reference_sample(rng, prob, size):
@@ -246,14 +283,14 @@ class TestSeedingKeepsAssignment:
 
     @pytest.mark.parametrize("delta", [64, 2 ** 40])
     @pytest.mark.parametrize("n, d, k", [(3000, 4, 8), (500, 16, 3), (7, 1, 20)])
-    def test_one_pass_per_seed_and_kernel_call_per_snap_chunk(self, monkeypatch,
-                                                              n, d, k, delta):
+    def test_one_pass_per_seed_and_one_kernel_call_for_the_snap(self, monkeypatch,
+                                                                n, d, k, delta):
         # each seed is one one-center kernel call with no index on the
-        # dataset's prepared rows, then the snap's chunks follow: inside the
+        # dataset's prepared rows, then the snap is one call: inside the
         # grid bound (delta = 64) every seed's call is the grid pass, beyond
         # it (2^40) none is, each chunk's grid decision says which. The
-        # snap's centers are chunks of the seeding's prepared rows, so the
-        # dataset is not prepared again
+        # snap's centers are the seeding's prepared rows themselves, so the
+        # dataset is not prepared or scanned again
         calls, args, passes, decisions = [], [], [], []
         kernel, grid_chunk = geometry._nearest, geometry._grid_chunk
 
@@ -274,23 +311,19 @@ class TestSeedingKeepsAssignment:
         monkeypatch.setattr(geometry, "_grid_chunk", spy)
         monkeypatch.setattr(geometry, "_nearest", counted)
         approx_centers(geometry.random_grid_dataset(n, d, delta, seed=n), k, 2, seed=0)
-        chunks = len(range(0, n, max(1, n * d // k)))
-        assert len(calls) == k + chunks
+        assert len(calls) == k + 1
         assert calls[:k] == [(1, {"index": False})] * k
+        assert calls[k] == (n, {})
         assert len(passes) == (k if delta == 64 else 0)
         seeding = args[0][0]
         assert all(p is seeding for p, _ in args[:k])
-        for _, c in args[k:]:
-            assert isinstance(c, geometry._Rows)
-            assert np.shares_memory(c.points, seeding.points)
-            assert np.shares_memory(c.sq, seeding.sq)
-            assert c._integral is True
+        assert args[k][1] is seeding and seeding._integral is True
 
     @pytest.mark.parametrize("z", TIE_ZS, ids=str)
     def test_integral_means_snap_like_the_reference(self, z):
         # rows drawn from 8 distinct grid points: every cluster mean is one
         # of them, so the snap hands the kernel's grid pass 8 integral rows
-        # against a chunk of 2000 dataset rows as its centers
+        # against the 2000 dataset rows as its centers
         rng = np.random.default_rng(17)
         sites = rng.integers(1, 1025, size=(8, 16))
         assert len(np.unique(sites, axis=0)) == 8

@@ -11,8 +11,8 @@ Every comparison also runs the kernel on prepared rows (``_Rows``, the form
 a sketch's decoded points take), built from the float64 copy of the points
 that the reference computes on: they must give the same two outputs as the
 reference and as the unprepared call, and so must prepared points against
-centers prepared as ``_Rows`` too, the form the snap of ``approx_centers``
-hands the kernel its dataset rows in."""
+centers prepared as ``_Rows`` too, the form in which the snap of
+``approx_centers`` hands the kernel the dataset's rows as its centers."""
 
 import math
 import tracemalloc
@@ -395,8 +395,8 @@ def test_prepared_centers(monkeypatch, kind, k, delta):
     # grid bound (delta = 64) or beyond it (2^40), half of them duplicated
     # when there are many, against integral, half-integral or jittered
     # points. Prepared from int64 they are integral by type, from float64
-    # their integrality is read lazily, and a chunk shares it when known;
-    # each must take the path and give the values of the bare array
+    # their integrality is read lazily; each must take the path and give
+    # the values of the bare array
     rng = np.random.default_rng(k + delta % 97)
     X = rng.integers(1, delta + 1, size=(k, 3))
     X[k // 2:] = X[:k - k // 2]
@@ -405,9 +405,7 @@ def test_prepared_centers(monkeypatch, kind, k, delta):
     want = ref.nearest(pts, X)
     lazy, typed = geometry._Rows(X.astype(np.float64)), geometry._Rows(X)
     assert lazy._integral is None and typed._integral is True
-    chunk = geometry._Rows(np.vstack([X, X])).chunk(0, k)
-    assert chunk._integral is True
-    for cen in (X, typed, lazy, chunk):
+    for cen in (X, typed, lazy):
         for points in (pts, geometry._Rows(pts)):
             got = geometry._nearest(points, cen)
             assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
@@ -415,9 +413,6 @@ def test_prepared_centers(monkeypatch, kind, k, delta):
             assert np.array_equal(dist, want[0]) and index is None
         assert took_grid_pass(pts, cen, monkeypatch) == (kind == "integral" and delta == 64)
     assert lazy._integral is True
-    float_chunk = geometry._Rows(X + 0.5).chunk(0, k)
-    assert float_chunk._integral is None
-    assert np.array_equal(geometry._nearest(pts, float_chunk)[1], ref.nearest(pts, X + 0.5)[1])
 
 
 def test_unprepared_centers_are_checked_for_finiteness():
