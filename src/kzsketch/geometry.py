@@ -238,47 +238,58 @@ def _nearest(points, centers,
     norms and the grid test, and a caller's rows are not scanned again.
 
     One loop takes the rows in chunks of ``max(1, _GRID_VALUES // (k + d))``,
-    each the ``(k, rows)`` matrix ``e = -2 C P^T + |c|^2 + |p|^2``, the
-    smaller operand scaled by -2 (exactly), and its minimum per row with
-    the index, ties to the lowest: a running minimum over the k rows of
-    ``e`` that moves a row only on a strictly smaller value or, with more
-    centers than rows, one ``argmin`` over k, then ``e``'s contiguous axis.
+    each the ``(k, rows)`` matrix ``e = -2 C P^T + |c|^2``, the smaller
+    operand scaled by -2 (exactly); with more centers than rows it is
+    computed as ``(rows, k)``, so that k is its contiguous axis. For a row
+    p, e_j stands for s_j = t_j - |p|^2, where t_j is the exact squared
+    distance to center j; |p|^2 is the same for every center of the row.
 
     Grid pass: a chunk of integral rows against integral centers with
     ``(sqrt(max |p|^2) + max|c|)^2 <= 2^52``, on the chunk's own largest
-    norm, stops there, as ``e`` is the direct form: every intermediate of
-    both forms (the products, the partial sums of the dot products and
-    norms, the differences and the sums of squares) is an integer of
-    magnitude at most ``(|p| + |c|)^2 <= 2^53``, so each is exact in any
-    summation order, with or without fused multiply-adds. The margin from
-    2^52 to 2^53 covers the rounding of the computed norms, the largest of
-    which bounds them all.
+    norm, takes each row's minimum of ``e`` and adds |p|^2 to it: every
+    intermediate of both forms (the products, the partial sums of the dot
+    products and norms, the differences and the sums of squares, the
+    minimum plus |p|^2) is an integer of magnitude at most ``(|p| + |c|)^2
+    <= 2^53``, so each is exact in any summation order, with or without
+    fused multiply-adds. So e_j is s_j, ties fall where the direct form's
+    do, and the minimum plus |p|^2 is the direct form's minimum. The margin
+    from 2^52 to 2^53 covers the rounding of the computed norms, the
+    largest of which bounds them all. With the index, the minimum comes
+    from a running minimum over the k rows of ``e`` that moves a row only on
+    a strictly smaller value or, with more centers than rows, from one
+    ``argmin`` over k; both keep ties on the lowest index.
 
     One center off the grid is every row's lone candidate: the chunk skips
     ``e`` and takes the direct form. Any other chunk is filtered.
 
     Filter: center j is a candidate when ``e_j <= min(e) + T``, with ``T =
     8 g (|p| + max|c|)^2 + 128 (d + 4) eta``, ``g = gamma_{d+4} = (d+4) u /
-    (1 - (d+4) u)``, ``u = 2^-53`` and ``eta = 2^-1075``.
+    (1 - (d+4) u)``, ``u = 2^-53`` and ``eta = 2^-1075``. The chunk takes
+    each row's minimum of ``e``, the candidate mask, the row's candidate
+    count in ``np.min_scalar_type(k)``, which holds k, and the sum of j over
+    its candidates in the index dtype, which is a lone candidate's index.
+    With several candidates that sum may wrap past k; the gather of the
+    direct form's centers clips it into range, and ``_scan`` overwrites it.
 
     Refine: a row with exactly one candidate takes it, and its value is
     recomputed in the direct form. Rows with several (exact ties, duplicate
     centers, overflow) go through ``_scan`` over their candidates only;
     rows with none (a NaN in e) over every center.
 
-    Why a lone candidate is the direct form's strict minimum: let t_j be
-    the exact squared distance and X = (|p| + |c_j|)^2 >= t_j. |p|^2,
-    |c_j|^2 and p.c_j are d-term dot products, each within gamma_d times
-    |p|^2, |c_j|^2 and |p||c_j| of its value in any summation order, and
-    two additions follow; the direct form sums d nonnegative terms, each
-    with relative error gamma_3. So e_j is within gamma_{d+2} X + 3 d eta
-    of t_j and the direct value r_j within gamma_{d+2} X + d eta, where
-    eta bounds the absolute error of a product that underflows (additions
-    add none). For the row's argmin i of e and any j with e_j > e_i + T,
-    r_j > r_i whenever T >= 4 gamma_{d+2} X + 8 d eta; the T above is at
-    least twice that, which covers the rounding of the norms and of T.
-    If (|p| + max|c|)^2 overflows, T is inf and every center is a
-    candidate; otherwise no intermediate of e overflows."""
+    Why a lone candidate is the direct form's strict minimum: let X = (|p|
+    + max|c|)^2 >= t_j. |c_j|^2 and p.c_j are d-term dot products, within
+    gamma_d times |c_j|^2 and |p||c_j| of their values in any summation
+    order, and one addition follows; the direct form sums d nonnegative
+    terms, each with relative error gamma_3. So e_j is within gamma_{d+1} X
+    + 2 d eta of s_j and the direct value r_j within gamma_{d+2} X + d eta
+    of t_j, where eta bounds the absolute error of a product that
+    underflows (additions add none). As s_j - s_i = t_j - t_i, for the
+    row's argmin i of e and any j with e_j > e_i + T, r_j > r_i whenever T
+    >= 4 gamma_{d+2} X + 8 d eta; the T above is at least twice that, which
+    covers the rounding of the norms, of T and of min(e) + T, all of
+    magnitude at most X + T. If X overflows, T is inf and every center is a
+    candidate, or none where min(e) is -inf or NaN; otherwise no
+    intermediate of e overflows."""
     pts, cen = _points_of(points), _points_of(centers)
     if pts.ndim != 2 or cen.ndim != 2 or pts.shape[1] != cen.shape[1]:
         raise DimensionMismatch(
@@ -296,6 +307,7 @@ def _nearest(points, centers,
     c_norm = np.sqrt(c_sq.max())
     integral = centers.integral and rows.integral
     best, arg = np.empty(n), np.zeros(n, dtype=np.min_scalar_type(k - 1))
+    idx = np.arange(k, dtype=arg.dtype)[:, None]
     step = max(1, _GRID_VALUES // (k + d))
     buf = np.empty(k * min(n, step))
     for lo in range(0, n, step):
@@ -312,29 +324,33 @@ def _nearest(points, centers,
                 else:
                     e = np.matmul(-2.0 * cen, p.T, out=buf[:k * r].reshape(k, r))
                 e += c_sq[:, None]
-                e += p_sq
-                if grid and not index:
-                    e.min(axis=0, out=b)
-                    continue
-                if wide:
-                    a[:] = e.argmin(axis=0)
-                    b[:] = e[a, np.arange(r)]
-                else:
-                    b[:] = e[0]
-                    for j in range(1, k):
-                        # j is above every stored index, so the maximum is
-                        # a write where e[j] is strictly smaller
-                        np.maximum(a, (e[j] < b) * a.dtype.type(j), out=a)
-                        np.minimum(b, e[j], out=b)
                 if grid:
+                    if not index:
+                        e.min(axis=0, out=b)
+                    elif wide:
+                        a[:] = e.argmin(axis=0)
+                        b[:] = e[a, np.arange(r)]
+                    else:
+                        b[:] = e[0]
+                        for j in range(1, k):
+                            # j is above every stored index, so the maximum
+                            # is a write where e[j] is strictly smaller
+                            np.maximum(a, (e[j] < b) * a.dtype.type(j), out=a)
+                            np.minimum(b, e[j], out=b)
+                    b += p_sq
                     continue
+                e.min(axis=0, out=b)
                 near = e <= b + (8.0 * g * (np.sqrt(p_sq) + c_norm) ** 2 + floor)
-        q = cen.take(a, axis=0)
+            count = np.add.reduce(near, axis=0, dtype=np.min_scalar_type(k))
+            # the index of a lone candidate; elsewhere it wraps, and _scan
+            # overwrites it
+            np.add.reduce(near * idx, axis=0, dtype=a.dtype, out=a)
+        q = cen.take(a, axis=0, mode="clip")
         np.subtract(p, q, out=q)
         np.square(q, out=q)
         q.sum(axis=1, out=b)
         del q  # not held while the next chunk allocates its own
-        if k > 1 and (rest := np.count_nonzero(near, axis=0) != 1).any():
+        if k > 1 and (rest := count != 1).any():
             near = near[:, rest].T
             near[~near.any(axis=1)] = True
             b[rest], a[rest] = _scan(p[rest], cen, near)

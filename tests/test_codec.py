@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import kzsk_reference as ref
+import nearest_reference
 from kzsketch import codec, geometry
 from kzsketch.codec import Sketch, encode, theoretical_upper_bound
 from kzsketch.coreset import WeightedCoreset, approx_centers, build_coreset
@@ -473,6 +474,35 @@ class TestEstimateCost:
         w, pts, _ = (a.copy() for a in sk.decode())
         for q in geometry.random_center_sets(data, 5, 6, seed=20):
             assert sk.estimate_cost(q) == geometry.weighted_cost(w, pts, q, config.z)
+
+    @pytest.mark.parametrize("z, pins", [
+        (Fraction(2), ["0x1.2ef35f1a33400p+35", "0x1.2c2a96e190c99p+35",
+                       "0x1.30d703a358000p+35", "0x1.2ca456fe85c77p+35",
+                       "0x1.2bb17ded5f800p+35", "0x1.2b7108ba5f60ep+35",
+                       "0x1.2cc1f7aa4ec00p+35", "0x1.2c7662198b7cfp+35"]),
+        (Fraction(3, 2), ["0x1.6aae97dc48a03p+29", "0x1.68211c9256d80p+29",
+                          "0x1.6c8dbf313a6c8p+29", "0x1.68c74831f8682p+29",
+                          "0x1.673525a8501fep+29", "0x1.66ab681897b82p+29",
+                          "0x1.68990cd008c64p+29", "0x1.67881e7f41b40p+29"]),
+    ])
+    def test_estimates_at_the_query_workload_shape(self, z, pins):
+        # the benchmark's read path: 32 query centers on sensitivity sketches
+        # of 5000x64 grid points (about 3140 exact-coordinate rows), integral
+        # queries (the grid pass) alternating with queries jittered by
+        # delta/64 (the filter); each estimate is pinned, and equals the
+        # weighted sum over the scalar reference's distances
+        data = geometry.random_grid_dataset(5000, 64, 1024, seed=24)
+        sk = codec.compress(data, 8, z, 0.1, "sensitivity", 24)
+        w, pts, _ = sk.decode()
+        assert sk.exact_coordinates and sk._decoded[1].integral
+        queries = geometry.random_center_sets(data, 32, 8, seed=25)
+        assert [bool((q.centers == np.floor(q.centers)).all())
+                for q in queries] == [True, False] * 4
+        got = [sk.estimate_cost(q) for q in queries]
+        assert [est.hex() for est in got] == pins
+        for q, est in zip(queries, got):
+            d2, _ = nearest_reference.nearest(pts, q.centers)
+            assert est == float(np.sum(w * geometry.powered_distances(d2, z)))
 
     def test_integral_rows_of_a_quantized_sketch_are_grid_rows(self):
         # points on their centers store zero deltas, so the quantized form is

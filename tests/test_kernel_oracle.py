@@ -3,9 +3,14 @@ reference in ``nearest_reference``: both outputs must be equal bit for bit,
 ties, overflow and underflow included. Integral rows (an integer array, a
 ``GridDataset`` or float values that are all integers) against integral
 centers take the grid pass when ``(sqrt(max |p|^2) + max|c|)^2 <= 2^52``:
-(k, rows) GEMM chunks whose value is taken as it is and a running minimum,
-for any number of centers. So they are checked on both sides of that bound,
+(k, rows) GEMM chunks of ``-2 C P^T + |c|^2``, whose minimum per row (a
+running minimum when the index is kept) plus |p|^2 is taken as it is, for
+any number of centers. So they are checked on both sides of that bound,
 and rows that are not integral against integral centers are checked too.
+Every other chunk is filtered: one minimum per row, a candidate mask, each
+row's candidate count and the sum of its candidates' indices, so rows with
+hundreds of tied or duplicate candidates, whose counts and index sums
+outgrow the narrowest dtypes, are checked as well.
 
 Every comparison also runs the kernel on prepared rows (``_Rows``, the form
 a sketch's decoded points take), built from the float64 copy of the points
@@ -36,11 +41,13 @@ MAX_PAIRS = 12_000
 SCALES = [1.0, 1e-300, 1e-200, 1e-160, 1e-155, 1e155, 1e160, 1e200, 1e300]
 
 
-def assert_same_as_reference(points, centers):
+def assert_same_as_reference(points, centers, want=None):
+    """``want``, when given, is the reference's output on these inputs."""
     with warnings.catch_warnings():
         # squares that overflow warn in both kernels alike
         warnings.simplefilter("ignore", RuntimeWarning)
-        want = ref.nearest(points, centers)
+        if want is None:
+            want = ref.nearest(points, centers)
         got = geometry._nearest(points, centers)
         rows = geometry._Rows(np.asarray(points).astype(np.float64))
         prepared = geometry._nearest(rows, centers)
@@ -143,6 +150,40 @@ def test_filter_with_fewer_rows_than_centers(monkeypatch, values):
     assert_same_as_reference(pts, cen)
     for centers in (cen, geometry._Rows(cen)):
         assert not any(grid_decisions(pts, centers, monkeypatch))
+
+
+@pytest.mark.parametrize("lone", [False, True])
+@pytest.mark.parametrize("k", [255, 256, 257, 65_537])
+def test_candidate_counts_past_the_mask_dtypes(monkeypatch, k, lone):
+    # the filter counts each row's candidates in min_scalar_type(k) and sums
+    # j over them in the index dtype, min_scalar_type(k - 1), which is only
+    # a lone candidate's index. Centers on the eight corners of the unit
+    # cube, each repeated, with or without a quarter of lone integral
+    # centers away from it: the rows at the cube's center have every corner
+    # copy as a candidate (all k without lone centers), so counts reach 255
+    # and more, and index sums wrap to values beyond k; rows near a corner tie among
+    # its copies, rows near a lone center have one candidate. In one chunk
+    # and in several; at k = 65537 a few rows, so that k is e's contiguous
+    # axis
+    rng = np.random.default_rng(k)
+    corners = np.stack(np.meshgrid(*[[0, 1]] * 3), -1).reshape(8, 3)
+    sites = np.stack(np.meshgrid(*[range(3, 67)] * 3), -1).reshape(-1, 3)
+    sites = sites[rng.choice(len(sites), size=k // 4 if lone else 0, replace=False)]
+    cen = np.vstack([corners[np.arange(k - len(sites)) % 8], sites])
+    rng.shuffle(cen)
+    few = k > 2 ** 16
+    third = 1 if few else 100
+    near = sites if lone else corners
+    pts = np.vstack([np.full((third, 3), 0.5), corners[rng.integers(0, 8, size=third)],
+                     near[rng.integers(0, len(near), size=third)]])
+    pts[third:] += rng.normal(0, 0.1, size=(2 * third, 3))
+    want = ref.nearest(pts, cen)
+    dist = ((pts[:, None, :] - cen[None]) ** 2).sum(axis=2)
+    ties = (dist == want[0][:, None]).sum(axis=1)
+    assert ties.max() == k - len(sites) and (ties == 1).any() == lone
+    for chunks in {1, third, 3 * third}:
+        chunk_rows(monkeypatch, len(pts), k, 3, chunks)
+        assert_same_as_reference(pts, cen, want)
 
 
 def test_rows_straddling_the_grid_bound_across_chunks(monkeypatch):
