@@ -243,33 +243,33 @@ def _nearest(points, centers,
     computed as ``(rows, k)``, so that k is its contiguous axis. For a row
     p, e_j stands for s_j = t_j - |p|^2, where t_j is the exact squared
     distance to center j; |p|^2 is the same for every center of the row.
+    Each chunk takes one reduction of ``e``: each row's minimum, the
+    candidate mask ``e_j <= min(e) + T``, the row's candidate count in
+    ``np.min_scalar_type(k)``, which holds k, and the sum of j over its
+    candidates in the index dtype, which is a lone candidate's index and
+    with several candidates may wrap past k.
 
     Grid pass: a chunk of integral rows against integral centers with
     ``(sqrt(max |p|^2) + max|c|)^2 <= 2^52``, on the chunk's own largest
-    norm, takes each row's minimum of ``e`` and adds |p|^2 to it: every
-    intermediate of both forms (the products, the partial sums of the dot
-    products and norms, the differences and the sums of squares, the
-    minimum plus |p|^2) is an integer of magnitude at most ``(|p| + |c|)^2
-    <= 2^53``, so each is exact in any summation order, with or without
-    fused multiply-adds. So e_j is s_j, ties fall where the direct form's
-    do, and the minimum plus |p|^2 is the direct form's minimum. The margin
-    from 2^52 to 2^53 covers the rounding of the computed norms, the
-    largest of which bounds them all. With the index, the minimum comes
-    from a running minimum over the k rows of ``e`` that moves a row only on
-    a strictly smaller value or, with more centers than rows, from one
-    ``argmin`` over k; both keep ties on the lowest index.
+    norm: every intermediate of both forms (the products, the partial sums
+    of the dot products and norms, the differences and the sums of
+    squares, the minimum plus |p|^2) is an integer of magnitude at most
+    ``(|p| + |c|)^2 <= 2^53``, so each is exact in any summation order,
+    with or without fused multiply-adds. So e_j is s_j, ties fall where the
+    direct form's do, and the minimum plus |p|^2 is the direct form's
+    minimum. The margin from 2^52 to 2^53 covers the rounding of the
+    computed norms, the largest of which bounds them all. Without the index
+    the chunk stops at the minimum plus |p|^2. With it, T = 0, so the
+    candidates are exactly the ties of the minimum, and a row with several
+    takes the lowest, the first along its mask by ``argmax``.
 
     One center off the grid is every row's lone candidate: the chunk skips
     ``e`` and takes the direct form. Any other chunk is filtered.
 
-    Filter: center j is a candidate when ``e_j <= min(e) + T``, with ``T =
-    8 g (|p| + max|c|)^2 + 128 (d + 4) eta``, ``g = gamma_{d+4} = (d+4) u /
-    (1 - (d+4) u)``, ``u = 2^-53`` and ``eta = 2^-1075``. The chunk takes
-    each row's minimum of ``e``, the candidate mask, the row's candidate
-    count in ``np.min_scalar_type(k)``, which holds k, and the sum of j over
-    its candidates in the index dtype, which is a lone candidate's index.
-    With several candidates that sum may wrap past k; the gather of the
-    direct form's centers clips it into range, and ``_scan`` overwrites it.
+    Filter: ``T = 8 g (|p| + max|c|)^2 + 128 (d + 4) eta``, ``g =
+    gamma_{d+4} = (d+4) u / (1 - (d+4) u)``, ``u = 2^-53`` and ``eta =
+    2^-1075``. The gather of the direct form's centers clips a wrapped index
+    sum into range, and ``_scan`` overwrites it.
 
     Refine: a row with exactly one candidate takes it, and its value is
     recomputed in the direct form. Rows with several (exact ties, duplicate
@@ -313,38 +313,32 @@ def _nearest(points, centers,
     for lo in range(0, n, step):
         p, p_sq, b = pts[lo:lo + step], rows.sq[lo:lo + step], best[lo:lo + step]
         r = len(p)
-        wide = k > r  # more centers than rows: k is e's contiguous axis
         a = arg[lo:lo + step]
         grid = _grid_chunk(integral, p_sq, c_norm)
         if grid or k > 1:
             # the filter may overflow; such rows fall to _scan by the rule above
             with np.errstate(over="ignore", invalid="ignore"):
-                if wide:
+                if k > r:  # more centers than rows: k is e's contiguous axis
                     e = np.matmul(-2.0 * p, cen.T, out=buf[:r * k].reshape(r, k)).T
                 else:
                     e = np.matmul(-2.0 * cen, p.T, out=buf[:k * r].reshape(k, r))
                 e += c_sq[:, None]
-                if grid:
-                    if not index:
-                        e.min(axis=0, out=b)
-                    elif wide:
-                        a[:] = e.argmin(axis=0)
-                        b[:] = e[a, np.arange(r)]
-                    else:
-                        b[:] = e[0]
-                        for j in range(1, k):
-                            # j is above every stored index, so the maximum
-                            # is a write where e[j] is strictly smaller
-                            np.maximum(a, (e[j] < b) * a.dtype.type(j), out=a)
-                            np.minimum(b, e[j], out=b)
+                e.min(axis=0, out=b)
+                if grid and not index:
                     b += p_sq
                     continue
-                e.min(axis=0, out=b)
-                near = e <= b + (8.0 * g * (np.sqrt(p_sq) + c_norm) ** 2 + floor)
+                # on the grid every e_j is exact: T = 0 marks the ties
+                near = e <= (b if grid else
+                             b + (8.0 * g * (np.sqrt(p_sq) + c_norm) ** 2 + floor))
             count = np.add.reduce(near, axis=0, dtype=np.min_scalar_type(k))
-            # the index of a lone candidate; elsewhere it wraps, and _scan
-            # overwrites it
+            # the index of a lone candidate; elsewhere it wraps, and the
+            # lowest tie or _scan overwrites it
             np.add.reduce(near * idx, axis=0, dtype=a.dtype, out=a)
+            if grid:
+                b += p_sq
+                if (tie := count > 1).any():
+                    a[tie] = near[:, tie].argmax(axis=0)
+                continue
         q = cen.take(a, axis=0, mode="clip")
         np.subtract(p, q, out=q)
         np.square(q, out=q)

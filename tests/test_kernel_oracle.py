@@ -3,14 +3,16 @@ reference in ``nearest_reference``: both outputs must be equal bit for bit,
 ties, overflow and underflow included. Integral rows (an integer array, a
 ``GridDataset`` or float values that are all integers) against integral
 centers take the grid pass when ``(sqrt(max |p|^2) + max|c|)^2 <= 2^52``:
-(k, rows) GEMM chunks of ``-2 C P^T + |c|^2``, whose minimum per row (a
-running minimum when the index is kept) plus |p|^2 is taken as it is, for
-any number of centers. So they are checked on both sides of that bound,
-and rows that are not integral against integral centers are checked too.
-Every other chunk is filtered: one minimum per row, a candidate mask, each
-row's candidate count and the sum of its candidates' indices, so rows with
-hundreds of tied or duplicate candidates, whose counts and index sums
-outgrow the narrowest dtypes, are checked as well.
+(k, rows) GEMM chunks of ``-2 C P^T + |c|^2``, whose minimum per row plus
+|p|^2 is taken as it is, for any number of centers. So they are checked on
+both sides of that bound, and rows that are not integral against integral
+centers are checked too. Every chunk takes one reduction: one minimum per
+row, a candidate mask, each row's candidate count and the sum of its
+candidates' indices. The grid pass takes the mask of exact ties, with the
+index only, and its rows with several take the lowest; other chunks are
+filtered. So rows with hundreds of tied or duplicate candidates, whose
+counts and index sums outgrow the narrowest dtypes, are checked on both
+paths. The scalar reference is checked against the per-pair direct form.
 
 Every comparison also runs the kernel on prepared rows (``_Rows``, the form
 a sketch's decoded points take), built from the float64 copy of the points
@@ -186,6 +188,39 @@ def test_candidate_counts_past_the_mask_dtypes(monkeypatch, k, lone):
         assert_same_as_reference(pts, cen, want)
 
 
+@pytest.mark.parametrize("lone", [False, True])
+@pytest.mark.parametrize("k", [255, 256, 257, 65_537])
+def test_grid_ties_past_the_mask_dtypes(monkeypatch, k, lone):
+    # the grid pass takes the same mask with T = 0, so its candidates are
+    # the exact ties of each row's minimum, and a row with several takes
+    # the lowest. Integral centers on the corners of the cube {0, 2}^3,
+    # each repeated, with or without a quarter of lone integral centers
+    # away from it, against integral rows: the rows at the cube's center
+    # tie among every corner copy (all k without lone centers), so counts
+    # reach 255 and more and index sums wrap; rows on a corner tie among
+    # its copies, rows on a lone center have one candidate. In one chunk
+    # and in several, every chunk on the grid; at k = 65537 a few rows, so
+    # that k is e's contiguous axis
+    rng = np.random.default_rng(k)
+    corners = 2 * np.stack(np.meshgrid(*[[0, 1]] * 3), -1).reshape(8, 3)
+    sites = np.stack(np.meshgrid(*[range(3, 67)] * 3), -1).reshape(-1, 3)
+    sites = sites[rng.choice(len(sites), size=k // 4 if lone else 0, replace=False)]
+    cen = np.vstack([corners[np.arange(k - len(sites)) % 8], sites]).astype(np.float64)
+    rng.shuffle(cen)
+    third = 1 if k > 2 ** 16 else 100
+    near = sites if lone else corners
+    pts = np.vstack([np.ones((third, 3), np.int64), corners[rng.integers(0, 8, size=third)],
+                     near[rng.integers(0, len(near), size=third)]])
+    want = ref.nearest(pts, cen)
+    dist = ((pts[:, None, :] - cen[None]) ** 2).sum(axis=2)
+    ties = (dist == want[0][:, None]).sum(axis=1)
+    assert ties.max() == k - len(sites) and (ties == 1).any() == lone
+    for chunks in {1, third, 3 * third}:
+        chunk_rows(monkeypatch, len(pts), k, 3, chunks)
+        assert_same_as_reference(pts, cen, want)
+        assert all(grid_decisions(pts, cen, monkeypatch))
+
+
 def test_rows_straddling_the_grid_bound_across_chunks(monkeypatch):
     # 1-D rows in [1, 1000) with a run at 2^27 inside the second of four
     # chunks, against integral centers below 1000: the grid test is taken
@@ -206,20 +241,48 @@ def test_filter_memory_stays_within_a_chunk(monkeypatch):
     # jittered centers over 200000 prepared rows: each filtered chunk's
     # temporaries (its (k, rows) matrix, the direct form's (rows, d) rows,
     # the candidate marks) are about _GRID_VALUES values, so the traced
-    # peak is the outputs plus that, however many chunks there are
-    n, d, k = 200_000, 16, 8
+    # peak is the outputs plus that, however many chunks there are. The
+    # grid pass with the index builds the same marks, so the bound holds
+    # for integral centers too, at k = 8 and at k = 300
+    n, d = 200_000, 16
     rng = np.random.default_rng(24)
     rows = geometry._Rows(rng.integers(1, 1025, size=(n, d)))
-    cen = rows.points[:k] + rng.normal(size=(k, d))
+    jittered = rows.points[:8] + rng.normal(size=(8, d))
     chunk = 8 * geometry._GRID_VALUES
-    for index, outputs in ((True, n * (8 + 1 + 8)), (False, n * 8)):
+    for cen, index in ((jittered, True), (jittered, False),
+                       (rows.points[:8], True), (rows.points[:300], True)):
+        width = np.min_scalar_type(len(cen) - 1).itemsize
+        outputs = n * (8 + width + 8) if index else n * 8
         tracemalloc.start()
         try:
             geometry._nearest(rows, cen, index=index)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < outputs + 1.25 * chunk, (index, peak)
+        assert peak < outputs + 1.25 * chunk, (len(cen), index, peak / (outputs + 1.25 * chunk))
+
+
+@pytest.mark.parametrize("d", [1, 8, 9, 128, 129, 300])
+def test_reference_values_equal_the_pair_form(d):
+    # the reference takes a point's direct values against all centers in
+    # one call; each must be the per-pair ((p - c) ** 2).sum() bit for bit,
+    # across numpy's unrolled and pairwise summation lengths, with squares
+    # that overflow to inf or underflow to subnormals and 0, at one
+    # magnitude or mixed within a row
+    rng = np.random.default_rng(d)
+    scales = [1.0, 1e-160, 1e-200, 1e154, 1e160, 1e300]
+    values = []
+    for scale in scales + [np.array(scales)[rng.integers(0, len(scales), size=(1, d))]]:
+        pts, cen = rng.normal(size=(6, d)) * scale, rng.normal(size=(7, d)) * scale
+        with np.errstate(over="ignore", under="ignore"):
+            for p in pts:
+                got = ref.direct_values(p, cen)
+                want = np.array([float(((p - c) ** 2).sum()) for c in cen])
+                assert got.tobytes() == want.tobytes()
+                values.append(got)
+    values = np.concatenate(values)
+    assert np.isinf(values).any() and ((0 < values) & (values < 2.0 ** -1022)).any()
+    assert (values == 0).any()
 
 
 @pytest.mark.parametrize("scale", [1e-162, 1e-160, 1e-158])
