@@ -239,59 +239,89 @@ class SketchParams:
         return None
 
 
-def _row_layout(p: SketchParams, d: int, exact: bool, unit: bool):
-    """The columns of one point's row, in wire order, as runs of equal
-    columns: its weight code (none under unit weights), then d coordinates,
-    either fixed-width grid values or variable-width codes. Returns
-    (columns, full width of a column, whether it is a variable-width code,
-    whose zero flag may cut it to one bit) per run."""
-    runs = [] if unit else [(slice(0, 1), p.code_widths[0], True)]
-    x = slice(len(runs), len(runs) + d)
-    return runs + [(x, p.center_width if exact else p.code_widths[1], not exact)]
+class _Layout:
+    """The rows of a KZSK v2 payload, stated once for the encoder, the
+    packer, the parser, the ledger and the decoder. A row is a weight code
+    (none under unit weights), then d coordinates: in exact mode grid
+    values, each the coordinate minus 1, else variable-width codes, [1] if
+    zero, else [0][sign][expo][fraction]. ``runs`` holds the row's runs of
+    equal columns in wire order, each as (first bit, columns, full width,
+    its columns of the zero flags, or None if fixed-width); the
+    variable-width codes lead the row. ``row_bits`` is a row's width with
+    every code nonzero, ``least_bits`` with every code zero.
+
+    ``d`` comes from an untrusted header, so a layout is O(1) until the
+    parser has checked the payload against |S| rows of ``least_bits``: the
+    O(d) ``steps`` and ``fields`` are built on first use, ``fields`` also
+    because no dtype holds every width :func:`theoretical_upper_bound`
+    takes."""
+
+    def __init__(self, p: SketchParams, d: int, exact: bool, unit: bool):
+        self._p, self._exact, self._unit = p, exact, unit
+        w = 0 if unit else p.code_widths[0]
+        x = p.center_width if exact else p.code_widths[1]
+        self.runs = [] if unit else [(0, 1, w, slice(0, 1))]
+        flags = len(self.runs)
+        self.runs.append((w, d, x, None if exact else slice(flags, flags + d)))
+        self.row_bits = w + d * x
+        self.least_bits = flags + d * (x if exact else 1)
+
+    @functools.cached_property
+    def fields(self) -> list:
+        """(run, bit offset within a column, width, dtype, columns as
+        :meth:`_ByteRows.values` reads them) of each field the payload
+        stores besides the zero flags, in the order of a sketch's field
+        arrays: a weight code's exponent and fraction (its sign bit is
+        always 0), then either each coordinate's grid value, in the smallest
+        unsigned type that holds it, or a coordinate code's sign, exponent
+        and fraction."""
+        p, x = self._p, len(self.runs) - 1
+        fields = [] if self._unit else [(0, 2, p.w_expo_width), (0, 2 + p.w_expo_width, p.f_w)]
+        fields += [(x, 0, p.center_width)] if self._exact else [
+            (x, 1, 1), (x, 2, p.x_expo_width), (x, 2 + p.x_expo_width, p.f_x)]
+        return [(g, shift, width, _grid_dtype(width) if self._exact and g == x else np.int64,
+                 _columns(self.runs[g][0] + shift, self.runs[g][2], self.runs[g][1]))
+                for g, shift, width in fields]
+
+    @functools.cached_property
+    def steps(self) -> list:
+        """Per variable-width code of a row: the bits that it and the
+        fixed-width values after it take, if it is nonzero and if it is
+        zero (see :func:`_zero_flags`). In exact mode the weight code, if
+        any, is the only one, and the grid values follow it."""
+        if self._exact:
+            return [] if self._unit else [(self.row_bits, self.least_bits)]
+        return [(width, 1) for _, count, width, _ in self.runs for _ in range(count)]
+
+    def views(self, matrix: np.ndarray) -> list:
+        """Per run, its (rows, columns, width) view of a (rows, row_bits) matrix."""
+        return [matrix[:, at:at + count * width].reshape(len(matrix), count, width)
+                for at, count, width, _ in self.runs]
+
+    def bits(self, zero: np.ndarray) -> list:
+        """Per run, the payload bits of rows with the zero flags ``zero``."""
+        return [len(zero) * count * width
+                - (width - 1) * (0 if flags is None else int(np.count_nonzero(zero[:, flags])))
+                for _, count, width, flags in self.runs]
 
 
-def _field_layout(p: SketchParams, exact: bool, unit: bool):
-    """(run of the row layout, bit offset within a column, width) of each
-    field the payload stores besides the zero flags, in the order of a
-    sketch's field arrays: a weight code's exponent and fraction (its sign
-    bit is always 0), then either each coordinate's grid value minus 1, or a
-    coordinate code's sign, exponent and fraction."""
-    w, x = 0, 0 if unit else 1
-    fields = [] if unit else [(w, 2, p.w_expo_width), (w, 2 + p.w_expo_width, p.f_w)]
-    if exact:
-        return fields + [(x, 0, p.center_width)]
-    return fields + [(x, 1, 1), (x, 2, p.x_expo_width), (x, 2 + p.x_expo_width, p.f_x)]
-
-
-def _row_blocks(zero: np.ndarray, runs):
+def _row_blocks(zero: np.ndarray, layout: _Layout):
     """The payload rows in blocks of about _BLOCK_BITS bits (at least one
-    row), given their (|S|, m) zero flags and their row layout. Per block,
-    yields the slice of its rows, the mask of the bits of its (rows, R) bit
-    matrix at full width that the payload stores (all but those after a zero
-    flag), or None if it stores them all, and how many bits it stores."""
-    row_bits = sum((cols.stop - cols.start) * width for cols, width, _ in runs)
-    step = max(1, _BLOCK_BITS // row_bits)
+    row), given their zero flags and their layout. Per block, yields the
+    slice of its rows, the mask of the bits of its (rows, row_bits) bit
+    matrix that the payload stores (all but those after a zero flag), or
+    None if it stores them all, and how many bits it stores."""
+    step = max(1, _BLOCK_BITS // layout.row_bits)
     for lo in range(0, len(zero), step):
         z = zero[lo:lo + step]
         keep = None
         if z.any():
-            keep = np.ones((len(z), row_bits), dtype=bool)
-            for (cols, width, variable), view in zip(runs, _run_views(keep, runs)):
-                if variable:
-                    view[:, :, 1:] = ~z[:, cols, None]
-        count = len(z) * row_bits if keep is None else int(np.count_nonzero(keep))
+            keep = np.ones((len(z), layout.row_bits), dtype=bool)
+            for (*_, flags), view in zip(layout.runs, layout.views(keep)):
+                if flags is not None:
+                    view[:, :, 1:] = ~z[:, flags, None]
+        count = len(z) * layout.row_bits if keep is None else int(np.count_nonzero(keep))
         yield slice(lo, lo + len(z)), keep, count
-
-
-def _run_views(matrix: np.ndarray, runs) -> list:
-    """Per run of the row layout, its (rows, columns, width) view of a
-    (rows, R) bit matrix."""
-    views, start = [], 0
-    for cols, width, _ in runs:
-        end = start + (cols.stop - cols.start) * width
-        views.append(matrix[:, start:end].reshape(len(matrix), -1, width))
-        start = end
-    return views
 
 
 def _put_bytes(out: np.ndarray, at: int, bits: np.ndarray):
@@ -480,10 +510,7 @@ class Sketch:
         self.exact_coordinates = bool(flags & EXACT_COORDINATES)
         self.unit_weights = bool(flags & UNIT_WEIGHTS)
         self._header_bytes = _V1_HEADER_BYTES if version == 1 else _HEADER_BYTES
-
-    def _layouts(self):
-        p, mode = self.params, (self.exact_coordinates, self.unit_weights)
-        return _row_layout(p, self.d, *mode), _field_layout(p, *mode)
+        self._layout = _Layout(params, d, self.exact_coordinates, self.unit_weights)
 
     # -- payload -----------------------------------------------------------
 
@@ -498,34 +525,18 @@ class Sketch:
         read, each column by one word read. A flag past the payload's end is a
         ``SketchFormatError`` at its bit, and a block that would end past
         the payload one at the payload's end."""
-        p, k, d, s = self.params, self.k, self.d, self.coreset_size
+        p, k, d, s, layout = self.params, self.k, self.d, self.coreset_size, self._layout
         payload = np.frombuffer(self._data, dtype=np.uint8, offset=self._header_bytes)
         nbits = 8 * payload.size
         code_start = k * d * p.center_width + k * p.group_width
-        # a row takes at least one bit per code and its grid values in full
-        coordinate_min = p.center_width if self.exact_coordinates else 1
-        if nbits < code_start + s * ((not self.unit_weights) + d * coordinate_min):
+        # d is bounded by the payload's size only after this check: the
+        # layout's O(d) steps and fields come after it
+        if nbits < code_start + s * layout.least_bits:
             raise SketchFormatError(
                 f"payload of {nbits} bits cannot hold the {k}x{d} centers, "
                 f"group sizes and {s} coded points of the header",
                 bit_offset=nbits)
-        runs, layout = self._layouts()
-        # per variable-width code (they lead the row): the bits it and the
-        # fixed-width columns after it take, if it is nonzero and if it is zero
-        steps = []
-        for cols, width, variable in runs:
-            n = cols.stop - cols.start
-            if variable:
-                steps += [(width, 1)] * n
-            elif steps:
-                steps[-1] = (steps[-1][0] + n * width, steps[-1][1] + n * width)
-        zero = np.zeros((s, runs[-1][0].stop), dtype=bool)
-        # grid values in the smallest unsigned type that holds them
-        dtypes = [np.int64] * len(layout)
-        if self.exact_coordinates:
-            dtypes[-1] = _grid_dtype(p.center_width)
-        fields = [np.zeros_like(zero[:, runs[g][0]], dtype=t)
-                  for (g, _, _), t in zip(layout, dtypes)]
+        fields = [np.empty((s, layout.runs[g][1]), dtype=t) for g, _, _, t, _ in layout.fields]
         prefix = np.unpackbits(payload[:(code_start + 7) // 8])
         cw, gw = p.center_width, p.group_width
         head = _ByteRows(k, d * cw + gw)
@@ -538,20 +549,17 @@ class Sketch:
                 f"group sizes sum to {sum(group_sizes)}, header says {s}",
                 bit_offset=code_start)
 
-        flags = _zero_flags(payload, code_start, steps, s * len(steps))
-        zero[:, :len(steps)] = np.frombuffer(flags, dtype=bool).reshape(s, len(steps))
-        # each field's columns in a row
-        starts = np.cumsum([0] + [(cols.stop - cols.start) * width for cols, width, _ in runs])
-        columns = [_columns(int(starts[g]) + shift, runs[g][1], runs[g][0].stop - runs[g][0].start)
-                   for g, shift, _ in layout]
+        codes = len(layout.steps)
+        zero = np.frombuffer(_zero_flags(payload, code_start, layout.steps, s * codes),
+                             dtype=bool).reshape(s, codes)
         pos = code_start
-        for rows, keep, count in _row_blocks(zero, runs):
+        for rows, keep, count in _row_blocks(zero, layout):
             if pos + count > nbits:
                 raise SketchFormatError("payload ends early", bit_offset=nbits)
             start = pos // 8
             span = np.unpackbits(payload[start:(pos + count + 7) // 8])
             span = span[pos - 8 * start:pos - 8 * start + count]
-            block = _ByteRows(rows.stop - rows.start, int(starts[-1]))
+            block = _ByteRows(rows.stop - rows.start, layout.row_bits)
             if keep is None:
                 block.bits[...] = span.reshape(block.bits.shape)
             else:
@@ -559,7 +567,7 @@ class Sketch:
             # a row's weight code, if any, leads it: bit 1 is its sign
             if not self.unit_weights and block.bits[:, 1].any():
                 raise SketchFormatError("negative weight code")
-            for field, at, (_, _, width) in zip(fields, columns, layout):
+            for field, (_, _, width, _, at) in zip(fields, layout.fields):
                 field[rows] = block.values(at, width)
             pos += count
 
@@ -584,38 +592,34 @@ class Sketch:
         inverse of _parse_payload.
 
         Layout: centers, group sizes, then per point one row of fields (see
-        :func:`_row_layout`). A variable-width code is [1] if zero, else
-        [0][sign][expo][fraction]; a grid value is its coordinate minus 1.
-        Each block of rows is written at full width into one scratch bit
-        matrix, behind the fewer than 8 bits that the bits before it left
-        over; a block with a zero flag then keeps only its masked bits. The
-        whole bytes go to the output and the rest carries over.
+        :class:`_Layout`). Each block of rows is written at full width into
+        one scratch bit matrix, behind the fewer than 8 bits that the bits
+        before it left over; a block with a zero flag then keeps only its
+        masked bits. The whole bytes go to the output and the rest carries
+        over.
         """
-        p, k, d = self.params, self.k, self.d
-        cw, gw = p.center_width, p.group_width
-        runs, layout = self._layouts()
-        row_bits = sum((cols.stop - cols.start) * width for cols, width, _ in runs)
+        p, layout = self.params, self._layout
         payload_bits = self.ledger.total_bits - 8 * self._header_bytes
         out = np.empty(len(header) + (payload_bits + 7) // 8, dtype=np.uint8)
         out[:len(header)] = np.frombuffer(header, dtype=np.uint8)
         at, carry = _put_bytes(out, len(header), np.concatenate(
-            [_bits_of(self.centers.ravel() - 1, cw).ravel(),
-             _bits_of(self.group_sizes, gw).ravel()]))
+            [_bits_of(self.centers.ravel() - 1, p.center_width).ravel(),
+             _bits_of(self.group_sizes, p.group_width).ravel()]))
         scratch = None
-        for rows, keep, count in _row_blocks(self._zero, runs):
-            size = (rows.stop - rows.start) * row_bits
+        for rows, keep, count in _row_blocks(self._zero, layout):
+            size = (rows.stop - rows.start) * layout.row_bits
             if scratch is None:     # the first block is the largest
                 scratch = np.empty(8 + size, dtype=np.uint8)
             c = carry.size
             scratch[:c] = carry
-            matrix = scratch[c:c + size].reshape(-1, row_bits)
+            matrix = scratch[c:c + size].reshape(-1, layout.row_bits)
             # a weight code's sign bit is never written
             matrix.fill(0)
-            views = _run_views(matrix, runs)
-            for (cols, _, variable), view in zip(runs, views):
-                if variable and keep is not None:
-                    view[:, :, 0] = self._zero[rows, cols]
-            for field, (g, shift, width) in zip(self._fields, layout):
+            views = layout.views(matrix)
+            for (*_, flags), view in zip(layout.runs, views):
+                if flags is not None and keep is not None:
+                    view[:, :, 0] = self._zero[rows, flags]
+            for field, (g, shift, width, *_) in zip(self._fields, layout.fields):
                 views[g][:, :, shift:shift + width] = _bits_of(field[rows], width)
             if keep is not None:
                 scratch[c:c + count] = matrix[keep]
@@ -625,17 +629,14 @@ class Sketch:
         return out.tobytes()
 
     def _set_payload(self, centers, group_sizes, zero, fields):
-        """Keep the parsed or encoded payload: the (|S|, m) zero flags of the
-        row layout and one field array per entry of the field layout."""
-        p, s, d = self.params, self.coreset_size, self.d
+        """Keep the parsed or encoded payload: the zero flags of the
+        variable-width codes and one field array per field of the layout."""
+        p, d = self.params, self.d
         self.centers = geometry._freeze(centers)
         self.group_sizes = group_sizes
         self.group_of = np.repeat(np.arange(self.k), group_sizes)
         self._zero, self._fields = zero, fields
-        runs, _ = self._layouts()
-        run_bits = [s * (cols.stop - cols.start) * width
-                    - (width - 1) * int(np.count_nonzero(zero[:, cols]))
-                    for cols, width, _ in runs]
+        run_bits = self._layout.bits(zero)
         self.ledger = BitLedger(
             header_bits=8 * self._header_bytes + self.k * p.group_width,
             center_bits=self.k * d * p.center_width,
@@ -667,7 +668,7 @@ class Sketch:
                                              dtype=_grid_dtype(p.center_width + 1)))
                 points = rows.points
             else:
-                points = _decode_array(zero[:, -self.d:], *fields[-3:], p.f_x)
+                points = _decode_array(zero[:, self._layout.runs[-1][3]], *fields[-3:], p.f_x)
                 points += self.centers[self.group_of]
                 points = geometry._freeze(points)
                 rows = geometry._Rows(points)
@@ -745,13 +746,13 @@ def encode(coreset: WeightedCoreset, centers, config: ProblemConfig) -> Sketch:
     order = coreset_mod._group_order(assign, config.k)
     group_sizes = np.bincount(assign, minlength=config.k)
     weights = coreset.weights[order]
-    # grid values, coordinates minus 1, in the smallest type that holds them
-    # and in group order
-    grid_type = _grid_dtype(params.center_width)
+    unit = bool((weights == 1.0).all())
+    # grid values, coordinates minus 1, in the type of the exact layout's
+    # field and in group order
+    grid_type = _Layout(params, config.d, True, unit).fields[-1][3]
     grid = np.subtract(pts, 1, out=np.empty(pts.shape, dtype=grid_type),
                        casting="unsafe").take(order, axis=0)
 
-    unit = bool((weights == 1.0).all())
     # grid values against quantized deltas: one bit if zero, else a full code;
     # the nonzero deltas are counted group by group on the sorted grid values
     cen_grid, ends = (cen - 1).astype(grid_type), np.cumsum(group_sizes)
@@ -759,7 +760,12 @@ def encode(coreset: WeightedCoreset, centers, config: ProblemConfig) -> Sketch:
                   for g, (size, end) in enumerate(zip(group_sizes, ends)) if size)
     exact = grid.size * params.center_width \
         < grid.size + nonzero * (params.code_widths[1] - 1)
-    zero = np.zeros((s, (not unit) + config.d), dtype=bool)
+    flags = EXACT_COORDINATES * exact | UNIT_WEIGHTS * unit
+    sketch = Sketch.__new__(Sketch)
+    sketch._set_header(config.k, config.d, config.z, config.delta, eps_q,
+                       config.n, s, params, SKETCH_VERSION, flags)
+    layout = sketch._layout
+    zero = np.empty((s, len(layout.steps)), dtype=bool)
     fields = []
     if not unit:
         w_zero, _, w_expo, w_frac = _encode_array(
@@ -781,9 +787,8 @@ def encode(coreset: WeightedCoreset, centers, config: ProblemConfig) -> Sketch:
             params.f_x, 0.0)
         if x_expo.min(initial=0) < 0 or x_expo.max(initial=0) > params.x_expo_max:
             raise InvalidInput("coordinate delta exponent out of range")
-        zero[:, -config.d:] = x_zero
+        zero[:, layout.runs[-1][3]] = x_zero
         fields += [x_sign, x_expo, x_frac]
-    flags = EXACT_COORDINATES * exact | UNIT_WEIGHTS * unit
 
     header = struct.pack(_HEADER_FMT, SKETCH_MAGIC, SKETCH_VERSION,
                          config.k, config.d,
@@ -792,9 +797,6 @@ def encode(coreset: WeightedCoreset, centers, config: ProblemConfig) -> Sketch:
                          eps_frac.to_bytes(3, "little"),
                          config.n, s,
                          params.w_expo_width, params.x_expo_width) + bytes([flags])
-    sketch = Sketch.__new__(Sketch)
-    sketch._set_header(config.k, config.d, config.z, config.delta, eps_q,
-                       config.n, s, params, SKETCH_VERSION, flags)
     sketch._set_payload(cen, group_sizes.tolist(), zero, fields)
     sketch._data = sketch._pack_payload(header)
     return sketch
@@ -830,7 +832,6 @@ def theoretical_upper_bound(n: int, k: int, d: int, delta: int, eps: float,
     """
     _, _, eps_q = quantize_epsilon(eps)
     p = derive_params(eps_q, z, n, coreset_size, delta)
-    w_width, x_width = p.code_widths
-    per_point = (0 if unit_weights else w_width) + d * min(p.center_width, x_width)
+    row_bits = min(_Layout(p, d, exact, unit_weights).row_bits for exact in (True, False))
     return (HEADER_FIXED_BITS + k * p.group_width + k * d * p.center_width
-            + coreset_size * per_point)
+            + coreset_size * row_bits)

@@ -129,14 +129,14 @@ class StreamState:
     method: str = "identity"
     level0_cap: int = 16
 
-    buffer: list = field(default_factory=list)
-    level0: list = field(default_factory=list)
-    level1: list = field(default_factory=list)
-    points_seen: int = 0
-    blocks_flushed: int = 0
-    reductions: int = 0
-    max_resident_bits: int = 0
-    formula_bits_at_max: float = 0.0
+    buffer: list = field(default_factory=list, init=False)
+    level0: list = field(default_factory=list, init=False)
+    level1: list = field(default_factory=list, init=False)
+    points_seen: int = field(default=0, init=False)
+    blocks_flushed: int = field(default=0, init=False)
+    reductions: int = field(default=0, init=False)
+    max_resident_bits: int = field(default=0, init=False)
+    formula_bits_at_max: float = field(default=0.0, init=False)
 
     def __post_init__(self):
         self.z = as_z(self.z)
@@ -181,8 +181,6 @@ class StreamState:
             self._flush_block()
 
     def _flush_block(self):
-        if not self.buffer:
-            return
         self._touch()
         block = GridDataset(np.stack(self.buffer), self.delta)
         self.buffer = []

@@ -185,6 +185,26 @@ class TestUntrustedCsv:
                                    "--eps", "0.2", "--out", str(tmp_path / "o.kzsk")])
         assert err.startswith(f"error: {path}") and message in err
 
+    @pytest.mark.parametrize("raw", [b"", b"\n\n\r\n"], ids=["empty", "blank-lines"])
+    def test_dataset_without_rows_is_usage_error(self, capsys, tmp_path, raw):
+        path = tmp_path / "points.csv"
+        path.write_bytes(raw)
+        err = usage_error(capsys, ["encode", "--data", str(path), "--k", "1",
+                                   "--eps", "0.2", "--out", str(tmp_path / "o.kzsk")])
+        assert err == f"error: no points found in {path}\n"
+
+    def test_centers_of_another_dimension_are_usage_error(self, capsys, tmp_path,
+                                                          dataset_file):
+        sketch_path = str(tmp_path / "s.kzsk")
+        assert main(["encode", "--data", dataset_file[0], "--k", "2", "--eps", "0.2",
+                     "--method", "identity", "--out", sketch_path]) == 0
+        capsys.readouterr()
+        centers = tmp_path / "centers.csv"
+        centers.write_text("1,2,3\n4,5,6\n")
+        err = usage_error(capsys, ["eval", "--sketch", sketch_path,
+                                   "--centers", str(centers)])
+        assert err == "error: sketch dimension 5 != query dimension 3\n"
+
     def test_non_numeric_center_is_usage_error(self, capsys, tmp_path, dataset_file):
         sketch_path = str(tmp_path / "s.kzsk")
         assert main(["encode", "--data", dataset_file[0], "--k", "2", "--eps", "0.2",
@@ -211,6 +231,11 @@ class TestParameterValidation:
             argv = [argv[0], "--data", dataset_file[0], *argv[1:]]
         err = usage_error(capsys, [*argv, "--seed", "-1"])
         assert "argument --seed: must be a non-negative integer, got -1" in err
+
+    def test_non_integer_seed_is_usage_error(self, capsys, dataset_file):
+        err = usage_error(capsys, ["encode", "--data", dataset_file[0], "--k", "2",
+                                   "--eps", "0.2", "--out", "unused.kzsk", "--seed", "abc"])
+        assert "argument --seed: invalid int value: 'abc'" in err
 
     # every sketching command validates its instance before any coreset work
     @pytest.mark.parametrize("argv", [
@@ -535,6 +560,19 @@ class TestLowerbound:
         assert report["witness"]["separated"]
         names = [c["name"] for c in report["checks"]]
         assert any("witness" in n for n in names)
+
+    def test_table_report_lists_every_check(self, capsys):
+        argv = ["lowerbound", "--n", "16", "--d", "64", "--eps", "0.05",
+                "--mode", "orthogonal", "--seed", "6"]
+        code, out = run_cli(capsys, argv)
+        checks = json.loads(out)["checks"]
+        assert code == 0 and len(checks) > 1
+        table_code, table = run_cli(capsys, [*argv, "--report", "table"])
+        rows = dict(line.split(None, 1) for line in table.splitlines())
+        assert table_code == code
+        for i, check in enumerate(checks):
+            for key, value in check.items():
+                assert rows[f"checks[{i}].{key}"] == str(value)
 
     def test_pipeline_function_reports_every_inequality(self):
         report = run_lowerbound_pipeline(64, 160, 2, 0.05, "perturbed", seed=5)

@@ -12,7 +12,7 @@ import nearest_reference
 from kzsketch import codec, geometry
 from kzsketch.codec import Sketch, encode, theoretical_upper_bound
 from kzsketch.coreset import WeightedCoreset, approx_centers, build_coreset
-from kzsketch.errors import InvalidInput, SketchFormatError
+from kzsketch.errors import DimensionMismatch, InvalidInput, SketchFormatError
 from kzsketch.geometry import CenterSet, ProblemConfig
 
 
@@ -366,6 +366,21 @@ class TestEncodeDecode:
         _, config, centers, cs = make_instance(n=100, k=2, seed=10)
         with pytest.raises(InvalidInput, match="coreset of 100 points for n = 50"):
             encode(cs, centers, dataclasses.replace(config, n=50))
+
+    @pytest.mark.parametrize("centers, points, error, match", [
+        ([[1, 1, 1], [2, 2, 2]], [[1, 1], [3, 4]], DimensionMismatch,
+         r"centers shape \(2, 3\) != \(k=2, d=2\)"),
+        ([[1, 1], [2, 2]], [[1, 1, 1], [3, 4, 5]], DimensionMismatch,
+         "coreset dimension 3 != 2"),
+        ([[1, 1], [2, 2]], [[1, 1], [3, 17]], InvalidInput,
+         r"coreset coordinates must lie in \[1, 16\]"),
+    ], ids=["centers-shape", "coreset-dimension", "coordinate-beyond-delta"])
+    def test_input_that_disagrees_with_the_config_rejected(self, centers, points, error,
+                                                           match):
+        config = ProblemConfig(n=2, d=2, k=2, z=Fraction(2), delta=16, epsilon=0.2)
+        cs = WeightedCoreset(np.array(points), np.ones(2), 2)
+        with pytest.raises(error, match=match):
+            encode(cs, np.array(centers), config)
 
     @pytest.mark.parametrize("field, value, bits", [
         ("k", 2 ** 32, 32), ("d", 2 ** 32, 32), ("n", 2 ** 64, 64)])

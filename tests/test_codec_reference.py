@@ -108,9 +108,19 @@ class TestAgainstReference:
             codec.encode(cs, np.array([[1, 7]]), config)
 
 
+def _row_columns(sketch) -> list[tuple[int, bool]]:
+    """(full width, whether it is a variable-width code) of each column of a
+    row, in wire order: the weight code (none under unit weights), then d
+    grid values in exact mode, else d coordinate codes."""
+    p = sketch.params
+    weight = [] if sketch.unit_weights else [(p.code_widths[0], True)]
+    if sketch.exact_coordinates:
+        return weight + [(p.center_width, False)] * sketch.d
+    return weight + [(p.code_widths[1], True)] * sketch.d
+
+
 def _row_bits(sketch) -> int:
-    runs, _ = sketch._layouts()
-    return sum((cols.stop - cols.start) * width for cols, width, _ in runs)
+    return sum(width for width, _ in _row_columns(sketch))
 
 
 def _code_start(sketch) -> int:
@@ -120,16 +130,18 @@ def _code_start(sketch) -> int:
 
 def _flag_reads(sketch) -> tuple[np.ndarray, np.ndarray]:
     """(payload bit offset, value) of every zero flag the flag pass reads, in
-    wire order: the flag of every variable-width code of every row."""
-    runs, _ = sketch._layouts()
-    columns = [(width, variable) for cols, width, variable in runs
-               for _ in range(cols.stop - cols.start)]
+    wire order: the flag of every variable-width code of every row. The
+    sketch keeps flags for exactly those codes, one column each."""
+    columns = _row_columns(sketch)
     widths = np.array([width for width, _ in columns])
-    variable = np.array([v for _, v in columns])
-    taken = np.where(sketch._zero & variable, 1, widths).ravel()
+    variable = np.array([v for _, v in columns], dtype=bool)
+    assert sketch._zero.shape == (sketch.coreset_size, variable.sum())
+    zero = np.zeros((sketch.coreset_size, len(columns)), dtype=bool)
+    zero[:, variable] = sketch._zero
+    taken = np.where(zero, 1, widths).ravel()
     offsets = _code_start(sketch) + np.cumsum(taken) - taken
-    offsets = offsets.reshape(sketch._zero.shape)
-    return offsets[:, variable].ravel(), sketch._zero[:, variable].ravel()
+    offsets = offsets.reshape(zero.shape)
+    return offsets[:, variable].ravel(), sketch._zero.ravel()
 
 
 def _truncation_offset(sketch, nbits: int) -> int:
@@ -186,9 +198,8 @@ class TestRowBlocks:
     @staticmethod
     def blocks(sketch):
         """(rows, keep mask, span of payload bits) of each row block."""
-        runs, _ = sketch._layouts()
         out, pos = [], _code_start(sketch)
-        for rows, keep, count in codec._row_blocks(sketch._zero, runs):
+        for rows, keep, count in codec._row_blocks(sketch._zero, sketch._layout):
             out.append((rows, keep, slice(pos, pos + count)))
             pos += count
         return out
@@ -215,11 +226,13 @@ class TestRowBlocks:
         assert blocks[-1][2].stop == sketch.ledger.total_bits - 8 * codec._HEADER_BYTES
         assert sketch.exact_coordinates == exact
         assert not sketch.unit_weights
+        # one flag per weight code, and per coordinate code unless exact
+        assert sketch._zero.shape == (14, 1 + 3 * (not exact))
         if zeros == "last":
             assert sketch._zero[12, 0] and sketch._zero[13, 1:].all()
             assert sketch._zero.sum() == 4
         elif zeros == "alternating":
-            assert sketch._zero[1, 0] and sketch._zero[9, 1:].all() != exact
+            assert sketch._zero[1, 0] and (exact or sketch._zero[9, 1:].all())
             assert sketch._zero.sum() == 1 + 3 * (not exact)
         else:
             assert sketch._zero[[3, 8, 12], 0].all()
@@ -349,10 +362,13 @@ class TestFlagWindows:
                 nbits = 8 * (length - header)
                 with pytest.raises(SketchFormatError) as err:
                     codec.Sketch.from_bytes(raw[:length])
-                if "cannot hold" in str(err.value):
+                # the size check takes every cut short of 40 rows of one bit
+                # per code and every grid value in full, and no other
+                grid = sketch.params.center_width if sketch.exact_coordinates else 1
+                short = nbits < _code_start(sketch) + 40 * (3 * grid + (not unit))
+                assert ("cannot hold" in str(err.value)) == short
+                if short:
                     assert err.value.bit_offset == nbits
-                    grid = sketch.params.center_width if sketch.exact_coordinates else 1
-                    assert nbits < _code_start(sketch) + 40 * (3 * grid + (not unit))
                     continue
                 assert "payload ends early" in str(err.value)
                 assert err.value.bit_offset == _truncation_offset(sketch, nbits)

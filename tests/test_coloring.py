@@ -7,7 +7,7 @@ import pytest
 from hard_instances import (CapacityError, loglog_family_instance,
                             loglog_witness_centers, taylor_bounds_margins,
                             tile_instances)
-from kzsketch import geometry
+from kzsketch import coloring, geometry
 from kzsketch.anglelab import (COS_STAR, InnerProductMatrix,
                                orthogonal_complement_basis,
                                perturbed_orthogonal_basis, sample_haar_basis)
@@ -68,6 +68,53 @@ class TestFindPartialColoring:
     def test_respects_restart_budget(self):
         col = find_partial_coloring(np.eye(10), max_restarts=37, seed=7)
         assert col.restarts_used <= 37
+
+    @staticmethod
+    def spy(monkeypatch, name: str) -> list:
+        """Record each call of ``coloring.<name>`` as (arguments, result)."""
+        real, calls = getattr(coloring, name), []
+
+        def record(*args):
+            calls.append((args, real(*args)))
+            return calls[-1][1]
+        monkeypatch.setattr(coloring, name, record)
+        return calls
+
+    def test_flips_lower_the_best_restart(self, monkeypatch):
+        # all 300 random full colorings of this U stay above 1/2; single flips
+        # from the best of them reach it
+        n = 10
+        u = np.random.default_rng(6).normal(scale=0.8 / math.sqrt(n), size=(n, n))
+        calls = self.spy(monkeypatch, "_greedy_flips")
+        col = find_partial_coloring(u, max_restarts=300, seed=0)
+        [((_, start), flipped)] = calls
+
+        def disc(zeta):
+            return float(np.abs(u @ zeta.astype(float)).max())
+        assert col.restarts_used == 300
+        assert disc(start) > 0.5 >= disc(flipped) == col.discrepancy
+        assert np.array_equal(col.zeta, flipped) and col.guarantee_met
+        assert col.zero_count == 0 and np.isin(col.zeta, (-1, 1)).all()
+        # the descent stops where no single flip lowers the discrepancy
+        for j in range(n):
+            other = flipped.copy()
+            other[j] = -other[j]
+            assert disc(other) >= col.discrepancy
+
+    def test_returns_a_pairing_candidate(self, monkeypatch):
+        # no full coloring of this U meets 1/2, neither at the 300 restarts nor
+        # after the flips; a halved same-bucket pair, one zero of 4, does
+        n = 4
+        u = np.random.default_rng(0).normal(scale=0.65 / math.sqrt(n), size=(n, n))
+        flips = self.spy(monkeypatch, "_greedy_flips")
+        pairs = self.spy(monkeypatch, "_pairing_candidates")
+        col = find_partial_coloring(u, max_restarts=300, seed=0)
+        [(_, flipped)] = flips
+        [(_, candidates)] = pairs
+        assert np.abs(u @ flipped.astype(float)).max() > 0.5
+        assert any(np.array_equal(col.zeta, cand) for cand in candidates)
+        assert (col.restarts_used, col.zero_count) == (300, 1) and col.guarantee_met
+        assert col.discrepancy == float(np.abs(u @ col.zeta.astype(float)).max()) <= 0.5
 
     def test_pairing_candidates_are_half_bounded(self):
         # every halved same-bucket pair satisfies ||U zeta||_inf <= 1/2 by

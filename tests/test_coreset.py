@@ -409,6 +409,19 @@ class TestBuildCoreset:
             build_coreset(data, 2, 2, 0.1, method="magic")
 
 
+@pytest.mark.parametrize("call, error, match", [
+    (lambda: WeightedCoreset(np.ones((3, 2)), np.ones(2), 3), InvalidInput,
+     r"coreset needs an \(m, d\) point array and m weights"),
+    (lambda: WeightedCoreset(np.ones((3, 2)), np.ones(3), 2), InvalidInput,
+     "coreset cannot be larger than its source dataset"),
+    (lambda: approx_centers(GridDataset(np.zeros((0, 2), dtype=np.int64), 8), 1, 2, seed=0),
+     InvalidInput, "dataset must contain at least one point"),
+], ids=["weights-for-other-points", "larger-than-source", "empty-dataset"])
+def test_input_rejected(call, error, match):
+    with pytest.raises(error, match=match):
+        call()
+
+
 class TestWeightSumCheck:
     def test_identity_passes(self):
         data = geometry.random_grid_dataset(30, 2, 8, seed=18)

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from fractions import Fraction
@@ -6,7 +8,7 @@ from kzsketch import codec, coreset, geometry
 from kzsketch.distsim import (MergedSketch, SitePartition, StreamState,
                               run_coordinator, run_stream, split_round_robin)
 from kzsketch.errors import DimensionMismatch, InvalidInput
-from kzsketch.geometry import CenterSet, ProblemConfig
+from kzsketch.geometry import CenterSet, GridDataset, ProblemConfig
 
 
 def encode_offline(data, k, z, eps, seed, method="identity"):
@@ -16,6 +18,20 @@ def encode_offline(data, k, z, eps, seed, method="identity"):
     config = ProblemConfig(n=data.n, d=data.d, k=k, z=Fraction(z),
                            delta=data.delta, epsilon=eps)
     return codec.encode(cs, centers, config)
+
+
+@pytest.mark.parametrize("call, error, match", [
+    (lambda: SitePartition([]), InvalidInput, "partition needs at least one site"),
+    (lambda: SitePartition([geometry.random_grid_dataset(3, 2, 8, seed=0),
+                            GridDataset(np.zeros((0, 2), dtype=np.int64), 8)]),
+     InvalidInput, "site 1 holds no points"),
+    (lambda: MergedSketch([]), InvalidInput, "cannot merge zero sketches"),
+    (lambda: StreamState(delta=8, d=2, k=1, z=2, eps=0.2, block_size=4, seed=0).push([1, 2, 3]),
+     DimensionMismatch, r"point shape \(3,\), expected \(2,\)"),
+], ids=["no-site", "empty-site", "no-sketch", "point-of-another-dimension"])
+def test_input_rejected(call, error, match):
+    with pytest.raises(error, match=match):
+        call()
 
 
 class TestCoordinator:
@@ -171,6 +187,14 @@ class TestStream:
         with pytest.raises(InvalidInput):
             StreamState(delta=8, d=2, k=1, z=Fraction(2), eps=0.2,
                         block_size=4, seed=0, level0_cap=1)
+
+    def test_constructor_takes_the_parameters_only(self):
+        # the running state starts empty and is not a constructor value
+        assert [f.name for f in dataclasses.fields(StreamState) if f.init] == [
+            "delta", "d", "k", "z", "eps", "block_size", "seed", "method", "level0_cap"]
+        with pytest.raises(TypeError, match="points_seen"):
+            StreamState(delta=8, d=2, k=1, z=2, eps=0.2, block_size=4, seed=0,
+                        points_seen=5)
 
     def test_deterministic(self):
         data = geometry.random_grid_dataset(500, 3, 64, seed=30)

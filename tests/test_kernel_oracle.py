@@ -1,25 +1,18 @@
-"""The filter-and-refine distance kernel against the scalar per-center
-reference in ``nearest_reference``: both outputs must be equal bit for bit,
-ties, overflow and underflow included. Integral rows (an integer array, a
-``GridDataset`` or float values that are all integers) against integral
-centers take the grid pass when ``(sqrt(max |p|^2) + max|c|)^2 <= 2^52``:
-(k, rows) GEMM chunks of ``-2 C P^T + |c|^2``, whose minimum per row plus
-|p|^2 is taken as it is, for any number of centers. So they are checked on
-both sides of that bound, and rows that are not integral against integral
-centers are checked too. Every chunk takes one reduction: one minimum per
-row, a candidate mask, each row's candidate count and the sum of its
-candidates' indices. The grid pass takes the mask of exact ties, with the
-index only, and its rows with several take the lowest; other chunks are
-filtered. So rows with hundreds of tied or duplicate candidates, whose
-counts and index sums outgrow the narrowest dtypes, are checked on both
-paths. The scalar reference is checked against the per-pair direct form.
+"""The distance kernel, ``geometry._nearest``, against the scalar
+per-center reference in ``nearest_reference``: both outputs, each row's
+squared distance to its nearest center and that center's index, must be
+equal bit for bit, ties, overflow and underflow included. The inputs reach
+every path of the kernel (its docstring states them): integral rows against
+integral centers on both sides of the grid bound and straddling it, rows
+that are not integral, and rows with hundreds of tied or duplicate
+candidates. The scalar reference is itself checked against the per-pair
+direct form.
 
 Every comparison also runs the kernel on prepared rows (``_Rows``, the form
 a sketch's decoded points take), built from the float64 copy of the points
-that the reference computes on: they must give the same two outputs as the
-reference and as the unprepared call, and so must prepared points against
-centers prepared as ``_Rows`` too, the form in which the snap of
-``approx_centers`` hands the kernel the dataset's rows as its centers."""
+that the reference computes on, alone and against centers prepared as
+``_Rows`` too (the form of the snap of ``approx_centers``): they must give
+the same outputs as the reference and as the unprepared call."""
 
 import math
 import tracemalloc
