@@ -78,40 +78,42 @@ def _check(name: str, lhs: float, rhs: float, relation: str = "<=") -> dict:
 # sketch commands
 
 
-def _load_instance(args) -> GridDataset:
-    """The dataset of a sketching command, checked against its flags before
-    any coreset work: the header's fields first, then k <= n. The library
+def _load_instance(args) -> tuple[GridDataset, Fraction]:
+    """The dataset and z of a sketching command, checked against its flags
+    before any coreset work: every header limit, then k <= n. The library
     takes k > n (repeated centers), but its seeding allocates and draws per
     center, so a k beyond the dataset's points is a usage error here."""
-    data = _load_dataset(args.data)
-    codec.check_header_fields(ProblemConfig(data.n, data.d, args.k, _parse_z(args.z),
-                                            data.delta, args.eps))
+    data, z = _load_dataset(args.data), _parse_z(args.z)
+    codec.check_header_fields(ProblemConfig(data.n, data.d, args.k, z, data.delta, args.eps))
     if args.k > data.n:
         raise KZSketchError(f"k = {args.k} exceeds the dataset's n = {data.n}")
-    return data
+    return data, z
 
 
 def _build_sketch(args):
-    data = _load_instance(args)
-    return data, codec.compress(data, args.k, _parse_z(args.z), args.eps,
-                                args.method, args.seed)
+    data, z = _load_instance(args)
+    return data, codec.compress(data, args.k, z, args.eps, args.method, args.seed)
+
+
+def _bound_bits(sketch: codec.Sketch) -> int:
+    """:func:`codec.theoretical_upper_bound` for the sketch's own header."""
+    return codec.theoretical_upper_bound(
+        sketch.n, sketch.k, sketch.d, sketch.delta, sketch.epsilon,
+        float(sketch.z), sketch.coreset_size, sketch.unit_weights)
 
 
 def cmd_encode(args) -> int:
     data, sketch = _build_sketch(args)
     Path(args.out).write_bytes(sketch.to_bytes())
-    ledger = sketch.ledger
     report = {
         "command": "encode",
         "data": args.data, "out": args.out,
         "n": data.n, "d": data.d, "k": args.k, "z": str(sketch.z),
         "delta": data.delta, "eps": args.eps, "method": args.method,
         "seed": args.seed, "coreset_size": sketch.coreset_size,
-        "ledger": ledger.as_dict(),
+        "ledger": sketch.ledger.as_dict(),
         "serialized_bytes": len(sketch.to_bytes()),
-        "theoretical_upper_bound_bits": codec.theoretical_upper_bound(
-            data.n, args.k, data.d, data.delta, args.eps, float(sketch.z),
-            sketch.coreset_size, sketch.unit_weights),
+        "theoretical_upper_bound_bits": _bound_bits(sketch),
     }
     _emit(report, args)
     return 0
@@ -140,9 +142,7 @@ def cmd_size(args) -> int:
         "ledger": ledger.as_dict(),
         "serialized_bytes": len(raw),
         "pad_bits": 8 * len(raw) - ledger.total_bits,
-        "theoretical_upper_bound_bits": codec.theoretical_upper_bound(
-            sketch.n, sketch.k, sketch.d, sketch.delta, sketch.epsilon,
-            float(sketch.z), sketch.coreset_size, sketch.unit_weights),
+        "theoretical_upper_bound_bits": _bound_bits(sketch),
     }
     _emit(report, args)
     return 0 if 0 <= report["pad_bits"] <= 7 else 1
@@ -312,15 +312,11 @@ def cmd_angles(args) -> int:
 
 
 def cmd_distributed(args) -> int:
-    data = _load_instance(args)
-    z = _parse_z(args.z)
+    data, z = _load_instance(args)
     partition = distsim.split_round_robin(data, args.sites)
     merged, ledger = distsim.run_coordinator(partition, args.k, z, args.eps,
                                              args.seed, method=args.method)
-    formula = sum(
-        codec.theoretical_upper_bound(s.n, args.k, s.d, s.delta, args.eps,
-                                      float(z), sk.coreset_size, sk.unit_weights)
-        for s, sk in zip(partition.shards, merged.sketches))
+    formula = sum(_bound_bits(sk) for sk in merged.sketches)
     report = {
         "command": "distributed", "data": args.data, "sites": args.sites,
         "k": args.k, "z": str(z), "eps": args.eps, "seed": args.seed,
@@ -334,8 +330,7 @@ def cmd_distributed(args) -> int:
 
 
 def cmd_stream(args) -> int:
-    data = _load_instance(args)
-    z = _parse_z(args.z)
+    data, z = _load_instance(args)
     result = distsim.run_stream(data, args.k, z, args.eps, args.block,
                                 args.seed, method=args.method,
                                 level0_cap=args.cap)

@@ -689,10 +689,11 @@ class Sketch:
         return geometry.weighted_cost(weights, rows, cen, self.z)
 
 
-def check_header_fields(config: ProblemConfig) -> None:
-    """Reject a problem whose integers do not fit the header fields that
-    :func:`encode` writes: z's numerator and denominator, k and d in 32
-    bits, n in 64."""
+def check_header_fields(config: ProblemConfig) -> tuple[int, int, float]:
+    """Reject a problem that :func:`encode` cannot write: integers beyond
+    their header fields (z's numerator and denominator, k and d in 32 bits, n
+    in 64), an epsilon the header cannot hold, and fields too wide for the
+    codec. Returns :func:`quantize_epsilon`'s code; it needs no data."""
     z = config.z
     if max(z.numerator, z.denominator) >= 1 << 32:
         raise InvalidInput(f"z = {z}: numerator and denominator must "
@@ -700,6 +701,11 @@ def check_header_fields(config: ProblemConfig) -> None:
     for name, value, bits in (("k", config.k, 32), ("d", config.d, 32), ("n", config.n, 64)):
         if value >= 1 << bits:
             raise InvalidInput(f"{name} = {value} does not fit the header's {bits}-bit field")
+    code = quantize_epsilon(config.epsilon)
+    if (reason := derive_params(code[2], z, config.n, 0, config.delta).oversized()) is not None:
+        raise InvalidInput(f"epsilon {config.epsilon} with z = {z} and "
+                           f"delta = {config.delta}: {reason}")
+    return code
 
 
 def encode(coreset: WeightedCoreset, centers, config: ProblemConfig) -> Sketch:
@@ -710,18 +716,15 @@ def encode(coreset: WeightedCoreset, centers, config: ProblemConfig) -> Sketch:
     fewer bits than the quantized deltas, and weight codes are left out
     when every weight is exactly 1.
     """
-    check_header_fields(config)
+    eps_expo, eps_frac, eps_q = check_header_fields(config)
     if coreset.size > config.n:
         raise InvalidInput(f"coreset of {coreset.size} points for n = {config.n}: "
                            "a coreset has at most n points")
-    cen = np.asarray(getattr(centers, "centers", centers))
+    # a copy, as the sketch freezes its centers
+    cen = geometry.grid_coordinates(getattr(centers, "centers", centers)).copy()
     if cen.ndim != 2 or cen.shape != (config.k, config.d):
         raise DimensionMismatch(
             f"centers shape {cen.shape} != (k={config.k}, d={config.d})")
-    if not np.issubdtype(cen.dtype, np.integer):
-        if not np.all(cen == np.round(cen)):
-            raise InvalidInput("approximate centers must be grid points")
-    cen = cen.astype(np.int64)
     if cen.min() < 1 or cen.max() > config.delta:
         raise InvalidInput(f"center coordinates must lie in [1, {config.delta}]")
     pts = coreset.points
@@ -730,12 +733,8 @@ def encode(coreset: WeightedCoreset, centers, config: ProblemConfig) -> Sketch:
     if pts.size and (pts.min() < 1 or pts.max() > config.delta):
         raise InvalidInput(f"coreset coordinates must lie in [1, {config.delta}]")
 
-    eps_expo, eps_frac, eps_q = quantize_epsilon(config.epsilon)
     s = coreset.size
     params = derive_params(eps_q, config.z, config.n, s, config.delta)
-    if (reason := params.oversized()) is not None:
-        raise InvalidInput(f"epsilon {config.epsilon} with z = {config.z} and "
-                           f"delta = {config.delta}: {reason}")
 
     # the sensitivity pass's nearest centers, if it ran against these centers
     carried = getattr(coreset, "_assignment", None)
@@ -814,7 +813,6 @@ def compress(dataset: GridDataset, k: int, z: ZLike, eps: float, method: str,
                            delta=dataset.delta, epsilon=eps)
     # before the coreset, whose dist^z sum and eps^-2 sample count may overflow first
     check_header_fields(config)
-    quantize_epsilon(eps)
     centers = coreset_mod.approx_centers(dataset, k, z, seed)
     cs = coreset_mod.build_coreset(dataset, k, z, eps, method=method, seed=seed,
                                    centers=centers, weights=weights, source_n=config.n)

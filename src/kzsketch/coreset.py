@@ -51,14 +51,14 @@ class ApproxCenters:
 
 @dataclass(frozen=True)
 class WeightedCoreset:
-    """Subset of a grid dataset with nonnegative weights."""
+    """Subset of a grid dataset with nonnegative weights; points go through grid_coordinates."""
 
     points: np.ndarray
     weights: np.ndarray
     source_n: int
 
     def __post_init__(self):
-        pts = np.ascontiguousarray(np.asarray(self.points, dtype=np.int64))
+        pts = np.ascontiguousarray(geometry.grid_coordinates(self.points))
         w = np.ascontiguousarray(np.asarray(self.weights, dtype=np.float64))
         if pts.ndim != 2 or w.ndim != 1 or w.shape[0] != pts.shape[0]:
             raise InvalidInput("coreset needs an (m, d) point array and m weights")

@@ -16,7 +16,7 @@ import numpy as np
 from . import codec
 from .codec import Sketch
 from .errors import DimensionMismatch, InvalidInput
-from .geometry import GridDataset, ZLike, as_z, grid_coordinates
+from .geometry import GridDataset, ProblemConfig, ZLike, as_z, grid_coordinates
 
 
 @dataclass(frozen=True)
@@ -152,6 +152,9 @@ class StreamState:
                 f"block_size must be >= k+1 = {self.k + 1}, got {self.block_size}")
         if self.level0_cap < 2:
             raise InvalidInput(f"level0_cap must be >= 2, got {self.level0_cap}")
+        # the blocks' problem, so that no header limit fails at a flush
+        codec.check_header_fields(ProblemConfig(self.block_size, self.d, self.k, self.z,
+                                                self.delta, self.eps / 2.0))
 
     # -- accounting ---------------------------------------------------------
 

@@ -226,6 +226,9 @@ def _grid_chunk(integral: bool, p_sq: np.ndarray, c_norm: float) -> bool:
     return integral and np.sqrt(p_sq.max(initial=0.0)) + c_norm <= 2.0 ** 26
 
 
+# the filter and the direct form may overflow: the filter's such rows fall
+# to _scan by the rule below, and the direct form's values are inf
+@np.errstate(over="ignore", invalid="ignore")
 def _nearest(points, centers,
              index: bool = True) -> tuple[np.ndarray, np.ndarray | None]:
     """(squared distance to the nearest center, its index) for every point;
@@ -316,20 +319,18 @@ def _nearest(points, centers,
         a = arg[lo:lo + step]
         grid = _grid_chunk(integral, p_sq, c_norm)
         if grid or k > 1:
-            # the filter may overflow; such rows fall to _scan by the rule above
-            with np.errstate(over="ignore", invalid="ignore"):
-                if k > r:  # more centers than rows: k is e's contiguous axis
-                    e = np.matmul(-2.0 * p, cen.T, out=buf[:r * k].reshape(r, k)).T
-                else:
-                    e = np.matmul(-2.0 * cen, p.T, out=buf[:k * r].reshape(k, r))
-                e += c_sq[:, None]
-                e.min(axis=0, out=b)
-                if grid and not index:
-                    b += p_sq
-                    continue
-                # on the grid every e_j is exact: T = 0 marks the ties
-                near = e <= (b if grid else
-                             b + (8.0 * g * (np.sqrt(p_sq) + c_norm) ** 2 + floor))
+            if k > r:  # more centers than rows: k is e's contiguous axis
+                e = np.matmul(-2.0 * p, cen.T, out=buf[:r * k].reshape(r, k)).T
+            else:
+                e = np.matmul(-2.0 * cen, p.T, out=buf[:k * r].reshape(k, r))
+            e += c_sq[:, None]
+            e.min(axis=0, out=b)
+            if grid and not index:
+                b += p_sq
+                continue
+            # on the grid every e_j is exact: T = 0 marks the ties
+            near = e <= (b if grid else
+                         b + (8.0 * g * (np.sqrt(p_sq) + c_norm) ** 2 + floor))
             count = np.add.reduce(near, axis=0, dtype=np.min_scalar_type(k))
             # the index of a lone candidate; elsewhere it wraps, and the
             # lowest tie or _scan overwrites it
@@ -388,10 +389,14 @@ def _checked_weights(weights, n: int) -> np.ndarray:
 
 
 def weighted_cost(weights, points, centers, z: ZLike) -> float:
-    """Weighted clustering cost; zero-weight points contribute exactly 0."""
+    """Weighted clustering cost; zero weights contribute exactly 0, overflow inf."""
     w = _checked_weights(weights, _points_of(points).shape[0])
-    # the points as given, so that prepared rows reach the kernel as such
-    return float(np.sum(w * min_powered_distances(points, centers, z)))
+    with np.errstate(over="ignore", invalid="ignore"):
+        # the points as given, so that prepared rows reach the kernel as such
+        terms = w * min_powered_distances(points, centers, z)
+        if np.isnan(total := np.sum(terms)):    # 0 * inf at a zero weight
+            total = np.sum(np.where(w == 0, 0.0, terms))
+    return float(total)
 
 
 def nearest_assignment(points, centers) -> np.ndarray:

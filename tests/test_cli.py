@@ -303,17 +303,34 @@ class TestParameterValidation:
                                    "--eps", "1e-300", *argv[1:]])
         assert "does not survive header quantization" in err
 
-    # the stream sketches its blocks at eps/2: checked when the stream
-    # starts, not at the first flush, and named as given; 2^-126 passes the
-    # header itself but its half does not
-    @pytest.mark.parametrize("eps", ["1e-300", repr(2.0 ** -126)])
+    # the stream's eps goes through the header check of every sketching
+    # command before the stream starts: 1e-300 does not survive the header,
+    # and 2^-126 does, but its fields are too wide. An eps whose half alone
+    # fails is a StreamState error (tests/test_distsim.py)
+    @pytest.mark.parametrize("eps, message", [
+        ("1e-300", "epsilon 1e-300 does not survive header quantization\n"),
+        (repr(2.0 ** -126), f"epsilon {2.0 ** -126!r} with z = 2 and delta = 256: "
+                            "fraction widths (128, 129) and center width 8 exceed"),
+    ], ids=["below-the-header", "too-wide"])
     @pytest.mark.parametrize("method", ["sensitivity", "identity"])
-    def test_stream_eps_halved_below_header_range_names_given_eps(
-            self, capsys, dataset_file, method, eps):
+    def test_stream_eps_beyond_the_header_is_usage_error_before_the_stream(
+            self, capsys, dataset_file, method, eps, message):
         err = usage_error(capsys, ["stream", "--data", dataset_file[0], "--k", "2",
                                    "--block", "50", "--method", method, "--eps", eps])
-        assert err.startswith(f"error: epsilon {eps} does not survive header "
-                              "quantization once halved for the blocks")
+        assert err.startswith(f"error: {message}")
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_too_wide_fields_are_usage_error_before_the_coreset(self, capsys, tmp_path,
+                                                                 dataset_file):
+        # eps = 1e-14 with z = 10^6 takes 49- and 69-bit fractions; the
+        # coreset's dist^z sum would overflow first if it ran
+        err = usage_error(capsys, ["encode", "--data", dataset_file[0], "--k", "2",
+                                   "--z", "1000000", "--eps", "1e-14",
+                                   "--out", str(tmp_path / "o.kzsk")])
+        assert err == ("error: epsilon 1e-14 with z = 1000000 and delta = 256: "
+                       "fraction widths (49, 69) and center width 8 exceed the "
+                       "limits of 63 and 62 bits\n")
+        assert not (tmp_path / "o.kzsk").exists()
 
     def test_dataset_coordinate_beyond_int64_is_named_as_stored(self, capsys, tmp_path):
         path = tmp_path / "big.kzds"
@@ -506,6 +523,26 @@ def test_wide_row_sketch_parses_in_bounded_memory(tmp_path):
                           timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "1024 4096\n"
+
+
+def test_overflowing_estimate_fails_its_check_without_warnings(tmp_path, dataset_file):
+    # a center at 1e200 puts every squared distance beyond float64: the
+    # estimate is inf, a failed check (exit 1), and under
+    # -W error::RuntimeWarning no overflow warning turns it into a fault
+    sketch_path, centers_path = tmp_path / "s.kzsk", tmp_path / "c.csv"
+    assert main(["encode", "--data", dataset_file[0], "--k", "2", "--eps", "0.2",
+                 "--out", str(sketch_path)]) == 0
+    centers_path.write_text(",".join(["1e200"] * dataset_file[1].d) + "\n")
+    src = str(Path(kzsketch.__file__).resolve().parents[1])
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-W", "error::RuntimeWarning", "-m", "kzsketch.cli",
+                           "eval", "--sketch", str(sketch_path), "--centers", str(centers_path)],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 1, proc.stderr
+    assert proc.stderr == ""
+    assert json.loads(proc.stdout)["estimate"] == math.inf
+    assert '"estimate": Infinity' in proc.stdout
 
 
 def test_cli_and_lowerbound_run_without_scipy():

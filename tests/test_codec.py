@@ -374,7 +374,13 @@ class TestEncodeDecode:
          "coreset dimension 3 != 2"),
         ([[1, 1], [2, 2]], [[1, 1], [3, 17]], InvalidInput,
          r"coreset coordinates must lie in \[1, 16\]"),
-    ], ids=["centers-shape", "coreset-dimension", "coordinate-beyond-delta"])
+        *[([[v, 2], [2, 2]], [[1, 1], [3, 4]], InvalidInput,
+           "grid coordinates must be integers that fit int64")
+          for v in (np.inf, -np.inf, np.nan, 1e30, 1.5)],
+    ], ids=["centers-shape", "coreset-dimension", "coordinate-beyond-delta",
+            "inf-center", "-inf-center", "nan-center", "center-beyond-int64",
+            "fractional-center"])
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_input_that_disagrees_with_the_config_rejected(self, centers, points, error,
                                                            match):
         config = ProblemConfig(n=2, d=2, k=2, z=Fraction(2), delta=16, epsilon=0.2)
@@ -389,6 +395,12 @@ class TestEncodeDecode:
         with pytest.raises(InvalidInput, match=f"{field} = {value} does not fit "
                                                f"the header's {bits}-bit field"):
             encode(cs, centers, dataclasses.replace(config, **{field: value}))
+
+    def test_leaves_the_callers_centers_writable(self):
+        # the sketch freezes its own copy of the centers
+        _, config, centers, cs = make_instance(seed=13)
+        sketch = encode(cs, centers, config)
+        assert centers.centers.flags.writeable and not sketch.centers.flags.writeable
 
     @pytest.mark.parametrize("other", ["reversed", "another seed"])
     def test_carried_assignment_only_for_the_centers_it_was_sampled_against(
@@ -416,6 +428,21 @@ class TestEncodeDecode:
 
 
 class TestCompress:
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("z, eps, delta, widths", [
+        (10 ** 6, 1e-14, 256, "fraction widths (49, 69) and center width 8"),
+        (2, 0.1, 2 ** 63, "fraction widths (6, 7) and center width 63"),
+    ], ids=["fractions", "centers"])
+    def test_too_wide_fields_rejected_before_any_coreset_work(self, monkeypatch, z, eps,
+                                                              delta, widths):
+        data = geometry.GridDataset(np.array([[1, 2], [3, 4], [5, 6]]), delta)
+        monkeypatch.setattr(codec.coreset_mod, "approx_centers",
+                            lambda *a: pytest.fail("the coreset work started"))
+        with pytest.raises(InvalidInput) as err:
+            codec.compress(data, 2, z, eps, "identity", 0)
+        assert str(err.value) == (f"epsilon {eps} with z = {z} and delta = {delta}: "
+                                  f"{widths} exceed the limits of 63 and 62 bits")
+
     @pytest.mark.parametrize("method", ["identity", "sensitivity"])
     def test_runs_the_layers_with_one_seed(self, method):
         data = geometry.random_grid_dataset(300, 4, 128, seed=40)

@@ -416,7 +416,12 @@ class TestBuildCoreset:
      "coreset cannot be larger than its source dataset"),
     (lambda: approx_centers(GridDataset(np.zeros((0, 2), dtype=np.int64), 8), 1, 2, seed=0),
      InvalidInput, "dataset must contain at least one point"),
-], ids=["weights-for-other-points", "larger-than-source", "empty-dataset"])
+    *[(lambda v=v: WeightedCoreset([[v, 2.0]], [1.0], 1), InvalidInput,
+       "grid coordinates must be integers that fit int64")
+      for v in (1.5, np.nan, np.inf, -np.inf)],
+], ids=["weights-for-other-points", "larger-than-source", "empty-dataset",
+        "fractional-point", "nan-point", "inf-point", "-inf-point"])
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_input_rejected(call, error, match):
     with pytest.raises(error, match=match):
         call()

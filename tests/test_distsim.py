@@ -173,10 +173,18 @@ class TestStream:
         assert state.buffer[0].dtype == np.int64
         assert state.buffer[0].tolist() == [2, 3]
 
-    def test_halved_eps_checked_before_any_point(self):
-        with pytest.raises(InvalidInput, match=r"^epsilon 1e-300 does not survive"):
-            StreamState(delta=8, d=2, k=1, z=Fraction(2), eps=1e-300,
-                        block_size=4, seed=0)
+    # the blocks' header limits, at eps/2: a halved eps that the header
+    # cannot hold is named as given (2^-126 itself fits, its half does
+    # not); at eps = 1e-18, eps/2 takes a 64-bit coordinate fraction
+    @pytest.mark.parametrize("eps, match", [
+        (1e-300, r"^epsilon 1e-300 does not survive header quantization once halved"),
+        (2.0 ** -126, r"^epsilon 1.1754943508222875e-38 does not survive header "
+                      "quantization once halved"),
+        (1e-18, r"^epsilon 5e-19 with z = 2 and delta = 8: fraction widths \(63, 64\)"),
+    ], ids=["below-the-header", "half-below-the-header", "too-wide"])
+    def test_block_header_limits_checked_before_any_point(self, eps, match):
+        with pytest.raises(InvalidInput, match=match):
+            StreamState(delta=8, d=2, k=1, z=Fraction(2), eps=eps, block_size=4, seed=0)
 
     def test_block_size_must_exceed_k(self):
         with pytest.raises(InvalidInput):

@@ -111,11 +111,17 @@ class TestWeightedCost:
         got = weighted_cost(w, RealDataset(pts), CenterSet(cen), 2)
         assert got == pytest.approx(naive, rel=1e-12)
 
-    def test_zero_weights_contribute_nothing(self):
-        pts = np.array([[0.0, 0.0], [100.0, 100.0]])
-        cen = CenterSet(np.array([[0.0, 0.0]]))
-        w = np.array([1.0, 0.0])
-        assert weighted_cost(w, RealDataset(pts), cen, 2) == 0.0
+    # a distance beyond float64 is inf, and a zero weight times inf is
+    # still a contribution of 0, not NaN
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("points, centers, want", [
+        ([[100.0, 100.0], [0.0, 0.0]], [[0.0, 0.0]], 0.0),
+        ([[1.0, 1.0], [2.0, 2.0]], [[1e200, 1e200]], math.inf),
+        ([[1e200, 1e200], [2.0, 2.0]], [[1.0, 1.0]], 2.0),
+    ], ids=["finite", "others-overflow", "others-finite"])
+    def test_zero_weights_contribute_nothing(self, points, centers, want):
+        got = weighted_cost([0.0, 1.0], RealDataset(points), CenterSet(centers), 2)
+        assert got == want
 
     @given(scale=st.floats(min_value=0.0, max_value=100.0))
     @settings(max_examples=40, deadline=None)
