@@ -725,13 +725,11 @@ def encode(coreset: WeightedCoreset, centers, config: ProblemConfig) -> Sketch:
     if cen.ndim != 2 or cen.shape != (config.k, config.d):
         raise DimensionMismatch(
             f"centers shape {cen.shape} != (k={config.k}, d={config.d})")
-    if cen.min() < 1 or cen.max() > config.delta:
-        raise InvalidInput(f"center coordinates must lie in [1, {config.delta}]")
+    geometry._check_grid_range(cen, config.delta)
     pts = coreset.points
     if pts.shape[1] != config.d:
         raise DimensionMismatch(f"coreset dimension {pts.shape[1]} != {config.d}")
-    if pts.size and (pts.min() < 1 or pts.max() > config.delta):
-        raise InvalidInput(f"coreset coordinates must lie in [1, {config.delta}]")
+    geometry._check_grid_range(pts, config.delta)
 
     s = coreset.size
     params = derive_params(eps_q, config.z, config.n, s, config.delta)

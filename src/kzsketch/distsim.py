@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import codec
+from . import codec, geometry
 from .codec import Sketch
 from .errors import DimensionMismatch, InvalidInput
 from .geometry import GridDataset, ProblemConfig, ZLike, as_z, grid_coordinates
@@ -129,7 +129,8 @@ class StreamState:
     method: str = "identity"
     level0_cap: int = 16
 
-    buffer: list = field(default_factory=list, init=False)
+    buffer: list = field(default_factory=list, init=False)    # copied row blocks
+    _buffered: int = field(default=0, init=False)
     level0: list = field(default_factory=list, init=False)
     level1: list = field(default_factory=list, init=False)
     points_seen: int = field(default=0, init=False)
@@ -160,7 +161,7 @@ class StreamState:
 
     def _touch(self):
         live = self.level1 + self.level0
-        buffer_bits = len(self.buffer) * self.d * max(1, (self.delta - 1).bit_length())
+        buffer_bits = self._buffered * self.d * max(1, (self.delta - 1).bit_length())
         res = buffer_bits + sum(s.ledger.total_bits for s in live)
         if res > self.max_resident_bits:
             self.max_resident_bits = res
@@ -174,19 +175,27 @@ class StreamState:
 
     # -- stream operations ----------------------------------------------------
 
-    def push(self, point):
-        p = grid_coordinates(point)
-        if p.shape != (self.d,):
-            raise DimensionMismatch(f"point shape {p.shape}, expected ({self.d},)")
-        self.buffer.append(p)
-        self.points_seen += 1
-        if len(self.buffer) >= self.block_size:
-            self._flush_block()
+    def push(self, rows):
+        """One point ``(d,)`` or rows ``(m, d)``, all checked before any counts."""
+        p = grid_coordinates(rows)
+        if not 1 <= p.ndim <= 2 or p.shape[-1] != self.d:
+            raise DimensionMismatch(
+                f"point shape {p.shape}, expected ({self.d},) or (m, {self.d})")
+        geometry._check_grid_range(p, self.delta)
+        p = p.reshape(-1, self.d)
+        while len(p):
+            cut = self.block_size - self._buffered
+            take, p = p[:cut].copy(), p[cut:]
+            self.buffer.append(take)
+            self._buffered += len(take)
+            self.points_seen += len(take)
+            if self._buffered == self.block_size:
+                self._flush_block()
 
     def _flush_block(self):
         self._touch()
-        block = GridDataset(np.stack(self.buffer), self.delta)
-        self.buffer = []
+        block = GridDataset(np.concatenate(self.buffer), self.delta)
+        self.buffer, self._buffered = [], 0
         self.level0.append(codec.compress(
             block, self.k, self.z, self.eps / 2.0, self.method,
             self.seed + self.blocks_flushed))
@@ -247,8 +256,7 @@ def run_stream(points: GridDataset, k: int, z: ZLike, eps: float,
     state = StreamState(delta=points.delta, d=points.d, k=k, z=z, eps=eps,
                         block_size=block_size, seed=seed, method=method,
                         level0_cap=level0_cap)
-    for row in points.points:
-        state.push(row)
+    state.push(points.points)
     live = state.finish()
     return StreamResult(MergedSketch(live), live, state.max_resident_bits,
                         state.formula_bits_at_max, state.blocks_flushed,

@@ -373,12 +373,14 @@ class TestEncodeDecode:
         ([[1, 1], [2, 2]], [[1, 1, 1], [3, 4, 5]], DimensionMismatch,
          "coreset dimension 3 != 2"),
         ([[1, 1], [2, 2]], [[1, 1], [3, 17]], InvalidInput,
-         r"coreset coordinates must lie in \[1, 16\]"),
+         r"^grid coordinates must lie in \[1, 16\]; found range \[1, 17\]$"),
+        ([[1, 1], [2, 20]], [[1, 1], [3, 4]], InvalidInput,
+         r"^grid coordinates must lie in \[1, 16\]; found range \[1, 20\]$"),
         *[([[v, 2], [2, 2]], [[1, 1], [3, 4]], InvalidInput,
            "grid coordinates must be integers that fit int64")
           for v in (np.inf, -np.inf, np.nan, 1e30, 1.5)],
     ], ids=["centers-shape", "coreset-dimension", "coordinate-beyond-delta",
-            "inf-center", "-inf-center", "nan-center", "center-beyond-int64",
+            "center-beyond-delta", "inf-center", "-inf-center", "nan-center", "center-beyond-int64",
             "fractional-center"])
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_input_that_disagrees_with_the_config_rejected(self, centers, points, error,

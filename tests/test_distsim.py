@@ -1,4 +1,5 @@
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -28,7 +29,12 @@ def encode_offline(data, k, z, eps, seed, method="identity"):
     (lambda: MergedSketch([]), InvalidInput, "cannot merge zero sketches"),
     (lambda: StreamState(delta=8, d=2, k=1, z=2, eps=0.2, block_size=4, seed=0).push([1, 2, 3]),
      DimensionMismatch, r"point shape \(3,\), expected \(2,\)"),
-], ids=["no-site", "empty-site", "no-sketch", "point-of-another-dimension"])
+    *[(lambda rows=rows: StreamState(delta=8, d=2, k=1, z=2, eps=0.2, block_size=4,
+                                     seed=0).push(np.ones(rows, dtype=np.int64)),
+       DimensionMismatch, fr"^point shape {re.escape(str(rows))}, expected \(2,\) or \(m, 2\)$")
+      for rows in [(5, 3), (2, 2, 2), ()]],
+], ids=["no-site", "empty-site", "no-sketch", "point-of-another-dimension",
+        "rows-of-another-dimension", "three-axes", "scalar"])
 def test_input_rejected(call, error, match):
     with pytest.raises(error, match=match):
         call()
@@ -146,7 +152,7 @@ class TestStream:
         data = geometry.random_grid_dataset(95, 3, 64, seed=27)
         for row in data.points:
             state.push(row)
-            assert len(state.buffer) < 10
+            assert sum(map(len, state.buffer)) < 10
         live = state.finish()
         assert state.blocks_flushed == 10  # 9 full + 1 partial flush
         assert sum(s.coreset_size for s in live) > 0
@@ -170,8 +176,71 @@ class TestStream:
         state = StreamState(delta=8, d=2, k=1, z=Fraction(2), eps=0.2,
                             block_size=4, seed=0)
         state.push([2.0, 3.0])
-        assert state.buffer[0].dtype == np.int64
-        assert state.buffer[0].tolist() == [2, 3]
+        rows = np.concatenate(state.buffer)
+        assert rows.dtype == np.int64 and rows.tolist() == [[2, 3]]
+
+    def test_push_copies_the_callers_rows(self):
+        state = StreamState(delta=8, d=2, k=1, z=Fraction(2), eps=0.2,
+                            block_size=8, seed=0)
+        row, block = np.empty(2, dtype=np.int64), np.full((2, 2), 4, dtype=np.int64)
+        for v in (1, 2, 3):
+            row[:] = v
+            state.push(row)
+        state.push(block)
+        row[:], block[:] = 7, 7
+        assert np.concatenate(state.buffer).tolist() == [[1, 1], [2, 2], [3, 3], [4, 4], [4, 4]]
+
+    def test_out_of_range_point_rejected_at_its_push(self):
+        state = StreamState(delta=8, d=2, k=1, z=Fraction(2), eps=0.2,
+                            block_size=3, seed=0)
+        state.push([1, 2])
+        with pytest.raises(InvalidInput, match=r"^grid coordinates must lie in \[1, 8\]; "
+                                               r"found range \[1, 99\]$"):
+            state.push([1, 99])
+        assert state.points_seen == 1
+        assert np.concatenate(state.buffer).tolist() == [[1, 2]]
+        valid = [[1, 2], [3, 4], [5, 6], [7, 8]]
+        for p in valid[1:]:
+            state.push(p)
+        live = state.finish()
+        assert state.points_seen == 4 and state.blocks_flushed == 2
+        alone = run_stream(GridDataset(np.array(valid), 8), 1, 2, 0.2, block_size=3, seed=0)
+        assert [s.to_bytes() for s in live] == [s.to_bytes() for s in alone.sketches]
+
+    @pytest.mark.parametrize("bad, error, match", [
+        ([9, 1], InvalidInput, r"^grid coordinates must lie in \[1, 8\]; found range \[1, 9\]$"),
+        ([0, 1], InvalidInput, r"^grid coordinates must lie in \[1, 8\]; found range \[0, 4\]$"),
+        ([1.5, 1], InvalidInput, r"^grid coordinates must be integers that fit int64$"),
+    ], ids=["beyond-delta", "below-one", "fractional"])
+    def test_block_with_one_bad_row_rejected_whole(self, bad, error, match):
+        state = StreamState(delta=8, d=2, k=1, z=Fraction(2), eps=0.2,
+                            block_size=3, seed=0)
+        with pytest.raises(error, match=match):
+            state.push([[1, 2], [3, 4], [2, 2], bad, [4, 4]])
+        assert state.buffer == [] and state.points_seen == 0
+        assert state.blocks_flushed == 0 and state.max_resident_bits == 0
+
+    # rows pushed as one block, point by point, in chunks of 7 and in chunks
+    # of 2.5 blocks: 430 rows in blocks of 40 end in a partial block, and a
+    # cap of 3 reduces
+    @pytest.mark.parametrize("method", ["identity", "sensitivity"])
+    def test_push_by_point_or_block_gives_the_same_stream(self, method):
+        rows = geometry.random_grid_dataset(430, 3, 64, seed=35).points
+
+        def stream(chunk):
+            state = StreamState(delta=64, d=3, k=2, z=Fraction(2), eps=0.2, block_size=40,
+                                seed=36, method=method, level0_cap=3)
+            for lo in range(0, len(rows), chunk or 1):
+                state.push(rows[lo] if chunk is None else rows[lo:lo + chunk])
+            live = state.finish()
+            return ([s.to_bytes() for s in live], state.max_resident_bits,
+                    state.formula_bits_at_max, state.blocks_flushed, state.reductions,
+                    state.points_seen)
+
+        whole = stream(len(rows))
+        assert whole[3:] == (11, 3, 430)
+        for chunk in (None, 7, 100):
+            assert stream(chunk) == whole
 
     # the blocks' header limits, at eps/2: a halved eps that the header
     # cannot hold is named as given (2^-126 itself fits, its half does
