@@ -826,8 +826,15 @@ def theoretical_upper_bound(n: int, k: int, d: int, delta: int, eps: float,
     values of ceil(log2 delta) bits and d full coordinate codes, as the
     encoder chooses. Every sketch's ledger is at or below it.
     """
+    return _upper_bounds(n, k, d, delta, eps, z)(coreset_size, unit_weights)
+
+
+def _upper_bounds(n: int, k: int, d: int, delta: int, eps: float, z: float):
+    """:func:`theoretical_upper_bound` as a function of (coreset_size, unit_weights):
+    all but the group width (``derive_params``' rule) derived once for every sketch."""
     _, _, eps_q = quantize_epsilon(eps)
-    p = derive_params(eps_q, z, n, coreset_size, delta)
-    row_bits = min(_Layout(p, d, exact, unit_weights).row_bits for exact in (True, False))
-    return (HEADER_FIXED_BITS + k * p.group_width + k * d * p.center_width
-            + coreset_size * row_bits)
+    p = derive_params(eps_q, z, n, 0, delta)
+    row_bits = [min(_Layout(p, d, exact, unit).row_bits for exact in (True, False))
+                for unit in (False, True)]
+    fixed = HEADER_FIXED_BITS + k * d * p.center_width
+    return lambda s, unit: fixed + k * _ceil_log2_int(s + 1) + s * row_bits[bool(unit)]

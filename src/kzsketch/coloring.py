@@ -325,7 +325,7 @@ def round_and_scale(points: RealDataset, delta: int) -> RoundScaleResult:
     tilde = np.ceil((delta / 2.0) * pts).astype(np.int64) + shift
     np.clip(tilde, 1, delta, out=tilde)
     disp = np.linalg.norm(hat - tilde, axis=1)
-    return RoundScaleResult(GridDataset(tilde, delta), hat, disp)
+    return RoundScaleResult(GridDataset(geometry._freeze(tilde), delta), hat, disp)
 
 
 def scale_center(c: np.ndarray, delta: int) -> np.ndarray:

@@ -51,7 +51,8 @@ class ApproxCenters:
 
 @dataclass(frozen=True)
 class WeightedCoreset:
-    """Subset of a grid dataset with nonnegative weights; points go through grid_coordinates."""
+    """Subset of a grid dataset with nonnegative weights; points go through
+    grid_coordinates, and both arrays are owned (``geometry._owned``)."""
 
     points: np.ndarray
     weights: np.ndarray
@@ -66,10 +67,8 @@ class WeightedCoreset:
             raise InvalidInput("coreset weights must be finite and nonnegative")
         if pts.shape[0] > self.source_n:
             raise InvalidInput("coreset cannot be larger than its source dataset")
-        pts.setflags(write=False)
-        w.setflags(write=False)
-        object.__setattr__(self, "points", pts)
-        object.__setattr__(self, "weights", w)
+        object.__setattr__(self, "points", geometry._owned(pts, self.points))
+        object.__setattr__(self, "weights", geometry._owned(w, self.weights))
 
     @property
     def size(self) -> int:
@@ -152,7 +151,7 @@ def approx_centers(dataset: GridDataset, k: int, z: ZLike, seed: int) -> ApproxC
     if dataset.n < 1:
         raise InvalidInput("dataset must contain at least one point")
     rng = _rng(seed)
-    rows = geometry._Rows(dataset)
+    rows = dataset._rows
     fpts = rows.points
 
     idx, assign = _seed_dz(rows, k, zf, rng)
@@ -177,7 +176,7 @@ def approx_centers(dataset: GridDataset, k: int, z: ZLike, seed: int) -> ApproxC
 def identity_coreset(dataset: GridDataset, weights=None,
                      source_n: int | None = None) -> WeightedCoreset:
     """S = P with its weights (all exactly 1 by default): a 0-error coreset."""
-    w = np.ones(dataset.n) if weights is None else weights
+    w = geometry._freeze(np.ones(dataset.n)) if weights is None else weights
     return WeightedCoreset(dataset.points, w, source_n or dataset.n)
 
 
@@ -192,10 +191,10 @@ def sensitivity_coreset(dataset: GridDataset, k: int, z: ZLike, eps: float, seed
     set.
 
     The sample count is m = min(n, 4 k eps^-2 (d + log2 100)). The kernel
-    prepares the dataset's rows, a float copy that lives for this call
-    only, so its distances are exact grid distances. The kept points'
-    nearest centers go with the coreset, keyed by those centers, for
-    :func:`codec.encode` to reuse; they are no field of it.
+    takes the rows the dataset keeps prepared, so its distances are exact
+    grid distances. The kept points' nearest centers go with the coreset,
+    keyed by those centers, for :func:`codec.encode` to reuse; they are no
+    field of it.
     """
     n, d = dataset.n, dataset.d
     w = np.ones(n) if weights is None else weights
@@ -212,8 +211,8 @@ def sensitivity_coreset(dataset: GridDataset, k: int, z: ZLike, eps: float, seed
     m = min(n, int(math.ceil(4.0 * k * eps ** -2 * (d + math.log2(100.0)))))
     draws = _inverse_cdf_sample(rng, prob, m)
     uniq, counts = _sorted_counts(draws)
-    new_w = w[uniq] * counts / (m * prob[uniq])
-    out = WeightedCoreset(dataset.points[uniq], new_w, source_n or dataset.n)
+    new_w = geometry._freeze(w[uniq] * counts / (m * prob[uniq]))
+    out = WeightedCoreset(geometry._freeze(dataset.points[uniq]), new_w, source_n or dataset.n)
     object.__setattr__(out, "_assignment", (centers.centers.copy(), assign[uniq]))
     return out
 

@@ -165,12 +165,11 @@ class StreamState:
         res = buffer_bits + sum(s.ledger.total_bits for s in live)
         if res > self.max_resident_bits:
             self.max_resident_bits = res
-            n = max(2, self.points_seen)
+            bound = codec._upper_bounds(max(2, self.points_seen), self.k, self.d,
+                                        self.delta, self.eps / 2.0, float(self.z))
             total = float(buffer_bits)
             for s in live:
-                total += codec.theoretical_upper_bound(
-                    n, self.k, self.d, self.delta, self.eps / 2.0, float(self.z),
-                    s.coreset_size, s.unit_weights)
+                total += bound(s.coreset_size, s.unit_weights)
             self.formula_bits_at_max = total
 
     # -- stream operations ----------------------------------------------------
@@ -194,7 +193,7 @@ class StreamState:
 
     def _flush_block(self):
         self._touch()
-        block = GridDataset(np.concatenate(self.buffer), self.delta)
+        block = GridDataset(geometry._freeze(np.concatenate(self.buffer)), self.delta)
         self.buffer, self._buffered = [], 0
         self.level0.append(codec.compress(
             block, self.k, self.z, self.eps / 2.0, self.method,
@@ -221,7 +220,7 @@ class StreamState:
         w = np.concatenate(weights)
         pts = np.clip(np.rint(np.concatenate(points)), 1, self.delta).astype(np.int64)
         keep = w > 0
-        w, pts = w[keep], pts[keep]
+        w, pts = geometry._freeze(w[keep]), geometry._freeze(pts[keep])
 
         reduce_seed = self.seed + 1_000_003 * (self.reductions + 1)
         union = GridDataset(pts, self.delta)

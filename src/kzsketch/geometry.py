@@ -8,6 +8,7 @@ a fixed point order, so values are reproducible bit-for-bit across runs.
 from __future__ import annotations
 
 import csv
+import functools
 import os
 import stat
 import struct
@@ -58,6 +59,14 @@ def _freeze(a: np.ndarray) -> np.ndarray:
     return a
 
 
+def _owned(a: np.ndarray, given) -> np.ndarray:
+    """``a``, made from a caller's ``given``, read-only: copied first if writable and
+    perhaps ``given`` or a view of it. The library hands over its own arrays read-only."""
+    if a.flags.writeable and (a is given or not a.flags.owndata):
+        a = a.copy()
+    return _freeze(a)
+
+
 def grid_coordinates(values) -> np.ndarray:
     """``values`` as int64. Integer input converts as numpy casts it; any
     other input must hold integers that fit int64 (so no NaN or inf), not
@@ -78,7 +87,8 @@ def _check_grid_range(pts: np.ndarray, delta: int) -> None:
 
 @dataclass(frozen=True)
 class GridDataset:
-    """n integer points in [1, delta]^d."""
+    """n integer points in [1, delta]^d, owned (see :func:`_owned`), with their
+    rows for the distance kernel (one float64 copy and norms) kept from first use."""
 
     points: np.ndarray
     delta: int
@@ -88,7 +98,11 @@ class GridDataset:
         if pts.ndim != 2:
             raise InvalidInput("grid points must form an (n, d) array")
         _check_grid_range(pts, self.delta)
-        object.__setattr__(self, "points", _freeze(pts))
+        object.__setattr__(self, "points", _owned(pts, self.points))
+
+    @functools.cached_property
+    def _rows(self) -> _Rows:
+        return _Rows(self.points)
 
     @property
     def n(self) -> int:
@@ -237,8 +251,9 @@ def _nearest(points, centers,
     The result is bit for bit that of :func:`_scan` over all pairs: the direct
     ``((p - c) ** 2).sum()`` value, ties to the lowest index. Any input is
     taken as :class:`_Rows`, the centers as the points: prepared here unless
-    the caller prepared them, so their ``sq`` and ``integral`` serve as the
-    norms and the grid test, and a caller's rows are not scanned again.
+    the caller prepared them or they are a ``GridDataset``, which keeps its
+    own, so their ``sq`` and ``integral`` serve as the norms and the grid
+    test, and prepared rows are not scanned or copied again.
 
     One loop takes the rows in chunks of ``max(1, _GRID_VALUES // (k + d))``,
     each the ``(k, rows)`` matrix ``e = -2 C P^T + |c|^2``, the smaller
@@ -299,8 +314,8 @@ def _nearest(points, centers,
             f"points have dimension {pts.shape[1:]} but centers {cen.shape[1:]}")
     if cen.shape[0] < 1:
         raise InvalidInput("need at least one center")
-    rows = points if isinstance(points, _Rows) else _Rows(pts)
-    centers = centers if isinstance(centers, _Rows) else _Rows(cen)
+    rows, centers = (x if isinstance(x, _Rows) else x._rows if isinstance(x, GridDataset)
+                     else _Rows(a) for x, a in ((points, pts), (centers, cen)))
     pts, cen, c_sq = rows.points, centers.points, centers.sq
     n, d = pts.shape
     k = cen.shape[0]
@@ -408,7 +423,7 @@ def random_grid_dataset(n: int, d: int, delta: int, seed: int) -> GridDataset:
     """Uniform random grid points, deterministic per seed."""
     rng = np.random.default_rng(seed)
     pts = rng.integers(1, delta + 1, size=(n, d), dtype=np.int64)
-    return GridDataset(pts, delta)
+    return GridDataset(_freeze(pts), delta)
 
 
 def random_center_sets(dataset: GridDataset, k: int, count: int, seed: int) -> list[CenterSet]:
@@ -470,7 +485,7 @@ def load_dataset(path) -> GridDataset:
         pts = np.frombuffer(raw, dtype="<u8").reshape(n, d)
     # checked before the int64 cast, which would wrap a value of 2^63 or more
     _check_grid_range(pts, min(delta, 2 ** 63 - 1))
-    return GridDataset(pts.astype(np.int64), int(delta))
+    return GridDataset(_freeze(pts.astype(np.int64)), int(delta))
 
 
 def _read_csv(path, parse, dtype, what: str) -> np.ndarray:
@@ -501,7 +516,7 @@ def load_dataset_csv(path) -> GridDataset:
     """Import one integer point per CSV line; delta is the max coordinate
     (at least 2)."""
     pts = _read_csv(path, int, np.int64, "points")
-    return GridDataset(pts, max(2, int(pts.max())))
+    return GridDataset(_freeze(pts), max(2, int(pts.max())))
 
 
 def load_centers_csv(path) -> CenterSet:

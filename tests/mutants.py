@@ -138,6 +138,21 @@ MUTANTS = [
            ("tests/test_distsim.py::TestStream"
             "::test_push_by_point_or_block_gives_the_same_stream[identity]",),
            "a block's flush and reduction see the points up to its boundary, not the whole push"),
+    Mutant("approx-centers-prepares-the-dataset-again", CORESET,
+           "    rows = dataset._rows\n",
+           "    rows = geometry._Rows(dataset)\n",
+           ("tests/test_codec.py::TestCompress::test_prepares_the_dataset_once",),
+           "compress prepares a dataset's rows once, the rows the dataset keeps"),
+    Mutant("dataset-keeps-the-callers-array", GEOMETRY,
+           "        a = a.copy()\n",
+           "        pass\n",
+           ("tests/test_geometry.py::TestContainers::test_dataset_owns_its_points",),
+           "a dataset copies a caller's writable array before it freezes it"),
+    Mutant("dataset-keeps-a-view-of-the-callers-array", GEOMETRY,
+           "(a is given or not a.flags.owndata)",
+           "a is given",
+           ("tests/test_geometry.py::TestContainers::test_dataset_owns_its_points",),
+           "a dataset copies a view of a caller's writable array that numpy made for it"),
     Mutant("wide-layout-at-k-equal-rows", GEOMETRY,
            "            if k > r:  # more centers than rows",
            "            if k >= r:  # more centers than rows",

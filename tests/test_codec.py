@@ -445,6 +445,24 @@ class TestCompress:
         assert str(err.value) == (f"epsilon {eps} with z = {z} and delta = {delta}: "
                                   f"{widths} exceed the limits of 63 and 62 bits")
 
+    def test_prepares_the_dataset_once(self, monkeypatch):
+        # the seeding, the snap and the sensitivity pass take the rows the
+        # dataset keeps: one compress prepares its n rows once, and a second
+        # compress of the same dataset, at another z and seed, none
+        data = geometry.random_grid_dataset(3000, 4, 1024, seed=42)
+        prepared, init = [], geometry._Rows.__init__
+
+        def spy(rows, points):
+            prepared.append(len(geometry._points_of(points)))
+            init(rows, points)
+
+        monkeypatch.setattr(geometry._Rows, "__init__", spy)
+        codec.compress(data, 4, 2, 0.5, "sensitivity", 1)
+        assert prepared.count(data.n) == 1
+        prepared.clear()
+        sketch = codec.compress(data, 4, Fraction(3, 2), 0.5, "sensitivity", 2)
+        assert prepared and data.n not in prepared and sketch.coreset_size < data.n
+
     @pytest.mark.parametrize("method", ["identity", "sensitivity"])
     def test_runs_the_layers_with_one_seed(self, method):
         data = geometry.random_grid_dataset(300, 4, 128, seed=40)

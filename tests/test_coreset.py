@@ -427,6 +427,20 @@ def test_input_rejected(call, error, match):
         call()
 
 
+def test_coreset_owns_its_arrays():
+    # the caller's point and weight arrays stay writable, given directly or
+    # as an identity coreset's weights, and a later write to them changes
+    # no coreset
+    pts, w = np.array([[1, 2], [3, 4]]), np.array([1.0, 2.0])
+    made = [WeightedCoreset(pts, w, 2),
+            build_coreset(GridDataset(pts, 8), 2, 2, 0.5, method="identity", weights=w)]
+    pts[0, 0], w[0] = 5, 9.0
+    assert pts.flags.writeable and w.flags.writeable
+    for cs in made:
+        assert cs.points.tolist() == [[1, 2], [3, 4]] and cs.weights.tolist() == [1.0, 2.0]
+        assert not cs.points.flags.writeable and not cs.weights.flags.writeable
+
+
 class TestWeightSumCheck:
     def test_identity_passes(self):
         data = geometry.random_grid_dataset(30, 2, 8, seed=18)

@@ -272,6 +272,30 @@ class TestContainers:
         assert GridDataset(np.array([[3, 4]], dtype=np.uint8), 10).points.tolist() \
             == [[3, 4]]
 
+    @pytest.mark.parametrize("given", ["array", "view", "subclass"])
+    @pytest.mark.parametrize("prepared", [False, True])
+    def test_dataset_owns_its_points(self, given, prepared):
+        # the caller's writable array (a view of it, or the base-class view
+        # that numpy takes of a subclass) stays writable, and a later write
+        # to it changes neither the dataset nor its prepared rows, whether
+        # the rows were prepared before the write or after it
+        base = np.array([[1, 2], [3, 4], [5, 6]])
+        caller = {"array": base, "view": base[1:],
+                  "subclass": base.view(type("Sub", (np.ndarray,), {}))}[given]
+        data = GridDataset(caller, 8)
+        want = caller.tolist()
+        if prepared:
+            data._rows
+        caller[0, 0] = 7
+        assert caller.flags.writeable and base[-1, 0] == 5
+        assert data.points.tolist() == want and not data.points.flags.writeable
+        assert data._rows.points.tolist() == want
+
+    def test_dataset_takes_a_read_only_array_as_it_is(self):
+        # the library hands over its own arrays read-only, so they are not copied
+        pts = geometry._freeze(np.array([[1, 2], [3, 4]]))
+        assert GridDataset(pts, 8).points is pts
+
     def test_dataset_file_round_trip(self, tmp_path):
         data = geometry.random_grid_dataset(37, 5, 300, seed=5)
         path = tmp_path / "points.kzds"

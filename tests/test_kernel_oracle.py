@@ -12,7 +12,8 @@ Every comparison also runs the kernel on prepared rows (``_Rows``, the form
 a sketch's decoded points take), built from the float64 copy of the points
 that the reference computes on, alone and against centers prepared as
 ``_Rows`` too (the form of the snap of ``approx_centers``): they must give
-the same outputs as the reference and as the unprepared call."""
+the same outputs as the reference and as the unprepared call. So must a
+``GridDataset``, whose kept rows the kernel takes as points and as centers."""
 
 import math
 import tracemalloc
@@ -459,6 +460,47 @@ def test_prepared_rows_check_finiteness_once():
     for bad in (np.inf, np.nan):
         with pytest.raises(geometry.InvalidInput):
             geometry._Rows(np.array([[1.0, bad]]))
+
+
+def test_grid_dataset_keeps_read_only_integral_rows(monkeypatch):
+    # prepared once, on first use, from the int64 points: integral by their
+    # type with no scan, read-only, and the same rows on every later use
+    monkeypatch.setattr(np, "floor", lambda *a: pytest.fail("the rows were scanned"))
+    pts = np.random.default_rng(14).integers(1, 2 ** 40, size=(300, 5))
+    data = GridDataset(pts, 2 ** 40)
+    rows = data._rows
+    assert rows._integral is True and rows.integral and rows is data._rows
+    assert not rows.points.flags.writeable and not rows.sq.flags.writeable
+    assert np.array_equal(rows.points, pts.astype(np.float64))
+    assert np.array_equal(rows.sq, geometry._Rows(pts.astype(np.float64)).sq)
+
+
+@pytest.mark.parametrize("k", [1, 5, 40])
+@pytest.mark.parametrize("delta", [64, 2 ** 40])
+def test_grid_dataset_as_points_and_as_centers(k, delta):
+    # a GridDataset hands the kernel the rows it keeps, as the points and
+    # as the centers, against integral, half-integral and jittered other
+    # sides, inside the grid bound (delta = 64) and beyond it (2^40), with
+    # duplicate centers when there are several: the reference's outputs
+    # bit for bit, on the first call and on later ones
+    rng = np.random.default_rng(k + delta % 89)
+    data = GridDataset(rng.integers(1, delta + 1, size=(700, 3)), delta)
+    X = rng.integers(1, delta + 1, size=(k, 3))
+    X[k // 2:] = X[:k - k // 2]
+    fX, fpts = X.astype(np.float64), data.points.astype(np.float64)
+    for cen in (fX, fX + 0.5, fX + rng.normal(size=fX.shape)):
+        want = ref.nearest(data.points, cen)
+        for _ in range(2):
+            got = geometry._nearest(data, cen)
+            assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+            dist, index = geometry._nearest(data, cen, index=False)
+            assert np.array_equal(dist, want[0]) and index is None
+    centers = GridDataset(X, delta)
+    for points in (data, fpts + 0.5, fpts + rng.normal(size=fpts.shape)):
+        want = ref.nearest(geometry._points_of(points), X)
+        for _ in range(2):
+            got = geometry._nearest(points, centers)
+            assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
 
 
 def test_float_rows_are_scanned_for_integrality_only_against_integral_centers(
