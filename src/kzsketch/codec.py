@@ -14,9 +14,11 @@ bit-packed payload (centers, group sizes, one row of fields per coreset
 point) padded with zeros to a byte boundary. Version 2 appends a flags
 byte to the version 1 header: ``EXACT_COORDINATES`` stores each point's
 coordinates as fixed-width grid values instead of quantized deltas from its
-center, and ``UNIT_WEIGHTS`` drops the weight codes when every weight is
-exactly 1. ``encode`` sets each flag when it saves bits; version 1 bytes,
-which have neither, still parse.
+center, ``UNIT_WEIGHTS`` drops the weight codes when every weight is
+exactly 1, and ``SORTED_FIRST`` (only with ``EXACT_COORDINATES``) orders each
+group's rows by their first coordinate and stores that coordinate once per
+group as an Elias-Fano code. ``encode`` sets each flag when it saves bits;
+version 1 bytes, which have none, still parse.
 """
 
 from __future__ import annotations
@@ -44,6 +46,7 @@ _HEADER_BYTES = _V1_HEADER_BYTES + 1
 HEADER_FIXED_BITS = 8 * _HEADER_BYTES
 EXACT_COORDINATES = 1
 UNIT_WEIGHTS = 2
+SORTED_FIRST = 4
 _EPS_FRAC_BITS = 24
 
 
@@ -78,7 +81,9 @@ def _bits_of(values, width: int) -> np.ndarray:
     """The low ``width`` bits of each value, MSB first, along a new last
     axis: up to _TABLE_BITS bits, one wrapping take from the table of every
     value's bits, whose rows come out contiguous, so that copying them into
-    a bit matrix is one pass; wider, one big-endian unpackbits."""
+    a bit matrix is one pass; wider, one big-endian unpackbits. The take
+    reduces a value by one table length at a time, so values far beyond
+    ``width`` bits are best masked first."""
     if width <= _TABLE_BITS:
         return _bit_table(width).take(values, axis=0, mode="wrap")
     return _unpacked_bits(values, width)
@@ -112,7 +117,8 @@ class _ByteRows:
     def __init__(self, rows: int, width: int):
         self.row_bytes = -(-width // 8)
         self._flat = np.zeros(8 * (rows * self.row_bytes + self.PAD), dtype=np.uint8)
-        self.bits = self._flat[:8 * rows * self.row_bytes].reshape(rows, -1)[:, :width]
+        self.bits = self._flat[:8 * rows * self.row_bytes].reshape(
+            rows, 8 * self.row_bytes)[:, :width]
         self._packed = None
 
     def values(self, columns: tuple, width: int) -> np.ndarray:
@@ -244,9 +250,12 @@ class _Layout:
     packer, the parser, the ledger and the decoder. A row is a weight code
     (none under unit weights), then d coordinates: in exact mode grid
     values, each the coordinate minus 1, else variable-width codes, [1] if
-    zero, else [0][sign][expo][fraction]. ``runs`` holds the row's runs of
-    equal columns in wire order, each as (first bit, columns, full width,
-    its columns of the zero flags, or None if fixed-width); the
+    zero, else [0][sign][expo][fraction]. Under ``SORTED_FIRST`` (``low``
+    is not None) the row keeps only the low ``low`` bits of its first grid
+    value, none if ``low`` is 0, whose high part the payload's Elias-Fano
+    section holds (see :func:`_first_split`). ``runs`` holds the row's runs
+    of equal columns in wire order, each as (first bit, columns, full
+    width, its columns of the zero flags, or None if fixed-width); the
     variable-width codes lead the row. ``row_bits`` is a row's width with
     every code nonzero, ``least_bits`` with every code zero.
 
@@ -256,32 +265,50 @@ class _Layout:
     because no dtype holds every width :func:`theoretical_upper_bound`
     takes."""
 
-    def __init__(self, p: SketchParams, d: int, exact: bool, unit: bool):
-        self._p, self._exact, self._unit = p, exact, unit
+    def __init__(self, p: SketchParams, d: int, exact: bool, unit: bool,
+                 low: int | None = None):
+        self._p, self._exact, self._unit, self.low = p, exact, unit, low
         w = 0 if unit else p.code_widths[0]
-        x = p.center_width if exact else p.code_widths[1]
         self.runs = [] if unit else [(0, 1, w, slice(0, 1))]
         flags = len(self.runs)
-        self.runs.append((w, d, x, None if exact else slice(flags, flags + d)))
-        self.row_bits = w + d * x
-        self.least_bits = flags + d * (x if exact else 1)
+        if not exact:
+            self.runs.append((w, d, p.code_widths[1], slice(flags, flags + d)))
+        elif low is None:
+            self.runs.append((w, d, p.center_width, None))
+        else:
+            self.runs += [(w, 1, low, None)] * bool(low) \
+                + [(w + low, d - 1, p.center_width, None)]
+        self.row_bits = sum(count * width for _, count, width, _ in self.runs)
+        self.least_bits = self.row_bits - sum(
+            count * (width - 1) for _, count, width, f in self.runs if f is not None)
 
     @functools.cached_property
     def fields(self) -> list:
         """(run, bit offset within a column, width, dtype, columns as
         :meth:`_ByteRows.values` reads them) of each field the payload
         stores besides the zero flags, in the order of a sketch's field
-        arrays: a weight code's exponent and fraction (its sign bit is
-        always 0), then either each coordinate's grid value, in the smallest
-        unsigned type that holds it, or a coordinate code's sign, exponent
-        and fraction."""
-        p, x = self._p, len(self.runs) - 1
+        arrays (see :meth:`wire`): a weight code's exponent and fraction
+        (its sign bit is always 0), then either each coordinate's grid value,
+        in the smallest unsigned type that holds a grid value, or a
+        coordinate code's sign, exponent and fraction."""
+        p, x = self._p, 0 if self._unit else 1
         fields = [] if self._unit else [(0, 2, p.w_expo_width), (0, 2 + p.w_expo_width, p.f_w)]
-        fields += [(x, 0, p.center_width)] if self._exact else [
-            (x, 1, 1), (x, 2, p.x_expo_width), (x, 2 + p.x_expo_width, p.f_x)]
-        return [(g, shift, width, _grid_dtype(width) if self._exact and g == x else np.int64,
+        fields += [(g, 0, run[2]) for g, run in enumerate(self.runs[x:], x)] if self._exact \
+            else [(x, 1, 1), (x, 2, p.x_expo_width), (x, 2 + p.x_expo_width, p.f_x)]
+        grid = _grid_dtype(p.center_width)
+        return [(g, shift, width, grid if self._exact and g >= x else np.int64,
                  _columns(self.runs[g][0] + shift, self.runs[g][2], self.runs[g][1]))
                 for g, shift, width in fields]
+
+    def wire(self, fields: list) -> list:
+        """The arrays that :attr:`fields` reads and writes, given a sketch's
+        field arrays: those arrays, but under ``SORTED_FIRST`` the grid
+        values as views, of their first column, whose low bits a row stores
+        (if ``low`` is not 0), and of the others."""
+        if self.low is None:
+            return fields
+        *weights, grid = fields
+        return weights + [grid[:, :1]] * bool(self.low) + [grid[:, 1:]]
 
     @functools.cached_property
     def steps(self) -> list:
@@ -311,7 +338,7 @@ def _row_blocks(zero: np.ndarray, layout: _Layout):
     slice of its rows, the mask of the bits of its (rows, row_bits) bit
     matrix that the payload stores (all but those after a zero flag), or
     None if it stores them all, and how many bits it stores."""
-    step = max(1, _BLOCK_BITS // layout.row_bits)
+    step = max(1, _BLOCK_BITS // max(1, layout.row_bits))
     for lo in range(0, len(zero), step):
         z = zero[lo:lo + step]
         keep = None
@@ -419,6 +446,16 @@ def derive_params(eps_q: float, z: Fraction, n: int, s: int, delta: int) -> Sket
                         x_expo_max, x_expo_width, thr)
 
 
+def _first_split(s: int, k: int, delta: int) -> tuple[int, int]:
+    """(L, H) of the Elias-Fano code of ``SORTED_FIRST``, from header values
+    alone: a row keeps the low L bits of its first grid value, and each
+    group's high parts take H = ceil(delta / 2^L) buckets in unary, |S| + k H
+    bits in all. L is the smallest in [0, ceil(log2 delta)] that minimizes
+    the code's |S| L + k H bits."""
+    return min(((low, -(-delta >> low)) for low in range(_ceil_log2_int(delta) + 1)),
+               key=lambda split: s * split[0] + k * split[1])
+
+
 @dataclass(frozen=True)
 class BitLedger:
     """Exact bit accounting of one sketch, by category."""
@@ -479,8 +516,11 @@ class Sketch:
             if len(self._data) < _HEADER_BYTES:
                 raise SketchFormatError("missing header", bit_offset=8 * len(self._data))
             flags = self._data[_V1_HEADER_BYTES]
-            if flags & ~(EXACT_COORDINATES | UNIT_WEIGHTS):
+            if flags & ~(EXACT_COORDINATES | UNIT_WEIGHTS | SORTED_FIRST):
                 raise SketchFormatError(f"unknown header flags {flags:#04x}",
+                                        bit_offset=8 * _V1_HEADER_BYTES)
+            if flags & SORTED_FIRST and not flags & EXACT_COORDINATES:
+                raise SketchFormatError("header flag SORTED_FIRST without EXACT_COORDINATES",
                                         bit_offset=8 * _V1_HEADER_BYTES)
         if min(k, d, z_den) < 1 or z_num < z_den or n < 1 or delta < 2 or s > n:
             raise SketchFormatError(
@@ -510,34 +550,43 @@ class Sketch:
         self.exact_coordinates = bool(flags & EXACT_COORDINATES)
         self.unit_weights = bool(flags & UNIT_WEIGHTS)
         self._header_bytes = _V1_HEADER_BYTES if version == 1 else _HEADER_BYTES
-        self._layout = _Layout(params, d, self.exact_coordinates, self.unit_weights)
+        # (L, H) of the first coordinates' code, or None without SORTED_FIRST
+        self._split = _first_split(s, k, delta) if flags & SORTED_FIRST else None
+        self._layout = _Layout(params, d, self.exact_coordinates, self.unit_weights,
+                               None if self._split is None else self._split[0])
 
     # -- payload -----------------------------------------------------------
 
     def _parse_payload(self):
-        """Read the payload: the centers and group sizes, then the zero
-        flags of the variable-width codes, the only sequential dependency of
-        the layout, in vector steps over runs of nonzero codes and per-code
-        steps where zero codes are dense (see :func:`_zero_flags`), then per
-        block of rows (see :func:`_row_blocks`) the block's unpacked span,
-        or, if the block has a zero flag, its masked bits, copied into a
-        :class:`_ByteRows` matrix, from whose packed rows every field is
-        read, each column by one word read. A flag past the payload's end is a
+        """Read the payload: the centers and group sizes, under
+        ``SORTED_FIRST`` the Elias-Fano section, from the places of its ones,
+        then the zero flags of the variable-width codes, the only sequential
+        dependency of the layout, in vector steps over runs of nonzero codes
+        and per-code steps where zero codes are dense (see
+        :func:`_zero_flags`), then per block of rows (see
+        :func:`_row_blocks`) the block's unpacked span, or, if the block has
+        a zero flag, its masked bits, copied into a :class:`_ByteRows`
+        matrix, from whose packed rows every field is read, each column by
+        one word read. A flag past the payload's end is a
         ``SketchFormatError`` at its bit, and a block that would end past
         the payload one at the payload's end."""
         p, k, d, s, layout = self.params, self.k, self.d, self.coreset_size, self._layout
         payload = np.frombuffer(self._data, dtype=np.uint8, offset=self._header_bytes)
         nbits = 8 * payload.size
         code_start = k * d * p.center_width + k * p.group_width
-        # d is bounded by the payload's size only after this check: the
-        # layout's O(d) steps and fields come after it
-        if nbits < code_start + s * layout.least_bits:
+        row_start = code_start + (s + k * self._split[1] if self._split else 0)
+        # d, and k H, are bounded by the payload's size only after this
+        # check: the layout's O(d) steps and fields and the O(k H) section
+        # come after it
+        if nbits < row_start + s * layout.least_bits:
             raise SketchFormatError(
                 f"payload of {nbits} bits cannot hold the {k}x{d} centers, "
                 f"group sizes and {s} coded points of the header",
                 bit_offset=nbits)
         fields = [np.empty((s, layout.runs[g][1]), dtype=t) for g, _, _, t, _ in layout.fields]
-        prefix = np.unpackbits(payload[:(code_start + 7) // 8])
+        if self._split:     # one grid array, which the coordinate fields view
+            fields[2 * (not self.unit_weights):] = [np.empty((s, d), dtype=fields[-1].dtype)]
+        prefix = np.unpackbits(payload[:(row_start + 7) // 8])
         cw, gw = p.center_width, p.group_width
         head = _ByteRows(k, d * cw + gw)
         head.bits[:, :d * cw] = prefix[:k * d * cw].reshape(k, d * cw)
@@ -548,11 +597,25 @@ class Sketch:
             raise SketchFormatError(
                 f"group sizes sum to {sum(group_sizes)}, header says {s}",
                 bit_offset=code_start)
+        if self._split:
+            low, buckets = self._split
+            ones = np.flatnonzero(prefix[code_start:row_start].view(bool))
+            if len(ones) != s:
+                raise SketchFormatError(
+                    f"the first-coordinate section holds {len(ones)} ones for {s} rows",
+                    bit_offset=code_start)
+            # a row's one follows the section's zeros before it: H per
+            # earlier group, then one per bucket below its own
+            high = ones - np.arange(s) - np.repeat(np.arange(k) * buckets, group_sizes)
+            if s and not 0 <= high.min() <= high.max() < buckets:
+                raise SketchFormatError(
+                    "a group's span of the first-coordinate section does not "
+                    "hold exactly its rows' ones", bit_offset=code_start)
 
         codes = len(layout.steps)
-        zero = np.frombuffer(_zero_flags(payload, code_start, layout.steps, s * codes),
+        zero = np.frombuffer(_zero_flags(payload, row_start, layout.steps, s * codes),
                              dtype=bool).reshape(s, codes)
-        pos = code_start
+        pos = row_start
         for rows, keep, count in _row_blocks(zero, layout):
             if pos + count > nbits:
                 raise SketchFormatError("payload ends early", bit_offset=nbits)
@@ -567,10 +630,18 @@ class Sketch:
             # a row's weight code, if any, leads it: bit 1 is its sign
             if not self.unit_weights and block.bits[:, 1].any():
                 raise SketchFormatError("negative weight code")
-            for field, (_, _, width, _, at) in zip(fields, layout.fields):
-                field[rows] = block.values(at, width)
+            for field, (_, _, width, _, at) in zip(layout.wire(fields), layout.fields):
+                if field.shape[1]:
+                    field[rows] = block.values(at, width)
             pos += count
 
+        if self._split:
+            # the first grid values, with the low L bits that the rows hold;
+            # H 2^L <= 2^ceil(log2 delta), so the grid's type holds each
+            high <<= low
+            if low:
+                high |= fields[-1][:, 0]
+            fields[-1][:, 0] = high
         if centers.max() > self.delta or (
                 self.exact_coordinates and fields[-1].max(initial=0) >= self.delta):
             raise SketchFormatError(f"a grid coordinate exceeds delta = {self.delta}")
@@ -591,20 +662,36 @@ class Sketch:
         """``header`` and then the payload fields packed MSB first; the
         inverse of _parse_payload.
 
-        Layout: centers, group sizes, then per point one row of fields (see
-        :class:`_Layout`). Each block of rows is written at full width into
-        one scratch bit matrix, behind the fewer than 8 bits that the bits
-        before it left over; a block with a zero flag then keeps only its
-        masked bits. The whole bytes go to the output and the rest carries
-        over.
+        Layout: centers, group sizes, under ``SORTED_FIRST`` the Elias-Fano
+        section (see :func:`_first_split`), then per point one row of fields
+        (see :class:`_Layout`). The section holds, per group and per bucket
+        b of its high parts, a 1 for each of its rows whose first grid value
+        has the high part b, then a 0: so row i's 1 is at bit i plus the
+        buckets before its own, H per earlier group. Each block of rows is
+        written at full width into one scratch bit matrix, behind the fewer
+        than 8 bits that the bits before it left over; a block with a zero
+        flag then keeps only its masked bits. The whole bytes go to the
+        output and the rest carries over.
         """
         p, layout = self.params, self._layout
         payload_bits = self.ledger.total_bits - 8 * self._header_bytes
         out = np.empty(len(header) + (payload_bits + 7) // 8, dtype=np.uint8)
         out[:len(header)] = np.frombuffer(header, dtype=np.uint8)
-        at, carry = _put_bytes(out, len(header), np.concatenate(
-            [_bits_of(self.centers.ravel() - 1, p.center_width).ravel(),
-             _bits_of(self.group_sizes, p.group_width).ravel()]))
+        prefix = [_bits_of(self.centers.ravel() - 1, p.center_width).ravel(),
+                  _bits_of(self.group_sizes, p.group_width).ravel()]
+        fields = layout.wire(self._fields)
+        if self._split:
+            low, buckets = self._split
+            s = self.coreset_size
+            ones = self.group_of * buckets
+            ones += self._fields[-1][:, 0] >> low
+            ones += np.arange(s)
+            section = np.zeros(s + self.k * buckets, dtype=np.uint8)
+            section[ones] = 1
+            prefix.append(section)
+            if low:     # the rows' low bits alone (see _bits_of)
+                fields[-2] = fields[-2] & (1 << low) - 1
+        at, carry = _put_bytes(out, len(header), np.concatenate(prefix))
         scratch = None
         for rows, keep, count in _row_blocks(self._zero, layout):
             size = (rows.stop - rows.start) * layout.row_bits
@@ -612,14 +699,14 @@ class Sketch:
                 scratch = np.empty(8 + size, dtype=np.uint8)
             c = carry.size
             scratch[:c] = carry
-            matrix = scratch[c:c + size].reshape(-1, layout.row_bits)
+            matrix = scratch[c:c + size].reshape(rows.stop - rows.start, layout.row_bits)
             # a weight code's sign bit is never written
             matrix.fill(0)
             views = layout.views(matrix)
             for (*_, flags), view in zip(layout.runs, views):
                 if flags is not None and keep is not None:
                     view[:, :, 0] = self._zero[rows, flags]
-            for field, (g, shift, width, *_) in zip(self._fields, layout.fields):
+            for field, (g, shift, width, *_) in zip(fields, layout.fields):
                 views[g][:, :, shift:shift + width] = _bits_of(field[rows], width)
             if keep is not None:
                 scratch[c:c + count] = matrix[keep]
@@ -630,7 +717,8 @@ class Sketch:
 
     def _set_payload(self, centers, group_sizes, zero, fields):
         """Keep the parsed or encoded payload: the zero flags of the
-        variable-width codes and one field array per field of the layout."""
+        variable-width codes and the field arrays (see :meth:`_Layout.wire`).
+        The Elias-Fano section counts as coordinate bits."""
         p, d = self.params, self.d
         self.centers = geometry._freeze(centers)
         self.group_sizes = group_sizes
@@ -641,7 +729,8 @@ class Sketch:
             header_bits=8 * self._header_bytes + self.k * p.group_width,
             center_bits=self.k * d * p.center_width,
             weight_bits=0 if self.unit_weights else run_bits[0],
-            coordinate_bits=run_bits[-1],
+            coordinate_bits=sum(run_bits[not self.unit_weights:])
+            + (self.coreset_size + self.k * self._split[1] if self._split else 0),
         )
 
     # -- public surface ------------------------------------------------------
@@ -714,7 +803,9 @@ def encode(coreset: WeightedCoreset, centers, config: ProblemConfig) -> Sketch:
 
     Coordinates are stored as exact grid values instead when those take
     fewer bits than the quantized deltas, and weight codes are left out
-    when every weight is exactly 1.
+    when every weight is exactly 1. Exact rows are ordered within each group
+    by their first grid value, stored once as an Elias-Fano code, when that
+    code takes fewer bits than the values.
     """
     eps_expo, eps_frac, eps_q = check_header_fields(config)
     if coreset.size > config.n:
@@ -740,24 +831,41 @@ def encode(coreset: WeightedCoreset, centers, config: ProblemConfig) -> Sketch:
         assign = carried[1]
     else:
         assign = geometry.nearest_assignment(pts, cen.astype(np.float64))
-    order = coreset_mod._group_order(assign, config.k)
     group_sizes = np.bincount(assign, minlength=config.k)
-    weights = coreset.weights[order]
-    unit = bool((weights == 1.0).all())
+    unit = bool((coreset.weights == 1.0).all())
+    # SORTED_FIRST's rule, which needs only header values
+    low, buckets = _first_split(s, config.k, config.delta)
+    first_bits = s + config.k * buckets + s * low
+    sort_first = first_bits < s * params.center_width
     # grid values, coordinates minus 1, in the type of the exact layout's
-    # field and in group order
-    grid_type = _Layout(params, config.d, True, unit).fields[-1][3]
-    grid = np.subtract(pts, 1, out=np.empty(pts.shape, dtype=grid_type),
-                       casting="unsafe").take(order, axis=0)
+    # fields and in group order; under the rule each group's rows stably by
+    # their first grid value: a stable sort by it, then the stable sort by
+    # group
+    grid_type = _grid_dtype(params.center_width)
+    grid = np.subtract(pts, 1, out=np.empty(pts.shape, dtype=grid_type), casting="unsafe")
+    if sort_first:
+        by_first = np.argsort(grid[:, 0], kind="stable")
+        order = by_first[coreset_mod._group_order(assign[by_first], config.k)]
+    else:
+        order = coreset_mod._group_order(assign, config.k)
+    grid = grid.take(order, axis=0)
 
     # grid values against quantized deltas: one bit if zero, else a full code;
-    # the nonzero deltas are counted group by group on the sorted grid values
+    # the nonzero deltas are counted group by group on the sorted grid values,
+    # and the grid values cost what they cost after the rule
     cen_grid, ends = (cen - 1).astype(grid_type), np.cumsum(group_sizes)
     nonzero = sum(np.count_nonzero(grid[end - size:end] != cen_grid[g])
                   for g, (size, end) in enumerate(zip(group_sizes, ends)) if size)
-    exact = grid.size * params.center_width \
-        < grid.size + nonzero * (params.code_widths[1] - 1)
-    flags = EXACT_COORDINATES * exact | UNIT_WEIGHTS * unit
+    grid_bits = grid.size * params.center_width
+    if sort_first:
+        grid_bits += first_bits - s * params.center_width
+    exact = grid_bits < grid.size + nonzero * (params.code_widths[1] - 1)
+    if sort_first and not exact:
+        # quantized rows keep their coreset order within a group
+        order = coreset_mod._group_order(assign, config.k)
+    weights = coreset.weights[order]
+    flags = EXACT_COORDINATES * exact | UNIT_WEIGHTS * unit \
+        | SORTED_FIRST * (exact and sort_first)
     sketch = Sketch.__new__(Sketch)
     sketch._set_header(config.k, config.d, config.z, config.delta, eps_q,
                        config.n, s, params, SKETCH_VERSION, flags)

@@ -197,21 +197,29 @@ def sensitivity_coreset(dataset: GridDataset, k: int, z: ZLike, eps: float, seed
     field of it.
     """
     n, d = dataset.n, dataset.d
-    w = np.ones(n) if weights is None else weights
     rng = _rng(seed)
     if centers is None:
         centers = approx_centers(dataset, k, z, seed)
     sq, assign = geometry._nearest(dataset, centers.centers)
+    # the mass, the sensitivity and the probability in place in one array;
+    # under unit weights w x is x and w / sum(w) is 1 / n exactly
     with np.errstate(over="ignore"):
-        mass = w * geometry.powered_distances(sq, z)
-        total = dz_total(mass, z)
-    sens = (mass / total if total > 0 else 0.0) + w / w.sum()
-    prob = sens / sens.sum()
+        prob = geometry.powered_distances(sq, z)
+        if weights is not None:
+            prob *= weights
+        total = dz_total(prob, z)
+    if total > 0:
+        prob /= total
+    else:
+        prob.fill(0.0)
+    prob += 1.0 / n if weights is None else weights / weights.sum()
+    prob /= prob.sum()
 
     m = min(n, int(math.ceil(4.0 * k * eps ** -2 * (d + math.log2(100.0)))))
     draws = _inverse_cdf_sample(rng, prob, m)
     uniq, counts = _sorted_counts(draws)
-    new_w = geometry._freeze(w[uniq] * counts / (m * prob[uniq]))
+    new_w = geometry._freeze(counts / (m * prob[uniq]) if weights is None
+                             else weights[uniq] * counts / (m * prob[uniq]))
     out = WeightedCoreset(geometry._freeze(dataset.points[uniq]), new_w, source_n or dataset.n)
     object.__setattr__(out, "_assignment", (centers.centers.copy(), assign[uniq]))
     return out

@@ -1,5 +1,5 @@
 """Reference KZSK codec: a per-field bit writer (version 2) and reader
-(versions 1 and 2).
+(versions 1 and 2), the Elias-Fano section of ``SORTED_FIRST`` included.
 
 It is slow and simple on purpose: every scalar is quantized and decoded on
 its own, in integer arithmetic, and every field is written and read one at
@@ -108,11 +108,35 @@ class BitReader:
         return value
 
 
-def row_order(points, centers) -> np.ndarray:
+def row_order(points, centers, by_first: bool = False) -> np.ndarray:
     """Coreset row of each encoded row: rows are grouped by nearest center
-    (lowest index on ties) and keep their coreset order within a group."""
+    (lowest index on ties) and keep their coreset order within a group,
+    or with ``by_first`` (a ``SORTED_FIRST`` sketch) are ordered within it
+    by their first coordinate, ties in coreset order."""
     cen = np.asarray(getattr(centers, "centers", centers), dtype=np.float64)
-    return np.argsort(geometry.nearest_assignment(points, cen), kind="stable")
+    assign = geometry.nearest_assignment(points, cen)
+    keys = [(int(a), int(p[0]) if by_first else 0, row)
+            for row, (a, p) in enumerate(zip(assign, points))]
+    return np.array([row for *_, row in sorted(keys)], dtype=np.int64)
+
+
+def sorted_first(sketch) -> bool:
+    """Whether a sketch's flags byte has ``SORTED_FIRST``."""
+    flags_byte = struct.calcsize(codec._HEADER_FMT)
+    return sketch.version == 2 and bool(sketch.to_bytes()[flags_byte] & codec.SORTED_FIRST)
+
+
+def first_split(s: int, k: int, delta: int) -> tuple[int, int]:
+    """(L, H) of the first coordinates' code: a row keeps the low L bits of
+    its first grid value, and H = ceil(delta / 2^L) buckets per group count
+    the high parts in unary. L is the smallest that minimizes s L + k H over
+    L = 0 .. ceil(log2 delta)."""
+    best = None
+    for low in range((delta - 1).bit_length() + 1):
+        buckets = -(-delta // 2 ** low)
+        if best is None or s * low + k * buckets < best[0]:
+            best = (s * low + k * buckets, low, buckets)
+    return best[1], best[2]
 
 
 def encode_bytes(coreset, centers, config) -> bytes:
@@ -132,16 +156,30 @@ def encode_bytes(coreset, centers, config) -> bytes:
         for i in range(config.d):
             writer.write(int(cen[l, i]) - 1, p.center_width)
     assign = geometry.nearest_assignment(pts, cen.astype(np.float64))
-    order = row_order(pts, cen)
     group_sizes = np.bincount(assign, minlength=config.k)
     for l in range(config.k):
         writer.write(int(group_sizes[l]), p.group_width)
 
     x_codes = {(row, i): quantize(float(pts[row, i] - cen[assign[row], i]), p.f_x)
-               for row in order for i in range(config.d)}
+               for row in range(s) for i in range(config.d)}
     quantized_bits = sum(1 if x[0] else p.code_widths[1] for x in x_codes.values())
-    exact = s * config.d * p.center_width < quantized_bits
-    unit = all(coreset.weights[row] == 1.0 for row in order)
+    low, buckets = first_split(s, config.k, config.delta)
+    first_bits = s + config.k * buckets + s * low
+    sort_first = first_bits < s * p.center_width
+    grid_bits = s * config.d * p.center_width
+    if sort_first:
+        grid_bits += first_bits - s * p.center_width
+    exact = grid_bits < quantized_bits
+    sort_first = sort_first and exact
+    unit = all(coreset.weights[row] == 1.0 for row in range(s))
+    order = row_order(pts, cen, sort_first)
+    if sort_first:
+        for l in range(config.k):
+            highs = [(int(pts[row, 0]) - 1) >> low for row in order if assign[row] == l]
+            for bucket in range(buckets):
+                for _ in range(highs.count(bucket)):
+                    writer.write(1, 1)
+                writer.write(0, 1)
     for row in order:
         if not unit:
             w_zero, _, w_expo, w_frac = quantize(float(coreset.weights[row]), p.f_w,
@@ -153,7 +191,9 @@ def encode_bytes(coreset, centers, config) -> bytes:
                              2 + p.w_expo_width + p.f_w)
         for i in range(config.d):
             x_zero, x_sign, x_expo, x_frac = x_codes[row, i]
-            if exact:
+            if sort_first and i == 0:
+                writer.write((int(pts[row, 0]) - 1) % 2 ** low, low)
+            elif exact:
                 writer.write(int(pts[row, i]) - 1, p.center_width)
             elif x_zero:
                 writer.write(1, 1)
@@ -166,7 +206,8 @@ def encode_bytes(coreset, centers, config) -> bytes:
                          config.z.numerator, config.z.denominator,
                          config.delta, eps_expo, eps_frac.to_bytes(3, "little"),
                          config.n, s, p.w_expo_width, p.x_expo_width)
-    flags = codec.EXACT_COORDINATES * exact | codec.UNIT_WEIGHTS * unit
+    flags = codec.EXACT_COORDINATES * exact | codec.UNIT_WEIGHTS * unit \
+        | codec.SORTED_FIRST * sort_first
     return header + bytes([flags]) + writer.getvalue()
 
 
@@ -181,8 +222,8 @@ def _read_code(reader: BitReader, expo_width: int, f: int):
 
 def parse(data: bytes) -> dict:
     """Parse v1 or v2 bytes field by field. The header goes through the
-    library's header parser; the payload is read here. Returns the parsed
-    fields."""
+    library's header parser; the payload, the Elias-Fano section included,
+    is read here. Returns the parsed fields."""
     sk = codec.Sketch.__new__(codec.Sketch)
     sk._data = bytes(data)
     sk._parse_header()
@@ -196,13 +237,30 @@ def parse(data: bytes) -> dict:
         raise SketchFormatError(
             f"group sizes sum to {sum(group_sizes)}, header says {s}",
             bit_offset=reader.bits_consumed)
+    sort_first = sorted_first(sk)
+    # per row, the high part of its first grid value
+    highs = []
+    weight_bits = coordinate_bits = 0
+    if sort_first:
+        low, buckets = first_split(s, k, sk.delta)
+        for size in group_sizes:
+            group, bucket = [], 0
+            while bucket < buckets:
+                if reader.read(1):
+                    group.append(bucket)
+                else:
+                    bucket += 1
+            if len(group) != size:
+                raise SketchFormatError("a group's span of the first-coordinate "
+                                        "section does not hold exactly its rows' ones")
+            highs += group
+        coordinate_bits += s + k * buckets
 
     # rows of (zero, sign, expo, fraction); a unit weight is the code of 1.0
     w_codes = np.zeros((4, s), dtype=np.int64)
     w_codes[2] = -p.w_expo_min
     x_codes = np.zeros((4, s, d), dtype=np.int64)
     grid = np.zeros((s, d), dtype=np.int64)
-    weight_bits = coordinate_bits = 0
     for row in range(s):
         if not sk.unit_weights:
             zero, sign, expo, frac, used = _read_code(reader, p.w_expo_width, p.f_w)
@@ -212,7 +270,10 @@ def parse(data: bytes) -> dict:
             w_codes[:, row] = zero, sign, expo, frac
             weight_bits += used
         for i in range(d):
-            if sk.exact_coordinates:
+            if sort_first and i == 0:
+                grid[row, 0] = (highs[row] << low) + reader.read(low) + 1
+                coordinate_bits += low
+            elif sk.exact_coordinates:
                 grid[row, i] = reader.read(p.center_width) + 1
                 coordinate_bits += p.center_width
             else:

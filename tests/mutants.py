@@ -153,6 +153,42 @@ MUTANTS = [
            "a is given",
            ("tests/test_geometry.py::TestContainers::test_dataset_owns_its_points",),
            "a dataset copies a view of a caller's writable array that numpy made for it"),
+    Mutant("filter-threshold-sixteenth", GEOMETRY,
+           "b + (8.0 * g * (np.sqrt(p_sq) + c_norm) ** 2 + floor))",
+           "b + (8.0 * g * (np.sqrt(p_sq) + c_norm) ** 2 + floor) / 16)",
+           ("tests/test_kernel_oracle.py::test_filter_against_an_adversarial_gemm[1.0-True-1]",),
+           "the filter's margin T covers every GEMM error its proof allows, not only numpy's"),
+    Mutant("filter-floor-zero", GEOMETRY,
+           "    floor = 64.0 * (d + 4) * 2.0 ** -1074  # 128 (d + 4) eta\n",
+           "    floor = 0.0\n",
+           ("tests/test_kernel_oracle.py::test_ties_among_subnormal_distances[1e-162]",),
+           "the filter's absolute term covers the expanded form's underflow errors"),
+    Mutant("filter-threshold-half", GEOMETRY,
+           "b + (8.0 * g * (np.sqrt(p_sq) + c_norm) ** 2 + floor))",
+           "b + (8.0 * g * (np.sqrt(p_sq) + c_norm) ** 2 + floor) / 2)",
+           (),
+           "the filter's margin T is the proof's bound with its factor-2 margin",
+           equivalent="T / 2 still meets the bound 4 gamma_{d+2} X + 8 d eta that the "
+                      "proof in _nearest needs, up to the rounding of the norms and of T "
+                      "that T's factor-2 margin covers; the adversarial GEMM at the "
+                      "model's limit kills T / 16 but not T / 2"),
+    Mutant("first-split-ties-to-the-largest-low", CODEC,
+           "for low in range(_ceil_log2_int(delta) + 1)),",
+           "for low in reversed(range(_ceil_log2_int(delta) + 1))),",
+           ("tests/test_codec_reference.py::TestSortedFirst"
+            "::test_equal_cost_splits_take_the_smallest_low",),
+           "the Elias-Fano split L is the smallest of equal-cost ones, as the format states"),
+    Mutant("section-group-span-check", CODEC,
+           "if s and not 0 <= high.min() <= high.max() < buckets:",
+           "if False:",
+           ("tests/test_codec_reference.py::TestSortedFirst"
+            "::test_group_span_with_a_one_too_many",),
+           "each group's span of the first-coordinate section holds exactly its rows' ones"),
+    Mutant("sorted-first-at-equal-cost", CODEC,
+           "sort_first = first_bits < s * params.center_width",
+           "sort_first = first_bits <= s * params.center_width",
+           ("tests/test_codec_reference.py::TestSortedFirst::test_flag_left_out_at_equal_cost",),
+           "encode sets SORTED_FIRST only when the code takes fewer bits than the values"),
     Mutant("wide-layout-at-k-equal-rows", GEOMETRY,
            "            if k > r:  # more centers than rows",
            "            if k >= r:  # more centers than rows",

@@ -111,11 +111,13 @@ class TestAgainstReference:
 def _row_columns(sketch) -> list[tuple[int, bool]]:
     """(full width, whether it is a variable-width code) of each column of a
     row, in wire order: the weight code (none under unit weights), then d
-    grid values in exact mode, else d coordinate codes."""
+    grid values in exact mode, of which the first keeps only its low L bits
+    under SORTED_FIRST, else d coordinate codes."""
     p = sketch.params
     weight = [] if sketch.unit_weights else [(p.code_widths[0], True)]
     if sketch.exact_coordinates:
-        return weight + [(p.center_width, False)] * sketch.d
+        first = p.center_width if sketch._split is None else sketch._split[0]
+        return weight + [(first, False)] + [(p.center_width, False)] * (sketch.d - 1)
     return weight + [(p.code_widths[1], True)] * sketch.d
 
 
@@ -123,9 +125,17 @@ def _row_bits(sketch) -> int:
     return sum(width for width, _ in _row_columns(sketch))
 
 
+def _least_row_bits(sketch) -> int:
+    """A row's width with every variable-width code zero."""
+    return sum(1 if variable else width for width, variable in _row_columns(sketch))
+
+
 def _code_start(sketch) -> int:
-    p = sketch.params
-    return sketch.k * sketch.d * p.center_width + sketch.k * p.group_width
+    """The payload bit of the first row: after the centers, the group sizes
+    and, under SORTED_FIRST, the |S| + k H bits of the Elias-Fano section."""
+    p, s, k = sketch.params, sketch.coreset_size, sketch.k
+    section = 0 if sketch._split is None else s + k * sketch._split[1]
+    return k * sketch.d * p.center_width + k * p.group_width + section
 
 
 def _flag_reads(sketch) -> tuple[np.ndarray, np.ndarray]:
@@ -174,7 +184,9 @@ class TestRowBlocks:
     @staticmethod
     def coreset(delta, zeros):
         # rows 0-8 in the low half-cube with center 1, rows 9-13 in the high
-        # one with center delta: rows stay in coreset order
+        # one with center delta: rows stay in coreset order, also when
+        # sorted by their first coordinate, which ascends in each half at
+        # delta = 16 (the exact cases)
         rng = np.random.default_rng(9)
         half = delta // 2
         pts = rng.integers(1, half + 1, size=(14, 3))
@@ -192,6 +204,9 @@ class TestRowBlocks:
             pts[[4, 7]] = centers[0]                # zero delta codes
             pts[[11, 13]] = centers[1]
             pts[9, 1] = delta                       # and one coordinate
+        if delta == 16:
+            pts[:9, 0].sort()
+            pts[9:, 0].sort()
         config = ProblemConfig(n=14, d=3, k=2, z=Fraction(2), delta=delta, epsilon=0.3)
         return WeightedCoreset(pts, weights, 14), centers, config
 
@@ -364,8 +379,7 @@ class TestFlagWindows:
                     codec.Sketch.from_bytes(raw[:length])
                 # the size check takes every cut short of 40 rows of one bit
                 # per code and every grid value in full, and no other
-                grid = sketch.params.center_width if sketch.exact_coordinates else 1
-                short = nbits < _code_start(sketch) + 40 * (3 * grid + (not unit))
+                short = nbits < _code_start(sketch) + 40 * _least_row_bits(sketch)
                 assert ("cannot hold" in str(err.value)) == short
                 if short:
                     assert err.value.bit_offset == nbits
@@ -379,12 +393,14 @@ def _flagged(zero: np.ndarray, delta: int, unit: bool):
     ``zero`` (rows by the variable-width codes of a row, in wire order):
     delta = 16 stores grid values, so a row's only flag is its weight
     code's; at 2^20 every coordinate is a code too, zero where the point
-    repeats the center's coordinate. With one center, rows keep their order."""
+    repeats the center's coordinate. With one center, and at delta = 16
+    first coordinates that ascend, rows keep their order."""
     rng = np.random.default_rng(zero.size)
     s, d = len(zero), 3
     center = np.full((1, d), delta // 2)
     if delta == 16:
         pts = rng.integers(1, delta + 1, size=(s, d))
+        pts[:, 0].sort()
     else:
         pts = center + rng.integers(1, 1000, size=(s, d)) * rng.choice([-1, 1], size=(s, d))
         pts[zero[:, -d:]] = delta // 2
@@ -568,17 +584,17 @@ class TestScratchMemory:
         assert parse_peak < payload_bits
 
 
-def _valid_sketch(delta: int = 16, unit: bool = False) -> bytes:
+def _valid_sketch(delta: int = 16, unit: bool = False, rows: int = 6) -> bytes:
     rng = np.random.default_rng(5)
-    data = rng.integers(1, delta + 1, size=(6, 2))
-    weights = rng.uniform(0.5, 2.0, size=6)
+    data = rng.integers(1, delta + 1, size=(rows, 2))
+    weights = rng.uniform(0.5, 2.0, size=rows)
     weights[1] = 0.0
     if unit:
         weights[:] = 1.0
     centers = data[[0, 3]]
-    config = ProblemConfig(n=6, d=2, k=2, z=Fraction(3, 2), delta=delta,
+    config = ProblemConfig(n=rows, d=2, k=2, z=Fraction(3, 2), delta=delta,
                            epsilon=0.3)
-    return ref.encode_bytes(WeightedCoreset(data, weights, 6), centers,
+    return ref.encode_bytes(WeightedCoreset(data, weights, rows), centers,
                             config)
 
 
@@ -589,9 +605,11 @@ VALID_V1 = bytes.fromhex(
     "4b5a534b0100020000000200000002000000010000000800000000000000"
     "fe000000040000000000000004000000000000000502"
     "1a0483061d0b000080a00070")
+# 12 rows: exact coordinates under SORTED_FIRST, L = 1 and H = 8
+VALID_SORTED = _valid_sketch(rows=12)
 # one sketch per v2 mode, and v1
 VALID_ALL = [VALID, _valid_sketch(unit=True), _valid_sketch(delta=2 ** 24),
-             _valid_sketch(delta=2 ** 24, unit=True), VALID_V1]
+             _valid_sketch(delta=2 ** 24, unit=True), VALID_SORTED, VALID_V1]
 FLAGS_BYTE = struct.calcsize(codec._HEADER_FMT)
 # (offset, struct code) of every header field after the magic
 HEADER_FIELDS = [(4, "<H"), (6, "<I"), (10, "<I"), (14, "<I"), (18, "<I"),
@@ -684,11 +702,13 @@ class TestV2Flags:
         assert capsys.readouterr().err.startswith("error: ")
 
     def test_samples_cover_every_mode(self):
-        modes = [(sketch.exact_coordinates, sketch.unit_weights) for sketch
-                 in map(codec.Sketch.from_bytes, VALID_ALL[:4])]
-        assert modes == [(True, False), (True, True), (False, False), (False, True)]
+        modes = [(sketch.exact_coordinates, sketch.unit_weights, ref.sorted_first(sketch))
+                 for sketch in map(codec.Sketch.from_bytes, VALID_ALL[:5])]
+        assert modes == [(True, False, False), (True, True, False), (False, False, False),
+                         (False, True, False), (True, False, True)]
+        assert codec.Sketch.from_bytes(VALID_SORTED)._split == (1, 8)
 
-    @pytest.mark.parametrize("bit", [4, 0x80])
+    @pytest.mark.parametrize("bit", [8, 0x80])
     def test_unknown_flag_bit(self, bit, tmp_path, capsys):
         raw = bytearray(VALID)
         raw[FLAGS_BYTE] |= bit
@@ -717,3 +737,129 @@ class TestV2Flags:
             raw[FLAGS_BYTE] |= codec.UNIT_WEIGHTS
             # the payload is read without its weight codes: bytes are left over
             self._reject(bytes(raw), "trailing bytes", tmp_path, capsys)
+
+
+def _section(raw: bytes) -> tuple[int, list]:
+    """The bit of ``raw`` where a SORTED_FIRST sketch's Elias-Fano section
+    starts, and the section's span of each group, as (first bit, bits)."""
+    sketch = codec.Sketch.from_bytes(raw)
+    p, (_, buckets) = sketch.params, sketch._split
+    start = 8 * codec._HEADER_BYTES + sketch.k * (sketch.d * p.center_width + p.group_width)
+    spans, at = [], start
+    for size in sketch.group_sizes:
+        spans.append((at, size + buckets))
+        at += size + buckets
+    return start, spans
+
+
+def _bit(raw: bytes, at: int) -> int:
+    return raw[at // 8] >> (7 - at % 8) & 1
+
+
+def _flip(raw: bytes, *bits: int) -> bytes:
+    out = bytearray(raw)
+    for at in bits:
+        out[at // 8] ^= 0x80 >> (at % 8)
+    return bytes(out)
+
+
+class TestSortedFirst:
+    """SORTED_FIRST: each group's rows ordered by their first coordinate,
+    stored once per group as an Elias-Fano code whose split L the header's
+    |S|, k and delta fix. Bytes and fields match the reference codec at the
+    rule's boundaries, and every malformed section is a
+    ``SketchFormatError``, exit code 2 from the CLI."""
+
+    @staticmethod
+    def encoded(rows, k: int, delta: int, unit: bool = True, d: int = 2, seed: int = 0):
+        """The library's sketch of ``rows`` random grid points, checked
+        against the reference's bytes and fields."""
+        rng = np.random.default_rng(seed)
+        pts = rng.integers(1, delta + 1, size=(rows, d))
+        weights = np.ones(rows) if unit else rng.uniform(0.5, 2.0, size=rows)
+        config = ProblemConfig(n=rows, d=d, k=k, z=Fraction(2), delta=delta, epsilon=0.3)
+        cs, centers = WeightedCoreset(pts, weights, rows), pts[:k]
+        sketch = codec.encode(cs, centers, config)
+        raw = ref.encode_bytes(cs, centers, config)
+        assert sketch.to_bytes() == raw
+        expected = ref.parse(raw)
+        assert_same_fields(sketch, expected)
+        assert_same_fields(codec.Sketch.from_bytes(raw), expected)
+        order = ref.row_order(pts, centers, ref.sorted_first(sketch))
+        assert np.array_equal(sketch.decode()[1], pts[order])
+        return sketch
+
+    def test_equal_cost_splits_take_the_smallest_low(self):
+        # delta = 1024, k = 1 and 512 rows: L = 0 and L = 1 both cost 1024
+        # bits; the smaller is the split
+        sketch = self.encoded(512, 1, 1024)
+        assert sketch.exact_coordinates and ref.sorted_first(sketch)
+        assert sketch._split == ref.first_split(512, 1, 1024) == (0, 1024)
+
+    def test_flag_left_out_at_equal_cost(self):
+        # delta = 16, k = 1, 4 rows: the code's 4 + 8 + 4 * 1 bits equal the
+        # first coordinates' 4 * 4, so the values stay in full
+        assert ref.first_split(4, 1, 16) == (1, 8)
+        sketch = self.encoded(4, 1, 16)
+        assert sketch.exact_coordinates and not ref.sorted_first(sketch)
+        assert ref.sorted_first(self.encoded(5, 1, 16))
+
+    def test_zero_width_rows_round_trip(self):
+        # d = 1, unit weights and L = 0: a row stores no bit at all, so the
+        # Elias-Fano section holds every coordinate
+        sketch = self.encoded(40, 1, 4, d=1)
+        assert ref.sorted_first(sketch) and sketch._split == (0, 4)
+        assert sketch._layout.row_bits == 0
+        assert sketch.ledger.coordinate_bits == 40 + 4
+
+    @pytest.mark.parametrize("k", [1, 3])
+    def test_ledger_counts_the_section(self, k):
+        sketch = self.encoded(300, k, 1024, unit=False, d=3)
+        low, buckets = sketch._split
+        assert sketch.ledger.coordinate_bits == 300 * (low + 2 * 10) + 300 + k * buckets
+        assert sketch.ledger.total_bits <= codec.theoretical_upper_bound(
+            300, k, 3, 1024, 0.3, 2, 300)
+
+    def test_flag_without_exact_coordinates(self, tmp_path, capsys):
+        for valid in (VALID_ALL[2], VALID_ALL[3]):
+            raw = bytearray(valid)
+            raw[FLAGS_BYTE] |= codec.SORTED_FIRST
+            TestV2Flags._reject(bytes(raw), "SORTED_FIRST without EXACT_COORDINATES",
+                                tmp_path, capsys)
+
+    def test_section_past_the_payload(self, tmp_path, capsys):
+        # every cut inside the section fails the size check, before the
+        # section is read
+        start, spans = _section(VALID_SORTED)
+        end = spans[-1][0] + spans[-1][1]
+        for length in range(start // 8, (end + 7) // 8):
+            TestV2Flags._reject(VALID_SORTED[:length], "cannot hold", tmp_path, capsys)
+
+    def test_group_span_with_a_one_too_many(self, tmp_path, capsys):
+        # group 0's span ends in a 0, its last bucket's; made a 1, with
+        # group 1's first 1 made a 0, the section still holds |S| ones
+        (first, width), (second, _) = _section(VALID_SORTED)[1]
+        assert _bit(VALID_SORTED, first + width - 1) == 0
+        one = next(at for at in range(second, 8 * len(VALID_SORTED)) if _bit(VALID_SORTED, at))
+        raw = _flip(VALID_SORTED, first + width - 1, one)
+        TestV2Flags._reject(raw, "group's span", tmp_path, capsys)
+
+    def test_section_with_a_one_too_many(self, tmp_path, capsys):
+        (first, width), _ = _section(VALID_SORTED)[1]
+        TestV2Flags._reject(_flip(VALID_SORTED, first + width - 1),
+                            "section holds 13 ones for 12 rows", tmp_path, capsys)
+
+    def test_first_coordinate_above_delta(self, tmp_path, capsys):
+        # delta = 11, k = 1 and 4 rows: L = 1, H = 6, so the top bucket with
+        # low bit 1 stands for 12, off the grid. The last row's first
+        # coordinate is 11: its low bit, the first of its 5-bit row, set
+        pts = np.array([[3, 2], [7, 9], [1, 5], [11, 4]])
+        config = ProblemConfig(n=4, d=2, k=1, z=Fraction(2), delta=11, epsilon=0.3)
+        cs = WeightedCoreset(pts, np.ones(4), 4)
+        raw = ref.encode_bytes(cs, pts[:1], config)
+        sketch = codec.Sketch.from_bytes(raw)
+        assert sketch._split == (1, 6) and sketch._layout.row_bits == 1 + 4
+        assert sketch.decode()[1][-1].tolist() == [11.0, 4.0]
+        last_row = sketch.ledger.total_bits - 5
+        assert _bit(raw, last_row) == 0
+        TestV2Flags._reject(_flip(raw, last_row), "exceeds delta = 11", tmp_path, capsys)

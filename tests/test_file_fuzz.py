@@ -1,20 +1,33 @@
-"""Corrupted KZDS and KZOB files: every truncation, every single-bit flip
-and header-field rewrites of small valid files. Only a ``KZSketchError``
-may escape the loaders, and whatever loads must save back to the same
-bytes."""
+"""Corrupted KZDS, KZOB and KZSK files: every truncation, every
+single-bit flip and header-field rewrites of small valid files. Only a
+``KZSketchError`` may escape the loaders, and whatever loads must save back
+to the same bytes. The KZSK file stores its first coordinates under
+``SORTED_FIRST``, as an Elias-Fano section."""
 
+import os
 import struct
+import subprocess
+import sys
+from fractions import Fraction
+from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kzsketch import anglelab, geometry
+import kzsketch
+from kzsketch import anglelab, codec, geometry
+from kzsketch.coreset import WeightedCoreset
 from kzsketch.errors import KZSketchError
+from kzsketch.geometry import ProblemConfig
 
 # (offset, struct code) of every header field after the magic
 KZDS_FIELDS = [(4, "<H"), (6, "<Q"), (14, "<I"), (18, "<Q")]
 KZOB_FIELDS = [(4, "<H"), (6, "<I"), (10, "<I")]
+# version, k, d, delta, n, |S| and the flags byte
+KZSK_FIELDS = [(4, "<H"), (6, "<I"), (10, "<I"), (22, "<Q"), (34, "<Q"), (42, "<Q"),
+               (52, "<B")]
 
 
 def _dataset_bytes(path) -> bytes:
@@ -27,9 +40,31 @@ def _basis_bytes(path) -> bytes:
     return path.read_bytes()
 
 
+def _sketch_bytes(path) -> bytes:
+    # 24 rows in 2 groups at delta = 16: L = 1, H = 8, and a zero weight
+    rng = np.random.default_rng(2)
+    pts = rng.integers(1, 17, size=(24, 2))
+    weights = rng.uniform(0.5, 2.0, size=24)
+    weights[5] = 0.0
+    config = ProblemConfig(n=24, d=2, k=2, z=Fraction(2), delta=16, epsilon=0.3)
+    raw = codec.encode(WeightedCoreset(pts, weights, 24), pts[[0, 12]], config).to_bytes()
+    assert raw[52] == codec.EXACT_COORDINATES | codec.SORTED_FIRST
+    path.write_bytes(raw)
+    return raw
+
+
+def _load_sketch(path) -> codec.Sketch:
+    return codec.Sketch.from_bytes(path.read_bytes())
+
+
+def _save_sketch(sketch: codec.Sketch, path) -> None:
+    path.write_bytes(sketch.to_bytes())
+
+
 FORMATS = {
     "kzds": (_dataset_bytes, geometry.load_dataset, geometry.save_dataset, KZDS_FIELDS),
     "kzob": (_basis_bytes, anglelab.load_basis, anglelab.save_basis, KZOB_FIELDS),
+    "kzsk": (_sketch_bytes, _load_sketch, _save_sketch, KZSK_FIELDS),
 }
 
 
@@ -96,6 +131,8 @@ def test_header_field_rewrites(files, name, data):
 @pytest.mark.parametrize("name, raw", [
     ("kzds", geometry.DATASET_MAGIC + struct.pack("<HQIQ", 1, 2 ** 63, 0, 16)),
     ("kzob", anglelab.BASIS_MAGIC + struct.pack("<HII", 1, 3, 0)),
+    ("kzsk", struct.pack(codec._HEADER_FMT, codec.SKETCH_MAGIC, 2, 2, 0, 2, 1, 16, -2,
+                         bytes(3), 4, 0, 5, 3) + bytes([codec.EXACT_COORDINATES])),
 ])
 def test_zero_dimension_rejected(files, name, raw):
     assert not files[name][1](raw)
@@ -105,3 +142,46 @@ def test_zero_dimension_rejected(files, name, raw):
 def test_trailing_bytes_rejected(files, name):
     valid, check, _ = files[name]
     assert not check(valid + b"\0")
+
+
+def test_sorted_first_section_of_a_huge_header_rejected_in_bounded_memory(tmp_path):
+    # k = 2^32 - 1 under SORTED_FIRST: the centers and the section's k H
+    # bits would take gigabytes if the parser allocated before checking the
+    # payload length. The child runs under a 1 GiB address-space cap, so a
+    # regression fails, not swaps
+    resource = pytest.importorskip("resource")
+    src = str(Path(kzsketch.__file__).resolve().parents[1])
+    path = tmp_path / "huge.kzsk"
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1",
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    script = (
+        "import struct, sys\n"
+        "from fractions import Fraction\n"
+        "from kzsketch import codec\n"
+        "from kzsketch.errors import SketchFormatError\n"
+        "k, n = 2 ** 32 - 1, 4000\n"
+        "expo, frac, eps = codec.quantize_epsilon(0.25)\n"
+        "p = codec.derive_params(eps, Fraction(2), n, n, 1024)\n"
+        "raw = struct.pack(codec._HEADER_FMT, b'KZSK', 2, k, 1, 2, 1, 1024, expo,\n"
+        "                  frac.to_bytes(3, 'little'), n, n, p.w_expo_width,\n"
+        "                  p.x_expo_width)\n"
+        "raw += bytes([codec.EXACT_COORDINATES | codec.SORTED_FIRST]) + bytes(64)\n"
+        "open(sys.argv[1], 'wb').write(raw)\n"
+        "try:\n"
+        "    codec.Sketch.from_bytes(raw)\n"
+        "except SketchFormatError as exc:\n"
+        "    print(exc)\n")
+
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+    proc = subprocess.run([sys.executable, "-c", script, str(path)], env=env,
+                          preexec_fn=cap, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("payload of 512 bits cannot hold")
+    proc = subprocess.run([sys.executable, "-m", "kzsketch.cli", "size",
+                           "--sketch", str(path)], env=env, preexec_fn=cap,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("error: payload of 512 bits")

@@ -15,8 +15,10 @@ SIMD paths may differ by an ulp across CPUs. Grid squares and sqrt are
 exact, so z in {1, 2} pins the same bytes on every IEEE-754 machine.
 
 ``golden_v1/`` holds the wire bytes of the v1 corpus with their pinned
-fingerprints. They are parse-only fixtures: today's reader must still decode
-them to the same ledgers and arrays. Nothing here rewrites them.
+fingerprints, and ``golden_v2/`` those of both corpora as version 2 wrote
+them before ``SORTED_FIRST``: each group's rows in coreset order, every grid
+value in full. They are parse-only fixtures: today's reader must still
+decode them to the same ledgers and arrays. Nothing here rewrites them.
 
 Regenerate (only when a format change is intended) with
 ``PYTHONPATH=src python tests/test_golden.py``.
@@ -39,6 +41,8 @@ GOLDEN = Path(__file__).with_name("golden_sketches.json")
 GOLDEN_DISTSIM = Path(__file__).with_name("golden_distsim.json")
 GOLDEN_V1 = Path(__file__).with_name("golden_v1")
 V1_FINGERPRINTS = json.loads((GOLDEN_V1 / "fingerprints.json").read_text())
+GOLDEN_V2 = Path(__file__).with_name("golden_v2")
+V2_FINGERPRINTS = json.loads((GOLDEN_V2 / "fingerprints.json").read_text())
 DELTA = 1024
 EPS = 0.1
 # (n, d, k, delta); (40, 3, 64) has k > n, so approx_centers repeats centers
@@ -84,6 +88,7 @@ def fingerprint(case) -> dict:
     return {"has_repeats": centers.has_repeats,
             "exact_coordinates": sketch.exact_coordinates,
             "unit_weights": sketch.unit_weights,
+            "sorted_first": ref.sorted_first(sketch),
             "estimates": [sketch.estimate_cost(q).hex() for q in queries(dataset(case))],
             **wire_fingerprint(sketch)}
 
@@ -134,8 +139,9 @@ STREAM_CASES = [
     ("stream-n1500-z2-identity", lambda: geometry.random_grid_dataset(1500, 5, 128, seed=43),
      3, 2, 0.2, 11, "identity", 100, 3),
     ("stream-twopoint-z2-sensitivity", _two_point_dataset, 2, 2, 0.2, 13, "sensitivity", 6, 2),
-    # the only case whose resident maximum falls at a full buffer, just
-    # before a flush; every other case peaks right after a flush
+    # its resident maximum falls at a full buffer, just before a flush, as
+    # the n1500 and n2000 sensitivity cases' do; the n1500 identity and
+    # two-point cases peak right after a flush
     ("stream-n5000-z2-fullbuffer", lambda: geometry.random_grid_dataset(5000, 2, 256, seed=45),
      1, 2, 0.9, 14, "sensitivity", 1000, 2),
     # the only case whose resident maximum falls right after a reduction
@@ -197,6 +203,15 @@ def test_v1_fixture_parses_to_pinned_fingerprint(name):
     assert 0 <= 8 * len(raw) - sketch.ledger.total_bits <= 7
 
 
+@pytest.mark.parametrize("name", sorted(V2_FINGERPRINTS))
+def test_unsorted_v2_fixture_parses_to_pinned_fingerprint(name):
+    raw = (GOLDEN_V2 / f"{name}.kzsk").read_bytes()
+    sketch = codec.Sketch.from_bytes(raw)
+    assert sketch.version == 2 and not ref.sorted_first(sketch)
+    assert wire_fingerprint(sketch) == V2_FINGERPRINTS[name]
+    assert 0 <= 8 * len(raw) - sketch.ledger.total_bits <= 7
+
+
 @pytest.mark.parametrize("case", CASES, ids=case_id)
 def test_sketch_meets_the_wire_contract(case):
     n, d, k, z, _, delta = case
@@ -208,7 +223,8 @@ def test_sketch_meets_the_wire_contract(case):
     assert sketch.ledger.total_bits <= codec.theoretical_upper_bound(
         n, k, d, delta, EPS, z, cs.size, sketch.unit_weights)
     if sketch.exact_coordinates:
-        assert np.array_equal(reopened.decode()[1], cs.points[ref.row_order(cs.points, centers)])
+        order = ref.row_order(cs.points, centers, ref.sorted_first(sketch))
+        assert np.array_equal(reopened.decode()[1], cs.points[order])
 
 
 def test_corpus_covers_repeated_centers(golden):
@@ -216,9 +232,11 @@ def test_corpus_covers_repeated_centers(golden):
 
 
 def test_corpus_covers_every_v2_mode(golden):
-    modes = {(golden[case_id(c)]["exact_coordinates"], golden[case_id(c)]["unit_weights"])
-             for c in CASES}
-    assert modes == {(True, True), (True, False), (False, True), (False, False)}
+    modes = {(golden[case_id(c)]["exact_coordinates"], golden[case_id(c)]["unit_weights"],
+              golden[case_id(c)]["sorted_first"]) for c in CASES}
+    assert {mode[:2] for mode in modes} == {(True, True), (True, False),
+                                            (False, True), (False, False)}
+    assert {(True, True, True), (True, False, True)} <= modes
 
 
 @pytest.mark.parametrize("case", COORDINATOR_CASES, ids=lambda c: c[0])

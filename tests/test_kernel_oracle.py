@@ -15,6 +15,7 @@ that the reference computes on, alone and against centers prepared as
 the same outputs as the reference and as the unprepared call. So must a
 ``GridDataset``, whose kept rows the kernel takes as points and as centers."""
 
+import itertools
 import math
 import tracemalloc
 import warnings
@@ -759,3 +760,65 @@ def test_powers_of_zero_and_inf():
         want = np.zeros_like(x)
         want[x > 0] = np.exp(float(z) / 2 * np.log(x[x > 0]))
         assert np.array_equal(geometry.powered_distances(x, z), want)
+
+
+class AdversarialGemm:
+    """numpy for ``geometry``, but with the worst GEMM that the filter
+    proof of ``_nearest`` covers: every entry of a ``matmul`` product, a
+    d-term dot product of a row x and a column y, moves by ``gamma_d |x|
+    |y| + d eta``, the most that any summation order can err by (with
+    ``eta = 2^-1075`` per product that underflows). It moves against the
+    direct form's nearest center of each row, found by the scalar
+    reference: that center's entry up, every other entry down. Every other
+    name is numpy's."""
+
+    def __init__(self, centers):
+        self.centers = np.ascontiguousarray(centers, dtype=np.float64)
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    def matmul(self, a, b, out=None):
+        k = len(self.centers)
+        product = np.matmul(a, b)
+        # the kernel's two layouts: -2 C P^T, or -2 P C^T with fewer rows than centers
+        if a.shape[0] == k and np.array_equal(a, -2.0 * self.centers):
+            pts, along_rows = b.T, True
+        else:
+            pts, along_rows = a / -2.0, False
+        _, nearest = ref.nearest(pts, self.centers)
+        d, u = a.shape[1], 2.0 ** -53
+        with np.errstate(under="ignore"):
+            move = (d * u / (1 - d * u) * np.linalg.norm(a, axis=1)[:, None]
+                    * np.linalg.norm(b, axis=0)[None, :] + d * 2.0 ** -1075)
+        sign = -np.ones(product.shape)
+        rows = np.arange(len(nearest))
+        sign[(nearest, rows) if along_rows else (rows, nearest)] = 1.0
+        product += sign * move
+        if out is None:
+            return product
+        out[...] = product
+        return out
+
+
+@pytest.mark.parametrize("chunks", [1, 43])
+@pytest.mark.parametrize("index", [True, False])
+@pytest.mark.parametrize("scale", [1e-160, 1e-100, 1.0, 1e6, 1e150])
+def test_filter_against_an_adversarial_gemm(monkeypatch, scale, index, chunks):
+    # rows within 1e-15 scale of the midpoint of two centers, where the
+    # expanded form cannot tell them apart, from squared distances that are
+    # subnormal to squares near 1e303; with 43 chunks of 7 rows the product
+    # takes the (rows, k) layout against 8 and 32 centers
+    rng = np.random.default_rng([round(math.log10(scale)) + 200, index, chunks])
+    for d, k in itertools.product((2, 8, 16, 64), (3, 8, 32)):
+        cen = rng.normal(size=(k, d)) * scale
+        i, j = rng.choice(k, size=2, replace=False)
+        pts = (cen[i] + cen[j]) / 2 + rng.normal(size=(300, d)) * 1e-15 * scale
+        with np.errstate(under="ignore"):
+            want = ref.nearest(pts, cen)
+        chunk_rows(monkeypatch, len(pts), k, d, chunks)
+        with monkeypatch.context() as m, np.errstate(under="ignore"):
+            m.setattr(geometry, "np", AdversarialGemm(cen))
+            got = geometry._nearest(pts, cen, index=index)
+        assert np.array_equal(got[0], want[0])
+        assert np.array_equal(got[1], want[1]) if index else got[1] is None
