@@ -597,6 +597,7 @@ class Sketch:
             raise SketchFormatError(
                 f"group sizes sum to {sum(group_sizes)}, header says {s}",
                 bit_offset=code_start)
+        group_of = np.repeat(np.arange(k), group_sizes)
         if self._split:
             low, buckets = self._split
             ones = np.flatnonzero(prefix[code_start:row_start].view(bool))
@@ -606,7 +607,7 @@ class Sketch:
                     bit_offset=code_start)
             # a row's one follows the section's zeros before it: H per
             # earlier group, then one per bucket below its own
-            high = ones - np.arange(s) - np.repeat(np.arange(k) * buckets, group_sizes)
+            high = ones - np.arange(s) - group_of * buckets
             if s and not 0 <= high.min() <= high.max() < buckets:
                 raise SketchFormatError(
                     "a group's span of the first-coordinate section does not "
@@ -637,10 +638,11 @@ class Sketch:
 
         if self._split:
             # the first grid values, with the low L bits that the rows hold;
-            # H 2^L <= 2^ceil(log2 delta), so the grid's type holds each
+            # H 2^L <= 2^ceil(log2 delta), so the grid's type holds each, and
+            # so does int64, as the center width is at most 62
             high <<= low
             if low:
-                high |= fields[-1][:, 0]
+                high |= fields[-1][:, 0].astype(np.int64)
             fields[-1][:, 0] = high
         if centers.max() > self.delta or (
                 self.exact_coordinates and fields[-1].max(initial=0) >= self.delta):
@@ -650,7 +652,7 @@ class Sketch:
         if not self.exact_coordinates and fields[-2].max(initial=0) > p.x_expo_max:
             raise SketchFormatError("coordinate exponent field exceeds the declared range")
 
-        self._set_payload(centers, group_sizes, zero, fields)
+        self._set_payload(centers, group_sizes, group_of, zero, fields)
         payload_bits = self.ledger.total_bits - 8 * self._header_bytes
         expected_len = self._header_bytes + (payload_bits + 7) // 8
         if len(self._data) != expected_len:
@@ -684,7 +686,7 @@ class Sketch:
             low, buckets = self._split
             s = self.coreset_size
             ones = self.group_of * buckets
-            ones += self._fields[-1][:, 0] >> low
+            ones += (self._fields[-1][:, 0] >> low).astype(np.int64)
             ones += np.arange(s)
             section = np.zeros(s + self.k * buckets, dtype=np.uint8)
             section[ones] = 1
@@ -715,14 +717,15 @@ class Sketch:
         out[at:] = np.packbits(carry)
         return out.tobytes()
 
-    def _set_payload(self, centers, group_sizes, zero, fields):
-        """Keep the parsed or encoded payload: the zero flags of the
-        variable-width codes and the field arrays (see :meth:`_Layout.wire`).
-        The Elias-Fano section counts as coordinate bits."""
+    def _set_payload(self, centers, group_sizes, group_of, zero, fields):
+        """Keep the parsed or encoded payload: the group sizes and each
+        row's group, the zero flags of the variable-width codes and the field
+        arrays (see :meth:`_Layout.wire`). The Elias-Fano section counts as
+        coordinate bits."""
         p, d = self.params, self.d
         self.centers = geometry._freeze(centers)
         self.group_sizes = group_sizes
-        self.group_of = np.repeat(np.arange(self.k), group_sizes)
+        self.group_of = group_of
         self._zero, self._fields = zero, fields
         run_bits = self._layout.bits(zero)
         self.ledger = BitLedger(
@@ -833,39 +836,33 @@ def encode(coreset: WeightedCoreset, centers, config: ProblemConfig) -> Sketch:
         assign = geometry.nearest_assignment(pts, cen.astype(np.float64))
     group_sizes = np.bincount(assign, minlength=config.k)
     unit = bool((coreset.weights == 1.0).all())
-    # SORTED_FIRST's rule, which needs only header values
+    # grid values, coordinates minus 1, in the type of the exact layout's
+    # fields, against quantized deltas: one bit if zero, else a full code.
+    # Under SORTED_FIRST's rule, which needs only header values, the grid
+    # values cost what the Elias-Fano code makes them cost
+    grid_type = _grid_dtype(params.center_width)
+    grid = np.subtract(pts, 1, out=np.empty(pts.shape, dtype=grid_type), casting="unsafe")
+    nonzero = np.count_nonzero(grid != (cen - 1).astype(grid_type)[assign])
     low, buckets = _first_split(s, config.k, config.delta)
     first_bits = s + config.k * buckets + s * low
     sort_first = first_bits < s * params.center_width
-    # grid values, coordinates minus 1, in the type of the exact layout's
-    # fields and in group order; under the rule each group's rows stably by
-    # their first grid value: a stable sort by it, then the stable sort by
-    # group
-    grid_type = _grid_dtype(params.center_width)
-    grid = np.subtract(pts, 1, out=np.empty(pts.shape, dtype=grid_type), casting="unsafe")
+    grid_bits = grid.size * params.center_width
+    if sort_first:
+        grid_bits += first_bits - s * params.center_width
+    exact = grid_bits < grid.size + nonzero * (params.code_widths[1] - 1)
+    # rows in group order, and under the rule exact rows in each group
+    # stably by their first grid value: a stable sort by it, then the
+    # stable sort by group
+    sort_first = sort_first and exact
     if sort_first:
         by_first = np.argsort(grid[:, 0], kind="stable")
         order = by_first[coreset_mod._group_order(assign[by_first], config.k)]
     else:
         order = coreset_mod._group_order(assign, config.k)
-    grid = grid.take(order, axis=0)
-
-    # grid values against quantized deltas: one bit if zero, else a full code;
-    # the nonzero deltas are counted group by group on the sorted grid values,
-    # and the grid values cost what they cost after the rule
-    cen_grid, ends = (cen - 1).astype(grid_type), np.cumsum(group_sizes)
-    nonzero = sum(np.count_nonzero(grid[end - size:end] != cen_grid[g])
-                  for g, (size, end) in enumerate(zip(group_sizes, ends)) if size)
-    grid_bits = grid.size * params.center_width
-    if sort_first:
-        grid_bits += first_bits - s * params.center_width
-    exact = grid_bits < grid.size + nonzero * (params.code_widths[1] - 1)
-    if sort_first and not exact:
-        # quantized rows keep their coreset order within a group
-        order = coreset_mod._group_order(assign, config.k)
+    group_of = np.repeat(np.arange(config.k), group_sizes)
     weights = coreset.weights[order]
     flags = EXACT_COORDINATES * exact | UNIT_WEIGHTS * unit \
-        | SORTED_FIRST * (exact and sort_first)
+        | SORTED_FIRST * sort_first
     sketch = Sketch.__new__(Sketch)
     sketch._set_header(config.k, config.d, config.z, config.delta, eps_q,
                        config.n, s, params, SKETCH_VERSION, flags)
@@ -885,10 +882,10 @@ def encode(coreset: WeightedCoreset, centers, config: ProblemConfig) -> Sketch:
         zero[:, 0] = w_zero
         fields += [w_field[:, None], w_frac[:, None]]
     if exact:
-        fields.append(grid)
+        fields.append(grid.take(order, axis=0))
     else:
         x_zero, x_sign, x_expo, x_frac = _encode_array(
-            (pts.take(order, axis=0) - cen[assign[order]]).astype(np.float64),
+            (pts.take(order, axis=0) - cen[group_of]).astype(np.float64),
             params.f_x, 0.0)
         if x_expo.min(initial=0) < 0 or x_expo.max(initial=0) > params.x_expo_max:
             raise InvalidInput("coordinate delta exponent out of range")
@@ -902,7 +899,7 @@ def encode(coreset: WeightedCoreset, centers, config: ProblemConfig) -> Sketch:
                          eps_frac.to_bytes(3, "little"),
                          config.n, s,
                          params.w_expo_width, params.x_expo_width) + bytes([flags])
-    sketch._set_payload(cen, group_sizes.tolist(), zero, fields)
+    sketch._set_payload(cen, group_sizes.tolist(), group_of, zero, fields)
     sketch._data = sketch._pack_payload(header)
     return sketch
 

@@ -189,6 +189,18 @@ MUTANTS = [
            "sort_first = first_bits <= s * params.center_width",
            ("tests/test_codec_reference.py::TestSortedFirst::test_flag_left_out_at_equal_cost",),
            "encode sets SORTED_FIRST only when the code takes fewer bits than the values"),
+    Mutant("section-places-beside-64-bit-values", CODEC,
+           "ones += (self._fields[-1][:, 0] >> low).astype(np.int64)",
+           "ones += self._fields[-1][:, 0] >> low",
+           ("tests/test_codec_reference.py::TestSortedFirst"
+            "::test_grid_values_of_64_bits[delta-2^33]",),
+           "the packer's int64 row places take uint64 grid values, kept from 33 bits on"),
+    Mutant("section-high-parts-beside-64-bit-values", CODEC,
+           "high |= fields[-1][:, 0].astype(np.int64)",
+           "high |= fields[-1][:, 0]",
+           ("tests/test_codec_reference.py::TestSortedFirst"
+            "::test_first_coordinate_above_a_64_bit_delta",),
+           "the parser's int64 high parts take uint64 low bits, kept from 33 bits on"),
     Mutant("wide-layout-at-k-equal-rows", GEOMETRY,
            "            if k > r:  # more centers than rows",
            "            if k >= r:  # more centers than rows",

@@ -73,6 +73,8 @@ def sketch_grid():
                                        + 1e-12).all()),
                     "ledger": sk.ledger,
                     "coreset_size": cs.size,
+                    "sorted_first": ref.sorted_first(sk),
+                    "center_width": sk.params.center_width,
                 })
     return records, time.time() - t0
 
@@ -127,21 +129,27 @@ def test_criterion_3_bit_budget(sketch_grid):
         ratios.append(r["ledger"].total_bits / budget)
     budget_ok = max(ratios) <= 1.0
 
-    # coordinate bits are linear in d: each added dimension costs the same
-    # from d = 8 to 16 as from 16 to 64. A part that does not grow with d
-    # (the Elias-Fano code of the first coordinates) cancels out
-    slopes = []
-    for r8 in records:
-        if r8["d"] != 8:
-            continue
-        bits = {t["d"]: t["ledger"].coordinate_bits for t in records
-                if all(t[key] == r8[key] for key in ("n", "k", "z", "eps"))}
-        slopes.append((bits[64] - bits[16]) / 48 / ((bits[16] - bits[8]) / 8))
-    scaling_ok = all(0.95 <= x <= 1.05 for x in slopes)
-    verdict(3, "bit budget", budget_ok and scaling_ok,
-            f"max measured/budget = {max(ratios):.3f} <= 1; coordinate bits per "
-            f"added dimension x{min(slopes):.3f}..x{max(slopes):.3f} from "
-            f"d = 8..16 to d = 16..64")
+    # under SORTED_FIRST the first coordinates take exactly their
+    # Elias-Fano code, |S| + k H + |S| L bits, and the other d - 1 full
+    # columns. Counted as a full column, coordinate bits double when d
+    # doubles
+    code_ok, full = True, {}
+    for r in records:
+        bits = r["ledger"].coordinate_bits
+        if r["sorted_first"]:
+            s, width = r["coreset_size"], r["center_width"]
+            low, buckets = ref.first_split(s, r["k"], DELTA)
+            first = bits - (r["d"] - 1) * s * width
+            code_ok &= first == s + r["k"] * buckets + s * low
+            bits += s * width - first
+        full[r["n"], r["d"], r["k"], r["z"], r["eps"]] = bits
+    doubling = [full[(n, 16, *rest)] / bits for (n, d, *rest), bits in full.items() if d == 8]
+    scaling_ok = all(1.9 <= x <= 2.1 for x in doubling)
+    verdict(3, "bit budget", budget_ok and code_ok and scaling_ok,
+            f"max measured/budget = {max(ratios):.3f} <= 1; first coordinates "
+            f"{'' if code_ok else 'not '}exactly their Elias-Fano code; "
+            f"coordinate bits x{min(doubling):.3f}..x{max(doubling):.3f} "
+            f"when d doubles")
 
 
 def test_criterion_4_principal_angles():

@@ -771,13 +771,14 @@ class TestSortedFirst:
     ``SketchFormatError``, exit code 2 from the CLI."""
 
     @staticmethod
-    def encoded(rows, k: int, delta: int, unit: bool = True, d: int = 2, seed: int = 0):
+    def encoded(rows, k: int, delta: int, unit: bool = True, d: int = 2, seed: int = 0,
+                eps: float = 0.3):
         """The library's sketch of ``rows`` random grid points, checked
         against the reference's bytes and fields."""
         rng = np.random.default_rng(seed)
         pts = rng.integers(1, delta + 1, size=(rows, d))
         weights = np.ones(rows) if unit else rng.uniform(0.5, 2.0, size=rows)
-        config = ProblemConfig(n=rows, d=d, k=k, z=Fraction(2), delta=delta, epsilon=0.3)
+        config = ProblemConfig(n=rows, d=d, k=k, z=Fraction(2), delta=delta, epsilon=eps)
         cs, centers = WeightedCoreset(pts, weights, rows), pts[:k]
         sketch = codec.encode(cs, centers, config)
         raw = ref.encode_bytes(cs, centers, config)
@@ -811,6 +812,35 @@ class TestSortedFirst:
         assert ref.sorted_first(sketch) and sketch._split == (0, 4)
         assert sketch._layout.row_bits == 0
         assert sketch.ledger.coordinate_bits == 40 + 4
+
+    @pytest.mark.parametrize("delta, d, k, unit, eps", [(2 ** 33, 1, 1, True, 1e-5),
+                                                        (2 ** 40, 2, 3, False, 1e-9)],
+                             ids=["delta-2^33", "delta-2^40"])
+    def test_grid_values_of_64_bits(self, delta, d, k, unit, eps):
+        # a center width of 33 to 62 bits keeps grid values as uint64, which
+        # the section's row places, int64, meet in the packer and the parser
+        sketch = self.encoded(1000, k, delta, unit=unit, d=d, eps=eps)
+        assert sketch.exact_coordinates and ref.sorted_first(sketch)
+        assert sketch._fields[-1].dtype == np.uint64
+
+    def test_first_coordinate_above_a_64_bit_delta(self, tmp_path, capsys):
+        # delta = 2^33 + 1, k = 1 and 24 rows: L = 28, H = 33, so the top
+        # bucket stands for 2^33 + 1 up to 2^33 + 2^28. The last row's first
+        # coordinate is delta: the last of its low bits, 34 bits before the
+        # row's end, set
+        rng = np.random.default_rng(2)
+        pts = rng.integers(1, 2 ** 33 + 2, size=(24, 2))
+        pts[-1, 0] = 2 ** 33 + 1
+        config = ProblemConfig(n=24, d=2, k=1, z=Fraction(2), delta=2 ** 33 + 1, epsilon=1e-9)
+        cs = WeightedCoreset(pts, np.ones(24), 24)
+        raw = ref.encode_bytes(cs, pts[:1], config)
+        sketch = codec.Sketch.from_bytes(raw)
+        assert ref.sorted_first(sketch) and sketch._split == (28, 33)
+        assert sketch.decode()[1][-1].tolist() == pts[-1].tolist()
+        low_bit = sketch.ledger.total_bits - 34 - 1
+        assert _bit(raw, low_bit) == 0
+        TestV2Flags._reject(_flip(raw, low_bit), f"exceeds delta = {2 ** 33 + 1}",
+                            tmp_path, capsys)
 
     @pytest.mark.parametrize("k", [1, 3])
     def test_ledger_counts_the_section(self, k):

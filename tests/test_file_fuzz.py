@@ -1,8 +1,9 @@
 """Corrupted KZDS, KZOB and KZSK files: every truncation, every
 single-bit flip and header-field rewrites of small valid files. Only a
 ``KZSketchError`` may escape the loaders, and whatever loads must save back
-to the same bytes. The KZSK file stores its first coordinates under
-``SORTED_FIRST``, as an Elias-Fano section."""
+to the same bytes. The KZSK files store their first coordinates under
+``SORTED_FIRST``, as an Elias-Fano section, one of them with grid values of
+64 bits."""
 
 import os
 import struct
@@ -40,17 +41,23 @@ def _basis_bytes(path) -> bytes:
     return path.read_bytes()
 
 
-def _sketch_bytes(path) -> bytes:
-    # 24 rows in 2 groups at delta = 16: L = 1, H = 8, and a zero weight
+def _sketch_bytes(path, delta: int = 16, eps: float = 0.3) -> bytes:
+    # 24 rows in 2 groups, at delta = 16: L = 1, H = 8, and a zero weight
     rng = np.random.default_rng(2)
-    pts = rng.integers(1, 17, size=(24, 2))
+    pts = rng.integers(1, delta + 1, size=(24, 2))
     weights = rng.uniform(0.5, 2.0, size=24)
     weights[5] = 0.0
-    config = ProblemConfig(n=24, d=2, k=2, z=Fraction(2), delta=16, epsilon=0.3)
+    config = ProblemConfig(n=24, d=2, k=2, z=Fraction(2), delta=delta, epsilon=eps)
     raw = codec.encode(WeightedCoreset(pts, weights, 24), pts[[0, 12]], config).to_bytes()
     assert raw[52] == codec.EXACT_COORDINATES | codec.SORTED_FIRST
     path.write_bytes(raw)
     return raw
+
+
+def _wide_sketch_bytes(path) -> bytes:
+    # at delta = 2^33 + 1 grid values take 34 bits, kept as uint64: L = 29,
+    # H = 17
+    return _sketch_bytes(path, delta=2 ** 33 + 1, eps=1e-9)
 
 
 def _load_sketch(path) -> codec.Sketch:
@@ -65,6 +72,7 @@ FORMATS = {
     "kzds": (_dataset_bytes, geometry.load_dataset, geometry.save_dataset, KZDS_FIELDS),
     "kzob": (_basis_bytes, anglelab.load_basis, anglelab.save_basis, KZOB_FIELDS),
     "kzsk": (_sketch_bytes, _load_sketch, _save_sketch, KZSK_FIELDS),
+    "kzsk-wide": (_wide_sketch_bytes, _load_sketch, _save_sketch, KZSK_FIELDS),
 }
 
 
