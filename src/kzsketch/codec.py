@@ -842,7 +842,7 @@ def encode(coreset: WeightedCoreset, centers, config: ProblemConfig) -> Sketch:
     # values cost what the Elias-Fano code makes them cost
     grid_type = _grid_dtype(params.center_width)
     grid = np.subtract(pts, 1, out=np.empty(pts.shape, dtype=grid_type), casting="unsafe")
-    nonzero = np.count_nonzero(grid != (cen - 1).astype(grid_type)[assign])
+    nonzero = np.count_nonzero(grid != (cen - 1).astype(grid_type).take(assign, axis=0))
     low, buckets = _first_split(s, config.k, config.delta)
     first_bits = s + config.k * buckets + s * low
     sort_first = first_bits < s * params.center_width
