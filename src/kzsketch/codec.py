@@ -106,56 +106,90 @@ def _bit_table(width: int) -> np.ndarray:
 
 
 class _ByteRows:
-    """A zeroed (rows, width) bit matrix, ``bits``, whose rows start on byte
-    boundaries, read back by fields once it is filled (:meth:`values`)."""
+    """``rows`` rows of bits in the bytes ``buf``, read by fields
+    (:meth:`values`). They come in groups of ``len(offsets)`` rows: row i
+    of group j starts at bit ``offsets[i]`` of byte ``j * stride``.
 
-    # zero bytes after the last row for the word reads that run past it: a
-    # group of 8 columns reaches up to 7 columns of at most 72 bits past
-    # a row's end, and a word and a ninth byte read 16 bytes
-    PAD = 128
+    Rows of the payload are read where they lie (:meth:`at`): 8 rows of
+    ``width`` bits span exactly ``width`` bytes, so one group of 8 offsets
+    serves for all of them. Rows with a zero flag are first copied into a
+    bit matrix whose rows start on byte boundaries (:meth:`masked`)."""
 
-    def __init__(self, rows: int, width: int):
-        self.row_bytes = -(-width // 8)
-        self._flat = np.zeros(8 * (rows * self.row_bytes + self.PAD), dtype=np.uint8)
-        self.bits = self._flat[:8 * rows * self.row_bytes].reshape(
-            rows, 8 * self.row_bytes)[:, :width]
-        self._packed = None
+    # a word and a ninth byte read up to 16 bytes from a field's first byte
+    PAD = 16
+    # bytes of a gather's words: each temporary of a read stays below
+    # glibc's initial mmap threshold
+    GATHER_BYTES = 1 << 17
 
-    def values(self, columns: tuple, width: int) -> np.ndarray:
+    def __init__(self, buf: np.ndarray, stride: int, offsets: np.ndarray, rows: int):
+        self._buf, self._stride, self._offsets, self._rows = buf, stride, offsets, rows
+
+    @classmethod
+    def at(cls, payload: np.ndarray, pos: int, rows: slice, width: int):
+        """Pieces (rows, reader) of the rows ``rows`` of ``width`` bits,
+        the first at bit ``pos`` of ``payload``: the whole groups of 8 rows
+        whose reads stay within the payload, read in place, then the rows
+        left, from a zero-padded copy of their bytes. A group's reads reach
+        :attr:`PAD` bytes past its last row, and a last group of fewer than
+        8 rows reads the rows after it as well, so only the last few groups
+        of a payload need the copy."""
+        count, start = rows.stop - rows.start, pos >> 3
+        reach = ((pos & 7) + 8 * width + 7) // 8 + cls.PAD
+        cut = 8 * min(count // 8, max(0, (payload.size - start - reach) // max(1, width) + 1))
+        if cut:
+            yield (slice(rows.start, rows.start + cut),
+                   cls(payload[start:], width, (pos & 7) + width * np.arange(8), cut))
+        if cut < count:
+            pos, count = pos + cut * width, count - cut
+            start, group = pos >> 3, min(8, count)
+            buf = np.zeros(((pos & 7) + width * group * -(-count // group) + 7) // 8 + cls.PAD,
+                           dtype=np.uint8)
+            tail = payload[start:start + buf.size]
+            buf[:tail.size] = tail
+            yield (slice(rows.start + cut, rows.stop),
+                   cls(buf, width, (pos & 7) + width * np.arange(group), count))
+
+    @classmethod
+    def masked(cls, bits: np.ndarray, keep: np.ndarray) -> "_ByteRows":
+        """The rows of a zeroed bit matrix of ``keep``'s shape whose bits
+        under the mask ``keep`` are ``bits``, each row starting on a byte
+        boundary: in groups of one row, or of all of them if fewer than 8."""
+        rows, width = keep.shape
+        row_bytes = -(-width // 8)
+        flat = np.zeros(8 * (rows * row_bytes + cls.PAD), dtype=np.uint8)
+        flat[:8 * rows * row_bytes].reshape(rows, 8 * row_bytes)[:, :width][keep] = bits
+        offsets = 8 * row_bytes * np.arange(1 if rows >= 8 else rows)
+        return cls(np.packbits(flat), row_bytes, offsets, rows)
+
+    def values(self, columns: np.ndarray, width: int, out: np.ndarray):
         """The inverse of :func:`_bits_of`: the value of the ``width`` bits
-        (at most 64) at each bit of ``columns`` (see :func:`_columns`) in
-        every row, as (rows, columns) uint64.
+        (at most 64) at each bit offset of ``columns`` (ascending, within a
+        row) in every row, written into ``out`` (rows, columns).
 
-        The rows are packed into bytes once; a value is then the unaligned
-        big-endian 64-bit word at its byte, shifted into place, and the
-        words are gathered at their byte offsets across the rows. Such a
-        gather costs per offset, so fewer than 8 rows read their columns
-        in groups of 8: column c + 8 lies ``step`` bytes after column c at
-        the same bit, so 8 offsets serve every group. A field of more than
+        A value is the unaligned big-endian word at its byte, of the
+        narrowest width that holds ``width`` + 7 bits (1, 2, 4 or 8 bytes),
+        shifted into place. The words of a group's rows are gathered at
+        their byte offsets, one gather for every group of the rows at once,
+        or for as many as fit in :attr:`GATHER_BYTES`. A field of more than
         57 bits runs into a ninth byte, whose leading bits come from the
         word 8 bytes on (numpy shifts a uint64 by 64 to 0)."""
-        if self._packed is None:
-            self._packed = np.packbits(self._flat)
-        byte, bit, step = columns
-        count = len(byte)
-        period = min(8, count) if len(self.bits) < 8 else count
-        byte, bit = byte[:period], bit[:period]
-        words = np.ndarray((len(self.bits), -(-count // period), int(byte[-1]) + 9),
-                           dtype=">u8", buffer=self._packed, strides=(self.row_bytes, step, 1))
-        out = words[:, :, byte].astype(np.uint64)
-        out <<= bit
-        if width > 57:
-            out |= words[:, :, byte + 8].astype(np.uint64) >> (np.uint64(64) - bit)
-        out >>= np.uint64(64 - width)
-        return out.reshape(len(out), -1)[:, :count]
-
-
-def _columns(start: int, step: int, count: int) -> tuple:
-    """The bits ``start + c * step`` of ``count`` columns of a row, as
-    :meth:`_ByteRows.values` reads them: their bytes, their bits within
-    those bytes as uint64, and ``step``."""
-    at = start + step * np.arange(count)
-    return at >> 3, (at & 7).astype(np.uint64), step
+        nb = _byte_width(min(64, width + 7))
+        at = (self._offsets[:, None] + columns).ravel()
+        byte, bit = at >> 3, (at & 7).astype(f"u{nb}")
+        ninth = 8 if width > 57 else 0
+        group, groups = len(self._offsets), -(-self._rows // len(self._offsets))
+        words = np.ndarray((groups, int(byte[-1]) + 1 + ninth), dtype=f">u{nb}",
+                           buffer=self._buf, strides=(self._stride, 1))
+        step = max(1, self.GATHER_BYTES // (nb * len(at)))
+        for lo in range(0, groups, step):
+            word = words[lo:lo + step, byte].astype(bit.dtype)
+            word <<= bit
+            if ninth:
+                word |= words[lo:lo + step, byte + ninth].astype(bit.dtype) >> (64 - bit)
+            dst = out[lo * group:(lo + step) * group]
+            np.right_shift(word.reshape(-1, len(columns))[:len(dst)], 8 * nb - width,
+                           out=dst, casting="unsafe")
+        return out
 
 
 def _encode_array(values, f: int, zero_threshold: float):
@@ -284,20 +318,20 @@ class _Layout:
 
     @functools.cached_property
     def fields(self) -> list:
-        """(run, bit offset within a column, width, dtype, columns as
-        :meth:`_ByteRows.values` reads them) of each field the payload
-        stores besides the zero flags, in the order of a sketch's field
-        arrays (see :meth:`wire`): a weight code's exponent and fraction
-        (its sign bit is always 0), then either each coordinate's grid value,
-        in the smallest unsigned type that holds a grid value, or a
-        coordinate code's sign, exponent and fraction."""
+        """(run, bit offset within a column, width, dtype, the bit offsets
+        of its columns within a row) of each field the payload stores
+        besides the zero flags, in the order of a sketch's field arrays (see
+        :meth:`wire`): a weight code's exponent, whose field holds the sign
+        bit (always 0) as its top bit, and its fraction, then either each
+        coordinate's grid value, in the smallest unsigned type that holds a
+        grid value, or a coordinate code's sign, exponent and fraction."""
         p, x = self._p, 0 if self._unit else 1
-        fields = [] if self._unit else [(0, 2, p.w_expo_width), (0, 2 + p.w_expo_width, p.f_w)]
+        fields = [] if self._unit else [(0, 1, 1 + p.w_expo_width), (0, 2 + p.w_expo_width, p.f_w)]
         fields += [(g, 0, run[2]) for g, run in enumerate(self.runs[x:], x)] if self._exact \
             else [(x, 1, 1), (x, 2, p.x_expo_width), (x, 2 + p.x_expo_width, p.f_x)]
         grid = _grid_dtype(p.center_width)
         return [(g, shift, width, grid if self._exact and g >= x else np.int64,
-                 _columns(self.runs[g][0] + shift, self.runs[g][2], self.runs[g][1]))
+                 self.runs[g][0] + shift + self.runs[g][2] * np.arange(self.runs[g][1]))
                 for g, shift, width in fields]
 
     def wire(self, fields: list) -> list:
@@ -349,6 +383,27 @@ def _row_blocks(zero: np.ndarray, layout: _Layout):
                     view[:, :, 1:] = ~z[:, flags, None]
         count = len(z) * layout.row_bits if keep is None else int(np.count_nonzero(keep))
         yield slice(lo, lo + len(z)), keep, count
+
+
+def _row_pieces(payload: np.ndarray, pos: int, zero: np.ndarray, layout: _Layout):
+    """The payload rows from bit ``pos``, given their zero flags and their
+    layout, as pieces (rows, :class:`_ByteRows`) to read fields from: each
+    run of blocks (see :func:`_row_blocks`) without a zero flag where it
+    lies (see :meth:`_ByteRows.at`), each block with one through its masked
+    bit matrix. A block that would end past the payload is a
+    ``SketchFormatError`` at the payload's end, before any row is read."""
+    nbits, run = 8 * payload.size, (0, pos)     # the first row and bit not yet read
+    for rows, keep, count in _row_blocks(zero, layout):
+        if pos + count > nbits:
+            raise SketchFormatError("payload ends early", bit_offset=nbits)
+        if keep is not None:
+            yield from _ByteRows.at(payload, run[1], slice(run[0], rows.start), layout.row_bits)
+            start = pos // 8
+            span = np.unpackbits(payload[start:(pos + count + 7) // 8])
+            yield rows, _ByteRows.masked(span[pos - 8 * start:][:count], keep)
+            run = rows.stop, pos + count
+        pos += count
+    yield from _ByteRows.at(payload, run[1], slice(run[0], len(zero)), layout.row_bits)
 
 
 def _put_bytes(out: np.ndarray, at: int, bits: np.ndarray):
@@ -558,18 +613,19 @@ class Sketch:
     # -- payload -----------------------------------------------------------
 
     def _parse_payload(self):
-        """Read the payload: the centers and group sizes, under
-        ``SORTED_FIRST`` the Elias-Fano section, from the places of its ones,
-        then the zero flags of the variable-width codes, the only sequential
-        dependency of the layout, in vector steps over runs of nonzero codes
-        and per-code steps where zero codes are dense (see
-        :func:`_zero_flags`), then per block of rows (see
-        :func:`_row_blocks`) the block's unpacked span, or, if the block has
-        a zero flag, its masked bits, copied into a :class:`_ByteRows`
-        matrix, from whose packed rows every field is read, each column by
-        one word read. A flag past the payload's end is a
-        ``SketchFormatError`` at its bit, and a block that would end past
-        the payload one at the payload's end."""
+        """Read the payload: the centers and group sizes, fixed-width rows
+        from bit 0, under ``SORTED_FIRST`` the Elias-Fano section, from the
+        places of its ones, then the zero flags of the variable-width codes,
+        the only sequential dependency of the layout, in vector steps over
+        runs of nonzero codes and per-code steps where zero codes are dense
+        (see :func:`_zero_flags`), then the rows (see :func:`_row_pieces`).
+        Rows in blocks without a zero flag, as in every exact-mode sketch
+        without zero weight codes, and the centers and group sizes are read
+        straight from the payload bytes; each block with a zero flag from
+        its masked bits, copied into a bit matrix. Every field of a piece of
+        rows is one word gather (see :meth:`_ByteRows.values`). A flag past
+        the payload's end is a ``SketchFormatError`` at its bit, and a
+        block that would end past the payload one at the payload's end."""
         p, k, d, s, layout = self.params, self.k, self.d, self.coreset_size, self._layout
         payload = np.frombuffer(self._data, dtype=np.uint8, offset=self._header_bytes)
         nbits = 8 * payload.size
@@ -586,13 +642,14 @@ class Sketch:
         fields = [np.empty((s, layout.runs[g][1]), dtype=t) for g, _, _, t, _ in layout.fields]
         if self._split:     # one grid array, which the coordinate fields view
             fields[2 * (not self.unit_weights):] = [np.empty((s, d), dtype=fields[-1].dtype)]
-        prefix = np.unpackbits(payload[:(row_start + 7) // 8])
         cw, gw = p.center_width, p.group_width
-        head = _ByteRows(k, d * cw + gw)
-        head.bits[:, :d * cw] = prefix[:k * d * cw].reshape(k, d * cw)
-        head.bits[:, d * cw:] = prefix[k * d * cw:code_start].reshape(k, gw)
-        centers = head.values(_columns(0, cw, d), cw).astype(np.int64) + 1
-        group_sizes = head.values(_columns(d * cw, gw, 1), gw)[:, 0].tolist()
+        centers, sizes = np.empty((k, d), dtype=np.int64), np.empty((k, 1), dtype=np.uint64)
+        for rows, block in _ByteRows.at(payload, 0, slice(0, k), d * cw):
+            block.values(cw * np.arange(d), cw, centers[rows])
+        for rows, block in _ByteRows.at(payload, k * d * cw, slice(0, k), gw):
+            block.values(np.zeros(1, dtype=np.int64), gw, sizes[rows])
+        centers += 1
+        group_sizes = sizes[:, 0].tolist()
         if sum(group_sizes) != s:
             raise SketchFormatError(
                 f"group sizes sum to {sum(group_sizes)}, header says {s}",
@@ -600,7 +657,8 @@ class Sketch:
         group_of = np.repeat(np.arange(k), group_sizes)
         if self._split:
             low, buckets = self._split
-            ones = np.flatnonzero(prefix[code_start:row_start].view(bool))
+            section = np.unpackbits(payload[code_start >> 3:(row_start + 7) >> 3])
+            ones = np.flatnonzero(section[code_start & 7:][:s + k * buckets].view(bool))
             if len(ones) != s:
                 raise SketchFormatError(
                     f"the first-coordinate section holds {len(ones)} ones for {s} rows",
@@ -616,25 +674,11 @@ class Sketch:
         codes = len(layout.steps)
         zero = np.frombuffer(_zero_flags(payload, row_start, layout.steps, s * codes),
                              dtype=bool).reshape(s, codes)
-        pos = row_start
-        for rows, keep, count in _row_blocks(zero, layout):
-            if pos + count > nbits:
-                raise SketchFormatError("payload ends early", bit_offset=nbits)
-            start = pos // 8
-            span = np.unpackbits(payload[start:(pos + count + 7) // 8])
-            span = span[pos - 8 * start:pos - 8 * start + count]
-            block = _ByteRows(rows.stop - rows.start, layout.row_bits)
-            if keep is None:
-                block.bits[...] = span.reshape(block.bits.shape)
-            else:
-                block.bits[keep] = span
-            # a row's weight code, if any, leads it: bit 1 is its sign
-            if not self.unit_weights and block.bits[:, 1].any():
-                raise SketchFormatError("negative weight code")
-            for field, (_, _, width, _, at) in zip(layout.wire(fields), layout.fields):
+        wire = layout.wire(fields)
+        for rows, block in _row_pieces(payload, row_start, zero, layout):
+            for field, (_, _, width, _, at) in zip(wire, layout.fields):
                 if field.shape[1]:
-                    field[rows] = block.values(at, width)
-            pos += count
+                    block.values(at, width, field[rows])
 
         if self._split:
             # the first grid values, with the low L bits that the rows hold;
@@ -647,8 +691,14 @@ class Sketch:
         if centers.max() > self.delta or (
                 self.exact_coordinates and fields[-1].max(initial=0) >= self.delta):
             raise SketchFormatError(f"a grid coordinate exceeds delta = {self.delta}")
-        if not self.unit_weights and fields[0].max(initial=0) > p.w_expo_max - p.w_expo_min:
-            raise SketchFormatError("weight exponent field exceeds the declared range")
+        if not self.unit_weights:
+            # a row's weight code leads it: bit 1 is its sign, which the
+            # exponent's field holds as its top bit
+            expo = fields[0].max(initial=0)
+            if expo >> p.w_expo_width:
+                raise SketchFormatError("negative weight code")
+            if expo > p.w_expo_max - p.w_expo_min:
+                raise SketchFormatError("weight exponent field exceeds the declared range")
         if not self.exact_coordinates and fields[-2].max(initial=0) > p.x_expo_max:
             raise SketchFormatError("coordinate exponent field exceeds the declared range")
 
@@ -702,7 +752,7 @@ class Sketch:
             c = carry.size
             scratch[:c] = carry
             matrix = scratch[c:c + size].reshape(rows.stop - rows.start, layout.row_bits)
-            # a weight code's sign bit is never written
+            # the zero flags of a block without a zero code are never written
             matrix.fill(0)
             views = layout.views(matrix)
             for (*_, flags), view in zip(layout.runs, views):

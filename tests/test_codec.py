@@ -28,10 +28,22 @@ def make_instance(n=120, d=6, k=3, z=2, delta=1024, eps=0.2, seed=0,
 
 def values_of(bits, start, step, count, width):
     """The parser's read of ``count`` fields of the rows of the bit matrix
-    ``bits``, ``step`` bits apart from bit ``start``."""
-    rows = codec._ByteRows(*bits.shape)
-    rows.bits[...] = bits
-    return rows.values(codec._columns(start, step, count), width)
+    ``bits``, ``step`` bits apart from bit ``start``: from a bit matrix of
+    byte-aligned rows, as rows with a zero flag are read, and from the rows
+    packed back to back after 0 to 7 other bits, as full-width payload rows
+    are read in place; all of these must agree."""
+    rows, row_bits = bits.shape
+    columns = start + step * np.arange(count)
+    got = np.empty((rows, count), dtype=np.uint64)
+    codec._ByteRows.masked(bits.ravel(), np.ones(bits.shape, dtype=bool)).values(
+        columns, width, got)
+    for lead in range(8):
+        payload = np.packbits(np.r_[np.ones(lead, dtype=np.uint8), bits.ravel()])
+        direct = np.zeros_like(got)
+        for part, block in codec._ByteRows.at(payload, lead, slice(0, rows), row_bits):
+            block.values(columns, width, direct[part])
+        assert np.array_equal(direct, got)
+    return got
 
 
 class TestBitIO:
@@ -73,10 +85,13 @@ class TestBitIO:
         assert values_of(matrix, 1, 3, 3, 3).tolist() == values.tolist()
 
     @pytest.mark.parametrize("rows", [1, 3, 7, 8, 40])
-    @pytest.mark.parametrize("width", [1, 10, 57, 63])
+    @pytest.mark.parametrize("width", [1, 2, 9, 10, 25, 26, 57, 58, 63])
     def test_many_columns(self, rows, width):
-        # fewer than 8 rows read their columns in groups of 8, the rest all
-        # at once; 3 columns of a 61-column run, between other bits
+        # a bit matrix of fewer than 8 rows reads them as one group, a
+        # bigger one a row at a time, and rows in place go 8 to a group;
+        # words of 1, 2, 4 and 8 bytes on either side of each width that
+        # needs a wider one, and a ninth byte from 58 bits on; 61 columns
+        # of a run, between other bits
         rng = np.random.default_rng(rows * width)
         values = rng.integers(0, 2 ** width, size=(rows, 61), dtype=np.uint64)
         bits = codec._bits_of(values.astype(np.int64), width)
