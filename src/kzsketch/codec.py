@@ -106,14 +106,10 @@ def _bit_table(width: int) -> np.ndarray:
 
 
 class _ByteRows:
-    """``rows`` rows of bits in the bytes ``buf``, read by fields
-    (:meth:`values`). They come in groups of ``len(offsets)`` rows: row i
-    of group j starts at bit ``offsets[i]`` of byte ``j * stride``.
-
-    Rows of the payload are read where they lie (:meth:`at`): 8 rows of
-    ``width`` bits span exactly ``width`` bytes, so one group of 8 offsets
-    serves for all of them. Rows with a zero flag are first copied into a
-    bit matrix whose rows start on byte boundaries (:meth:`masked`)."""
+    """``rows`` rows of ``width`` bits back to back from bit ``bit`` of the
+    bytes ``buf``, read by fields (:meth:`values`), in groups of 8 rows, or
+    of all of them if fewer: 8 rows span exactly ``width`` bytes, so group
+    j's rows start at the bits of group 0's, ``j * width`` bytes on."""
 
     # a word and a ninth byte read up to 16 bytes from a field's first byte
     PAD = 16
@@ -121,8 +117,8 @@ class _ByteRows:
     # glibc's initial mmap threshold
     GATHER_BYTES = 1 << 17
 
-    def __init__(self, buf: np.ndarray, stride: int, offsets: np.ndarray, rows: int):
-        self._buf, self._stride, self._offsets, self._rows = buf, stride, offsets, rows
+    def __init__(self, buf: np.ndarray, bit: int, rows: int, width: int):
+        self._buf, self._bit, self._rows, self._width = buf, bit, rows, width
 
     @classmethod
     def at(cls, payload: np.ndarray, pos: int, rows: slice, width: int):
@@ -137,31 +133,17 @@ class _ByteRows:
         reach = ((pos & 7) + 8 * width + 7) // 8 + cls.PAD
         cut = 8 * min(count // 8, max(0, (payload.size - start - reach) // max(1, width) + 1))
         if cut:
-            yield (slice(rows.start, rows.start + cut),
-                   cls(payload[start:], width, (pos & 7) + width * np.arange(8), cut))
+            yield slice(rows.start, rows.start + cut), cls(payload[start:], pos & 7, cut, width)
         if cut < count:
             pos, count = pos + cut * width, count - cut
-            start, group = pos >> 3, min(8, count)
+            group = min(8, count)
             buf = np.zeros(((pos & 7) + width * group * -(-count // group) + 7) // 8 + cls.PAD,
                            dtype=np.uint8)
-            tail = payload[start:start + buf.size]
+            tail = payload[pos >> 3:(pos >> 3) + buf.size]
             buf[:tail.size] = tail
-            yield (slice(rows.start + cut, rows.stop),
-                   cls(buf, width, (pos & 7) + width * np.arange(group), count))
+            yield slice(rows.start + cut, rows.stop), cls(buf, pos & 7, count, width)
 
-    @classmethod
-    def masked(cls, bits: np.ndarray, keep: np.ndarray) -> "_ByteRows":
-        """The rows of a zeroed bit matrix of ``keep``'s shape whose bits
-        under the mask ``keep`` are ``bits``, each row starting on a byte
-        boundary: in groups of one row, or of all of them if fewer than 8."""
-        rows, width = keep.shape
-        row_bytes = -(-width // 8)
-        flat = np.zeros(8 * (rows * row_bytes + cls.PAD), dtype=np.uint8)
-        flat[:8 * rows * row_bytes].reshape(rows, 8 * row_bytes)[:, :width][keep] = bits
-        offsets = 8 * row_bytes * np.arange(1 if rows >= 8 else rows)
-        return cls(np.packbits(flat), row_bytes, offsets, rows)
-
-    def values(self, columns: np.ndarray, width: int, out: np.ndarray):
+    def values(self, columns: np.ndarray, width: int, out: np.ndarray) -> None:
         """The inverse of :func:`_bits_of`: the value of the ``width`` bits
         (at most 64) at each bit offset of ``columns`` (ascending, within a
         row) in every row, written into ``out`` (rows, columns).
@@ -174,12 +156,13 @@ class _ByteRows:
         57 bits runs into a ninth byte, whose leading bits come from the
         word 8 bytes on (numpy shifts a uint64 by 64 to 0)."""
         nb = _byte_width(min(64, width + 7))
-        at = (self._offsets[:, None] + columns).ravel()
+        group = min(8, self._rows)
+        groups = -(-self._rows // group)
+        at = (self._bit + self._width * np.arange(group)[:, None] + columns).ravel()
         byte, bit = at >> 3, (at & 7).astype(f"u{nb}")
         ninth = 8 if width > 57 else 0
-        group, groups = len(self._offsets), -(-self._rows // len(self._offsets))
         words = np.ndarray((groups, int(byte[-1]) + 1 + ninth), dtype=f">u{nb}",
-                           buffer=self._buf, strides=(self._stride, 1))
+                           buffer=self._buf, strides=(self._width, 1))
         step = max(1, self.GATHER_BYTES // (nb * len(at)))
         for lo in range(0, groups, step):
             word = words[lo:lo + step, byte].astype(bit.dtype)
@@ -189,7 +172,6 @@ class _ByteRows:
             dst = out[lo * group:(lo + step) * group]
             np.right_shift(word.reshape(-1, len(columns))[:len(dst)], 8 * nb - width,
                            out=dst, casting="unsafe")
-        return out
 
 
 def _encode_array(values, f: int, zero_threshold: float):
@@ -389,9 +371,11 @@ def _row_pieces(payload: np.ndarray, pos: int, zero: np.ndarray, layout: _Layout
     """The payload rows from bit ``pos``, given their zero flags and their
     layout, as pieces (rows, :class:`_ByteRows`) to read fields from: each
     run of blocks (see :func:`_row_blocks`) without a zero flag where it
-    lies (see :meth:`_ByteRows.at`), each block with one through its masked
-    bit matrix. A block that would end past the payload is a
-    ``SketchFormatError`` at the payload's end, before any row is read."""
+    lies (see :meth:`_ByteRows.at`), each block with one from its bit
+    matrix, whose bits under the block's mask are the payload's and the
+    rest 0, packed back into bytes. A block that would end past the payload
+    is a ``SketchFormatError`` at the payload's end, before any row is
+    read."""
     nbits, run = 8 * payload.size, (0, pos)     # the first row and bit not yet read
     for rows, keep, count in _row_blocks(zero, layout):
         if pos + count > nbits:
@@ -399,8 +383,9 @@ def _row_pieces(payload: np.ndarray, pos: int, zero: np.ndarray, layout: _Layout
         if keep is not None:
             yield from _ByteRows.at(payload, run[1], slice(run[0], rows.start), layout.row_bits)
             start = pos // 8
-            span = np.unpackbits(payload[start:(pos + count + 7) // 8])
-            yield rows, _ByteRows.masked(span[pos - 8 * start:][:count], keep)
+            matrix = np.zeros(keep.shape, dtype=np.uint8)
+            matrix[keep] = np.unpackbits(payload[start:(pos + count + 7) // 8])[pos - 8 * start:][:count]
+            yield from _ByteRows.at(np.packbits(matrix), 0, rows, layout.row_bits)
             run = rows.stop, pos + count
         pos += count
     yield from _ByteRows.at(payload, run[1], slice(run[0], len(zero)), layout.row_bits)
@@ -622,10 +607,11 @@ class Sketch:
         Rows in blocks without a zero flag, as in every exact-mode sketch
         without zero weight codes, and the centers and group sizes are read
         straight from the payload bytes; each block with a zero flag from
-        its masked bits, copied into a bit matrix. Every field of a piece of
-        rows is one word gather (see :meth:`_ByteRows.values`). A flag past
-        the payload's end is a ``SketchFormatError`` at its bit, and a
-        block that would end past the payload one at the payload's end."""
+        its masked bits, copied into a bit matrix and packed again. Every
+        field of a piece of rows is one word gather (see
+        :meth:`_ByteRows.values`). A flag past the payload's end is a
+        ``SketchFormatError`` at its bit, and a block that would end past
+        the payload one at the payload's end."""
         p, k, d, s, layout = self.params, self.k, self.d, self.coreset_size, self._layout
         payload = np.frombuffer(self._data, dtype=np.uint8, offset=self._header_bytes)
         nbits = 8 * payload.size

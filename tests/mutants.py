@@ -201,6 +201,23 @@ MUTANTS = [
            ("tests/test_codec_reference.py::TestSortedFirst"
             "::test_first_coordinate_above_a_64_bit_delta",),
            "the parser's int64 high parts take uint64 low bits, kept from 33 bits on"),
+    Mutant("direct-read-skips-the-weight-sign-check", CODEC,
+           "[(0, 1, 1 + p.w_expo_width), (0, 2 + p.w_expo_width, p.f_w)]",
+           "[(0, 2, p.w_expo_width), (0, 2 + p.w_expo_width, p.f_w)]",
+           ("tests/test_codec_reference.py::TestCorruptBytes"
+            "::test_negative_weight_code_in_full_width_rows_rejected[in-place]",),
+           "rows read in place keep the weight code's sign bit, the top bit of its "
+           "exponent's field, and a set one is rejected"),
+    Mutant("field-word-from-width-plus-6", CODEC,
+           "nb = _byte_width(min(64, width + 7))",
+           "nb = _byte_width(min(64, width + 6))",
+           ("tests/test_codec.py::TestBitIO::test_round_trip_fields",),
+           "a field's word holds its width plus the 7 bits before it in its first byte"),
+    Mutant("zero-flag-block-read-in-place", CODEC,
+           "        if keep is not None:\n            yield from _ByteRows.at(",
+           "        if False:\n            yield from _ByteRows.at(",
+           ("tests/test_file_fuzz.py::test_every_truncation[kzsk]",),
+           "a block with a zero flag is read from its masked bits, not in place"),
     Mutant("wide-layout-at-k-equal-rows", GEOMETRY,
            "            if k > r:  # more centers than rows",
            "            if k >= r:  # more centers than rows",

@@ -28,22 +28,21 @@ def make_instance(n=120, d=6, k=3, z=2, delta=1024, eps=0.2, seed=0,
 
 def values_of(bits, start, step, count, width):
     """The parser's read of ``count`` fields of the rows of the bit matrix
-    ``bits``, ``step`` bits apart from bit ``start``: from a bit matrix of
-    byte-aligned rows, as rows with a zero flag are read, and from the rows
-    packed back to back after 0 to 7 other bits, as full-width payload rows
-    are read in place; all of these must agree."""
+    ``bits``, ``step`` bits apart from bit ``start``, from the rows packed
+    back to back after 0 to 7 other bits, as payload rows lie (and after
+    none, as a block with a zero flag packs its bit matrix); all eight
+    reads must agree."""
     rows, row_bits = bits.shape
     columns = start + step * np.arange(count)
-    got = np.empty((rows, count), dtype=np.uint64)
-    codec._ByteRows.masked(bits.ravel(), np.ones(bits.shape, dtype=bool)).values(
-        columns, width, got)
+    reads = []
     for lead in range(8):
         payload = np.packbits(np.r_[np.ones(lead, dtype=np.uint8), bits.ravel()])
-        direct = np.zeros_like(got)
+        out = np.zeros((rows, count), dtype=np.uint64)
         for part, block in codec._ByteRows.at(payload, lead, slice(0, rows), row_bits):
-            block.values(columns, width, direct[part])
-        assert np.array_equal(direct, got)
-    return got
+            block.values(columns, width, out[part])
+        reads.append(out)
+    assert all(np.array_equal(read, reads[0]) for read in reads)
+    return reads[0]
 
 
 class TestBitIO:
@@ -86,19 +85,20 @@ class TestBitIO:
 
     @pytest.mark.parametrize("rows", [1, 3, 7, 8, 40])
     @pytest.mark.parametrize("width", [1, 2, 9, 10, 25, 26, 57, 58, 63])
-    def test_many_columns(self, rows, width):
-        # a bit matrix of fewer than 8 rows reads them as one group, a
-        # bigger one a row at a time, and rows in place go 8 to a group;
-        # words of 1, 2, 4 and 8 bytes on either side of each width that
-        # needs a wider one, and a ninth byte from 58 bits on; 61 columns
-        # of a run, between other bits
+    def test_many_columns(self, rows, width, monkeypatch):
+        # fewer than 8 rows are one group, more go 8 to a group, the last
+        # from a padded copy; words of 1, 2, 4 and 8 bytes on either side of
+        # each width that needs a wider one, and a ninth byte from 58 bits
+        # on; 61 columns of a run, between other bits. Then with one group
+        # to a gather
         rng = np.random.default_rng(rows * width)
         values = rng.integers(0, 2 ** width, size=(rows, 61), dtype=np.uint64)
         bits = codec._bits_of(values.astype(np.int64), width)
         matrix = rng.integers(0, 2, size=(rows, 5 + 61 * (width + 2) + 3), dtype=np.uint8)
         matrix[:, 5:-3].reshape(rows, 61, width + 2)[:, :, 1:-1] = bits
-        got = values_of(matrix, 6, width + 2, 61, width)
-        assert got.dtype == np.uint64 and np.array_equal(got, values)
+        assert np.array_equal(values_of(matrix, 6, width + 2, 61, width), values)
+        monkeypatch.setattr(codec._ByteRows, "GATHER_BYTES", 1)
+        assert np.array_equal(values_of(matrix, 6, width + 2, 61, width), values)
 
     def test_truncation_reports_offset(self):
         # exact coordinates after nonzero weight codes: the flag pass reads

@@ -546,6 +546,57 @@ class TestFlagPatterns:
         _check_flag_pattern(pattern, delta, unit, block, cuts)
 
 
+class TestRowsInPlace:
+    """Rows of blocks without a zero flag are read where they lie in the
+    payload, 8 rows to a group of ``row_bits`` bytes; the last groups, whose
+    reads would run past the payload, from a zero-padded copy. Against the
+    reference: every row count and every row width modulo 8, rows over 3
+    blocks, with and without a zero weight code in the middle block."""
+
+    @pytest.mark.parametrize("unit", [True, False])
+    @pytest.mark.parametrize("d", range(1, 9))
+    def test_every_row_count_and_width_modulo_8(self, d, unit, monkeypatch):
+        # delta = 8 and k = 2 at 40 to 47 rows: exact coordinates with L = 0,
+        # so a row is its weight code, if any, and 3 (d - 1) bits of grid
+        # values: across d every width modulo 8, and none at d = 1 under
+        # unit weights. Blocks of 16 rows make 3 of them
+        rng = np.random.default_rng([d, unit])
+        ends_on_a_byte = False
+        for rows in range(40, 48):
+            pts = rng.integers(1, 9, size=(rows, d))
+            centers = pts[:2]
+            weights = np.ones(rows) if unit else rng.uniform(0.5, 2.0, size=rows)
+            config = ProblemConfig(n=rows, d=d, k=2, z=Fraction(2), delta=8, epsilon=0.3)
+            raw = ref.encode_bytes(WeightedCoreset(pts, weights, rows), centers, config)
+            sketch = codec.Sketch.from_bytes(raw)
+            assert sketch.exact_coordinates and sketch._split == (0, 8)
+            row_bits = 3 * (d - 1) + (0 if unit else sketch.params.code_widths[0])
+            assert sketch._layout.row_bits == row_bits
+            payload_bits = sketch.ledger.total_bits - 8 * codec._HEADER_BYTES
+            ends_on_a_byte |= payload_bits % 8 == 0
+            with monkeypatch.context() as m:
+                if row_bits:
+                    m.setattr(codec, "_BLOCK_BITS", 16 * row_bits)
+                cases = [(weights, [False] * 3 if row_bits else [False])]
+                if not unit:
+                    # a zero weight code on encoded row 24 only: a masked
+                    # block between two read in place
+                    zeroed = weights.copy()
+                    zeroed[ref.row_order(pts, centers, by_first=True)[24]] = 0.0
+                    cases.append((zeroed, [False, True, False]))
+                for w, masked in cases:
+                    cs = WeightedCoreset(pts, w, rows)
+                    raw = ref.encode_bytes(cs, centers, config)
+                    sketch = codec.Sketch.from_bytes(raw)
+                    assert [keep is not None for _, keep, _ in
+                            codec._row_blocks(sketch._zero, sketch._layout)] == masked
+                    assert_same_fields(sketch, ref.parse(raw))
+                    assert codec.encode(cs, centers, config).to_bytes() == raw
+        # with an odd row width one of the 8 row counts ends the payload on
+        # a byte boundary, so the last row ends on the payload's last byte
+        assert ends_on_a_byte or row_bits % 2 == 0
+
+
 class TestScratchMemory:
     """The codec's scratch is block-sized: neither ``encode`` nor
     ``from_bytes`` followed by ``decode`` holds a bit array the size of the
@@ -584,11 +635,12 @@ class TestScratchMemory:
         assert parse_peak < payload_bits
 
 
-def _valid_sketch(delta: int = 16, unit: bool = False, rows: int = 6) -> bytes:
+def _valid_sketch(delta: int = 16, unit: bool = False, rows: int = 6,
+                  zero: bool = True) -> bytes:
     rng = np.random.default_rng(5)
     data = rng.integers(1, delta + 1, size=(rows, 2))
     weights = rng.uniform(0.5, 2.0, size=rows)
-    weights[1] = 0.0
+    weights[1] = 0.0 if zero else weights[1]
     if unit:
         weights[:] = 1.0
     centers = data[[0, 3]]
@@ -662,6 +714,25 @@ class TestCorruptBytes:
         sign_bit = (8 * codec._HEADER_BYTES + 1 + sketch.k * sketch.d * p.center_width
                     + sketch.k * p.group_width)
         raw = bytearray(VALID)
+        raw[sign_bit // 8] |= 0x80 >> (sign_bit % 8)
+        with pytest.raises(SketchFormatError, match="negative weight code"):
+            codec.Sketch.from_bytes(bytes(raw))
+
+    @pytest.mark.parametrize("row", [0, 39], ids=["in-place", "padded-copy"])
+    def test_negative_weight_code_in_full_width_rows_rejected(self, row):
+        # 40 rows without a zero code: one block, read in place but for its
+        # last group, whose reads would run past the payload. The first row
+        # is read in place, the last from the padded copy
+        valid = _valid_sketch(rows=40, zero=False)
+        sketch = codec.Sketch.from_bytes(valid)
+        assert sketch.exact_coordinates and not sketch._zero.any()
+        row_bits, start = sketch._layout.row_bits, _code_start(sketch)
+        payload = np.frombuffer(valid, dtype=np.uint8, offset=codec._HEADER_BYTES)
+        pieces = [rows for rows, _ in codec._ByteRows.at(payload, start, slice(0, 40),
+                                                         row_bits)]
+        assert pieces == [slice(0, 32), slice(32, 40)]
+        sign_bit = 8 * codec._HEADER_BYTES + start + row * row_bits + 1
+        raw = bytearray(valid)
         raw[sign_bit // 8] |= 0x80 >> (sign_bit % 8)
         with pytest.raises(SketchFormatError, match="negative weight code"):
             codec.Sketch.from_bytes(bytes(raw))
@@ -814,14 +885,21 @@ class TestSortedFirst:
         assert sketch.ledger.coordinate_bits == 40 + 4
 
     @pytest.mark.parametrize("delta, d, k, unit, eps", [(2 ** 33, 1, 1, True, 1e-5),
-                                                        (2 ** 40, 2, 3, False, 1e-9)],
-                             ids=["delta-2^33", "delta-2^40"])
+                                                        (2 ** 40, 2, 3, False, 1e-9),
+                                                        (2 ** 57, 2, 1, True, 1e-15),
+                                                        (2 ** 58, 2, 2, False, 1e-15),
+                                                        (2 ** 62, 3, 1, True, 1e-16)],
+                             ids=["delta-2^33", "delta-2^40", "delta-2^57", "delta-2^58",
+                                  "delta-2^62"])
     def test_grid_values_of_64_bits(self, delta, d, k, unit, eps):
         # a center width of 33 to 62 bits keeps grid values as uint64, which
-        # the section's row places, int64, meet in the packer and the parser
+        # the section's row places, int64, meet in the packer and the parser.
+        # Grid values of 58 bits and more run into a ninth byte when read,
+        # 57 bits fill a word from the last bit of their first byte
         sketch = self.encoded(1000, k, delta, unit=unit, d=d, eps=eps)
         assert sketch.exact_coordinates and ref.sorted_first(sketch)
         assert sketch._fields[-1].dtype == np.uint64
+        assert sketch.params.center_width == delta.bit_length() - 1
 
     def test_first_coordinate_above_a_64_bit_delta(self, tmp_path, capsys):
         # delta = 2^33 + 1, k = 1 and 24 rows: L = 28, H = 33, so the top

@@ -3,7 +3,9 @@ single-bit flip and header-field rewrites of small valid files. Only a
 ``KZSketchError`` may escape the loaders, and whatever loads must save back
 to the same bytes. The KZSK files store their first coordinates under
 ``SORTED_FIRST``, as an Elias-Fano section, one of them with grid values of
-64 bits."""
+64 bits. Two hold a zero weight code in their only row block, whose rows
+the parser reads from a masked bit matrix; the third holds none, so its
+rows are read in place, the last of them from a padded copy."""
 
 import os
 import struct
@@ -41,15 +43,18 @@ def _basis_bytes(path) -> bytes:
     return path.read_bytes()
 
 
-def _sketch_bytes(path, delta: int = 16, eps: float = 0.3) -> bytes:
+def _sketch_bytes(path, delta: int = 16, eps: float = 0.3, rows: int = 24) -> bytes:
     # 24 rows in 2 groups, at delta = 16: L = 1, H = 8, and a zero weight
     rng = np.random.default_rng(2)
-    pts = rng.integers(1, delta + 1, size=(24, 2))
-    weights = rng.uniform(0.5, 2.0, size=24)
-    weights[5] = 0.0
-    config = ProblemConfig(n=24, d=2, k=2, z=Fraction(2), delta=delta, epsilon=eps)
-    raw = codec.encode(WeightedCoreset(pts, weights, 24), pts[[0, 12]], config).to_bytes()
+    pts = rng.integers(1, delta + 1, size=(rows, 2))
+    weights = rng.uniform(0.5, 2.0, size=rows)
+    if rows == 24:
+        weights[5] = 0.0
+    config = ProblemConfig(n=rows, d=2, k=2, z=Fraction(2), delta=delta, epsilon=eps)
+    sketch = codec.encode(WeightedCoreset(pts, weights, rows), pts[[0, 12]], config)
+    raw = sketch.to_bytes()
     assert raw[52] == codec.EXACT_COORDINATES | codec.SORTED_FIRST
+    assert sketch._zero.any() == (rows == 24)
     path.write_bytes(raw)
     return raw
 
@@ -58,6 +63,11 @@ def _wide_sketch_bytes(path) -> bytes:
     # at delta = 2^33 + 1 grid values take 34 bits, kept as uint64: L = 29,
     # H = 17
     return _sketch_bytes(path, delta=2 ** 33 + 1, eps=1e-9)
+
+
+def _full_width_sketch_bytes(path) -> bytes:
+    # 21 rows, not a multiple of 8, and no zero weight: L = 0, H = 16
+    return _sketch_bytes(path, rows=21)
 
 
 def _load_sketch(path) -> codec.Sketch:
@@ -73,6 +83,7 @@ FORMATS = {
     "kzob": (_basis_bytes, anglelab.load_basis, anglelab.save_basis, KZOB_FIELDS),
     "kzsk": (_sketch_bytes, _load_sketch, _save_sketch, KZSK_FIELDS),
     "kzsk-wide": (_wide_sketch_bytes, _load_sketch, _save_sketch, KZSK_FIELDS),
+    "kzsk-full-width": (_full_width_sketch_bytes, _load_sketch, _save_sketch, KZSK_FIELDS),
 }
 
 

@@ -822,3 +822,65 @@ def test_filter_against_an_adversarial_gemm(monkeypatch, scale, index, chunks):
             got = geometry._nearest(pts, cen, index=index)
         assert np.array_equal(got[0], want[0])
         assert np.array_equal(got[1], want[1]) if index else got[1] is None
+
+
+class ReorderedGemm:
+    """numpy for ``geometry``, but with a ``matmul`` that sums each d-term
+    dot product of its operands in another order than numpy's: from the
+    last term to the first, or pairwise, each half summed before the two
+    halves are added. On the grid pass every product and every partial sum
+    is an integer of magnitude at most 2^53, exact in any order, so no
+    order may change an output. Every other name is numpy's."""
+
+    def __init__(self, order: str):
+        self.order, self.calls = order, 0
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    def matmul(self, a, b, out=None):
+        self.calls += 1
+        product = self.summed(a[:, :, None] * b[None, :, :])
+        if out is None:
+            return product
+        out[...] = product
+        return out
+
+    def summed(self, terms):
+        """The sum of ``terms`` over its axis 1, in this stand-in's order."""
+        if self.order == "reversed":
+            total = terms[:, -1].copy()
+            for j in range(terms.shape[1] - 2, -1, -1):
+                total += terms[:, j]
+            return total
+        if terms.shape[1] == 1:
+            return terms[:, 0].copy()
+        half = terms.shape[1] // 2
+        return self.summed(terms[:, :half]) + self.summed(terms[:, half:])
+
+
+@pytest.mark.parametrize("chunks", [1, 7])
+@pytest.mark.parametrize("index", [True, False])
+@pytest.mark.parametrize("order", ["reversed", "pairwise"])
+def test_grid_pass_in_any_summation_order(monkeypatch, order, index, chunks):
+    # integral rows and centers on {0..3}^d, at the origin and shifted by
+    # 2^20, where the products reach 2^40 and the grid bound still holds;
+    # centers 0 and 1 coincide, so many rows tie. With 7 chunks of 43 rows
+    # the product takes the (rows, k) layout against 64 centers
+    rng = np.random.default_rng([index, chunks])
+    gemm = ReorderedGemm(order)
+    x, y = rng.normal(size=(5, 64)), rng.normal(size=(64, 5))
+    assert not np.array_equal(gemm.matmul(x, y), x @ y)
+    for d, k, base in itertools.product((1, 3, 16, 64), (2, 8, 64), (0, 2 ** 20)):
+        cen = base + rng.integers(0, 4, size=(k, d)).astype(np.float64)
+        cen[1] = cen[0]
+        pts = base + rng.integers(0, 4, size=(300, d))
+        want = ref.nearest(pts, cen)
+        chunk_rows(monkeypatch, len(pts), k, d, chunks)
+        calls = gemm.calls
+        with monkeypatch.context() as m:
+            m.setattr(geometry, "np", gemm)
+            got = geometry._nearest(pts, cen, index=index)
+        assert gemm.calls - calls == chunks
+        assert np.array_equal(got[0], want[0])
+        assert np.array_equal(got[1], want[1]) if index else got[1] is None
