@@ -113,6 +113,9 @@ class _ByteRows:
 
     # a word and a ninth byte read up to 16 bytes from a field's first byte
     PAD = 16
+    # fewer than 8 rows read sets of 8 columns (see :meth:`values`), which
+    # reach up to 7 columns of at most 72 bits past a row's end
+    SET_PAD = 64
     # bytes of a gather's words: each temporary of a read stays below
     # glibc's initial mmap threshold
     GATHER_BYTES = 1 << 17
@@ -128,7 +131,7 @@ class _ByteRows:
         left, from a zero-padded copy of their bytes. A group's reads reach
         :attr:`PAD` bytes past its last row, and a last group of fewer than
         8 rows reads the rows after it as well, so only the last few groups
-        of a payload need the copy."""
+        of a payload need the copy; it has room for sets of columns, too."""
         count, start = rows.stop - rows.start, pos >> 3
         reach = ((pos & 7) + 8 * width + 7) // 8 + cls.PAD
         cut = 8 * min(count // 8, max(0, (payload.size - start - reach) // max(1, width) + 1))
@@ -137,8 +140,8 @@ class _ByteRows:
         if cut < count:
             pos, count = pos + cut * width, count - cut
             group = min(8, count)
-            buf = np.zeros(((pos & 7) + width * group * -(-count // group) + 7) // 8 + cls.PAD,
-                           dtype=np.uint8)
+            buf = np.zeros(((pos & 7) + width * group * -(-count // group) + 7) // 8
+                           + cls.PAD + cls.SET_PAD, dtype=np.uint8)
             tail = payload[pos >> 3:(pos >> 3) + buf.size]
             buf[:tail.size] = tail
             yield slice(rows.start + cut, rows.stop), cls(buf, pos & 7, count, width)
@@ -152,25 +155,34 @@ class _ByteRows:
         narrowest width that holds ``width`` + 7 bits (1, 2, 4 or 8 bytes),
         shifted into place. The words of a group's rows are gathered at
         their byte offsets, one gather for every group of the rows at once,
-        or for as many as fit in :attr:`GATHER_BYTES`. A field of more than
-        57 bits runs into a ninth byte, whose leading bits come from the
-        word 8 bytes on (numpy shifts a uint64 by 64 to 0)."""
+        or for as many as fit in :attr:`GATHER_BYTES`. Such a gather costs
+        per offset, so fewer than 8 rows gather their evenly spaced columns
+        in sets of 8: column c + 8 lies as many bytes after column c as the
+        columns are bits apart, at the same bit, so 8 offsets per row serve
+        every set. A field of more than 57 bits runs into a ninth byte, whose
+        leading bits come from the word 8 bytes on (numpy shifts a uint64 by
+        64 to 0)."""
         nb = _byte_width(min(64, width + 7))
-        group = min(8, self._rows)
+        group, count = min(8, self._rows), len(columns)
         groups = -(-self._rows // group)
-        at = (self._bit + self._width * np.arange(group)[:, None] + columns).ravel()
+        period = 8 if self._rows < 8 and count > 8 else count
+        sets = -(-count // period)
+        at = (self._bit + self._width * np.arange(group)[:, None] + columns[:period]).ravel()
         byte, bit = at >> 3, (at & 7).astype(f"u{nb}")
         ninth = 8 if width > 57 else 0
-        words = np.ndarray((groups, int(byte[-1]) + 1 + ninth), dtype=f">u{nb}",
-                           buffer=self._buf, strides=(self._width, 1))
-        step = max(1, self.GATHER_BYTES // (nb * len(at)))
+        spacing = int(columns[1] - columns[0]) if sets > 1 else 0
+        words = np.ndarray((groups, sets, int(byte[-1]) + 1 + ninth), dtype=f">u{nb}",
+                           buffer=self._buf, strides=(self._width, spacing, 1))
+        step = max(1, self.GATHER_BYTES // (nb * len(at) * sets))
         for lo in range(0, groups, step):
-            word = words[lo:lo + step, byte].astype(bit.dtype)
+            word = words[lo:lo + step, :, byte].astype(bit.dtype)
             word <<= bit
             if ninth:
-                word |= words[lo:lo + step, byte + ninth].astype(bit.dtype) >> (64 - bit)
+                word |= words[lo:lo + step, :, byte + ninth].astype(bit.dtype) >> (64 - bit)
+            if sets > 1:    # one group: (sets, rows, columns of a set) to rows
+                word = word.reshape(sets, group, period).swapaxes(0, 1)
             dst = out[lo * group:(lo + step) * group]
-            np.right_shift(word.reshape(-1, len(columns))[:len(dst)], 8 * nb - width,
+            np.right_shift(word.reshape(-1, sets * period)[:len(dst), :count], 8 * nb - width,
                            out=dst, casting="unsafe")
 
 
