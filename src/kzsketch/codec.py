@@ -386,7 +386,7 @@ def _row_pieces(payload: np.ndarray, pos: int, zero: np.ndarray, layout: _Layout
     lies (see :meth:`_ByteRows.at`), each block with one from its bit
     matrix, whose bits under the block's mask are the payload's and the
     rest 0, packed back into bytes. A block that would end past the payload
-    is a ``SketchFormatError`` at the payload's end, before any row is
+    is a ``SketchFormatError`` at the payload's end, before its rows are
     read."""
     nbits, run = 8 * payload.size, (0, pos)     # the first row and bit not yet read
     for rows, keep, count in _row_blocks(zero, layout):
@@ -395,8 +395,9 @@ def _row_pieces(payload: np.ndarray, pos: int, zero: np.ndarray, layout: _Layout
         if keep is not None:
             yield from _ByteRows.at(payload, run[1], slice(run[0], rows.start), layout.row_bits)
             start = pos // 8
+            span = np.unpackbits(payload[start:(pos + count + 7) // 8])
             matrix = np.zeros(keep.shape, dtype=np.uint8)
-            matrix[keep] = np.unpackbits(payload[start:(pos + count + 7) // 8])[pos - 8 * start:][:count]
+            matrix[keep] = span[pos - 8 * start:][:count]
             yield from _ByteRows.at(np.packbits(matrix), 0, rows, layout.row_bits)
             run = rows.stop, pos + count
         pos += count

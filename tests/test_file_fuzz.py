@@ -43,18 +43,19 @@ def _basis_bytes(path) -> bytes:
     return path.read_bytes()
 
 
-def _sketch_bytes(path, delta: int = 16, eps: float = 0.3, rows: int = 24) -> bytes:
+def _sketch_bytes(path, delta: int = 16, eps: float = 0.3, rows: int = 24,
+                  zero: bool = True) -> bytes:
     # 24 rows in 2 groups, at delta = 16: L = 1, H = 8, and a zero weight
     rng = np.random.default_rng(2)
     pts = rng.integers(1, delta + 1, size=(rows, 2))
     weights = rng.uniform(0.5, 2.0, size=rows)
-    if rows == 24:
+    if zero:
         weights[5] = 0.0
     config = ProblemConfig(n=rows, d=2, k=2, z=Fraction(2), delta=delta, epsilon=eps)
     sketch = codec.encode(WeightedCoreset(pts, weights, rows), pts[[0, 12]], config)
     raw = sketch.to_bytes()
     assert raw[52] == codec.EXACT_COORDINATES | codec.SORTED_FIRST
-    assert sketch._zero.any() == (rows == 24)
+    assert sketch._zero.any() == zero
     path.write_bytes(raw)
     return raw
 
@@ -67,7 +68,7 @@ def _wide_sketch_bytes(path) -> bytes:
 
 def _full_width_sketch_bytes(path) -> bytes:
     # 21 rows, not a multiple of 8, and no zero weight: L = 0, H = 16
-    return _sketch_bytes(path, rows=21)
+    return _sketch_bytes(path, rows=21, zero=False)
 
 
 def _load_sketch(path) -> codec.Sketch:
