@@ -640,7 +640,8 @@ def _valid_sketch(delta: int = 16, unit: bool = False, rows: int = 6,
     rng = np.random.default_rng(5)
     data = rng.integers(1, delta + 1, size=(rows, 2))
     weights = rng.uniform(0.5, 2.0, size=rows)
-    weights[1] = 0.0 if zero else weights[1]
+    if zero:
+        weights[1] = 0.0
     if unit:
         weights[:] = 1.0
     centers = data[[0, 3]]
