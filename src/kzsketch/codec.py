@@ -116,8 +116,8 @@ class _ByteRows:
     # fewer than 8 rows read sets of 8 columns (see :meth:`values`), which
     # reach up to 7 columns of at most 72 bits past a row's end
     SET_PAD = 64
-    # bytes of a gather's words: each temporary of a read stays below
-    # glibc's initial mmap threshold
+    # bytes of a gather's words, unless one group's take more: each
+    # temporary of a read stays below glibc's initial mmap threshold
     GATHER_BYTES = 1 << 17
 
     def __init__(self, buf: np.ndarray, bit: int, rows: int, width: int):
