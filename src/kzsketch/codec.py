@@ -542,8 +542,12 @@ class Sketch:
     once, read-only and cached, together with the points prepared for the
     distance kernel (their squared norms, and whether every coordinate is an
     integer, which lets integral queries take the kernel's exact grid path).
-    The cache is filled by one assignment, so concurrent queries from many
-    threads are safe.
+    An exact-coordinate sketch's ``decode`` also builds the points' column
+    operand (see ``geometry._Rows``), so every estimate takes |c|^2 into
+    the kernel's GEMM: (d + 1) |S| float64 values more, 1.6 MB and about
+    0.2 ms at 3208 rows of d = 64, paid once per decoded sketch. The cache
+    is filled by one assignment, so concurrent queries from many threads
+    are safe.
     """
 
     _decoded = None
@@ -804,9 +808,13 @@ class Sketch:
                 weights = _decode_array(zero[:, 0], 0, fields[0][:, 0] + p.w_expo_min,
                                         fields[1][:, 0], p.f_w)
             if self.exact_coordinates:
-                # coordinates as integers: their prepared rows need no scans
-                rows = geometry._Rows(np.add(fields[-1], 1,
-                                             dtype=_grid_dtype(p.center_width + 1)))
+                # coordinates as integers: their prepared rows need no
+                # scans, and their column operand is one pass over them
+                grid, dtype = fields[-1], _grid_dtype(p.center_width + 1)
+                cols = np.empty((self.d + 1, self.coreset_size))
+                np.add(grid.T, 1, out=cols[:-1], dtype=dtype)
+                cols[-1] = 1.0
+                rows = geometry._Rows(np.add(grid, 1, dtype=dtype), geometry._freeze(cols))
                 points = rows.points
             else:
                 points = _decode_array(zero[:, self._layout.runs[-1][3]], *fields[-3:], p.f_x)
@@ -827,7 +835,8 @@ class Sketch:
         if cen.shape[1] != self.d:
             raise DimensionMismatch(
                 f"sketch dimension {self.d} != query dimension {cen.shape[1]}")
-        return geometry.weighted_cost(weights, rows, cen, self.z)
+        # the decoded weights are finite and nonnegative by construction
+        return geometry._weighted_sum(weights, rows, cen, self.z)
 
 
 def check_header_fields(config: ProblemConfig) -> tuple[int, int, float]:

@@ -167,11 +167,19 @@ class _Rows:
     ``GridDataset``) is finite and integral by its type, so both scans are
     skipped for its read-only float64 copy; any other input is scanned for
     integrality on the first read of ``integral``. The points must not
-    change afterwards."""
+    change afterwards.
 
-    __slots__ = ("points", "sq", "_integral")
+    ``cols``, when given, is the same points as a read-only, contiguous
+    (d + 1, n) float64 operand: the coordinates transposed, then a row of
+    ones, so that :func:`_nearest` takes |c|^2 into its GEMM. Only
+    ``Sketch.decode`` builds it, for an exact-coordinate sketch, in one
+    pass over its grid values: (d + 1) n values more per decoded sketch,
+    1.6 MB at 3208 rows of d = 64. Other rows go without it: an operand on
+    every prepared row set made the seeding and the snap slower."""
 
-    def __init__(self, points):
+    __slots__ = ("points", "sq", "_integral", "cols")
+
+    def __init__(self, points, cols: np.ndarray | None = None):
         points = _points_of(points)
         if points.ndim != 2:
             raise InvalidInput("prepared rows must be an (n, d) array")
@@ -181,7 +189,7 @@ class _Rows:
             raise InvalidInput("distance evaluation requires finite coordinates")
         else:
             integral = None
-        self.points, self._integral = points, integral
+        self.points, self._integral, self.cols = points, integral, cols
         with np.errstate(over="ignore"):
             self.sq = _freeze(np.einsum("ij,ij->i", points, points))
 
@@ -205,9 +213,12 @@ def _points_of(obj) -> np.ndarray:
 
 # pairs per chunk of _scan: its temporaries are O(_BLOCK * d)
 _BLOCK = 1024
-# values per chunk of the distance kernel, its (k, rows) matrix and the
-# rows' (rows, d) direct form together: 4 MB of float64
+# values per chunk of the distance kernel, k + d per row: its (k, rows)
+# matrix and the rows' slice together, 4 MB of float64
 _GRID_VALUES = 2 ** 19
+# values per block of the direct form's refine, held in the kernel's
+# (k, rows) buffer: 256 KB, within a core's cache
+_REFINE_VALUES = 2 ** 15
 
 
 def _scan(fpts: np.ndarray, cen: np.ndarray,
@@ -258,14 +269,18 @@ def _nearest(points, centers,
     One loop takes the rows in chunks of ``max(1, _GRID_VALUES // (k + d))``,
     each the ``(k, rows)`` matrix ``e = -2 C P^T + |c|^2``, the smaller
     operand scaled by -2 (exactly); with more centers than rows it is
-    computed as ``(rows, k)``, so that k is its contiguous axis. For a row
-    p, e_j stands for s_j = t_j - |p|^2, where t_j is the exact squared
-    distance to center j; |p|^2 is the same for every center of the row.
+    computed as ``(rows, k)``, so that k is its contiguous axis. Rows that
+    carry a column operand (``_Rows.cols``) give P^T as its first d rows.
+    For a row p, e_j stands for s_j = t_j - |p|^2, where t_j is the exact
+    squared distance to center j; |p|^2 is the same for every center of the
+    row.
     Each chunk takes one reduction of ``e``: each row's minimum, the
     candidate mask ``e_j <= min(e) + T``, the row's candidate count in
     ``np.min_scalar_type(k)``, which holds k, and the sum of j over its
     candidates in the index dtype, which is a lone candidate's index and
-    with several candidates may wrap past k.
+    with several candidates may wrap past k. Once the mask exists, ``e``
+    is dead, and the products j times its marks go into its buffer, in the
+    mask's own layout.
 
     Grid pass: a chunk of integral rows against integral centers with
     ``(sqrt(max |p|^2) + max|c|)^2 <= 2^52``, on the chunk's own largest
@@ -281,6 +296,16 @@ def _nearest(points, centers,
     candidates are exactly the ties of the minimum, and a row with several
     takes the lowest, the first along its mask by ``argmax``.
 
+    Folded term: rows that carry the column operand, in a chunk of at least
+    k rows on the grid, take |c|^2 into the GEMM, ``e = [-2 C | |c|^2]
+    [P^T; 1]``, one (k, d + 1) by (d + 1, rows) product with no separate
+    addition. |c|^2 is one more integer term of each dot product, exact as
+    it is at most 2^52, and every partial sum, of any of the d + 1 terms in
+    any order, is at most ``2 |p| |c| + |c|^2 <= (|p| + |c|)^2 <= 2^52`` in
+    magnitude, so the argument above holds unchanged. A filtered chunk
+    takes the operand's first d rows and adds |c|^2 apart, as the proof
+    below has it.
+
     One center off the grid is every row's lone candidate: the chunk skips
     ``e`` and takes the direct form. Any other chunk is filtered.
 
@@ -290,9 +315,11 @@ def _nearest(points, centers,
     sum into range, and ``_scan`` overwrites it.
 
     Refine: a row with exactly one candidate takes it, and its value is
-    recomputed in the direct form. Rows with several (exact ties, duplicate
-    centers, overflow) go through ``_scan`` over their candidates only;
-    rows with none (a NaN in e) over every center.
+    recomputed in the direct form, in blocks of at most ``_REFINE_VALUES``
+    values gathered into the buffer of ``e``, dead by then. A row's sum is
+    that row's alone, so the blocks change no value. Rows with several
+    (exact ties, duplicate centers, overflow) go through ``_scan`` over
+    their candidates only; rows with none (a NaN in e) over every center.
 
     Why a lone candidate is the direct form's strict minimum: let X = (|p|
     + max|c|)^2 >= t_j. |c_j|^2 and p.c_j are d-term dot products, within
@@ -316,7 +343,7 @@ def _nearest(points, centers,
         raise InvalidInput("need at least one center")
     rows, centers = (x if isinstance(x, _Rows) else x._rows if isinstance(x, GridDataset)
                      else _Rows(a) for x, a in ((points, pts), (centers, cen)))
-    pts, cen, c_sq = rows.points, centers.points, centers.sq
+    pts, cen, c_sq, cols = rows.points, centers.points, centers.sq, rows.cols
     n, d = pts.shape
     k = cen.shape[0]
     u = 2.0 ** -53
@@ -327,18 +354,27 @@ def _nearest(points, centers,
     best, arg = np.empty(n), np.zeros(n, dtype=np.min_scalar_type(k - 1))
     idx = np.arange(k, dtype=arg.dtype)[:, None]
     step = max(1, _GRID_VALUES // (k + d))
-    buf = np.empty(k * min(n, step))
+    block = max(1, _REFINE_VALUES // max(d, 1))
+    buf = np.empty(max(k * min(n, step), min(n, step, block) * d))
+    if k <= min(n, step):   # [-2 C | |c|^2], for chunks of k rows or more
+        fold = np.empty((k, d + 1))
+        np.multiply(cen, -2.0, out=fold[:, :d])
+        fold[:, d] = c_sq
     for lo in range(0, n, step):
         p, p_sq, b = pts[lo:lo + step], rows.sq[lo:lo + step], best[lo:lo + step]
         r = len(p)
         a = arg[lo:lo + step]
         grid = _grid_chunk(integral, p_sq, c_norm)
         if grid or k > 1:
+            folded = grid and cols is not None and k <= r
             if k > r:  # more centers than rows: k is e's contiguous axis
                 e = np.matmul(-2.0 * p, cen.T, out=buf[:r * k].reshape(r, k)).T
             else:
-                e = np.matmul(-2.0 * cen, p.T, out=buf[:k * r].reshape(k, r))
-            e += c_sq[:, None]
+                w = d + folded
+                e = np.matmul(fold[:, :w], p.T if cols is None else cols[:w, lo:lo + step],
+                              out=buf[:k * r].reshape(k, r))
+            if not folded:
+                e += c_sq[:, None]
             e.min(axis=0, out=b)
             if grid and not index:
                 b += p_sq
@@ -348,18 +384,23 @@ def _nearest(points, centers,
                          b + (8.0 * g * (np.sqrt(p_sq) + c_norm) ** 2 + floor))
             count = np.add.reduce(near, axis=0, dtype=np.min_scalar_type(k))
             # the index of a lone candidate; elsewhere it wraps, and the
-            # lowest tie or _scan overwrites it
-            np.add.reduce(near * idx, axis=0, dtype=a.dtype, out=a)
+            # lowest tie or _scan overwrites it. e is dead: the products go
+            # into its buffer, in near's layout
+            prod = buf.view(a.dtype)[:k * r]
+            prod = prod.reshape(r, k).T if k > r else prod.reshape(k, r)
+            np.add.reduce(np.multiply(near, idx, out=prod), axis=0, dtype=a.dtype, out=a)
             if grid:
                 b += p_sq
                 if (tie := count > 1).any():
                     a[tie] = near[:, tie].argmax(axis=0)
                 continue
-        q = cen.take(a, axis=0, mode="clip")
-        np.subtract(p, q, out=q)
-        np.square(q, out=q)
-        q.sum(axis=1, out=b)
-        del q  # not held while the next chunk allocates its own
+        for j in range(0, r, block):
+            m = min(block, r - j)
+            q = buf[:m * d].reshape(m, d)
+            cen.take(a[j:j + m], axis=0, out=q, mode="clip")
+            np.subtract(p[j:j + m], q, out=q)
+            np.square(q, out=q)
+            q.sum(axis=1, out=b[j:j + m])
         if k > 1 and (rest := count != 1).any():
             near = near[:, rest].T
             near[~near.any(axis=1)] = True
@@ -405,7 +446,13 @@ def _checked_weights(weights, n: int) -> np.ndarray:
 
 def weighted_cost(weights, points, centers, z: ZLike) -> float:
     """Weighted clustering cost; zero weights contribute exactly 0, overflow inf."""
-    w = _checked_weights(weights, _points_of(points).shape[0])
+    return _weighted_sum(_checked_weights(weights, _points_of(points).shape[0]),
+                         points, centers, z)
+
+
+def _weighted_sum(w: np.ndarray, points, centers, z: ZLike) -> float:
+    """:func:`weighted_cost` for float64 weights ``w`` known to be one
+    finite, nonnegative value per point, which it does not scan again."""
     with np.errstate(over="ignore", invalid="ignore"):
         # the points as given, so that prepared rows reach the kernel as such
         terms = w * min_powered_distances(points, centers, z)

@@ -16,6 +16,9 @@ ROOT = Path(__file__).resolve().parent.parent
 ALLOWED_UNUSED = {
     "save_basis": "the only KZOB writer, which `angles --basis-a/--basis-b` reads",
     "random_grid_dataset": "the README quick start makes its dataset with it",
+    "weighted_cost": "the package's checked cost of a caller's weighted points; "
+                     "`Sketch.estimate_cost` sums its decoded weights, frozen and "
+                     "valid by construction, through the same `_weighted_sum`",
 }
 
 
