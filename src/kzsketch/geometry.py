@@ -366,15 +366,15 @@ def _nearest(points, centers,
         a = arg[lo:lo + step]
         grid = _grid_chunk(integral, p_sq, c_norm)
         if grid or k > 1:
-            folded = grid and cols is not None and k <= r
             if k > r:  # more centers than rows: k is e's contiguous axis
                 e = np.matmul(-2.0 * p, cen.T, out=buf[:r * k].reshape(r, k)).T
-            else:
-                w = d + folded
+                e += c_sq[:, None]
+            else:   # on the grid, rows with their operand fold |c|^2 in
+                w = d + (grid and cols is not None)
                 e = np.matmul(fold[:, :w], p.T if cols is None else cols[:w, lo:lo + step],
                               out=buf[:k * r].reshape(k, r))
-            if not folded:
-                e += c_sq[:, None]
+                if w == d:
+                    e += c_sq[:, None]
             e.min(axis=0, out=b)
             if grid and not index:
                 b += p_sq

@@ -218,6 +218,17 @@ MUTANTS = [
            "        if False:\n            yield from _ByteRows.at(",
            ("tests/test_file_fuzz.py::test_every_truncation[kzsk]",),
            "a block with a zero flag is read from its masked bits, not in place"),
+    Mutant("grid-operand-ones-row-zero", CODEC,
+           "                cols[-1] = 1.0\n",
+           "                cols[-1] = 0.0\n",
+           ("tests/test_kernel_oracle.py::test_decoded_sketch_rows_carry_their_operand[z0]",),
+           "a decoded sketch's column operand ends in a row of ones, so the grid pass's "
+           "folded GEMM adds |c|^2"),
+    Mutant("refine-skips-the-last-block", GEOMETRY,
+           "        for j in range(0, r, block):\n",
+           "        for j in range(0, r - block, block):\n",
+           ("tests/test_kernel_oracle.py::test_refine_in_blocks[15-5]",),
+           "the direct form's refine covers every row of a chunk, the last block too"),
     Mutant("wide-layout-at-k-equal-rows", GEOMETRY,
            "            if k > r:  # more centers than rows",
            "            if k >= r:  # more centers than rows",

@@ -13,7 +13,9 @@ a sketch's decoded points take), built from the float64 copy of the points
 that the reference computes on, alone and against centers prepared as
 ``_Rows`` too (the form of the snap of ``approx_centers``): they must give
 the same outputs as the reference and as the unprepared call. So must a
-``GridDataset``, whose kept rows the kernel takes as points and as centers."""
+``GridDataset``, whose kept rows the kernel takes as points and as centers,
+and rows that carry a column operand (``_Rows.cols``), as a decoded
+exact-coordinate sketch's rows do."""
 
 import itertools
 import math
@@ -27,8 +29,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import nearest_reference as ref
-from kzsketch import geometry
-from kzsketch.geometry import GridDataset
+from kzsketch import codec, geometry
+from kzsketch.coreset import WeightedCoreset
+from kzsketch.geometry import GridDataset, ProblemConfig
 
 # (point, center) pairs per example, so the scalar reference stays fast
 MAX_PAIRS = 12_000
@@ -36,6 +39,15 @@ MAX_PAIRS = 12_000
 # magnitudes where |p|^2 and 2 p.c overflow (>= 1e155) or underflow
 # (<= 1e-155) in the expanded form, next to ordinary ones
 SCALES = [1.0, 1e-300, 1e-200, 1e-160, 1e-155, 1e155, 1e160, 1e200, 1e300]
+
+
+def operand_rows(points) -> geometry._Rows:
+    """``points`` prepared with their column operand, as ``Sketch.decode``
+    prepares an exact-coordinate sketch's: the (d + 1, n) float64 array of
+    the coordinates transposed, then a row of ones, read-only."""
+    pts = np.asarray(points)
+    cols = np.vstack([pts.T.astype(np.float64), np.ones((1, len(pts)))])
+    return geometry._Rows(pts, geometry._freeze(cols))
 
 
 def assert_same_as_reference(points, centers, want=None):
@@ -49,8 +61,11 @@ def assert_same_as_reference(points, centers, want=None):
         rows = geometry._Rows(np.asarray(points).astype(np.float64))
         prepared = geometry._nearest(rows, centers)
         both = geometry._nearest(rows, geometry._Rows(centers))
-        no_index = [geometry._nearest(p, centers, index=False) for p in (points, rows)]
-    for out in (got, prepared, both):
+        operand = operand_rows(np.asarray(points).astype(np.float64))
+        folded = geometry._nearest(operand, centers)
+        no_index = [geometry._nearest(p, centers, index=False)
+                    for p in (points, rows, operand)]
+    for out in (got, prepared, both, folded):
         assert np.array_equal(out[0], want[0])
         assert np.array_equal(out[1], want[1])
     for dist, index in no_index:
@@ -234,18 +249,23 @@ def test_rows_straddling_the_grid_bound_across_chunks(monkeypatch):
 
 def test_filter_memory_stays_within_a_chunk(monkeypatch):
     # jittered centers over 200000 prepared rows: each filtered chunk's
-    # temporaries (its (k, rows) matrix, the direct form's (rows, d) rows,
-    # the candidate marks) are about _GRID_VALUES values, so the traced
+    # temporaries (its (k, rows) matrix, which the direct form's blocks
+    # reuse, and the candidate marks) are about _GRID_VALUES values, so the traced
     # peak is the outputs plus that, however many chunks there are. The
     # grid pass with the index builds the same marks, so the bound holds
-    # for integral centers too, at k = 8 and at k = 300
+    # for integral centers too, at k = 8 and at k = 300. So it does for
+    # rows that carry the column operand, whose grid chunks fold |c|^2 into
+    # the GEMM
     n, d = 200_000, 16
     rng = np.random.default_rng(24)
-    rows = geometry._Rows(rng.integers(1, 1025, size=(n, d)))
-    jittered = rows.points[:8] + rng.normal(size=(8, d))
+    grid = rng.integers(1, 1025, size=(n, d))
+    plain, operand = geometry._Rows(grid), operand_rows(grid)
+    del grid
+    jittered = plain.points[:8] + rng.normal(size=(8, d))
     chunk = 8 * geometry._GRID_VALUES
-    for cen, index in ((jittered, True), (jittered, False),
-                       (rows.points[:8], True), (rows.points[:300], True)):
+    for rows, (cen, index) in itertools.product(
+            (plain, operand), ((jittered, True), (jittered, False),
+                               (plain.points[:8], True), (plain.points[:300], True))):
         width = np.min_scalar_type(len(cen) - 1).itemsize
         outputs = n * (8 + width + 8) if index else n * 8
         tracemalloc.start()
@@ -586,8 +606,8 @@ def took_grid_pass(points, centers, monkeypatch):
 
 
 def assert_grid_pass_exact(points, center_sets, monkeypatch, grid_pass):
-    """``_nearest`` on ``points`` and on their prepared rows against the
-    reference, both outputs bit for bit and with and without the index,
+    """``_nearest`` on ``points``, on their prepared rows and on rows that
+    carry their column operand against the reference, both outputs bit for bit and with and without the index,
     each of ``center_sets`` (lists of row indices) taking its turn as the
     centers, as a seed or the sensitivity pass has them. The grid pass
     must run when ``grid_pass`` holds, and must not otherwise."""
@@ -595,7 +615,7 @@ def assert_grid_pass_exact(points, center_sets, monkeypatch, grid_pass):
     for idx in center_sets:
         cen = rows.points[list(idx)]
         want = ref.nearest(points, cen)
-        for p in (points, rows):
+        for p in (points, rows, operand_rows(points)):
             got = geometry._nearest(p, cen)
             assert got[1].dtype == np.int64
             assert np.array_equal(got[0], want[0])
@@ -824,22 +844,36 @@ def test_filter_against_an_adversarial_gemm(monkeypatch, scale, index, chunks):
         assert np.array_equal(got[1], want[1]) if index else got[1] is None
 
 
-class ReorderedGemm:
-    """numpy for ``geometry``, but with a ``matmul`` that sums each d-term
-    dot product of its operands in another order than numpy's: from the
-    last term to the first, or pairwise, each half summed before the two
-    halves are added. On the grid pass every product and every partial sum
-    is an integer of magnitude at most 2^53, exact in any order, so no
-    order may change an output. Every other name is numpy's."""
+class GemmSpy:
+    """numpy for ``geometry``, with the inner dimension of each ``matmul``
+    recorded in ``widths``: d + 1 where the kernel folds |c|^2 into its
+    product, d where it adds |c|^2 apart. Every other name is numpy's."""
 
-    def __init__(self, order: str):
-        self.order, self.calls = order, 0
+    def __init__(self):
+        self.widths = []
 
     def __getattr__(self, name):
         return getattr(np, name)
 
     def matmul(self, a, b, out=None):
-        self.calls += 1
+        self.widths.append(a.shape[1])
+        return np.matmul(a, b, out=out)
+
+
+class ReorderedGemm(GemmSpy):
+    """A :class:`GemmSpy` whose ``matmul`` sums each dot product of its
+    operands in another order than numpy's: from the last term to the
+    first, or pairwise, each half summed before the two halves are added.
+    On the grid pass every product and every partial sum, |c|^2 folded in
+    or not, is an integer of magnitude at most 2^53, exact in any order, so
+    no order may change an output."""
+
+    def __init__(self, order: str):
+        super().__init__()
+        self.order = order
+
+    def matmul(self, a, b, out=None):
+        self.widths.append(a.shape[1])
         product = self.summed(a[:, :, None] * b[None, :, :])
         if out is None:
             return product
@@ -866,7 +900,9 @@ def test_grid_pass_in_any_summation_order(monkeypatch, order, index, chunks):
     # integral rows and centers on {0..3}^d, at the origin and shifted by
     # 2^20, where the products reach 2^40 and the grid bound still holds;
     # centers 0 and 1 coincide, so many rows tie. With 7 chunks of 43 rows
-    # the product takes the (rows, k) layout against 64 centers
+    # the product takes the (rows, k) layout against 64 centers. The same
+    # rows with their column operand fold |c|^2 into a (k, d + 1) by
+    # (d + 1, rows) product wherever a chunk has at least k rows
     rng = np.random.default_rng([index, chunks])
     gemm = ReorderedGemm(order)
     x, y = rng.normal(size=(5, 64)), rng.normal(size=(64, 5))
@@ -876,11 +912,109 @@ def test_grid_pass_in_any_summation_order(monkeypatch, order, index, chunks):
         cen[1] = cen[0]
         pts = base + rng.integers(0, 4, size=(300, d))
         want = ref.nearest(pts, cen)
-        chunk_rows(monkeypatch, len(pts), k, d, chunks)
-        calls = gemm.calls
-        with monkeypatch.context() as m:
-            m.setattr(geometry, "np", gemm)
-            got = geometry._nearest(pts, cen, index=index)
-        assert gemm.calls - calls == chunks
-        assert np.array_equal(got[0], want[0])
-        assert np.array_equal(got[1], want[1]) if index else got[1] is None
+        step = chunk_rows(monkeypatch, len(pts), k, d, chunks)
+        sizes = [len(pts[lo:lo + step]) for lo in range(0, len(pts), step)]
+        for points in (pts, operand_rows(pts)):
+            gemm.widths.clear()
+            with monkeypatch.context() as m:
+                m.setattr(geometry, "np", gemm)
+                got = geometry._nearest(points, cen, index=index)
+            assert gemm.widths == [d + (points is not pts and k <= r) for r in sizes]
+            assert np.array_equal(got[0], want[0])
+            assert np.array_equal(got[1], want[1]) if index else got[1] is None
+
+
+@pytest.mark.parametrize("past", [0, 1])
+def test_operand_rows_on_the_grid_corners_at_d16(past, monkeypatch):
+    # corners of [1, top]^16 as a decoded sketch's rows, with top = 2^23:
+    # the all-top corner against itself has (|p| + |c|)^2 = 2^52, the grid
+    # bound with equality, so every call takes the grid pass, |c|^2 folded
+    # in; most rows tie among equal centers. One step past it, top = 2^23 +
+    # 1, the bound fails and every chunk must filter
+    d, top = 16, 2 ** 23 + past
+    rng = np.random.default_rng(16 + past)
+    pts = np.where(rng.random((200, d)) < 0.5, 1, top)
+    pts[0], pts[1] = top, 1
+    assert (4 * (pts[0].astype(np.float64) ** 2).sum() > 2.0 ** 52) == bool(past)
+    sets = [[0], [0, 1], *spread_sets(len(pts), 5)[:20], list(range(40))]
+    assert_grid_pass_exact(pts, sets, monkeypatch, not past)
+
+
+@pytest.mark.parametrize("kind", ["integral", "half", "jittered"])
+@pytest.mark.parametrize("k", [3, 40])
+@pytest.mark.parametrize("chunks", [1, 4])
+def test_operand_rows_across_chunks(monkeypatch, kind, k, chunks):
+    # rows with their column operand on {1..4}^5, so that most rows tie,
+    # against integral centers (the grid pass, |c|^2 folded in),
+    # half-integral ones (the filter, ties) and jittered ones (the filter,
+    # lone candidates). 120 rows in one chunk or in four of 30: with 40
+    # centers each of the four has more centers than rows, takes the (rows,
+    # k) layout and adds |c|^2 apart, with 3 every chunk folds on the grid
+    rng = np.random.default_rng([k, chunks])
+    pts = rng.integers(1, 5, size=(120, 5))
+    cen = pts[rng.integers(0, len(pts), size=k)].astype(np.float64)
+    cen += {"integral": 0.0, "half": 0.5, "jittered": rng.normal(scale=0.3, size=cen.shape)}[kind]
+    step = chunk_rows(monkeypatch, len(pts), k, 5, chunks)
+    assert_same_as_reference(pts, cen)
+    gemm = GemmSpy()
+    with monkeypatch.context() as m:
+        m.setattr(geometry, "np", gemm)
+        geometry._nearest(operand_rows(pts), cen)
+    assert gemm.widths == [5 + (kind == "integral" and k <= step)] * chunks
+    assert grid_decisions(operand_rows(pts), cen, monkeypatch) == [kind == "integral"] * chunks
+
+
+@pytest.mark.parametrize("k", [1, 5, 20])
+@pytest.mark.parametrize("n", [6, 7, 8, 15])
+def test_refine_in_blocks(monkeypatch, n, k):
+    # refine blocks of 7 rows of d = 9: n at one block less one row, one
+    # block, one more row and two blocks and one row. Jittered centers, so
+    # every row's value comes from the direct form: one center (no filter),
+    # five with centers 0 and 3 equal (lone candidates and ties) and twenty,
+    # more than the rows (the (rows, k) layout). One center needs more room
+    # for a block than its (k, rows) matrix has
+    monkeypatch.setattr(geometry, "_REFINE_VALUES", 7 * 9)
+    rng = np.random.default_rng([n, k])
+    pts = rng.integers(1, 65, size=(n, 9))
+    cen = pts[rng.integers(0, n, size=k)] + rng.normal(size=(k, 9))
+    if k > 1:
+        cen[3] = cen[0]
+    assert_same_as_reference(pts, cen)
+
+
+@pytest.mark.parametrize("k", [1, 3])
+def test_refine_rows_wider_than_a_block(k):
+    # d above _REFINE_VALUES: each refine block is a single row, wider than
+    # the block's budget
+    rng = np.random.default_rng(k)
+    d = geometry._REFINE_VALUES + 3
+    pts = rng.integers(1, 65, size=(4, d))
+    assert_same_as_reference(pts, pts[:k] + rng.normal(size=(k, d)))
+
+
+@pytest.mark.parametrize("z", [Fraction(2), Fraction(3, 2)])
+def test_decoded_sketch_rows_carry_their_operand(z):
+    # an exact-coordinate sketch decodes its rows with the column operand:
+    # read-only, contiguous, the points transposed and a row of ones; on
+    # those rows the kernel's outputs and the estimates are the reference's,
+    # for integral queries (|c|^2 folded in) and jittered ones. A quantized
+    # sketch's rows carry none
+    rng = np.random.default_rng(int(2 * z))
+    pts = rng.integers(1, 65, size=(400, 6))
+    config = ProblemConfig(n=400, d=6, k=3, z=z, delta=64, epsilon=0.2)
+    sk = codec.encode(WeightedCoreset(pts, rng.random(400) + 0.5, 400), pts[:3], config)
+    w, points, _ = sk.decode()
+    assert sk.exact_coordinates
+    cols = sk._decoded[1].cols
+    assert cols.flags.c_contiguous and not cols.flags.writeable
+    assert np.array_equal(cols, np.vstack([points.T, np.ones((1, 400))]))
+    for q in (pts[rng.integers(0, 400, size=5)].astype(np.float64),
+              pts[:5] + rng.normal(size=(5, 6))):
+        dist, index = geometry._nearest(sk._decoded[1], q)
+        want = ref.nearest(points, q)
+        assert np.array_equal(dist, want[0]) and np.array_equal(index, want[1])
+        assert sk.estimate_cost(q) == float(np.sum(w * geometry.powered_distances(want[0], z)))
+    config = ProblemConfig(n=400, d=6, k=3, z=z, delta=2 ** 40, epsilon=0.2)
+    sk = codec.encode(WeightedCoreset(pts, np.ones(400), 400), pts[:3], config)
+    sk.decode()
+    assert not sk.exact_coordinates and sk._decoded[1].cols is None
