@@ -551,6 +551,7 @@ class Sketch:
     """
 
     _decoded = None
+    _answered = False   # whether an estimate was answered: the next builds the operand
 
     def __init__(self, data: bytes):
         self._data = bytes(data)
@@ -808,13 +809,9 @@ class Sketch:
                 weights = _decode_array(zero[:, 0], 0, fields[0][:, 0] + p.w_expo_min,
                                         fields[1][:, 0], p.f_w)
             if self.exact_coordinates:
-                # coordinates as integers: their prepared rows need no
-                # scans, and their column operand is one pass over them
-                grid, dtype = fields[-1], _grid_dtype(p.center_width + 1)
-                cols = np.empty((self.d + 1, self.coreset_size))
-                np.add(grid.T, 1, out=cols[:-1], dtype=dtype)
-                cols[-1] = 1.0
-                rows = geometry._Rows(np.add(grid, 1, dtype=dtype), geometry._freeze(cols))
+                # coordinates as integers: their prepared rows need no scans
+                rows = geometry._Rows(np.add(fields[-1], 1,
+                                             dtype=_grid_dtype(p.center_width + 1)))
                 points = rows.points
             else:
                 points = _decode_array(zero[:, self._layout.runs[-1][3]], *fields[-3:], p.f_x)
@@ -835,8 +832,20 @@ class Sketch:
         if cen.shape[1] != self.d:
             raise DimensionMismatch(
                 f"sketch dimension {self.d} != query dimension {cen.shape[1]}")
+        if self._answered and rows.cols is None and self.exact_coordinates:
+            rows.cols = self._column_operand()
+        self._answered = True
         # the decoded weights are finite and nonnegative by construction
         return geometry._weighted_sum(weights, rows, cen, self.z)
+
+    def _column_operand(self) -> np.ndarray:
+        """The decoded rows' column operand (see ``geometry._Rows``): the
+        grid values plus 1, transposed, then a row of ones, in one pass."""
+        grid, dtype = self._fields[-1], _grid_dtype(self.params.center_width + 1)
+        cols = np.empty((self.d + 1, self.coreset_size))
+        np.add(grid.T, 1, out=cols[:-1], dtype=dtype)
+        cols[-1] = 1.0
+        return geometry._freeze(cols)
 
 
 def check_header_fields(config: ProblemConfig) -> tuple[int, int, float]:

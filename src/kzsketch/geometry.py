@@ -179,7 +179,7 @@ class _Rows:
 
     __slots__ = ("points", "sq", "_integral", "cols")
 
-    def __init__(self, points, cols: np.ndarray | None = None):
+    def __init__(self, points):
         points = _points_of(points)
         if points.ndim != 2:
             raise InvalidInput("prepared rows must be an (n, d) array")
@@ -189,7 +189,7 @@ class _Rows:
             raise InvalidInput("distance evaluation requires finite coordinates")
         else:
             integral = None
-        self.points, self._integral, self.cols = points, integral, cols
+        self.points, self._integral, self.cols = points, integral, None
         with np.errstate(over="ignore"):
             self.sq = _freeze(np.einsum("ij,ij->i", points, points))
 

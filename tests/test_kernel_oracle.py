@@ -46,8 +46,9 @@ def operand_rows(points) -> geometry._Rows:
     prepares an exact-coordinate sketch's: the (d + 1, n) float64 array of
     the coordinates transposed, then a row of ones, read-only."""
     pts = np.asarray(points)
-    cols = np.vstack([pts.T.astype(np.float64), np.ones((1, len(pts)))])
-    return geometry._Rows(pts, geometry._freeze(cols))
+    rows = geometry._Rows(pts)
+    rows.cols = geometry._freeze(np.vstack([pts.T.astype(np.float64), np.ones((1, len(pts)))]))
+    return rows
 
 
 def assert_same_as_reference(points, centers, want=None):
