@@ -542,16 +542,17 @@ class Sketch:
     once, read-only and cached, together with the points prepared for the
     distance kernel (their squared norms, and whether every coordinate is an
     integer, which lets integral queries take the kernel's exact grid path).
-    An exact-coordinate sketch's ``decode`` also builds the points' column
-    operand (see ``geometry._Rows``), so every estimate takes |c|^2 into
-    the kernel's GEMM: (d + 1) |S| float64 values more, 1.6 MB and about
-    0.2 ms at 3208 rows of d = 64, paid once per decoded sketch. The cache
-    is filled by one assignment, so concurrent queries from many threads
-    are safe.
+    An exact-coordinate sketch's first estimate, once it has its answer,
+    also builds the points' column operand (see ``geometry._Rows``), so
+    that every later estimate takes |c|^2 into the kernel's GEMM: (d + 1)
+    |S| float64 values more, 1.6 MB and about 0.2 ms at 3208 rows of d =
+    64. ``decode`` alone does not build it, so a caller that only reads the
+    arrays never pays for it. The caches are filled by one assignment each,
+    so concurrent queries from many threads are safe; two of them may both
+    build the operand, and either one stays.
     """
 
     _decoded = None
-    _answered = False   # whether an estimate was answered: the next builds the operand
 
     def __init__(self, data: bytes):
         self._data = bytes(data)
@@ -832,11 +833,12 @@ class Sketch:
         if cen.shape[1] != self.d:
             raise DimensionMismatch(
                 f"sketch dimension {self.d} != query dimension {cen.shape[1]}")
-        if self._answered and rows.cols is None and self.exact_coordinates:
-            rows.cols = self._column_operand()
-        self._answered = True
         # the decoded weights are finite and nonnegative by construction
-        return geometry._weighted_sum(weights, rows, cen, self.z)
+        total = geometry._weighted_sum(weights, rows, cen, self.z)
+        if rows.cols is None and self.exact_coordinates:
+            # built after the first answer, in the pages its kernel call freed
+            rows.cols = self._column_operand()
+        return total
 
     def _column_operand(self) -> np.ndarray:
         """The decoded rows' column operand (see ``geometry._Rows``): the

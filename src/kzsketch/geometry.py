@@ -169,13 +169,13 @@ class _Rows:
     integrality on the first read of ``integral``. The points must not
     change afterwards.
 
-    ``cols``, when given, is the same points as a read-only, contiguous
+    ``cols``, when set, is the same points as a read-only, contiguous
     (d + 1, n) float64 operand: the coordinates transposed, then a row of
-    ones, so that :func:`_nearest` takes |c|^2 into its GEMM. Only
-    ``Sketch.decode`` builds it, for an exact-coordinate sketch, in one
-    pass over its grid values: (d + 1) n values more per decoded sketch,
-    1.6 MB at 3208 rows of d = 64. Other rows go without it: an operand on
-    every prepared row set made the seeding and the snap slower."""
+    ones, so that :func:`_nearest` takes |c|^2 into its GEMM. Only a
+    decoded exact-coordinate sketch sets it, once, after its first estimate
+    (see ``Sketch.estimate_cost``): (d + 1) n values more, 1.6 MB at 3208
+    rows of d = 64. Other rows go without it: an operand on every prepared
+    row set made the seeding and the snap slower."""
 
     __slots__ = ("points", "sq", "_integral", "cols")
 

@@ -219,9 +219,10 @@ MUTANTS = [
            ("tests/test_file_fuzz.py::test_every_truncation[kzsk]",),
            "a block with a zero flag is read from its masked bits, not in place"),
     Mutant("grid-operand-ones-row-zero", CODEC,
-           "                cols[-1] = 1.0\n",
-           "                cols[-1] = 0.0\n",
-           ("tests/test_kernel_oracle.py::test_decoded_sketch_rows_carry_their_operand[z0]",),
+           "        cols[-1] = 1.0\n",
+           "        cols[-1] = 0.0\n",
+           ("tests/test_kernel_oracle.py"
+            "::test_sketch_rows_take_their_operand_after_the_first_estimate[z0]",),
            "a decoded sketch's column operand ends in a row of ones, so the grid pass's "
            "folded GEMM adds |c|^2"),
     Mutant("refine-skips-the-last-block", GEOMETRY,

@@ -994,28 +994,32 @@ def test_refine_rows_wider_than_a_block(k):
 
 
 @pytest.mark.parametrize("z", [Fraction(2), Fraction(3, 2)])
-def test_decoded_sketch_rows_carry_their_operand(z):
-    # an exact-coordinate sketch decodes its rows with the column operand:
-    # read-only, contiguous, the points transposed and a row of ones; on
-    # those rows the kernel's outputs and the estimates are the reference's,
-    # for integral queries (|c|^2 folded in) and jittered ones. A quantized
-    # sketch's rows carry none
+def test_sketch_rows_take_their_operand_after_the_first_estimate(z):
+    # an exact-coordinate sketch's rows get their column operand once the
+    # sketch's first estimate has its answer, not at decode: read-only,
+    # contiguous, the points transposed and a row of ones. On those rows the
+    # kernel's outputs and the estimates are the reference's, for integral
+    # queries (|c|^2 folded in) and jittered ones. A quantized sketch's rows
+    # never get one
     rng = np.random.default_rng(int(2 * z))
     pts = rng.integers(1, 65, size=(400, 6))
     config = ProblemConfig(n=400, d=6, k=3, z=z, delta=64, epsilon=0.2)
     sk = codec.encode(WeightedCoreset(pts, rng.random(400) + 0.5, 400), pts[:3], config)
     w, points, _ = sk.decode()
-    assert sk.exact_coordinates
-    cols = sk._decoded[1].cols
-    assert cols.flags.c_contiguous and not cols.flags.writeable
-    assert np.array_equal(cols, np.vstack([points.T, np.ones((1, 400))]))
-    for q in (pts[rng.integers(0, 400, size=5)].astype(np.float64),
-              pts[:5] + rng.normal(size=(5, 6))):
-        dist, index = geometry._nearest(sk._decoded[1], q)
+    rows = sk._decoded[1]
+    assert sk.exact_coordinates and rows.cols is None
+    queries = [pts[rng.integers(0, 400, size=5)].astype(np.float64),
+               pts[:5] + rng.normal(size=(5, 6))]
+    for i, q in enumerate(queries * 2):
         want = ref.nearest(points, q)
-        assert np.array_equal(dist, want[0]) and np.array_equal(index, want[1])
+        assert (rows.cols is None) == (i == 0)
         assert sk.estimate_cost(q) == float(np.sum(w * geometry.powered_distances(want[0], z)))
+        dist, index = geometry._nearest(rows, q)
+        assert np.array_equal(dist, want[0]) and np.array_equal(index, want[1])
+    assert rows.cols.flags.c_contiguous and not rows.cols.flags.writeable
+    assert np.array_equal(rows.cols, np.vstack([points.T, np.ones((1, 400))]))
     config = ProblemConfig(n=400, d=6, k=3, z=z, delta=2 ** 40, epsilon=0.2)
     sk = codec.encode(WeightedCoreset(pts, np.ones(400), 400), pts[:3], config)
-    sk.decode()
+    for q in queries:
+        sk.estimate_cost(q)
     assert not sk.exact_coordinates and sk._decoded[1].cols is None
