@@ -74,9 +74,9 @@ MUTANTS = [
            ("tests/test_codec.py::TestEncodeDecode::test_leaves_the_callers_centers_writable",),
            "encode freezes a copy of its centers, not the caller's array"),
     Mutant("refine-outside-errstate", GEOMETRY,
-           '        q = cen.take(a, axis=0, mode="clip")\n',
-           '        np.seterr(over="warn", invalid="warn")\n'
-           '        q = cen.take(a, axis=0, mode="clip")\n',
+           '            cen.take(a[j:j + m], axis=0, out=q, mode="clip")\n',
+           '            np.seterr(over="warn", invalid="warn")\n'
+           '            cen.take(a[j:j + m], axis=0, out=q, mode="clip")\n',
            (ZERO_WEIGHT_TEST,),
            "the kernel's direct form runs under its errstate: an overflow is inf, not a warning"),
     Mutant("zero-weight-times-inf", GEOMETRY,
