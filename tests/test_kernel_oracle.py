@@ -608,9 +608,10 @@ def took_grid_pass(points, centers, monkeypatch):
 
 def assert_grid_pass_exact(points, center_sets, monkeypatch, grid_pass):
     """``_nearest`` on ``points``, on their prepared rows and on rows that
-    carry their column operand against the reference, both outputs bit for bit and with and without the index,
-    each of ``center_sets`` (lists of row indices) taking its turn as the
-    centers, as a seed or the sensitivity pass has them. The grid pass
+    carry their column operand against the reference, both outputs bit for
+    bit and with and without the index, each of ``center_sets`` (lists of
+    row indices) taking its turn as the centers, as a seed or the
+    sensitivity pass has them. The grid pass
     must run when ``grid_pass`` holds, and must not otherwise."""
     rows = geometry._Rows(np.asarray(points).astype(np.float64))
     for idx in center_sets:
